@@ -15,11 +15,10 @@ from .classifier import (
     SoftmaxModel,
     TrainProtocol,
     fit,
-    load_softmax_model,
+    fit_runs,
     metrics,
-    save_softmax_model,
+    score_runs,
     softmax_xent,
-    subsample_validate,
 )
 from .embeddings import (
     EmbeddingSpace,
@@ -43,11 +42,9 @@ from .evaluation import (
     emit_report,
     evaluate_monolingual,
     evaluate_transfer,
-    fit_transfer,
     load_task,
     parse_report,
     save_task,
-    score_transfer,
     sweep_pmeans,
 )
 from .pooling import (

@@ -7,17 +7,13 @@ and split noise.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import InputError
 from .optim import AdamState, adam_step
 from .pooling import znorm_apply, znorm_fit
-
-MODEL_FORMAT_VERSION = 1
 
 ACCURACY = "accuracy"
 MACRO_F1 = "macro_f1"
@@ -48,32 +44,6 @@ class SoftmaxModel:
         return [self.class_labels[i] for i in idx]
 
 
-def save_softmax_model(model: SoftmaxModel, path) -> None:
-    """Versioned JSON export, same scheme as the projection models."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "class_labels": list(model.class_labels),
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-
-
-def load_softmax_model(path) -> SoftmaxModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported model format_version {version!r}")
-    return SoftmaxModel(
-        weights=np.array(doc["weights"], dtype=np.float64),
-        bias=np.array(doc["bias"], dtype=np.float64),
-        class_labels=list(doc["class_labels"]),
-    )
-
-
 @dataclass
 class TrainProtocol:
     """Settings for grid-tuned training and repeated subsample validation."""
@@ -96,6 +66,8 @@ class TrainProtocol:
                 raise InputError(f"{name} must be in (0, 1), got {v}")
         if self.runs < 1:
             raise InputError("runs must be positive")
+        if self.batch_size < 1 or self.max_epochs < 0:
+            raise InputError("batch_size must be positive, max_epochs >= 0")
 
 
 @dataclass
@@ -254,9 +226,9 @@ def metrics(y_true, y_pred, metric_kind: str, labels=None) -> float:
     return float(np.mean(f1s))
 
 
-def subsample_runs(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
-                   labels=None, znorm: bool = False):
-    """Yield (model, znorm_params, test_indices) for each seeded subsample run.
+def fit_runs(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
+             labels=None, znorm: bool = False) -> list[tuple]:
+    """Fit every seeded subsample run; returns (model, znorm_params, test_indices) each.
 
     Splits are stratified 80/20 by default; z-norm statistics, when enabled,
     are fit on each run's train side only. Run seeds derive from
@@ -265,6 +237,7 @@ def subsample_runs(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
     X = np.asarray(X, dtype=np.float64)
     labels = list(labels) if labels is not None else _first_appearance_labels(y)
     y_idx = _label_indices(y, labels)
+    runs = []
     for child in np.random.SeedSequence(protocol.seed).spawn(protocol.runs):
         rng = np.random.default_rng(child)
         train_idx, test_idx = _stratified_split(y_idx, protocol.test_fraction, rng,
@@ -276,20 +249,22 @@ def subsample_runs(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
             X_train = znorm_apply(zn, X_train)
         model = fit(X_train, [labels[i] for i in y_idx[train_idx]], protocol, rng,
                     metric_kind, labels=labels)
-        yield model, zn, test_idx
+        runs.append((model, zn, test_idx))
+    return runs
 
 
-def subsample_validate(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
-                       labels=None, znorm: bool = False) -> EvalScore:
-    """Repeated stratified-subsample evaluation; returns per-run scores."""
+def score_runs(runs: list[tuple], X, y, metric_kind: str = ACCURACY,
+               held_out: bool = False) -> EvalScore:
+    """Score each fitted run on (X, y), or with held_out on its own test rows of it."""
     X = np.asarray(X, dtype=np.float64)
     y = list(y)
     scores = []
-    for model, zn, test_idx in subsample_runs(X, y, protocol, metric_kind, labels, znorm):
-        X_test = X[test_idx]
+    for model, zn, test_idx in runs:
+        X_run, y_run = X, y
+        if held_out:
+            X_run, y_run = X[test_idx], [y[i] for i in test_idx]
         if zn is not None:
-            X_test = znorm_apply(zn, X_test)
-        y_test = [y[i] for i in test_idx]
-        scores.append(metrics(y_test, model.predict(X_test), metric_kind,
+            X_run = znorm_apply(zn, X_run)
+        scores.append(metrics(y_run, model.predict(X_run), metric_kind,
                               labels=model.class_labels))
     return EvalScore.from_runs(metric_kind, scores)

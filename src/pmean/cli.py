@@ -68,8 +68,6 @@ def _default_seed() -> int:
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="global seed (default: $PMEAN_SEED or 0)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker budget; results are identical for any value")
     p.add_argument("--no-lowercase", action="store_true",
                    help="keep token case when tokenizing")
     p.add_argument("--oov", choices=("skip", "zero"), default="skip",
@@ -388,6 +386,9 @@ def main(argv=None) -> int:
         return 3
     except (InputError, OSError) as exc:
         print(f"pmean: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"pmean: input is not UTF-8: {exc}", file=sys.stderr)
         return 2
 
 

@@ -27,13 +27,12 @@ from .classifier import (
     METRICS,
     EvalScore,
     TrainProtocol,
-    metrics,
-    subsample_runs,
-    subsample_validate,
+    fit_runs,
+    score_runs,
 )
 from .embeddings import OovPolicy, TokenizerConfig
 from .errors import DimensionError, FormatError, InputError
-from .pooling import PooledConfig, PooledPart, SingularityPolicy, embed_corpus, znorm_apply
+from .pooling import PooledConfig, PooledPart, SingularityPolicy, embed_corpus
 
 REPORT_FORMAT_VERSION = 1
 
@@ -145,16 +144,8 @@ def _canonical(ds: TaskDataset) -> tuple[list, list[str], list]:
     return [lab for lab, _ in items], [text for _, text in items], labels
 
 
-def evaluate_monolingual(
-    cfg: PooledConfig,
-    ds: TaskDataset,
-    protocol: TrainProtocol,
-    znorm: bool = False,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
-) -> EvalScore:
-    """Embed a task and score it with repeated-subsample validation.
+def _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy):
+    """Embed a task and fit its subsample runs; returns (runs, X, y).
 
     Every configured space must either carry no language tag (treated as
     shared/bilingual) or match the task's language.
@@ -168,7 +159,21 @@ def evaluate_monolingual(
             )
     y, texts, labels = _canonical(ds)
     X = embed_corpus(cfg, texts, tokenizer, oov_policy, sing_policy)
-    return subsample_validate(X, y, protocol, ds.metric_kind, labels=labels, znorm=znorm)
+    return fit_runs(X, y, protocol, ds.metric_kind, labels=labels, znorm=znorm), X, y
+
+
+def evaluate_monolingual(
+    cfg: PooledConfig,
+    ds: TaskDataset,
+    protocol: TrainProtocol,
+    znorm: bool = False,
+    tokenizer: TokenizerConfig | None = None,
+    oov_policy: OovPolicy | None = None,
+    sing_policy: SingularityPolicy | None = None,
+) -> EvalScore:
+    """Embed a task and score each subsample run on its own held-out rows."""
+    runs, X, y = _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy)
+    return score_runs(runs, X, y, ds.metric_kind, held_out=True)
 
 
 def _check_aligned_configs(cfg_src: PooledConfig, cfg_tgt: PooledConfig) -> None:
@@ -180,48 +185,6 @@ def _check_aligned_configs(cfg_src: PooledConfig, cfg_tgt: PooledConfig) -> None
                 f"config parts {a.space.name!r} and {b.space.name!r} differ in "
                 "p-values or dimensionality"
             )
-
-
-def fit_transfer(
-    cfg_src: PooledConfig,
-    train_ds: TaskDataset,
-    protocol: TrainProtocol,
-    znorm: bool = False,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
-) -> list[tuple]:
-    """Fit per-run classifiers (and z-norm stats) from source-language data only.
-
-    Target-language data never enters here; it is seen exclusively by
-    score_transfer.
-    """
-    y, texts, labels = _canonical(train_ds)
-    X = embed_corpus(cfg_src, texts, tokenizer, oov_policy, sing_policy)
-    return [
-        (model, zn)
-        for model, zn, _ in subsample_runs(X, y, protocol, train_ds.metric_kind,
-                                           labels=labels, znorm=znorm)
-    ]
-
-
-def score_transfer(
-    fitted: list[tuple],
-    cfg_tgt: PooledConfig,
-    test_ds: TaskDataset,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
-) -> EvalScore:
-    """Score already-fitted run models on the full target-language test set."""
-    y, texts, _ = _canonical(test_ds)
-    X = embed_corpus(cfg_tgt, texts, tokenizer, oov_policy, sing_policy)
-    scores = []
-    for model, zn in fitted:
-        X_t = znorm_apply(zn, X) if zn is not None else X
-        scores.append(metrics(y, model.predict(X_t), test_ds.metric_kind,
-                              labels=model.class_labels))
-    return EvalScore.from_runs(test_ds.metric_kind, scores)
 
 
 @dataclass
@@ -246,17 +209,18 @@ def evaluate_transfer(
 ) -> TransferResult:
     """Train on the source-language task, score on the target-language one.
 
-    Per run, the classifier is fit on a stratified subsample of the source
-    task and scored on the full target test set; the in-language score is the
-    standard subsample validation of the source task with identical run seeds,
-    so both sides share their training splits.
+    The per-run classifiers (and z-norm stats) are fit once, from
+    source-language data only. Each is scored on its held-out source rows
+    (in_language, identical to evaluate_monolingual on the source task) and on
+    the full target test set (cross); target data never enters the fit.
     """
     _check_aligned_configs(cfg_src, cfg_tgt)
-    fitted = fit_transfer(cfg_src, pair.train, protocol, znorm,
-                          tokenizer, oov_policy, sing_policy)
-    cross = score_transfer(fitted, cfg_tgt, pair.test, tokenizer, oov_policy, sing_policy)
-    in_language = evaluate_monolingual(cfg_src, pair.train, protocol, znorm,
-                                       tokenizer, oov_policy, sing_policy)
+    runs, X, y = _fit_task(cfg_src, pair.train, protocol, znorm,
+                           tokenizer, oov_policy, sing_policy)
+    in_language = score_runs(runs, X, y, pair.train.metric_kind, held_out=True)
+    y_tgt, texts_tgt, _ = _canonical(pair.test)
+    X_tgt = embed_corpus(cfg_tgt, texts_tgt, tokenizer, oov_policy, sing_policy)
+    cross = score_runs(runs, X_tgt, y_tgt, pair.test.metric_kind)
     return TransferResult(cross=cross, in_language=in_language)
 
 

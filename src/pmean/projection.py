@@ -90,11 +90,6 @@ class ParallelCorpus:
         if not (np.isfinite(self.source).all() and np.isfinite(self.target).all()):
             raise InputError("parallel corpus contains non-finite vectors")
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ParallelCorpus":
-        src, tgt = zip(*pairs)
-        return cls(np.stack(src), np.stack(tgt))
-
     def __len__(self) -> int:
         return self.source.shape[0]
 

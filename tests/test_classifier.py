@@ -10,13 +10,12 @@ from pmean.classifier import (
     TrainProtocol,
     _train_softmax,
     fit,
-    load_softmax_model,
+    fit_runs,
     metrics,
-    save_softmax_model,
+    score_runs,
     softmax_xent,
-    subsample_validate,
 )
-from pmean.errors import FormatError, InputError
+from pmean.errors import InputError
 from pmean.optim import AdamState, adam_step
 
 
@@ -215,65 +214,46 @@ class TestMetrics:
             metrics(["a"], ["a"], "rmse")
 
 
-class TestModelExport:
-    def test_round_trip(self, tmp_path):
-        X, y = make_blobs(n_per_class=30, seed=4)
-        model = fit(X, y, TrainProtocol(max_epochs=5, seed=0), np.random.default_rng(0))
-        path = tmp_path / "clf.json"
-        save_softmax_model(model, path)
-        back = load_softmax_model(path)
-        assert back.class_labels == model.class_labels
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.bias, model.bias)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        import json as _json
-
-        model = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), ["a", "b"])
-        path = tmp_path / "clf.json"
-        save_softmax_model(model, path)
-        doc = _json.loads(path.read_text())
-        doc["format_version"] = 9
-        path.write_text(_json.dumps(doc))
-        with pytest.raises(FormatError, match="format_version"):
-            load_softmax_model(path)
+def held_out_score(X, y, protocol, metric_kind="accuracy"):
+    """Fit every seeded run once and score each on its own held-out rows."""
+    return score_runs(fit_runs(X, y, protocol, metric_kind), X, y, metric_kind, held_out=True)
 
 
 class TestSubsampleValidate:
     def test_single_run_has_zero_std(self):
         X, y = make_blobs(n_per_class=40, seed=2)
-        score = subsample_validate(X, y, TrainProtocol(runs=1, seed=0))
+        score = held_out_score(X, y, TrainProtocol(runs=1, seed=0))
         assert len(score.per_run) == 1
         assert score.std == 0.0
 
     def test_mean_std_consistent_with_per_run(self):
         X, y = make_blobs(n_per_class=40, seed=2)
-        score = subsample_validate(X, y, TrainProtocol(runs=5, seed=0))
+        score = held_out_score(X, y, TrainProtocol(runs=5, seed=0))
         assert score.mean == pytest.approx(float(np.mean(score.per_run)), abs=1e-12)
         assert score.std == pytest.approx(float(np.std(score.per_run)), abs=1e-12)
 
     def test_identical_seeds_identical_scores(self):
         X, y = make_blobs(n_per_class=40, seed=6)
-        s1 = subsample_validate(X, y, TrainProtocol(runs=4, seed=9))
-        s2 = subsample_validate(X, y, TrainProtocol(runs=4, seed=9))
+        s1 = held_out_score(X, y, TrainProtocol(runs=4, seed=9))
+        s2 = held_out_score(X, y, TrainProtocol(runs=4, seed=9))
         assert s1 == s2
 
     def test_duplicated_dataset_scores_within_noise(self):
         X, y = make_blobs(n_per_class=50, seed=7)
-        base = subsample_validate(X, y, TrainProtocol(runs=8, seed=3))
+        base = held_out_score(X, y, TrainProtocol(runs=8, seed=3))
         X2 = np.vstack([X, X])
         y2 = y + y
-        doubled = subsample_validate(X2, y2, TrainProtocol(runs=8, seed=3))
+        doubled = held_out_score(X2, y2, TrainProtocol(runs=8, seed=3))
         assert abs(base.mean - doubled.mean) <= 0.05
 
     def test_degenerate_class_named_in_error(self):
         X = np.zeros((5, 2))
         y = ["a", "a", "a", "a", "lonely"]
         with pytest.raises(InputError, match="lonely"):
-            subsample_validate(X, y, TrainProtocol(runs=1, seed=0))
+            held_out_score(X, y, TrainProtocol(runs=1, seed=0))
 
     def test_macro_f1_metric_plumbs_through(self):
         X, y = make_blobs(n_per_class=40, seed=8)
-        score = subsample_validate(X, y, TrainProtocol(runs=2, seed=0), metric_kind="macro_f1")
+        score = held_out_score(X, y, TrainProtocol(runs=2, seed=0), metric_kind="macro_f1")
         assert score.metric == "macro_f1"
         assert 0.0 <= score.mean <= 1.0

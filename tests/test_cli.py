@@ -99,6 +99,15 @@ class TestEmbed:
         assert rc == 2
         assert not (workdir / "x.tsv").exists()
 
+    def test_non_utf8_input_exits_2(self, workdir, capsys):
+        (workdir / "latin.txt").write_bytes(b"alpha \xff beta\n")
+        rc = main(["embed", "--config", str(workdir / "cfg.txt"),
+                   "--input", str(workdir / "latin.txt"),
+                   "--output", str(workdir / "x.tsv")])
+        assert rc == 2
+        assert "UTF-8" in capsys.readouterr().err
+        assert not (workdir / "x.tsv").exists()
+
 
 class TestTrainProjection:
     def run(self, workdir, *extra):
@@ -194,6 +203,25 @@ class TestEvalCommands:
         assert not (workdir / "never.json").exists()
         assert not (workdir / "never.md").exists()
 
+    def test_non_utf8_task_exits_2(self, workdir, capsys):
+        (workdir / "latin.tsv").write_bytes(b"#name=x\n#metric=accuracy\nup\talpha \xff\n")
+        rc = main(["eval", "--config", str(workdir / "cfg.txt"),
+                   "--task", str(workdir / "latin.tsv"),
+                   "--out", str(workdir / "never"), *PROTOCOL_ARGS])
+        assert rc == 2
+        assert "UTF-8" in capsys.readouterr().err
+        assert not (workdir / "never.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--epochs", "-1")])
+    def test_bad_protocol_size_exits_2(self, workdir, capsys, flag, value):
+        rc = main(["eval", "--config", str(workdir / "cfg.txt"),
+                   "--task", str(workdir / "task.tsv"),
+                   "--out", str(workdir / "never"), *PROTOCOL_ARGS, flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmean: ") and "Traceback" not in err
+        assert not (workdir / "never.json").exists()
+
 
 class TestUsage:
     def test_unknown_flag_exits_64(self, workdir):
@@ -205,12 +233,6 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 64
-
-    def test_threads_flag_accepted(self, workdir):
-        rc = main(["embed", "--config", str(workdir / "cfg.txt"),
-                   "--input", str(workdir / "sentences.txt"),
-                   "--output", str(workdir / "t.tsv"), "--threads", "2"])
-        assert rc == 0
 
     def test_env_seed_fallback(self, workdir, monkeypatch):
         monkeypatch.setenv("PMEAN_SEED", "123")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pmean.classifier import TrainProtocol
+import pmean.classifier
+from pmean.classifier import TrainProtocol, fit_runs, score_runs
 from pmean.errors import DimensionError, FormatError, InputError
 from pmean.evaluation import (
     EvalReport,
@@ -14,13 +15,12 @@ from pmean.evaluation import (
     emit_report,
     evaluate_monolingual,
     evaluate_transfer,
-    fit_transfer,
     load_task,
     parse_report,
     save_task,
     sweep_pmeans,
 )
-from pmean.pooling import PooledConfig, PooledPart
+from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 from pmean.projection import init_projection, project_space
 from pmean.synthetic import (
     make_blobs_task,
@@ -156,14 +156,55 @@ class TestTransfer:
         assert abs(res.cross.mean - 0.25) <= band
 
     def test_fitted_models_ignore_target_data(self, swap_setup):
-        # leakage guard: the fit stage never sees the test task at all
+        # leakage guard: the fit stage takes source data only, and the cross
+        # score is exactly those source-only fits scored on the target task
         _, bilingual, pair = swap_setup
         cfg = PooledConfig([PooledPart(bilingual, [1.0])])
-        fitted = fit_transfer(cfg, pair.train, FAST, znorm=True)
-        fitted_again = fit_transfer(cfg, pair.train, FAST, znorm=True)
-        for (m1, z1), (m2, z2) in zip(fitted, fitted_again):
+        src = sorted(pair.train.items)
+        X = embed_corpus(cfg, [text for _, text in src])
+        y = [label for label, _ in src]
+        runs = fit_runs(X, y, FAST, labels=sorted(pair.train.classes), znorm=True)
+        runs_again = fit_runs(X, y, FAST, labels=sorted(pair.train.classes), znorm=True)
+        for (m1, z1, t1), (m2, z2, t2) in zip(runs, runs_again):
             assert np.array_equal(m1.weights, m2.weights)
             assert np.array_equal(z1.mean, z2.mean)
+            assert np.array_equal(t1, t2)
+        tgt = sorted(pair.test.items)
+        X_tgt = embed_corpus(cfg, [text for _, text in tgt])
+        cross = score_runs(runs, X_tgt, [label for label, _ in tgt], pair.test.metric_kind)
+        assert evaluate_transfer(cfg, cfg, pair, FAST, znorm=True).cross == cross
+
+    @pytest.mark.parametrize("znorm", [False, True])
+    def test_in_language_equals_monolingual_source_score(self, swap_setup, znorm):
+        _, bilingual, pair = swap_setup
+        cfg = PooledConfig([PooledPart(bilingual, [1.0, INF])])
+        res = evaluate_transfer(cfg, cfg, pair, FAST, znorm=znorm)
+        mono = evaluate_monolingual(cfg, pair.train, FAST, znorm=znorm)
+        assert res.in_language == mono
+        assert res.in_language.per_run == mono.per_run
+
+    def test_each_run_is_fit_once(self, swap_setup, monkeypatch):
+        _, bilingual, pair = swap_setup
+        cfg = PooledConfig([PooledPart(bilingual, [1.0])])
+        calls = []
+        original = pmean.classifier.fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pmean.classifier, "fit", counting_fit)
+        evaluate_transfer(cfg, cfg, pair, FAST)
+        assert len(calls) == FAST.runs
+
+    def test_source_language_tag_mismatch_rejected_before_training(self, monkeypatch):
+        space, task = make_blobs_task(seed=4, n_sentences=40, language_tag="de")
+        task_en = TaskDataset(task.name, task.classes, task.items,
+                              task.metric_kind, language_tag="en")
+        cfg = PooledConfig([PooledPart(space, [1.0])])
+        monkeypatch.setattr(pmean.classifier, "fit", None)  # training would raise TypeError
+        with pytest.raises(InputError, match="tagged"):
+            evaluate_transfer(cfg, cfg, TransferPair(train=task_en, test=task), FAST)
 
     def test_mismatched_configs_rejected(self, swap_setup):
         space, bilingual, pair = swap_setup
