@@ -53,11 +53,9 @@ from .pooling import (
     PooledPart,
     SingularityPolicy,
     ZNormParams,
-    concat_embedding,
     embed_corpus,
     format_config,
     parse_config_text,
-    pool_sentence,
     power_mean,
     resolve_config,
     znorm_apply,

@@ -54,7 +54,6 @@ class TrainProtocol:
     runs: int = 50
     val_fraction: float = 0.1
     test_fraction: float = 0.2
-    l2: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -97,7 +96,7 @@ def softmax_xent(model: SoftmaxModel, X: np.ndarray, y) -> tuple[float, dict[str
     return _xent(params, np.asarray(X, dtype=np.float64), y_idx)
 
 
-def _xent(params, X, y_idx, l2: float = 0.0):
+def _xent(params, X, y_idx):
     W, b = params["W"], params["b"]
     n = X.shape[0]
     logits = X @ W.T + b
@@ -108,9 +107,6 @@ def _xent(params, X, y_idx, l2: float = 0.0):
     probs[np.arange(n), y_idx] -= 1.0
     probs /= n
     grads = {"W": probs.T @ X, "b": probs.sum(axis=0)}
-    if l2 > 0:
-        loss += 0.5 * l2 * float((W * W).sum())
-        grads["W"] = grads["W"] + l2 * W
     return loss, grads
 
 
@@ -141,11 +137,11 @@ def _train_softmax(X, y_idx, n_classes, lr, protocol, rng, record_losses=False):
         order = rng.permutation(n)
         for start in range(0, n, protocol.batch_size):
             idx = order[start : start + protocol.batch_size]
-            _, grads = _xent(params, X[idx], y_idx[idx], protocol.l2)
+            _, grads = _xent(params, X[idx], y_idx[idx])
             t += 1
             params, state = adam_step(params, grads, state, t, step_size=lr)
         if record_losses:
-            losses.append(_xent(params, X, y_idx, protocol.l2)[0])
+            losses.append(_xent(params, X, y_idx)[0])
     return params, losses
 
 

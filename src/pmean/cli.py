@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classifier import TrainProtocol
 from .embeddings import OovPolicy, TokenizerConfig, load_text_embeddings
@@ -33,23 +31,24 @@ from .evaluation import (
 )
 from .manifest import RunManifest, write_atomic
 from .pooling import (
+    PooledConfig,
+    PooledPart,
     SingularityPolicy,
     embed_corpus,
     format_p,
     parse_config_text,
     parse_p,
-    pool_sentence,
     resolve_config,
     znorm_apply,
     znorm_fit,
 )
-from .embeddings import tokenize
 from .projection import (
     ParallelCorpus,
     ProjectionTrainConfig,
     projection_json,
     train_projection,
 )
+from .textio import read_lines, read_text
 
 USAGE_EXIT = 64
 
@@ -164,7 +163,7 @@ def _policies(args):
 
 def _load_spaces(config_path, manifest: RunManifest):
     """Load every space a config file references through its path= fields."""
-    text = Path(config_path).read_text(encoding="utf-8")
+    text = read_text(config_path)
     manifest.add_input(config_path)
     entries = parse_config_text(text, source=str(config_path))
     spaces = {}
@@ -232,7 +231,7 @@ def cmd_embed(args) -> int:
         {"space": e.space, "p": [format_p(p) for p in e.p_values]} for e in entries
     ]
 
-    sentences = Path(args.input).read_text(encoding="utf-8").splitlines()
+    sentences = read_text(args.input).splitlines()
     manifest.add_input(args.input)
 
     tokenizer, oov, sing = _policies(args)
@@ -272,23 +271,23 @@ def cmd_train_projection(args) -> int:
     manifest.add_input(args.source_embeddings)
     manifest.add_input(args.target_embeddings)
 
-    tokenizer, oov, sing = _policies(args)
-    src_rows, tgt_rows = [], []
-    with open(args.pairs, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            src, tab, tgt = line.partition("\t")
-            if not tab:
-                raise InputError(f"{args.pairs}:{lineno}: expected 'source TAB target'")
-            src_rows.append(pool_sentence(src_space, [1.0], tokenize(tokenizer, src), oov, sing))
-            tgt_rows.append(pool_sentence(tgt_space, [1.0], tokenize(tokenizer, tgt), oov, sing))
+    src_texts, tgt_texts = [], []
+    for lineno, line in read_lines(args.pairs):
+        src, tab, tgt = line.partition("\t")
+        if not tab:
+            raise InputError(f"{args.pairs}:{lineno}: expected 'source TAB target'")
+        src_texts.append(src)
+        tgt_texts.append(tgt)
     manifest.add_input(args.pairs)
-    if not src_rows:
+    if not src_texts:
         raise InputError(f"{args.pairs}: no sentence pairs")
 
-    corpus = ParallelCorpus(np.stack(src_rows), np.stack(tgt_rows))
+    # each side is represented by its average word vector
+    tokenizer, oov, sing = _policies(args)
+    corpus = ParallelCorpus(
+        embed_corpus(PooledConfig([PooledPart(src_space, [1.0])]), src_texts, tokenizer, oov, sing),
+        embed_corpus(PooledConfig([PooledPart(tgt_space, [1.0])]), tgt_texts, tokenizer, oov, sing),
+    )
     model, history = train_projection(corpus, cfg)
 
     buf = io.StringIO()
@@ -386,9 +385,6 @@ def main(argv=None) -> int:
         return 3
     except (InputError, OSError) as exc:
         print(f"pmean: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"pmean: input is not UTF-8: {exc}", file=sys.stderr)
         return 2
 
 

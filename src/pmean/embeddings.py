@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, InputError
+from .textio import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -65,16 +66,14 @@ class TokenizerConfig:
 class OovPolicy:
     """What to do with tokens missing from a space's vocabulary.
 
-    ``skip`` drops them, ``zero`` (alias ``zero-vector``) substitutes a zero
-    vector. Sentences that end up with no rows at all fall back to a single
-    zero row so downstream pooling stays total.
+    ``skip`` drops them, ``zero`` substitutes a zero vector. Sentences that
+    end up with no rows at all fall back to a single zero row so downstream
+    pooling stays total.
     """
 
     mode: str = "skip"
 
     def __post_init__(self):
-        if self.mode == "zero-vector":
-            object.__setattr__(self, "mode", "zero")
         if self.mode not in ("skip", "zero"):
             raise InputError(f"unknown OOV mode {self.mode!r}")
 
@@ -134,34 +133,28 @@ def load_text_embeddings(
     dim: int | None = None
     duplicates = 0
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
-                continue  # word2vec-style count/dim header
-            token, values = parts[0], parts[1:]
-            if not token or not values:
-                raise FormatError(f"{path}:{lineno}: expected 'token v1 ... vd'")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(vec).all():
-                raise FormatError(f"{path}:{lineno}: non-finite value")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise FormatError(
-                    f"{path}:{lineno}: vector length {len(vec)} != {dim} seen earlier"
-                )
-            if token in vocab:
-                duplicates += 1
-                continue
-            vocab[token] = len(vectors)
-            vectors.append(vec)
+    for lineno, line in read_lines(path):
+        parts = line.split(" ")
+        if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
+            continue  # word2vec-style count/dim header
+        token, values = parts[0], parts[1:]
+        if not token or not values:
+            raise FormatError(f"{path}:{lineno}: expected 'token v1 ... vd'")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise FormatError(f"{path}:{lineno}: non-finite value")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise FormatError(f"{path}:{lineno}: vector length {len(vec)} != {dim} seen earlier")
+        if token in vocab:
+            duplicates += 1
+            continue
+        vocab[token] = len(vectors)
+        vectors.append(vec)
 
     if dim is None:
         raise FormatError(f"{path}: no embedding rows found")

@@ -33,6 +33,7 @@ from .classifier import (
 from .embeddings import OovPolicy, TokenizerConfig
 from .errors import DimensionError, FormatError, InputError
 from .pooling import PooledConfig, PooledPart, SingularityPolicy, embed_corpus
+from .textio import read_lines
 
 REPORT_FORMAT_VERSION = 1
 
@@ -91,34 +92,30 @@ def load_task(path) -> TaskDataset:
     lang = None
     classes: list = []
     items: list[tuple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if items:
-                    raise FormatError(f"{path}:{lineno}: header after data lines")
-                key, _, value = line[1:].partition("=")
-                if key == "name":
-                    name = value
-                elif key == "metric":
-                    if value not in METRICS:
-                        raise FormatError(f"{path}:{lineno}: metric must be one of {METRICS}")
-                    metric_kind = value
-                elif key == "lang":
-                    lang = value
-                else:
-                    raise FormatError(f"{path}:{lineno}: unknown header key {key!r}")
-                continue
-            if name is None or metric_kind is None:
-                raise FormatError(f"{path}:{lineno}: #name= and #metric= must precede data")
-            label, tab, text = line.partition("\t")
-            if not tab or not label:
-                raise FormatError(f"{path}:{lineno}: expected 'label<TAB>sentence'")
-            if label not in classes:
-                classes.append(label)
-            items.append((label, text))
+    for lineno, line in read_lines(path):
+        if line.startswith("#"):
+            if items:
+                raise FormatError(f"{path}:{lineno}: header after data lines")
+            key, _, value = line[1:].partition("=")
+            if key == "name":
+                name = value
+            elif key == "metric":
+                if value not in METRICS:
+                    raise FormatError(f"{path}:{lineno}: metric must be one of {METRICS}")
+                metric_kind = value
+            elif key == "lang":
+                lang = value
+            else:
+                raise FormatError(f"{path}:{lineno}: unknown header key {key!r}")
+            continue
+        if name is None or metric_kind is None:
+            raise FormatError(f"{path}:{lineno}: #name= and #metric= must precede data")
+        label, tab, text = line.partition("\t")
+        if not tab or not label:
+            raise FormatError(f"{path}:{lineno}: expected 'label<TAB>sentence'")
+        if label not in classes:
+            classes.append(label)
+        items.append((label, text))
     if not items:
         raise FormatError(f"{path}: no data lines")
     if len(classes) < 2:

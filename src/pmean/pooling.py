@@ -15,7 +15,8 @@ p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 Real powers are not total: x**p is undefined over the reals for a negative
 base with non-integer p and for a zero base with negative p, and the
 geometric mean needs strictly positive entries. The SingularityPolicy
-decides whether such output entries become 0 (tallied) or raise.
+decides whether such output entries, and entries that overflow the float
+range, become 0 (tallied) or raise.
 """
 from __future__ import annotations
 
@@ -24,22 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, LookupResult, OovPolicy, TokenizerConfig, lookup_sequence, tokenize
+from .embeddings import EmbeddingSpace, OovPolicy, TokenizerConfig, lookup_sequence, tokenize
 from .errors import DimensionError, FormatError, NumericalPolicyError
 
 NAN_TO_ZERO = "nan_to_zero"
 ERROR = "error"
+EPSILON = 1e-12  # magnitude below which a base counts as zero
+ZNORM_FLOOR = 1e-8  # smallest standard deviation z-normalization divides by
 
 
 @dataclass
 class SingularityPolicy:
-    """Handling of output entries whose real power mean is undefined.
+    """Handling of output entries whose power mean is undefined or overflows.
 
-    ``epsilon`` is the magnitude below which a base counts as zero.
     ``undefined_counter`` tallies replaced output entries (nan_to_zero mode).
     """
 
-    epsilon: float = 1e-12
     on_undefined: str = NAN_TO_ZERO
     undefined_counter: int = 0
 
@@ -109,7 +110,7 @@ def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None)
 
 
 def _geometric(Ws, policy):
-    bad = (Ws <= policy.epsilon).any(axis=0)
+    bad = (Ws <= EPSILON).any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(np.mean(np.log(np.where(Ws > 0, Ws, 1.0)), axis=0))
     return _apply_policy(out, bad, Ws, 0.0, policy)
@@ -117,7 +118,7 @@ def _geometric(Ws, policy):
 
 def _finite_power(Ws, p, policy):
     integral = float(p).is_integer()
-    near_zero = np.abs(Ws) <= policy.epsilon
+    near_zero = np.abs(Ws) <= EPSILON
     if integral:
         # zero base only hurts for negative exponents
         undefined = near_zero if p < 0 else np.zeros_like(Ws, dtype=bool)
@@ -138,62 +139,32 @@ def _finite_power(Ws, p, policy):
 
 
 def _apply_policy(out, bad, Ws, p, policy):
-    if policy.on_undefined == ERROR and bad.any():
-        dim = int(np.argmax(bad))
-        col = Ws[:, dim]
-        offender = _first_offender(col, p, policy.epsilon)
+    replace = bad | ~np.isfinite(out)
+    if not replace.any():
+        return out
+    if policy.on_undefined == ERROR:
+        dim = int(np.argmax(replace))
+        if not bad[dim]:
+            raise NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
+        offender = _first_offender(Ws[:, dim], p)
         raise NumericalPolicyError(
             f"power mean undefined for p={format_p(p)} at dimension {dim} (value {offender!r})"
         )
-    nonfinite = ~np.isfinite(out)
-    replace = bad | nonfinite
-    if replace.any():
-        policy.undefined_counter += int(replace.sum())
-        out = np.where(replace, 0.0, out)
-    return out
+    policy.undefined_counter += int(replace.sum())
+    return np.where(replace, 0.0, out)
 
 
-def _first_offender(col, p, eps):
+def _first_offender(col, p):
     if p == 0:
-        hits = col[col <= eps]
+        hits = col[col <= EPSILON]
     elif float(p).is_integer():
-        hits = col[np.abs(col) <= eps]
+        hits = col[np.abs(col) <= EPSILON]
     else:
         mask = col < 0
         if p < 0:
-            mask = mask | (np.abs(col) <= eps)
+            mask = mask | (np.abs(col) <= EPSILON)
         hits = col[mask]
     return float(hits[0]) if hits.size else float(col[0])
-
-
-def pool_sentence(
-    space: EmbeddingSpace,
-    p_values: list[float],
-    tokens,
-    oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
-) -> np.ndarray:
-    """Look tokens up in one space and concatenate its per-p pooled vectors."""
-    if not p_values:
-        raise ValueError("p_values must be non-empty")
-    looked: LookupResult = lookup_sequence(space, tokens, oov_policy or OovPolicy())
-    return np.concatenate([power_mean(looked.matrix, p, sing_policy) for p in p_values])
-
-
-def concat_embedding(
-    cfg: PooledConfig,
-    tokens,
-    oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
-) -> np.ndarray:
-    """Concatenate the pooled blocks of every configured space, in order."""
-    blocks = [
-        pool_sentence(part.space, part.p_values, tokens, oov_policy, sing_policy)
-        for part in cfg.parts
-    ]
-    out = np.concatenate(blocks)
-    assert out.shape == (cfg.output_dim,)
-    return out
 
 
 def embed_corpus(
@@ -203,12 +174,22 @@ def embed_corpus(
     oov_policy: OovPolicy | None = None,
     sing_policy: SingularityPolicy | None = None,
 ) -> np.ndarray:
-    """Embed sentences row by row; deterministic and order-preserving."""
+    """Pool each sentence into one row of ``cfg.output_dim`` values, in order.
+
+    A sentence is tokenized once. Per configured part its tokens are looked
+    up once, and the part's power means are concatenated in p order; the
+    parts' blocks follow in configuration order.
+    """
     tokenizer = tokenizer or TokenizerConfig()
-    rows = [
-        concat_embedding(cfg, tokenize(tokenizer, s), oov_policy, sing_policy)
-        for s in sentences
-    ]
+    oov_policy = oov_policy or OovPolicy()
+    rows = []
+    for sentence in sentences:
+        tokens = tokenize(tokenizer, sentence)
+        blocks = []
+        for part in cfg.parts:
+            W = lookup_sequence(part.space, tokens, oov_policy).matrix
+            blocks.extend(power_mean(W, p, sing_policy) for p in part.p_values)
+        rows.append(np.concatenate(blocks))
     if not rows:
         return np.zeros((0, cfg.output_dim))
     return np.stack(rows)
@@ -219,21 +200,20 @@ def embed_corpus(
 
 @dataclass
 class ZNormParams:
-    """Column means and floored population standard deviations."""
+    """Column means and population standard deviations floored at ZNORM_FLOOR."""
 
     mean: np.ndarray
     std: np.ndarray
-    floor: float = 1e-8
 
 
-def znorm_fit(X: np.ndarray, floor: float = 1e-8) -> ZNormParams:
+def znorm_fit(X: np.ndarray) -> ZNormParams:
     """Fit per-column standardization statistics (population std, floored)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise DimensionError(f"znorm_fit expects an N x D matrix with N >= 1, got shape {X.shape}")
     mean = X.mean(axis=0)
-    std = np.maximum(X.std(axis=0), floor)
-    return ZNormParams(mean=mean, std=std, floor=floor)
+    std = np.maximum(X.std(axis=0), ZNORM_FLOOR)
+    return ZNormParams(mean=mean, std=std)
 
 
 def znorm_apply(params: ZNormParams, X: np.ndarray) -> np.ndarray:

@@ -59,9 +59,6 @@ class ProjectionTrainConfig:
     margin: float = 0.5
     dropout_rate: float = 0.5
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 16
     max_epochs: int = 100
     seed: int = 0
@@ -246,10 +243,7 @@ def train_projection(
             batch_model = ProjectionModel(margin=cfg.margin, **params)
             _, grads = hinge_loss_grads(batch_model, xs, xt, xu)
             t += 1
-            params, state = adam_step(
-                params, grads, state, t,
-                step_size=cfg.step_size, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-            )
+            params, state = adam_step(params, grads, state, t, step_size=cfg.step_size)
         epoch_model = ProjectionModel(margin=cfg.margin, **params)
         epoch_loss, _ = hinge_loss_grads(
             epoch_model, corpus.source, corpus.target, corpus.target[negatives]

@@ -99,10 +99,10 @@ def test_c2_dimensionality():
 
     four = PooledConfig([PooledPart(space(f"s{i}"), [-INF, 1.0, INF]) for i in range(4)])
     three = PooledConfig([PooledPart(space(f"t{i}"), [-INF, 1.0, 3.0, INF]) for i in range(3)])
-    from pmean.pooling import concat_embedding
+    from pmean.pooling import embed_corpus
 
-    len_four = concat_embedding(four, ["w0", "w1"]).shape[0]
-    len_three = concat_embedding(three, ["w0", "w1"]).shape[0]
+    len_four = embed_corpus(four, ["w0 w1"]).shape[1]
+    len_three = embed_corpus(three, ["w0 w1"]).shape[1]
     ok = four.output_dim == 3600 and three.output_dim == 3600 \
         and len_four == 3600 and len_three == 3600
     report(2, "dimensionality reproduction", ok,

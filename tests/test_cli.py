@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pmean.cli
 from pmean.cli import main
+from pmean.embeddings import load_text_embeddings
 from pmean.projection import init_projection, load_projection
 
 
@@ -72,6 +74,18 @@ class TestEmbed:
         assert rc == 3
         assert not (workdir / "z.tsv").exists()
 
+    def test_strict_overflow_exits_3(self, workdir):
+        # 1e160 squared overflows the float range under --strict
+        write(workdir / "huge.txt", "alpha 1.0 1e160 1.0 1.0\n")
+        write(workdir / "hcfg.txt", "space=h p=2 path=huge.txt\n")
+        write(workdir / "hsent.txt", "alpha alpha\n")
+        rc = main(["embed", "--config", str(workdir / "hcfg.txt"),
+                   "--input", str(workdir / "hsent.txt"),
+                   "--output", str(workdir / "h.tsv"), "--strict"])
+        assert rc == 3
+        assert not (workdir / "h.tsv").exists()
+        assert not (workdir / "h.tsv.manifest.json").exists()
+
     def test_non_strict_pole_zeroes_and_counts(self, workdir):
         write(workdir / "zero.txt", "alpha 0.0 1.0 1.0 1.0\n")
         write(workdir / "zcfg.txt", "space=z p=-1 path=zero.txt\n")
@@ -105,8 +119,34 @@ class TestEmbed:
                    "--input", str(workdir / "latin.txt"),
                    "--output", str(workdir / "x.tsv")])
         assert rc == 2
-        assert "UTF-8" in capsys.readouterr().err
+        assert_names_bad_file(capsys.readouterr().err, workdir / "latin.txt")
         assert not (workdir / "x.tsv").exists()
+
+    def test_non_utf8_config_exits_2(self, workdir, capsys):
+        (workdir / "latin.cfg").write_bytes(b"space=one p=1 path=one.txt # \xff\n")
+        rc = main(["embed", "--config", str(workdir / "latin.cfg"),
+                   "--input", str(workdir / "sentences.txt"),
+                   "--output", str(workdir / "x.tsv")])
+        assert rc == 2
+        assert_names_bad_file(capsys.readouterr().err, workdir / "latin.cfg")
+        assert not (workdir / "x.tsv").exists()
+
+    def test_non_utf8_embeddings_exit_2(self, workdir, capsys):
+        # the bad byte sits past the first decoded chunk of the file
+        rows = "".join(f"w{i} 1.0 2.0 3.0 4.0\n" for i in range(3000))
+        (workdir / "latin_emb.txt").write_bytes(rows.encode() + b"caf\xe9 1.0 2.0 3.0 4.0\n")
+        write(workdir / "lcfg.txt", "space=one p=1 path=latin_emb.txt\n")
+        rc = main(["embed", "--config", str(workdir / "lcfg.txt"),
+                   "--input", str(workdir / "sentences.txt"),
+                   "--output", str(workdir / "x.tsv")])
+        assert rc == 2
+        assert_names_bad_file(capsys.readouterr().err, workdir / "latin_emb.txt")
+        assert not (workdir / "x.tsv").exists()
+
+
+def assert_names_bad_file(err: str, path: Path) -> None:
+    assert err.startswith(f"pmean: {path}: ") and "UTF-8" in err
+    assert "Traceback" not in err
 
 
 class TestTrainProjection:
@@ -146,6 +186,42 @@ class TestTrainProjection:
         first = (workdir / "model.json").read_bytes()
         assert self.run(workdir) == 0
         assert (workdir / "model.json").read_bytes() == first
+
+    @pytest.mark.parametrize("oov", ["skip", "zero"])
+    def test_each_side_is_its_average_word_vector(self, workdir, monkeypatch, oov):
+        write(workdir / "pairs.tsv",
+              "alpha beta\tgamma delta\n\nGamma zzz\tqqq\nzzz\tdelta DELTA alpha\n")
+        corpora = []
+        real = pmean.cli.train_projection
+
+        def spy(corpus, cfg):
+            corpora.append(corpus)
+            return real(corpus, cfg)
+
+        monkeypatch.setattr(pmean.cli, "train_projection", spy)
+        assert self.run(workdir, "--oov", oov) == 0
+        (corpus,) = corpora
+
+        def average(space, sentence):
+            known = [space.vector(t) for t in sentence.lower().split() if t in space]
+            n_rows = len(sentence.split()) if oov == "zero" else len(known)
+            return sum(known, np.zeros(4)) / max(n_rows, 1)
+
+        one = load_text_embeddings(workdir / "one.txt")
+        two = load_text_embeddings(workdir / "two.txt")
+        pairs = [("alpha beta", "gamma delta"), ("Gamma zzz", "qqq"),
+                 ("zzz", "delta DELTA alpha")]
+        assert corpus.source.shape == corpus.target.shape == (3, 4)
+        for i, (src, tgt) in enumerate(pairs):
+            assert corpus.source[i] == pytest.approx(average(one, src), rel=1e-12)
+            assert corpus.target[i] == pytest.approx(average(two, tgt), rel=1e-12)
+        assert not corpus.target[1].any() and not corpus.source[2].any()  # all-OOV sides
+
+    def test_non_utf8_pairs_exit_2(self, workdir, capsys):
+        (workdir / "pairs.tsv").write_bytes(b"alpha\tbeta\ngamma\t\xff\n")
+        assert self.run(workdir) == 2
+        assert_names_bad_file(capsys.readouterr().err, workdir / "pairs.tsv")
+        assert not (workdir / "model.json").exists()
 
 
 PROTOCOL_ARGS = ["--runs", "3", "--epochs", "8", "--seed", "11"]
@@ -209,7 +285,7 @@ class TestEvalCommands:
                    "--task", str(workdir / "latin.tsv"),
                    "--out", str(workdir / "never"), *PROTOCOL_ARGS])
         assert rc == 2
-        assert "UTF-8" in capsys.readouterr().err
+        assert_names_bad_file(capsys.readouterr().err, workdir / "latin.tsv")
         assert not (workdir / "never.json").exists()
 
     @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--epochs", "-1")])

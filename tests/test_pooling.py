@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmean.embeddings import EmbeddingSpace
+from pmean.embeddings import EmbeddingSpace, OovPolicy, lookup_sequence
 from pmean.errors import DimensionError, FormatError, NumericalPolicyError
 from pmean.pooling import (
+    ZNORM_FLOOR,
     ConfigEntry,
     PooledConfig,
     PooledPart,
     SingularityPolicy,
-    concat_embedding,
     embed_corpus,
     format_config,
     format_p,
     parse_config_text,
     parse_p,
-    pool_sentence,
     power_mean,
     resolve_config,
     znorm_apply,
@@ -105,6 +104,12 @@ class TestPowerMeanCases:
         assert np.isfinite(out).all()
         assert pol.undefined_counter == 1
 
+    def test_overflow_raises_in_error_mode(self):
+        pol = SingularityPolicy(on_undefined="error")
+        with pytest.raises(NumericalPolicyError, match=r"p=2 at dimension 1"):
+            power_mean(np.array([[1.0, 1e160], [2.0, 1e160]]), 2, pol)
+        assert pol.undefined_counter == 0
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionError):
             power_mean(np.zeros((0, 3)), 1)
@@ -168,46 +173,56 @@ def two_spaces():
     return mk("one", 3), mk("two", 4)
 
 
+def embed_one(space, p_values, sentence):
+    """The single row embed_corpus gives one sentence over one space."""
+    X = embed_corpus(PooledConfig([PooledPart(space, p_values)]), [sentence])
+    assert X.shape == (1, len(p_values) * space.dim)
+    return X[0]
+
+
 class TestPooling:
     def test_mean_then_max_concatenation(self):
         space = EmbeddingSpace("s", 2, {"a": 0, "b": 1}, np.array([[1.0, 0.0], [3.0, 2.0]]))
-        out = pool_sentence(space, [1.0, INF], ["a", "b"])
+        out = embed_one(space, [1.0, INF], "a b")
         assert out == pytest.approx([2.0, 1.0, 3.0, 2.0])
 
     def test_single_token_fixed_point(self, two_spaces):
         space, _ = two_spaces
         vec = space.vector("w0")
-        out = pool_sentence(space, [1.0, 2.0, INF, -INF], ["w0"])
+        out = embed_one(space, [1.0, 2.0, INF, -INF], "w0")
         assert out == pytest.approx(np.tile(vec, 4), rel=1e-12)
 
     def test_all_oov_gives_zero_vector(self, two_spaces):
         space, _ = two_spaces
-        out = pool_sentence(space, [1.0, -1.0, INF], ["zzz", "qqq"])
+        out = embed_one(space, [1.0, -1.0, INF], "zzz qqq")
         assert out == pytest.approx(np.zeros(9))
 
     def test_output_dim_matches_config(self, two_spaces):
         a, b = two_spaces
         cfg = PooledConfig([PooledPart(a, [1.0, INF]), PooledPart(b, [1.0, -INF, 3.0])])
         assert cfg.output_dim == 2 * 3 + 3 * 4
-        out = concat_embedding(cfg, ["w0", "w3"])
-        assert out.shape == (cfg.output_dim,)
+        X = embed_corpus(cfg, ["w0 w3"])
+        assert X.shape == (1, cfg.output_dim)
 
     def test_single_part_p1_equals_plain_average(self, two_spaces):
         a, _ = two_spaces
-        cfg = PooledConfig([PooledPart(a, [1.0])])
-        tokens = ["w0", "w1", "w2"]
-        out = concat_embedding(cfg, tokens)
+        out = embed_one(a, [1.0], "w0 w1 w2")
         want = a.matrix[[0, 1, 2]].mean(axis=0)
         assert out == pytest.approx(want, rel=1e-12)
 
     def test_embed_corpus_rows_match_individual_calls(self, two_spaces):
         a, b = two_spaces
-        cfg = PooledConfig([PooledPart(a, [1.0]), PooledPart(b, [INF])])
-        sents = ["w0 w1", "w2 w3 w4"]
+        cfg = PooledConfig([PooledPart(a, [1.0, -INF]), PooledPart(b, [INF, 3.0])])
+        sents = ["w0 w1", "w2 w3 zzz w4"]
         X = embed_corpus(cfg, sents)
         assert X.shape == (2, cfg.output_dim)
         for i, s in enumerate(sents):
-            assert X[i] == pytest.approx(concat_embedding(cfg, s.split()))
+            blocks = [
+                power_mean(lookup_sequence(part.space, s.split(), OovPolicy()).matrix, p)
+                for part in cfg.parts
+                for p in part.p_values
+            ]
+            assert np.array_equal(X[i], np.concatenate(blocks))
 
     def test_embed_corpus_empty_and_duplicates(self, two_spaces):
         a, _ = two_spaces
@@ -229,12 +244,12 @@ class TestZNorm:
         params = znorm_fit(np.array([[1.0, 2.0], [3.0, 2.0]]))
         assert params.mean == pytest.approx([2.0, 2.0])
         assert params.std[0] == pytest.approx(1.0)  # population std of {1,3}
-        assert params.std[1] == pytest.approx(params.floor)
+        assert params.std[1] == ZNORM_FLOOR
 
     def test_single_row(self):
         params = znorm_fit(np.array([[5.0, -1.0]]))
         assert params.mean == pytest.approx([5.0, -1.0])
-        assert (params.std == params.floor).all()
+        assert (params.std == ZNORM_FLOOR).all()
 
     def test_fit_apply_standardizes(self):
         rng = np.random.default_rng(1)
