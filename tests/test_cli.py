@@ -17,6 +17,11 @@ def write(path: Path, text: str) -> Path:
     return path
 
 
+def assert_names_bad_file(err: str, path: Path) -> None:
+    assert err.startswith(f"pmean: {path}: ") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def workdir(tmp_path):
     """Two 4-d spaces, a config over both, sentences, a task, and a pairs file."""
@@ -142,11 +147,6 @@ class TestEmbed:
         assert rc == 2
         assert_names_bad_file(capsys.readouterr().err, workdir / "latin_emb.txt")
         assert not (workdir / "x.tsv").exists()
-
-
-def assert_names_bad_file(err: str, path: Path) -> None:
-    assert err.startswith(f"pmean: {path}: ") and "UTF-8" in err
-    assert "Traceback" not in err
 
 
 class TestTrainProjection:
