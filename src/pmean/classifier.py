@@ -7,6 +7,7 @@ and split noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ class TrainProtocol:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr_grid or any(lr <= 0 for lr in self.lr_grid):
-            raise InputError("lr_grid must be non-empty and positive")
+        if not self.lr_grid or not all(0 < lr < math.inf for lr in self.lr_grid):
+            raise InputError(f"lr_grid must be non-empty, finite and positive, got {self.lr_grid}")
         for name in ("val_fraction", "test_fraction"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -126,12 +127,11 @@ def _first_appearance_labels(y) -> list:
     return list(seen)
 
 
-def _train_softmax(X, y_idx, n_classes, lr, protocol, rng, record_losses=False):
-    """Minibatched Adam on softmax cross-entropy; returns params (+epoch losses)."""
+def _train_softmax(X, y_idx, n_classes, lr, protocol, rng):
+    """Minibatched Adam on softmax cross-entropy; returns the params."""
     n, d = X.shape
     params = {"W": rng.normal(0.0, 0.01, size=(n_classes, d)), "b": np.zeros(n_classes)}
     state = AdamState.zeros_like(params)
-    losses = []
     t = 0
     for _ in range(protocol.max_epochs):
         order = rng.permutation(n)
@@ -140,9 +140,7 @@ def _train_softmax(X, y_idx, n_classes, lr, protocol, rng, record_losses=False):
             _, grads = _xent(params, X[idx], y_idx[idx])
             t += 1
             params, state = adam_step(params, grads, state, t, step_size=lr)
-        if record_losses:
-            losses.append(_xent(params, X, y_idx)[0])
-    return params, losses
+    return params
 
 
 def _stratified_split(y_idx, fraction, rng, min_second=True, labels=None):
@@ -187,7 +185,7 @@ def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator, metric_kind: st
 
     candidates = []
     for lr, cell_rng in zip(protocol.lr_grid, cell_rngs):
-        params, _ = _train_softmax(
+        params = _train_softmax(
             X[train_idx], y_idx[train_idx], len(labels), lr, protocol, cell_rng
         )
         model = SoftmaxModel(weights=params["W"], bias=params["b"], class_labels=labels)

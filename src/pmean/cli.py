@@ -231,7 +231,9 @@ def cmd_embed(args) -> int:
         {"space": e.space, "p": [format_p(p) for p in e.p_values]} for e in entries
     ]
 
-    sentences = read_text(args.input).splitlines()
+    # one sentence per "\n"; str.splitlines would also break at \x0c, \x85, U+2028, ...
+    text = read_text(args.input)
+    sentences = text.removesuffix("\n").split("\n") if text else []
     manifest.add_input(args.input)
 
     tokenizer, oov, sing = _policies(args)

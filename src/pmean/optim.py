@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 Params = dict[str, np.ndarray]
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # denominator guard
 
 
 @dataclass
@@ -29,9 +32,6 @@ def adam_step(
     state: AdamState,
     t: int,
     step_size: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[Params, AdamState]:
     """One bias-corrected Adam update; pure, t counts steps from 1."""
     if t < 1:
@@ -41,11 +41,11 @@ def adam_step(
     new_v: Params = {}
     for key, p in params.items():
         g = grads[key]
-        m = beta1 * state.m[key] + (1 - beta1) * g
-        v = beta2 * state.v[key] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        new_params[key] = p - step_size * m_hat / (np.sqrt(v_hat) + eps)
+        m = BETA1 * state.m[key] + (1 - BETA1) * g
+        v = BETA2 * state.v[key] + (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        new_params[key] = p - step_size * m_hat / (np.sqrt(v_hat) + EPS)
         new_m[key] = m
         new_v[key] = v
     return new_params, AdamState(m=new_m, v=new_v)

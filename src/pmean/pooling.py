@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpace, OovPolicy, TokenizerConfig, lookup_sequence, tokenize
-from .errors import DimensionError, FormatError, NumericalPolicyError
+from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 
 NAN_TO_ZERO = "nan_to_zero"
 ERROR = "error"
@@ -58,10 +58,10 @@ class PooledPart:
 
     def __post_init__(self):
         if not self.p_values:
-            raise ValueError(f"part {self.space.name!r}: p_values must be non-empty")
+            raise InputError(f"part {self.space.name!r}: p_values must be non-empty")
         for p in self.p_values:
             if math.isnan(p):
-                raise ValueError(f"part {self.space.name!r}: p may not be NaN")
+                raise InputError(f"part {self.space.name!r}: p may not be NaN")
 
 
 @dataclass
@@ -72,7 +72,7 @@ class PooledConfig:
 
     def __post_init__(self):
         if not self.parts:
-            raise ValueError("PooledConfig needs at least one part")
+            raise InputError("PooledConfig needs at least one part")
 
     @property
     def output_dim(self) -> int:
@@ -135,6 +135,8 @@ def _finite_power(Ws, p, policy):
         out = np.sign(inner) * np.abs(inner) ** (1.0 / p)
     if p < 0:
         bad = bad | (inner == 0)  # pole: mean of powers cancelled exactly
+        # an overflowed mean would root to a finite 0; keep it visible as overflow
+        out = np.where(np.isinf(inner), np.inf, out)
     return _apply_policy(out, bad, Ws, p, policy)
 
 

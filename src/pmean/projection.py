@@ -8,6 +8,7 @@ averages.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError
-from .optim import AdamState, adam_step
+from .optim import AdamState, Params, adam_step
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -68,6 +69,10 @@ class ProjectionTrainConfig:
             raise InputError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.shared_dim <= 0 or self.batch_size <= 0 or self.max_epochs < 0:
             raise InputError("shared_dim and batch_size must be positive, max_epochs >= 0")
+        if not math.isfinite(self.margin):
+            raise InputError(f"margin must be finite, got {self.margin}")
+        if not 0 < self.step_size < math.inf:
+            raise InputError(f"step_size must be finite and positive, got {self.step_size}")
 
 
 @dataclass
@@ -134,36 +139,36 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def hinge_loss(model: ProjectionModel, x_s, x_t, x_u, margin: float | None = None) -> float:
+def hinge_loss(model: ProjectionModel, x_s, x_t, x_u) -> float:
     """max(0, m - cos(r_s, r_t) + cos(r_s, r_u)) on the projected triple."""
-    m = model.margin if margin is None else margin
     r_s = project(model, "source", x_s)
     r_t = project(model, "target", x_t)
     r_u = project(model, "target", x_u)
-    return max(0.0, m - cosine(r_s, r_t) + cosine(r_s, r_u))
+    return max(0.0, model.margin - cosine(r_s, r_t) + cosine(r_s, r_u))
 
 
-def hinge_loss_grads(model: ProjectionModel, Xs, Xt, Xu, margin: float | None = None):
+def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float):
     """Mean hinge loss over a batch of triples plus analytic parameter gradients.
 
+    ``params`` holds W_l, b_l, W_k and b_k as in ProjectionModel.params().
     Accepts single vectors or B x dim stacks. Gradients are exact except at
     the hinge kink and at guarded zero-norm projections, where the
     subgradient 0 is used.
     """
-    m = model.margin if margin is None else margin
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
     Xt = np.atleast_2d(np.asarray(Xt, dtype=np.float64))
     Xu = np.atleast_2d(np.asarray(Xu, dtype=np.float64))
     B = Xs.shape[0]
 
-    Rs = project(model, "source", Xs)
-    Rt = project(model, "target", Xt)
-    Ru = project(model, "target", Xu)
+    # the same tanh(x W^T + b) that project() computes
+    Rs = np.tanh(Xs @ params["W_l"].T + params["b_l"])
+    Rt = np.tanh(Xt @ params["W_k"].T + params["b_k"])
+    Ru = np.tanh(Xu @ params["W_k"].T + params["b_k"])
 
     cos_st, d_st_s, d_st_t = _cosine_rows_with_grads(Rs, Rt)
     cos_su, d_su_s, d_su_u = _cosine_rows_with_grads(Rs, Ru)
 
-    losses = m - cos_st + cos_su
+    losses = margin - cos_st + cos_su
     active = (losses > 0).astype(np.float64)[:, None]
     loss = float(np.maximum(losses, 0.0).mean())
 
@@ -219,9 +224,7 @@ def train_projection(
     e = corpus.source.shape[1]
     f = corpus.target.shape[1]
 
-    model = init_projection(e, f, cfg.shared_dim, cfg.seed)
-    model.margin = cfg.margin
-    params = model.params()
+    params = init_projection(e, f, cfg.shared_dim, cfg.seed).params()
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(cfg.seed)
     keep = 1.0 - cfg.dropout_rate
@@ -240,13 +243,11 @@ def train_projection(
                 xs = xs * (rng.random(xs.shape) < keep) / keep
                 xt = xt * (rng.random(xt.shape) < keep) / keep
                 xu = xu * (rng.random(xu.shape) < keep) / keep
-            batch_model = ProjectionModel(margin=cfg.margin, **params)
-            _, grads = hinge_loss_grads(batch_model, xs, xt, xu)
+            _, grads = hinge_loss_grads(params, xs, xt, xu, cfg.margin)
             t += 1
             params, state = adam_step(params, grads, state, t, step_size=cfg.step_size)
-        epoch_model = ProjectionModel(margin=cfg.margin, **params)
         epoch_loss, _ = hinge_loss_grads(
-            epoch_model, corpus.source, corpus.target, corpus.target[negatives]
+            params, corpus.source, corpus.target, corpus.target[negatives], cfg.margin
         )
         history.append(epoch_loss)
 

@@ -145,7 +145,7 @@ def test_c3_gradient_checks():
             continue
         if min(np.linalg.norm(r) for r in (r_s, r_t, r_u)) < 1e-6:
             continue
-        _, grads = hinge_loss_grads(model, xs, xt, xu)
+        _, grads = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
         for name in ("W_l", "b_l", "W_k", "b_k"):
             arr = getattr(model, name)
             num = central_diff(lambda: hinge_loss(model, xs, xt, xu), arr, 1e-5)

@@ -9,6 +9,7 @@ from pmean.classifier import (
     SoftmaxModel,
     TrainProtocol,
     _train_softmax,
+    _xent,
     fit,
     fit_runs,
     metrics,
@@ -159,9 +160,13 @@ class TestFit:
         X, y = make_blobs(seed=11)
         labels = ["k0", "k1"]
         y_idx = np.array([labels.index(v) for v in y])
-        protocol = TrainProtocol(max_epochs=30, seed=0)
-        _, losses = _train_softmax(X, y_idx, 2, 0.01, protocol,
-                                   np.random.default_rng(2), record_losses=True)
+        # training for k epochs from the same seed is the first k epochs of a
+        # longer run, so retraining for 1..30 epochs gives the per-epoch losses
+        losses = []
+        for k in range(1, 31):
+            params = _train_softmax(X, y_idx, 2, 0.01, TrainProtocol(max_epochs=k, seed=0),
+                                    np.random.default_rng(2))
+            losses.append(_xent(params, X, y_idx)[0])
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
         assert drops / (len(losses) - 1) >= 0.95
 

@@ -68,6 +68,15 @@ class TestEmbed:
         assert rc == 0
         assert out.read_text() == ""
 
+    def test_one_row_per_newline(self, workdir):
+        # form feed, NEL and LINE SEPARATOR are not line breaks; blank lines are rows
+        write(workdir / "odd.txt", "alpha beta\x0cgamma\ndelta\x85alpha\n\ngamma\u2028beta\n")
+        out = workdir / "odd.tsv"
+        rc = main(["embed", "--config", str(workdir / "cfg.txt"),
+                   "--input", str(workdir / "odd.txt"), "--output", str(out)])
+        assert rc == 0
+        assert out.read_text().count("\n") == 4
+
     def test_strict_pole_exits_3(self, workdir):
         # zero entry meets p=-1 under --strict
         write(workdir / "zero.txt", "alpha 0.0 1.0 1.0 1.0\n")
@@ -217,6 +226,20 @@ class TestTrainProjection:
             assert corpus.target[i] == pytest.approx(average(two, tgt), rel=1e-12)
         assert not corpus.target[1].any() and not corpus.source[2].any()  # all-OOV sides
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--margin", "nan"), ("--margin", "inf"), ("--step-size", "nan"),
+        ("--step-size", "inf"), ("--step-size", "0"), ("--step-size", "-1"),
+    ])
+    def test_bad_training_setting_exits_2(self, workdir, capsys, flag, value):
+        assert self.run(workdir, flag, value) == 2
+        err = capsys.readouterr().err
+        # named by the config check, before any input is read or training starts
+        assert err.startswith(f"pmean: {flag[2:].replace('-', '_')} must be ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (workdir / "model.json").exists()
+        assert not (workdir / "hist.csv").exists()
+
     def test_non_utf8_pairs_exit_2(self, workdir, capsys):
         (workdir / "pairs.tsv").write_bytes(b"alpha\tbeta\ngamma\t\xff\n")
         assert self.run(workdir) == 2
@@ -288,7 +311,8 @@ class TestEvalCommands:
         assert_names_bad_file(capsys.readouterr().err, workdir / "latin.tsv")
         assert not (workdir / "never.json").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--epochs", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--epochs", "-1"),
+                                             ("--lr-grid", "nan"), ("--lr-grid", "0.1,inf")])
     def test_bad_protocol_size_exits_2(self, workdir, capsys, flag, value):
         rc = main(["eval", "--config", str(workdir / "cfg.txt"),
                    "--task", str(workdir / "task.tsv"),
@@ -296,6 +320,16 @@ class TestEvalCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("pmean: ") and "Traceback" not in err
+        assert not (workdir / "never.json").exists()
+
+    def test_empty_p_set_exits_2(self, workdir, capsys):
+        rc = main(["sweep", "--config", str(workdir / "cfg.txt"), "--p-set", ",",
+                   "--task", str(workdir / "task.tsv"),
+                   "--out", str(workdir / "never"), *PROTOCOL_ARGS])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmean: ") and "p_values must be non-empty" in err
+        assert "Traceback" not in err
         assert not (workdir / "never.json").exists()
 
 

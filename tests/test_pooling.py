@@ -98,17 +98,23 @@ class TestPowerMeanCases:
         with pytest.raises(NumericalPolicyError, match=r"p=0\.5.*dimension 1"):
             power_mean(np.array([[2.0, -1.0], [2.0, 2.0]]), 0.5, pol)
 
+    # the mean of powers overflows; for p < 0 its root would be a finite 0
+    OVERFLOWS = [(np.array([[1.0, 1e160], [2.0, 1e160]]), 2),
+                 (np.array([[1.0, 1e-11], [2.0, 1e-11]]), -30)]
+
     def test_overflow_is_zeroed_not_propagated(self):
-        pol = SingularityPolicy()
-        out = power_mean(np.array([[1e160], [1e160]]), 2, pol)
-        assert np.isfinite(out).all()
-        assert pol.undefined_counter == 1
+        for W, p in self.OVERFLOWS:
+            pol = SingularityPolicy()
+            out = power_mean(W, p, pol)
+            assert np.isfinite(out).all() and out[1] == 0.0
+            assert pol.undefined_counter == 1
 
     def test_overflow_raises_in_error_mode(self):
-        pol = SingularityPolicy(on_undefined="error")
-        with pytest.raises(NumericalPolicyError, match=r"p=2 at dimension 1"):
-            power_mean(np.array([[1.0, 1e160], [2.0, 1e160]]), 2, pol)
-        assert pol.undefined_counter == 0
+        for W, p in self.OVERFLOWS:
+            pol = SingularityPolicy(on_undefined="error")
+            with pytest.raises(NumericalPolicyError, match=rf"overflows for p={p} at dimension 1"):
+                power_mean(W, p, pol)
+            assert pol.undefined_counter == 0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionError):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import pmean.projection
 from pmean.embeddings import EmbeddingSpace
 from pmean.errors import DimensionError, FormatError, InputError
 from pmean.projection import (
@@ -149,7 +150,7 @@ class TestGradients:
             xs = rng.normal(size=int(e))
             xt = rng.normal(size=int(f))
             xu = rng.normal(size=int(f))
-            loss, grads = hinge_loss_grads(model, xs, xt, xu)
+            loss, grads = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
             # skip kink-adjacent and degenerate-norm draws
             r_s = project(model, "source", xs)
             r_t = project(model, "target", xt)
@@ -169,7 +170,8 @@ class TestGradients:
     def test_inactive_hinge_has_zero_gradient(self):
         model = ProjectionModel(W_l=np.eye(2), b_l=np.zeros(2),
                                 W_k=np.eye(2), b_k=np.zeros(2), margin=0.5)
-        loss, grads = hinge_loss_grads(model, [3.0, 0.0], [3.0, 0.0], [-3.0, 0.0])
+        loss, grads = hinge_loss_grads(model.params(), [3.0, 0.0], [3.0, 0.0], [-3.0, 0.0],
+                                       model.margin)
         assert loss == 0.0
         assert all(not g.any() for g in grads.values())
 
@@ -213,6 +215,22 @@ class TestTraining:
         m2, h2 = train_projection(corpus, cfg)
         assert h1 == h2
         assert np.array_equal(m1.W_l, m2.W_l) and np.array_equal(m1.b_k, m2.b_k)
+
+    def test_builds_one_model_at_return(self, monkeypatch):
+        # init_projection's model and the returned one; the loop steps a plain dict
+        builds = []
+        real = pmean.projection.ProjectionModel
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pmean.projection, "ProjectionModel", counting)
+        cfg = ProjectionTrainConfig(shared_dim=4, max_epochs=3, batch_size=16, seed=0)
+        model, history = train_projection(identity_corpus(), cfg)
+        assert len(builds) == 2
+        assert isinstance(model, real) and model.margin == cfg.margin
+        assert len(history) == 3
 
     def test_too_small_corpus_rejected(self):
         with pytest.raises(InputError):
