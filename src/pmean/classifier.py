@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .optim import AdamState, adam_step
+from .optim import AdamState, Layout, adam_step
 from .pooling import znorm_apply, znorm_fit
 
 ACCURACY = "accuracy"
@@ -130,8 +130,11 @@ def _first_appearance_labels(y) -> list:
 def _train_softmax(X, y_idx, n_classes, lr, protocol, rng):
     """Minibatched Adam on softmax cross-entropy; returns the params."""
     n, d = X.shape
-    params = {"W": rng.normal(0.0, 0.01, size=(n_classes, d)), "b": np.zeros(n_classes)}
-    state = AdamState.zeros_like(params)
+    init = {"W": rng.normal(0.0, 0.01, size=(n_classes, d)), "b": np.zeros(n_classes)}
+    layout = Layout(init)
+    flat = layout.pack(init)
+    params = layout.views(flat)
+    state = AdamState.zeros_like(flat)
     t = 0
     for _ in range(protocol.max_epochs):
         order = rng.permutation(n)
@@ -139,7 +142,8 @@ def _train_softmax(X, y_idx, n_classes, lr, protocol, rng):
             idx = order[start : start + protocol.batch_size]
             _, grads = _xent(params, X[idx], y_idx[idx])
             t += 1
-            params, state = adam_step(params, grads, state, t, step_size=lr)
+            flat, state = adam_step(flat, layout.pack(grads), state, t, step_size=lr)
+            params = layout.views(flat)
     return params
 
 

@@ -61,7 +61,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PMEAN_SEED", "0"))
+    value = os.environ.get("PMEAN_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"PMEAN_SEED must be an integer, got {value!r}") from None
 
 
 def _add_common(p: _Parser) -> None:
@@ -151,7 +155,10 @@ def build_parser() -> _Parser:
 
 
 def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+    seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _policies(args):

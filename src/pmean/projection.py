@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError
-from .optim import AdamState, Params, adam_step
+from .optim import AdamState, Layout, Params, adam_step
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -155,22 +155,23 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float):
     the hinge kink and at guarded zero-norm projections, where the
     subgradient 0 is used.
     """
-    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    Xt = np.atleast_2d(np.asarray(Xt, dtype=np.float64))
-    Xu = np.atleast_2d(np.asarray(Xu, dtype=np.float64))
+    losses, cache = _hinge_forward(params, Xs, Xt, Xu, margin)
+    Xs, Xt, Xu, Rs, Rt, Ru, ns, nt, nu, n_st, n_su, cos_st, cos_su, guard = cache
     B = Xs.shape[0]
-
-    # the same tanh(x W^T + b) that project() computes
-    Rs = np.tanh(Xs @ params["W_l"].T + params["b_l"])
-    Rt = np.tanh(Xt @ params["W_k"].T + params["b_k"])
-    Ru = np.tanh(Xu @ params["W_k"].T + params["b_k"])
-
-    cos_st, d_st_s, d_st_t = _cosine_rows_with_grads(Rs, Rt)
-    cos_su, d_su_s, d_su_u = _cosine_rows_with_grads(Rs, Ru)
-
-    losses = margin - cos_st + cos_su
     active = (losses > 0).astype(np.float64)[:, None]
-    loss = float(np.maximum(losses, 0.0).mean())
+
+    # gradients of each row cosine w.r.t. its two rows
+    ns2 = ns**2
+    d_st_s = Rt / n_st - cos_st * Rs / ns2
+    d_st_t = Rs / n_st - cos_st * Rt / nt**2
+    d_su_s = Ru / n_su - cos_su * Rs / ns2
+    d_su_u = Rs / n_su - cos_su * Ru / nu**2
+    if guard is not None:
+        g_st, g_su = guard
+        d_st_s = np.where(g_st, 0.0, d_st_s)
+        d_st_t = np.where(g_st, 0.0, d_st_t)
+        d_su_s = np.where(g_su, 0.0, d_su_s)
+        d_su_u = np.where(g_su, 0.0, d_su_u)
 
     # d loss / d cos_st = -active/B, d loss / d cos_su = +active/B
     dRs = (-d_st_s + d_su_s) * active / B
@@ -187,23 +188,56 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float):
         "W_k": dZt.T @ Xt + dZu.T @ Xu,
         "b_k": dZt.sum(axis=0) + dZu.sum(axis=0),
     }
-    return loss, grads
+    return _clipped_mean(losses), grads
 
 
-def _cosine_rows_with_grads(A, B):
-    """Row-wise cosine of two B x d stacks and its gradients w.r.t. each row."""
-    na = np.linalg.norm(A, axis=1, keepdims=True)
-    nb = np.linalg.norm(B, axis=1, keepdims=True)
-    guarded = (na < _NORM_GUARD) | (nb < _NORM_GUARD)
-    na_safe = np.where(na < _NORM_GUARD, 1.0, na)
-    nb_safe = np.where(nb < _NORM_GUARD, 1.0, nb)
-    cos = (A * B).sum(axis=1, keepdims=True) / (na_safe * nb_safe)
-    cos = np.where(guarded, 0.0, cos)
-    dA = B / (na_safe * nb_safe) - cos * A / na_safe**2
-    dB = A / (na_safe * nb_safe) - cos * B / nb_safe**2
-    dA = np.where(guarded, 0.0, dA)
-    dB = np.where(guarded, 0.0, dB)
-    return cos[:, 0], dA, dB
+def mean_hinge_loss(params: Params, Xs, Xt, Xu, margin: float) -> float:
+    """The loss ``hinge_loss_grads`` returns, from its forward pass alone."""
+    losses, _ = _hinge_forward(params, Xs, Xt, Xu, margin)
+    return _clipped_mean(losses)
+
+
+def _clipped_mean(losses) -> float:
+    return float(np.maximum(losses, 0.0).mean())
+
+
+def _hinge_forward(params: Params, Xs, Xt, Xu, margin: float):
+    """Per-triple hinge terms and what their gradients reuse.
+
+    Each of Rs, Rt and Ru has its row norms computed once, and each norm
+    product is formed once. A norm below the guard is replaced by 1 and the
+    cosines of its triples are taken as 0; ``guard`` is None when no row
+    needs that, and otherwise holds the (source-target, source-negative)
+    masks of guarded triples.
+    """
+    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
+    Xt = np.atleast_2d(np.asarray(Xt, dtype=np.float64))
+    Xu = np.atleast_2d(np.asarray(Xu, dtype=np.float64))
+
+    # the same tanh(x W^T + b) that project() computes
+    Rs = np.tanh(Xs @ params["W_l"].T + params["b_l"])
+    Rt = np.tanh(Xt @ params["W_k"].T + params["b_k"])
+    Ru = np.tanh(Xu @ params["W_k"].T + params["b_k"])
+
+    ns, nt, nu = (np.linalg.norm(R, axis=1, keepdims=True) for R in (Rs, Rt, Ru))
+    small_s, small_t, small_u = ns < _NORM_GUARD, nt < _NORM_GUARD, nu < _NORM_GUARD
+    guard = None
+    if small_s.any() or small_t.any() or small_u.any():
+        guard = (small_s | small_t, small_s | small_u)
+        ns = np.where(small_s, 1.0, ns)
+        nt = np.where(small_t, 1.0, nt)
+        nu = np.where(small_u, 1.0, nu)
+
+    n_st = ns * nt
+    n_su = ns * nu
+    cos_st = (Rs * Rt).sum(axis=1, keepdims=True) / n_st
+    cos_su = (Rs * Ru).sum(axis=1, keepdims=True) / n_su
+    if guard is not None:
+        cos_st = np.where(guard[0], 0.0, cos_st)
+        cos_su = np.where(guard[1], 0.0, cos_su)
+
+    losses = margin - cos_st[:, 0] + cos_su[:, 0]
+    return losses, (Xs, Xt, Xu, Rs, Rt, Ru, ns, nt, nu, n_st, n_su, cos_st, cos_su, guard)
 
 
 def train_projection(
@@ -224,8 +258,11 @@ def train_projection(
     e = corpus.source.shape[1]
     f = corpus.target.shape[1]
 
-    params = init_projection(e, f, cfg.shared_dim, cfg.seed).params()
-    state = AdamState.zeros_like(params)
+    init = init_projection(e, f, cfg.shared_dim, cfg.seed).params()
+    layout = Layout(init)
+    flat = layout.pack(init)
+    params = layout.views(flat)
+    state = AdamState.zeros_like(flat)
     rng = np.random.default_rng(cfg.seed)
     keep = 1.0 - cfg.dropout_rate
 
@@ -245,11 +282,11 @@ def train_projection(
                 xu = xu * (rng.random(xu.shape) < keep) / keep
             _, grads = hinge_loss_grads(params, xs, xt, xu, cfg.margin)
             t += 1
-            params, state = adam_step(params, grads, state, t, step_size=cfg.step_size)
-        epoch_loss, _ = hinge_loss_grads(
+            flat, state = adam_step(flat, layout.pack(grads), state, t, step_size=cfg.step_size)
+            params = layout.views(flat)
+        history.append(mean_hinge_loss(
             params, corpus.source, corpus.target, corpus.target[negatives], cfg.margin
-        )
-        history.append(epoch_loss)
+        ))
 
     return ProjectionModel(margin=cfg.margin, **params), history
 

@@ -17,7 +17,7 @@ from pmean.classifier import (
     softmax_xent,
 )
 from pmean.errors import InputError
-from pmean.optim import AdamState, adam_step
+from pmean.optim import BETA1, BETA2, EPS, AdamState, Layout, adam_step
 
 
 def make_blobs(n_per_class=100, d=2, margin_gap=1.0, n_classes=2, seed=0):
@@ -37,40 +37,74 @@ def make_blobs(n_per_class=100, d=2, margin_gap=1.0, n_classes=2, seed=0):
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.zeros(2)}
+        params = np.array([1.0, -2.0])
+        grads = np.zeros(2)
         state = AdamState.zeros_like(params)
         out, state = adam_step(params, grads, state, t=1)
-        assert np.array_equal(out["w"], params["w"])
+        assert np.array_equal(out, params)
 
     def test_first_step_magnitude_is_step_size(self):
         # bias correction makes m_hat / sqrt(v_hat) = sign(g) at t=1
-        params = {"w": np.array([0.0])}
-        grads = {"w": np.array([7.3])}
+        params = np.array([0.0])
+        grads = np.array([7.3])
         state = AdamState.zeros_like(params)
         out, _ = adam_step(params, grads, state, t=1, step_size=0.05)
-        assert out["w"][0] == pytest.approx(-0.05, rel=1e-6)
+        assert out[0] == pytest.approx(-0.05, rel=1e-6)
 
     def test_pure_function(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([0.5])}
+        params = np.array([1.0])
+        grads = np.array([0.5])
         state = AdamState.zeros_like(params)
         a1, s1 = adam_step(params, grads, state, t=1)
         a2, s2 = adam_step(params, grads, state, t=1)
-        assert np.array_equal(a1["w"], a2["w"])
-        assert np.array_equal(s1.m["w"], s2.m["w"])
-        assert params["w"][0] == 1.0  # inputs untouched
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(s1.m, s2.m)
+        assert params[0] == 1.0  # inputs untouched
 
     def test_moments_decay_toward_zero_on_zero_grads(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState(m={"w": np.array([1.0])}, v={"w": np.array([1.0])})
-        _, state = adam_step(params, {"w": np.zeros(1)}, state, t=5)
-        assert abs(state.m["w"][0]) < 1.0 and state.v["w"][0] < 1.0
+        params = np.array([1.0])
+        state = AdamState(m=np.array([1.0]), v=np.array([1.0]))
+        _, state = adam_step(params, np.zeros(1), state, t=5)
+        assert abs(state.m[0]) < 1.0 and state.v[0] < 1.0
 
     def test_rejects_bad_t(self):
-        params = {"w": np.zeros(1)}
+        params = np.zeros(1)
         with pytest.raises(ValueError):
             adam_step(params, params, AdamState.zeros_like(params), t=0)
+
+    def test_matches_scalar_oracle_bit_for_bit(self):
+        # signed zeros, subnormal and tiny values, large values whose square overflows
+        params = np.array([0.0, -0.0, 5e-324, -1e-300, 1e-8, 3.5, -2.25, 1e150, -1e300, 7e-20])
+        grads = np.array([-0.0, 0.0, 1e-310, 5e-324, -1e-8, 0.1, -7.0, 1e160, 2e300, -3e-200])
+        state = AdamState.zeros_like(params)
+        p_ref = [float(p) for p in params]
+        m_ref = [0.0] * len(p_ref)
+        v_ref = [0.0] * len(p_ref)
+        for t in range(1, 6):
+            g_t = grads * t  # a different gradient each step
+            with np.errstate(over="ignore"):  # g * g overflows to inf, as in Python
+                params, state = adam_step(params, g_t, state, t, step_size=0.01)
+            for i, g in enumerate(float(x) for x in g_t):
+                m_ref[i] = BETA1 * m_ref[i] + (1 - BETA1) * g
+                v_ref[i] = BETA2 * v_ref[i] + (1 - BETA2) * g * g
+                m_hat = m_ref[i] / (1 - BETA1**t)
+                v_hat = v_ref[i] / (1 - BETA2**t)
+                p_ref[i] = p_ref[i] - 0.01 * m_hat / (math.sqrt(v_hat) + EPS)
+            for got, want in ((params, p_ref), (state.m, m_ref), (state.v, v_ref)):
+                assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestLayout:
+    def test_views_round_trip_named_arrays(self):
+        arrays = {"W": np.arange(6.0).reshape(2, 3), "b": np.array([-1.0, 2.0])}
+        layout = Layout(arrays)
+        flat = layout.pack(arrays)
+        assert flat.shape == (8,)
+        views = layout.views(flat)
+        assert list(views) == ["W", "b"]
+        for name, arr in arrays.items():
+            assert np.array_equal(views[name], arr)
+            assert np.shares_memory(views[name], flat)
 
 
 class TestSoftmaxXent:

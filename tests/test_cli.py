@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,31 @@ class TestEvalCommands:
         assert not (workdir / "never.json").exists()
 
 
+def command_argv(workdir: Path, command: str) -> list[str]:
+    """A valid invocation of each command whose outputs all start with 'never'."""
+    cfg, task = str(workdir / "cfg.txt"), str(workdir / "task.tsv")
+    out = str(workdir / "never")
+    return {
+        "embed": ["embed", "--config", cfg, "--input", str(workdir / "sentences.txt"),
+                  "--output", out + ".tsv"],
+        "train-projection": ["train-projection",
+                             "--source-embeddings", str(workdir / "one.txt"),
+                             "--target-embeddings", str(workdir / "two.txt"),
+                             "--pairs", str(workdir / "pairs.tsv"),
+                             "--model-out", out + ".json", "--history-out", out + ".csv",
+                             "--shared-dim", "3", "--epochs", "2"],
+        "eval": ["eval", "--config", cfg, "--task", task, "--out", out, "--runs", "2"],
+        "eval-transfer": ["eval-transfer", "--source-config", cfg, "--target-config", cfg,
+                          "--train-task", task, "--test-task", task, "--out", out,
+                          "--runs", "2"],
+        "sweep": ["sweep", "--config", cfg, "--p-set", "1,inf", "--task", task,
+                  "--out", out, "--runs", "2"],
+    }[command]
+
+
+COMMANDS = ["embed", "train-projection", "eval", "eval-transfer", "sweep"]
+
+
 class TestUsage:
     def test_unknown_flag_exits_64(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -353,13 +379,35 @@ class TestUsage:
         manifest = json.loads((workdir / "env.tsv.manifest.json").read_text())
         assert manifest["seeds"]["seed"] == 123
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_exits_2(self, workdir, capsys, command):
+        assert main([*command_argv(workdir, command), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "pmean: seed must be non-negative, got -1\n"
+        assert not list(workdir.glob("never*"))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "PMEAN_SEED must be an integer, got 'abc'"),
+        ("1.5", "PMEAN_SEED must be an integer, got '1.5'"),
+        ("-2", "seed must be non-negative, got -2"),
+    ])
+    def test_bad_env_seed_exits_2(self, workdir, monkeypatch, capsys, command, value, message):
+        monkeypatch.setenv("PMEAN_SEED", value)
+        assert main(command_argv(workdir, command)) == 2
+        assert capsys.readouterr().err == f"pmean: {message}\n"
+        assert not list(workdir.glob("never*"))
+
     def test_module_entry_point(self, workdir):
         out = workdir / "sub.tsv"
+        env = dict(os.environ)
+        src = str(Path(pmean.cli.__file__).parents[1])  # the child imports this same package
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "pmean", "embed",
              "--config", str(workdir / "cfg.txt"),
              "--input", str(workdir / "sentences.txt"), "--output", str(out)],
-            capture_output=True, text=True,
+            env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 3

@@ -15,6 +15,7 @@ from pmean.projection import (
     hinge_loss_grads,
     init_projection,
     load_projection,
+    mean_hinge_loss,
     project,
     project_space,
     save_projection,
@@ -176,6 +177,56 @@ class TestGradients:
         assert all(not g.any() for g in grads.values())
 
 
+def triple_batch(rows=200, e=5, f=4, d=3, seed=3):
+    rng = np.random.default_rng(seed)
+    model = init_projection(e, f, d, seed=seed)
+    model.b_l = rng.normal(size=d)
+    model.b_k = rng.normal(size=d)
+    return model, rng.normal(size=(rows, e)), rng.normal(size=(rows, f)), rng.normal(size=(rows, f))
+
+
+def zero_target_map(model, xs):
+    """Every projected target and negative row is zero, so every triple is guarded."""
+    model.W_k = np.zeros_like(model.W_k)
+    model.b_k = np.zeros_like(model.b_k)
+    return np.ones(len(xs), dtype=bool)
+
+
+def zero_some_sources(model, xs):
+    """Every third source row projects to zero; the other triples are unguarded."""
+    model.b_l = np.zeros_like(model.b_l)
+    guarded = np.arange(len(xs)) % 3 == 0
+    xs[guarded] = 0.0
+    return guarded
+
+
+class TestLossOnlyForward:
+    @pytest.mark.parametrize("guard", [None, zero_target_map, zero_some_sources])
+    def test_equals_loss_of_gradient_pass(self, guard):
+        model, xs, xt, xu = triple_batch()
+        if guard is not None:
+            guard(model, xs)
+        loss, _ = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
+        assert mean_hinge_loss(model.params(), xs, xt, xu, model.margin) == loss
+
+    @pytest.mark.parametrize("guard", [zero_target_map, zero_some_sources])
+    def test_guarded_batch_matches_scalar_loss(self, guard):
+        model, xs, xt, xu = triple_batch()
+        guarded = guard(model, xs)
+        loss, grads = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
+        per_triple = [hinge_loss(model, a, b, c) for a, b, c in zip(xs, xt, xu)]
+        assert loss == pytest.approx(np.mean(per_triple), abs=1e-12)
+        assert all(np.isfinite(g).all() for g in grads.values())
+        # a guarded triple adds nothing to the gradient sum
+        keep = ~guarded
+        if not keep.any():
+            assert not any(g.any() for g in grads.values())
+            return
+        _, sub = hinge_loss_grads(model.params(), xs[keep], xt[keep], xu[keep], model.margin)
+        for name, g in grads.items():
+            assert g * len(xs) == pytest.approx(sub[name] * keep.sum(), rel=1e-12, abs=1e-12)
+
+
 def identity_corpus(n=200, dim=6, seed=5):
     rng = np.random.default_rng(seed)
     src = rng.normal(size=(n, dim))
@@ -217,7 +268,7 @@ class TestTraining:
         assert np.array_equal(m1.W_l, m2.W_l) and np.array_equal(m1.b_k, m2.b_k)
 
     def test_builds_one_model_at_return(self, monkeypatch):
-        # init_projection's model and the returned one; the loop steps a plain dict
+        # init_projection's model and the returned one; the loop steps a flat vector
         builds = []
         real = pmean.projection.ProjectionModel
 
