@@ -17,17 +17,14 @@ from pathlib import Path
 from . import __version__
 from .classifier import TrainProtocol
 from .embeddings import OovPolicy, TokenizerConfig, load_text_embeddings
-from .errors import InputError, NumericalPolicyError
+from .errors import FormatError, InputError, NumericalPolicyError
 from .evaluation import (
+    EvalReport,
     TransferPair,
     emit_report,
-    evaluate_monolingual,
-    evaluate_transfer,
+    evaluate_report,
     load_task,
     sweep_pmeans,
-    EvalReport,
-    ReportRow,
-    TaskResult,
 )
 from .manifest import RunManifest, write_atomic
 from .pooling import (
@@ -38,7 +35,6 @@ from .pooling import (
     format_p,
     parse_config_text,
     parse_p,
-    resolve_config,
     znorm_apply,
     znorm_fit,
 )
@@ -168,24 +164,30 @@ def _policies(args):
     return tokenizer, oov, sing
 
 
-def _load_spaces(config_path, manifest: RunManifest):
-    """Load every space a config file references through its path= fields."""
+def _load_config(config_path, manifest: RunManifest) -> PooledConfig:
+    """Parse a config file and load each space it names once, from its path=.
+
+    A space may repeat with more p-values; a repeat that gives path= or lang=
+    must agree with the space's first entry.
+    """
     text = read_text(config_path)
     manifest.add_input(config_path)
-    entries = parse_config_text(text, source=str(config_path))
-    spaces = {}
     base = Path(config_path).parent
-    for e in entries:
-        if e.space in spaces:
-            continue
-        if not e.path:
-            raise InputError(f"config entry {e.space!r} needs a path= to load from")
-        path = Path(e.path)
-        if not path.is_absolute():
-            path = base / path
-        spaces[e.space] = load_text_embeddings(path, name=e.space, language_tag=e.lang)
-        manifest.add_input(path)
-    return entries, spaces
+    spaces, paths, parts = {}, {}, []
+    for e in parse_config_text(text, source=str(config_path)):
+        path = base / e.path if e.path else None
+        if e.space not in spaces:
+            if path is None:
+                raise InputError(f"config entry {e.space!r} needs a path= to load from")
+            spaces[e.space] = load_text_embeddings(path, name=e.space, language_tag=e.lang)
+            paths[e.space] = path.resolve()
+            manifest.add_input(path)
+        elif path is not None and path.resolve() != paths[e.space]:
+            raise FormatError(f"{config_path}: space {e.space!r} has conflicting path= values")
+        elif e.lang not in (None, spaces[e.space].language_tag):
+            raise FormatError(f"{config_path}: space {e.space!r} has conflicting lang= values")
+        parts.append(PooledPart(spaces[e.space], list(e.p_values)))
+    return PooledConfig(parts)
 
 
 def _protocol_of(args) -> TrainProtocol:
@@ -213,6 +215,20 @@ def _protocol_config(args) -> dict:
     }
 
 
+def _eval_manifest(args) -> RunManifest:
+    return RunManifest(
+        command=args.command, config=_protocol_config(args),
+        seeds={"seed": _seed_of(args)}, tool_version=__version__,
+        directory=Path(args.out).parent,
+    )
+
+
+def _scoring(args) -> tuple:
+    """The protocol, znorm flag and policies every evaluation call takes."""
+    tokenizer, oov, sing = _policies(args)
+    return _protocol_of(args), args.znorm, tokenizer, oov, sing
+
+
 def _write_report(base, report: EvalReport, manifest: RunManifest) -> None:
     base = Path(base)
     write_atomic(base.with_suffix(".json"), emit_report(report, "json"))
@@ -231,11 +247,12 @@ def cmd_embed(args) -> int:
                 "lowercase": not args.no_lowercase},
         seeds={"seed": seed},
         tool_version=__version__,
+        directory=Path(args.output).parent,
     )
-    entries, spaces = _load_spaces(args.config, manifest)
-    cfg = resolve_config(entries, spaces)
+    cfg = _load_config(args.config, manifest)
     manifest.config["pooling"] = [
-        {"space": e.space, "p": [format_p(p) for p in e.p_values]} for e in entries
+        {"space": part.space.name, "p": [format_p(p) for p in part.p_values]}
+        for part in cfg.parts
     ]
 
     # one sentence per "\n"; str.splitlines would also break at \x0c, \x85, U+2028, ...
@@ -274,6 +291,7 @@ def cmd_train_projection(args) -> int:
                 "oov": args.oov, "lowercase": not args.no_lowercase},
         seeds={"seed": seed},
         tool_version=__version__,
+        directory=Path(args.model_out).parent,
     )
     src_space = load_text_embeddings(args.source_embeddings)
     tgt_space = load_text_embeddings(args.target_embeddings)
@@ -312,72 +330,39 @@ def cmd_train_projection(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = RunManifest(
-        command="eval", config=_protocol_config(args),
-        seeds={"seed": _seed_of(args)}, tool_version=__version__,
-    )
-    entries, spaces = _load_spaces(args.config, manifest)
-    cfg = resolve_config(entries, spaces)
+    manifest = _eval_manifest(args)
+    cfg = _load_config(args.config, manifest)
     ds = load_task(args.task)
     manifest.add_input(args.task)
-
-    tokenizer, oov, sing = _policies(args)
-    score = evaluate_monolingual(cfg, ds, _protocol_of(args), args.znorm,
-                                 tokenizer, oov, sing)
-    report = EvalReport(rows=[ReportRow.from_results(cfg.describe(), [
-        TaskResult(task=ds.name, metric=score.metric, score=score.mean, std=score.std)
-    ])])
+    report = evaluate_report([(cfg, cfg)], [ds], *_scoring(args))
     _write_report(args.out, report, manifest)
     return 0
 
 
 def cmd_eval_transfer(args) -> int:
-    manifest = RunManifest(
-        command="eval-transfer", config=_protocol_config(args),
-        seeds={"seed": _seed_of(args)}, tool_version=__version__,
-    )
-    src_entries, src_spaces = _load_spaces(args.source_config, manifest)
-    tgt_entries, tgt_spaces = _load_spaces(args.target_config, manifest)
-    cfg_src = resolve_config(src_entries, src_spaces)
-    cfg_tgt = resolve_config(tgt_entries, tgt_spaces)
+    manifest = _eval_manifest(args)
+    cfg_src = _load_config(args.source_config, manifest)
+    cfg_tgt = _load_config(args.target_config, manifest)
     pair = TransferPair(train=load_task(args.train_task), test=load_task(args.test_task))
     manifest.add_input(args.train_task)
     manifest.add_input(args.test_task)
-
-    tokenizer, oov, sing = _policies(args)
-    res = evaluate_transfer(cfg_src, cfg_tgt, pair, _protocol_of(args), args.znorm,
-                            tokenizer, oov, sing)
-    report = EvalReport(rows=[ReportRow.from_results(cfg_src.describe(), [
-        TaskResult(task=pair.train.name, metric=res.cross.metric,
-                   score=res.cross.mean, std=res.cross.std,
-                   in_language=res.in_language.mean, drop=res.drop)
-    ])])
+    report = evaluate_report([(cfg_src, cfg_tgt)], [pair], *_scoring(args))
     _write_report(args.out, report, manifest)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    manifest = RunManifest(
-        command="sweep", config=_protocol_config(args),
-        seeds={"seed": _seed_of(args)}, tool_version=__version__,
-    )
+    manifest = _eval_manifest(args)
     manifest.config["p_sets"] = args.p_set
-    entries, spaces = _load_spaces(args.config, manifest)
-    seen = []
-    for e in entries:
-        if e.space not in seen:
-            seen.append(e.space)
-    ordered = [spaces[name] for name in seen]
+    cfg = _load_config(args.config, manifest)
+    spaces = {part.space.name: part.space for part in cfg.parts}.values()
     p_sets = [[parse_p(tok) for tok in ps.split(",") if tok] for ps in args.p_set]
 
     tasks = []
     for task_path in args.task:
         tasks.append(load_task(task_path))
         manifest.add_input(task_path)
-
-    tokenizer, oov, sing = _policies(args)
-    report = sweep_pmeans(ordered, p_sets, tasks, _protocol_of(args), args.znorm,
-                          tokenizer, oov, sing)
+    report = sweep_pmeans(spaces, p_sets, tasks, *_scoring(args))
     _write_report(args.out, report, manifest)
     return 0
 

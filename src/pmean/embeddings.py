@@ -117,7 +117,6 @@ def lookup_sequence(space: EmbeddingSpace, tokens, policy: OovPolicy = OovPolicy
 
 def load_text_embeddings(
     path,
-    expected_dim: int | None = None,
     name: str | None = None,
     language_tag: str | None = None,
 ) -> EmbeddingSpace:
@@ -158,8 +157,6 @@ def load_text_embeddings(
 
     if dim is None:
         raise FormatError(f"{path}: no embedding rows found")
-    if expected_dim is not None and dim != expected_dim:
-        raise DimensionError(f"{path}: dim {dim} != expected {expected_dim}")
     if duplicates:
         logger.warning("%s: skipped %d duplicate tokens (kept first occurrence)", path, duplicates)
 

@@ -62,12 +62,6 @@ class TaskDataset:
             if label not in class_set:
                 raise InputError(f"task {self.name!r}: item label {label!r} not in class set")
 
-    def texts(self) -> list[str]:
-        return [text for _, text in self.items]
-
-    def labels(self) -> list:
-        return [label for label, _ in self.items]
-
 
 @dataclass
 class TransferPair:
@@ -274,6 +268,47 @@ class EvalReport:
     version: int = REPORT_FORMAT_VERSION
 
 
+def evaluate_report(
+    rows,
+    tasks,
+    protocol: TrainProtocol,
+    znorm: bool = False,
+    tokenizer: TokenizerConfig | None = None,
+    oov_policy: OovPolicy | None = None,
+    sing_policy: SingularityPolicy | None = None,
+) -> EvalReport:
+    """Score every task under every (source config, target config) row.
+
+    This builds every report. A TaskDataset cell is scored monolingually with
+    the source config; a TransferPair cell trains with the source config and
+    tests with the target config (cross score, in-language score and drop).
+    Each row is named after its source config.
+    """
+    tasks = list(tasks)
+    report_rows = []
+    for cfg_src, cfg_tgt in rows:
+        results = []
+        for task in tasks:
+            if isinstance(task, TransferPair):
+                res = evaluate_transfer(cfg_src, cfg_tgt, task, protocol, znorm,
+                                        tokenizer, oov_policy, sing_policy)
+                results.append(TaskResult(
+                    task=task.train.name,
+                    metric=res.cross.metric,
+                    score=res.cross.mean,
+                    std=res.cross.std,
+                    in_language=res.in_language.mean,
+                    drop=res.drop,
+                ))
+            else:
+                score = evaluate_monolingual(cfg_src, task, protocol, znorm,
+                                             tokenizer, oov_policy, sing_policy)
+                results.append(TaskResult(task=task.name, metric=score.metric,
+                                          score=score.mean, std=score.std))
+        report_rows.append(ReportRow.from_results(cfg_src.describe(), results))
+    return EvalReport(rows=report_rows)
+
+
 def sweep_pmeans(
     spaces,
     p_sets: list[list[float]],
@@ -286,9 +321,8 @@ def sweep_pmeans(
 ) -> EvalReport:
     """Evaluate the same spaces under different p-value sets, one row per set.
 
-    Tasks may be TaskDatasets (monolingual cells) or TransferPairs (cells get
-    cross score, in-language score, and drop). Transfer rows reuse the same
-    config on both sides, so the spaces must be shared/bilingual.
+    Transfer rows reuse the same config on both sides, so the spaces must be
+    shared/bilingual.
     """
     spaces = list(spaces)
     tasks = list(tasks)
@@ -296,30 +330,9 @@ def sweep_pmeans(
         raise InputError("sweep needs at least one task")
     if not p_sets:
         raise InputError("sweep needs at least one p-value set")
-
-    rows = []
-    for p_set in p_sets:
-        cfg = PooledConfig([PooledPart(sp, list(p_set)) for sp in spaces])
-        results = []
-        for task in tasks:
-            if isinstance(task, TransferPair):
-                res = evaluate_transfer(cfg, cfg, task, protocol, znorm,
-                                        tokenizer, oov_policy, sing_policy)
-                results.append(TaskResult(
-                    task=task.train.name,
-                    metric=res.cross.metric,
-                    score=res.cross.mean,
-                    std=res.cross.std,
-                    in_language=res.in_language.mean,
-                    drop=res.in_language.mean - res.cross.mean,
-                ))
-            else:
-                score = evaluate_monolingual(cfg, task, protocol, znorm,
-                                             tokenizer, oov_policy, sing_policy)
-                results.append(TaskResult(task=task.name, metric=score.metric,
-                                          score=score.mean, std=score.std))
-        rows.append(ReportRow.from_results(cfg.describe(), results))
-    return EvalReport(rows=rows)
+    cfgs = [PooledConfig([PooledPart(sp, list(p_set)) for sp in spaces]) for p_set in p_sets]
+    return evaluate_report([(cfg, cfg) for cfg in cfgs], tasks, protocol, znorm,
+                           tokenizer, oov_policy, sing_policy)
 
 
 def emit_report(report: EvalReport, fmt: str) -> str:

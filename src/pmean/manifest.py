@@ -1,8 +1,10 @@
 """Run manifests: enough provenance to make any CLI run reproducible.
 
 A manifest records the command, every resolved option, the seeds, and SHA-256
-digests of all input files. Two runs with equal manifests write byte-identical
-outputs.
+digests of all input files, each keyed by its path relative to the directory
+the manifest is written to. Two runs with equal manifests write
+byte-identical outputs, and the same run from another directory writes the
+same manifest.
 """
 from __future__ import annotations
 
@@ -19,13 +21,15 @@ class RunManifest:
     command: str
     config: dict
     seeds: dict
+    directory: str | os.PathLike  # where the manifest is written; not serialized
     inputs: dict[str, str] = field(default_factory=dict)
     tool_version: str = ""
     extra: dict = field(default_factory=dict)
 
     def add_input(self, path) -> None:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs[str(path)] = f"sha256:{digest}"
+        key = Path(os.path.relpath(path, self.directory)).as_posix()
+        self.inputs[key] = f"sha256:{digest}"
 
     def to_json(self) -> str:
         doc = {

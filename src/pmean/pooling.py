@@ -110,10 +110,10 @@ def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None)
 
 
 def _geometric(Ws, policy):
-    bad = (Ws <= EPSILON).any(axis=0)
+    undefined = Ws <= EPSILON
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(np.mean(np.log(np.where(Ws > 0, Ws, 1.0)), axis=0))
-    return _apply_policy(out, bad, Ws, 0.0, policy)
+    return _apply_policy(out, undefined, Ws, 0.0, policy)
 
 
 def _finite_power(Ws, p, policy):
@@ -126,21 +126,26 @@ def _finite_power(Ws, p, policy):
         undefined = Ws < 0
         if p < 0:
             undefined = undefined | near_zero
-    bad = undefined.any(axis=0)
 
+    pole = False
     with np.errstate(all="ignore"):
         inner = np.power(Ws, p).mean(axis=0)
         # sign-preserving outer root; for even/non-integer p the mean is >= 0
         # wherever defined, so the sign factor is inert there
         out = np.sign(inner) * np.abs(inner) ** (1.0 / p)
     if p < 0:
-        bad = bad | (inner == 0)  # pole: mean of powers cancelled exactly
+        pole = inner == 0  # mean of powers cancelled exactly
         # an overflowed mean would root to a finite 0; keep it visible as overflow
         out = np.where(np.isinf(inner), np.inf, out)
-    return _apply_policy(out, bad, Ws, p, policy)
+    return _apply_policy(out, undefined, Ws, p, policy, pole)
 
 
-def _apply_policy(out, bad, Ws, p, policy):
+def _apply_policy(out, undefined, Ws, p, policy, pole=False):
+    """Zero (and tally) or raise on undefined, pole and non-finite output columns.
+
+    ``undefined`` is the n x d mask of entries whose power is undefined.
+    """
+    bad = undefined.any(axis=0) | pole
     replace = bad | ~np.isfinite(out)
     if not replace.any():
         return out
@@ -148,25 +153,13 @@ def _apply_policy(out, bad, Ws, p, policy):
         dim = int(np.argmax(replace))
         if not bad[dim]:
             raise NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
-        offender = _first_offender(Ws[:, dim], p)
+        # the first undefined entry; a pole column has none, and argmax then picks row 0
+        offender = float(Ws[np.argmax(undefined[:, dim]), dim])
         raise NumericalPolicyError(
             f"power mean undefined for p={format_p(p)} at dimension {dim} (value {offender!r})"
         )
     policy.undefined_counter += int(replace.sum())
     return np.where(replace, 0.0, out)
-
-
-def _first_offender(col, p):
-    if p == 0:
-        hits = col[col <= EPSILON]
-    elif float(p).is_integer():
-        hits = col[np.abs(col) <= EPSILON]
-    else:
-        mask = col < 0
-        if p < 0:
-            mask = mask | (np.abs(col) <= EPSILON)
-        hits = col[mask]
-    return float(hits[0]) if hits.size else float(col[0])
 
 
 def embed_corpus(
@@ -308,11 +301,3 @@ def format_config(entries: list[ConfigEntry]) -> str:
         lines.append(line)
     return "\n".join(lines) + "\n"
 
-
-def resolve_config(entries: list[ConfigEntry], spaces: dict[str, EmbeddingSpace]) -> PooledConfig:
-    parts = []
-    for e in entries:
-        if e.space not in spaces:
-            raise FormatError(f"config references unknown space {e.space!r}")
-        parts.append(PooledPart(spaces[e.space], list(e.p_values)))
-    return PooledConfig(parts)

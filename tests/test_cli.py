@@ -11,6 +11,7 @@ import pmean.cli
 from pmean.cli import main
 from pmean.embeddings import load_text_embeddings
 from pmean.projection import init_projection, load_projection
+from test_acceptance import build_cli_fixture
 
 
 def write(path: Path, text: str) -> Path:
@@ -26,27 +27,7 @@ def assert_names_bad_file(err: str, path: Path) -> None:
 @pytest.fixture
 def workdir(tmp_path):
     """Two 4-d spaces, a config over both, sentences, a task, and a pairs file."""
-    rng = np.random.default_rng(0)
-
-    def emb_lines(tokens):
-        return "\n".join(
-            f"{t} " + " ".join(f"{v:.6f}" for v in rng.uniform(0.1, 2.0, 4))
-            for t in tokens
-        ) + "\n"
-
-    write(tmp_path / "one.txt", emb_lines(["alpha", "beta", "gamma", "delta"]))
-    write(tmp_path / "two.txt", emb_lines(["alpha", "beta", "gamma", "delta"]))
-    write(tmp_path / "cfg.txt",
-          "space=one p=1,inf path=one.txt\nspace=two p=1,inf path=two.txt\n")
-    write(tmp_path / "sentences.txt", "alpha beta\ngamma\ndelta alpha beta\n")
-    task_lines = ["#name=toy", "#metric=accuracy"]
-    for i in range(30):
-        label = "up" if i % 2 == 0 else "down"
-        word = "alpha beta" if label == "up" else "gamma delta"
-        task_lines.append(f"{label}\t{word} {'alpha' if i % 3 else 'gamma'}")
-    write(tmp_path / "task.tsv", "\n".join(task_lines) + "\n")
-    write(tmp_path / "pairs.tsv",
-          "\n".join(f"alpha beta\tgamma delta" for _ in range(8)) + "\n")
+    build_cli_fixture(tmp_path)
     return tmp_path
 
 
@@ -288,6 +269,16 @@ class TestEvalCommands:
         assert "[1,inf,-inf]" in doc["rows"][0]["model"]
         assert "[1,inf,-inf,3]" in doc["rows"][1]["model"]
 
+    def test_eval_and_one_row_sweep_write_identical_reports(self, workdir):
+        cfg, task = str(workdir / "cfg.txt"), str(workdir / "task.tsv")
+        assert main(["eval", "--config", cfg, "--task", task,
+                     "--out", str(workdir / "report"), *PROTOCOL_ARGS]) == 0
+        assert main(["sweep", "--config", cfg, "--p-set", "1,inf", "--task", task,
+                     "--out", str(workdir / "sweep"), *PROTOCOL_ARGS]) == 0
+        for suffix in (".json", ".md"):
+            assert ((workdir / "report").with_suffix(suffix).read_bytes()
+                    == (workdir / "sweep").with_suffix(suffix).read_bytes())
+
     def test_bad_lr_grid_exits_2(self, workdir):
         rc = main(["eval", "--config", str(workdir / "cfg.txt"),
                    "--task", str(workdir / "task.tsv"),
@@ -357,6 +348,48 @@ def command_argv(workdir: Path, command: str) -> list[str]:
 
 
 COMMANDS = ["embed", "train-projection", "eval", "eval-transfer", "sweep"]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("second, key", [
+        ("space=one p=inf path=two.txt", "path"),
+        ("space=one p=inf path=one.txt lang=de", "lang"),
+    ])
+    @pytest.mark.parametrize("command", ["embed", "eval", "sweep"])
+    def test_repeated_space_with_conflicting_field_exits_2(self, workdir, capsys,
+                                                          command, second, key):
+        write(workdir / "cfg.txt", f"space=one p=1 path=one.txt\n{second}\n")
+        assert main(command_argv(workdir, command)) == 2
+        err = capsys.readouterr().err
+        assert err == f"pmean: {workdir / 'cfg.txt'}: space 'one' has conflicting {key}= values\n"
+        assert not list(workdir.glob("never*"))
+
+    def test_repeated_space_may_restate_or_omit_its_fields(self, workdir):
+        write(workdir / "cfg.txt", "space=one p=1 path=one.txt\n"
+                                   f"space=one p=inf path={workdir / 'one.txt'}\n"
+                                   "space=one p=-inf\n")
+        assert main(command_argv(workdir, "embed")) == 0
+        manifest = json.loads((workdir / "never.tsv.manifest.json").read_text())
+        assert manifest["config"]["pooling"] == [
+            {"space": "one", "p": ["1"]}, {"space": "one", "p": ["inf"]},
+            {"space": "one", "p": ["-inf"]}]
+        assert sorted(manifest["inputs"]) == ["cfg.txt", "one.txt", "sentences.txt"]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_same_run_in_two_directories_writes_identical_manifests(self, tmp_path, command):
+        manifests = []
+        for name in ("a", "b"):
+            root = tmp_path / name
+            root.mkdir()
+            build_cli_fixture(root)
+            assert main(command_argv(root, command)) == 0
+            (path,) = root.glob("*.manifest.json")
+            manifests.append(path.read_bytes())
+        assert manifests[0] == manifests[1]
+        assert str(tmp_path) not in manifests[0].decode()
+
 
 
 class TestUsage:

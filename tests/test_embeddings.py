@@ -45,10 +45,6 @@ class TestLoad:
         with pytest.raises(FormatError, match="non-finite"):
             load_text_embeddings(write(tmp_path, "a 1.0 nan\n"))
 
-    def test_expected_dim_mismatch(self, tmp_path):
-        with pytest.raises(DimensionError):
-            load_text_embeddings(write(tmp_path, "a 1.0 2.0\n"), expected_dim=3)
-
     def test_duplicates_keep_first_and_warn(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
             space = load_text_embeddings(write(tmp_path, "a 1.0\nb 2.0\na 9.0\n"))

@@ -19,7 +19,6 @@ from pmean.pooling import (
     parse_config_text,
     parse_p,
     power_mean,
-    resolve_config,
     znorm_apply,
     znorm_fit,
 )
@@ -97,6 +96,19 @@ class TestPowerMeanCases:
         pol = SingularityPolicy(on_undefined="error")
         with pytest.raises(NumericalPolicyError, match=r"p=0\.5.*dimension 1"):
             power_mean(np.array([[2.0, -1.0], [2.0, 2.0]]), 0.5, pol)
+
+    @pytest.mark.parametrize("W, p, detail", [
+        ([[2.0, 5.0], [3.0, 0.0], [4.0, -3.0]], 0, "p=0 at dimension 1 (value -3.0)"),
+        ([[1.0, 4.0], [2.0, 0.0]], -1, "p=-1 at dimension 1 (value 0.0)"),
+        ([[2.0, 2.0], [2.0, -1.5]], 0.5, "p=0.5 at dimension 1 (value -1.5)"),
+        # pole: no entry is undefined, the reciprocals of -2 and 2 cancel
+        ([[1.0, 2.0], [2.0, -2.0]], -1, "p=-1 at dimension 1 (value -2.0)"),
+    ])
+    def test_error_mode_names_the_offending_value(self, W, p, detail):
+        pol = SingularityPolicy(on_undefined="error")
+        with pytest.raises(NumericalPolicyError) as exc:
+            power_mean(np.array(W), p, pol)
+        assert str(exc.value) == f"power mean undefined for {detail}"
 
     # the mean of powers overflows; for p < 0 its root would be a finite 0
     OVERFLOWS = [(np.array([[1.0, 1e160], [2.0, 1e160]]), 2),
@@ -317,16 +329,3 @@ class TestConfigGrammar:
             parse_config_text("space=a\n")
         with pytest.raises(FormatError):
             parse_config_text("# only comments\n")
-
-    def test_resolve_unknown_space(self, two_spaces):
-        a, _ = two_spaces
-        with pytest.raises(FormatError, match="unknown space"):
-            resolve_config([ConfigEntry("nope", [1.0])], {"one": a})
-
-    def test_resolve_builds_config(self, two_spaces):
-        a, b = two_spaces
-        cfg = resolve_config(
-            [ConfigEntry("one", [1.0, INF]), ConfigEntry("two", [1.0])],
-            {"one": a, "two": b},
-        )
-        assert cfg.output_dim == 2 * 3 + 1 * 4
