@@ -12,6 +12,7 @@ import csv
 import io
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -164,12 +165,15 @@ def _policies(args):
     return tokenizer, oov, sing
 
 
-def _load_config(config_path, manifest: RunManifest) -> PooledConfig:
+def _load_config(config_path, manifest: RunManifest, loaded: dict | None = None) -> PooledConfig:
     """Parse a config file and load each space it names once, from its path=.
 
     A space may repeat with more p-values; a repeat that gives path= or lang=
-    must agree with the space's first entry.
+    must agree with the space's first entry. ``loaded`` maps resolved paths to
+    the spaces already parsed for this command, so a file shared by several
+    configs is parsed once; each space keeps its own name and lang= tag.
     """
+    loaded = {} if loaded is None else loaded
     text = read_text(config_path)
     manifest.add_input(config_path)
     base = Path(config_path).parent
@@ -179,8 +183,14 @@ def _load_config(config_path, manifest: RunManifest) -> PooledConfig:
         if e.space not in spaces:
             if path is None:
                 raise InputError(f"config entry {e.space!r} needs a path= to load from")
-            spaces[e.space] = load_text_embeddings(path, name=e.space, language_tag=e.lang)
             paths[e.space] = path.resolve()
+            space = loaded.get(paths[e.space])
+            if space is None:
+                space = load_text_embeddings(path, name=e.space, language_tag=e.lang)
+                loaded[paths[e.space]] = space
+            elif (space.name, space.language_tag) != (e.space, e.lang):
+                space = replace(space, name=e.space, language_tag=e.lang)
+            spaces[e.space] = space
             manifest.add_input(path)
         elif path is not None and path.resolve() != paths[e.space]:
             raise FormatError(f"{config_path}: space {e.space!r} has conflicting path= values")
@@ -341,8 +351,9 @@ def cmd_eval(args) -> int:
 
 def cmd_eval_transfer(args) -> int:
     manifest = _eval_manifest(args)
-    cfg_src = _load_config(args.source_config, manifest)
-    cfg_tgt = _load_config(args.target_config, manifest)
+    loaded = {}  # both configs often name one bilingual file; parse it once
+    cfg_src = _load_config(args.source_config, manifest, loaded)
+    cfg_tgt = _load_config(args.target_config, manifest, loaded)
     pair = TransferPair(train=load_task(args.train_task), test=load_task(args.test_task))
     manifest.add_input(args.train_task)
     manifest.add_input(args.test_task)

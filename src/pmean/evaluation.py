@@ -135,11 +135,10 @@ def _canonical(ds: TaskDataset) -> tuple[list, list[str], list]:
     return [lab for lab, _ in items], [text for _, text in items], labels
 
 
-def _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy):
-    """Embed a task and fit its subsample runs; returns (runs, X, y).
+def _check_language(cfg: PooledConfig, ds: TaskDataset) -> None:
+    """Reject a space tagged with another language than the task's.
 
-    Every configured space must either carry no language tag (treated as
-    shared/bilingual) or match the task's language.
+    An untagged space (or task) counts as shared/bilingual.
     """
     for part in cfg.parts:
         tag = part.space.language_tag
@@ -148,6 +147,10 @@ def _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy):
                 f"space {part.space.name!r} is tagged {tag!r} but task "
                 f"{ds.name!r} is {ds.language_tag!r}"
             )
+
+
+def _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy):
+    """Embed a task and fit its subsample runs; returns (runs, X, y)."""
     y, texts, labels = _canonical(ds)
     X = embed_corpus(cfg, texts, tokenizer, oov_policy, sing_policy)
     return fit_runs(X, y, protocol, ds.metric_kind, labels=labels, znorm=znorm), X, y
@@ -163,6 +166,7 @@ def evaluate_monolingual(
     sing_policy: SingularityPolicy | None = None,
 ) -> EvalScore:
     """Embed a task and score each subsample run on its own held-out rows."""
+    _check_language(cfg, ds)
     runs, X, y = _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy)
     return score_runs(runs, X, y, ds.metric_kind, held_out=True)
 
@@ -206,6 +210,8 @@ def evaluate_transfer(
     the full target test set (cross); target data never enters the fit.
     """
     _check_aligned_configs(cfg_src, cfg_tgt)
+    _check_language(cfg_src, pair.train)
+    _check_language(cfg_tgt, pair.test)
     runs, X, y = _fit_task(cfg_src, pair.train, protocol, znorm,
                            tokenizer, oov_policy, sing_policy)
     in_language = score_runs(runs, X, y, pair.train.metric_kind, held_out=True)

@@ -10,6 +10,11 @@ harmonic mean, and p = +/-inf the column max/min. The per-space blocks are
 concatenated in configuration order; z-normalization is a separate,
 explicitly fitted step.
 
+``embed_corpus`` pools a whole corpus per space: it computes each power once
+per vocabulary row the corpus uses, then reduces every sentence's rows in
+sorted order. ``power_mean`` pools one matrix and is the scalar oracle the
+corpus kernel matches bit for bit.
+
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
 Real powers are not total: x**p is undefined over the reals for a negative
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -89,7 +95,8 @@ def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None)
     """Reduce each column of an n x d matrix with the generalized mean M_p.
 
     Columns are sorted before any arithmetic, so the result is bit-identical
-    under row permutations of W.
+    under row permutations of W. This is the scalar oracle ``embed_corpus``
+    must match bit for bit.
     """
     if policy is None:
         policy = SingularityPolicy()
@@ -104,40 +111,47 @@ def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None)
         return Ws[0].copy()
     if p == 1:
         return Ws.mean(axis=0)
+    powers, undefined = _powers(Ws, p)
+    with np.errstate(all="ignore"):
+        inner = powers.mean(axis=0)
+        out = _root(inner, p)
+    pole = inner == 0 if p < 0 else False  # mean of powers cancelled exactly
+    return _apply_policy(out, undefined, Ws, p, policy, pole)
+
+
+def _powers(W, p):
+    """Entrywise x**p (log x for p = 0) and the mask of entries where it is undefined.
+
+    p is finite and not 1. The geometric mean needs strictly positive entries;
+    otherwise a negative base is undefined for non-integer p, and a zero base
+    for negative p.
+    """
     if p == 0:
-        return _geometric(Ws, policy)
-    return _finite_power(Ws, p, policy)
-
-
-def _geometric(Ws, policy):
-    undefined = Ws <= EPSILON
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(np.mean(np.log(np.where(Ws > 0, Ws, 1.0)), axis=0))
-    return _apply_policy(out, undefined, Ws, 0.0, policy)
-
-
-def _finite_power(Ws, p, policy):
-    integral = float(p).is_integer()
-    near_zero = np.abs(Ws) <= EPSILON
-    if integral:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.where(W > 0, W, 1.0)), W <= EPSILON
+    near_zero = np.abs(W) <= EPSILON
+    if float(p).is_integer():
         # zero base only hurts for negative exponents
-        undefined = near_zero if p < 0 else np.zeros_like(Ws, dtype=bool)
+        undefined = near_zero if p < 0 else np.zeros_like(W, dtype=bool)
     else:
-        undefined = Ws < 0
+        undefined = W < 0
         if p < 0:
             undefined = undefined | near_zero
-
-    pole = False
     with np.errstate(all="ignore"):
-        inner = np.power(Ws, p).mean(axis=0)
-        # sign-preserving outer root; for even/non-integer p the mean is >= 0
-        # wherever defined, so the sign factor is inert there
-        out = np.sign(inner) * np.abs(inner) ** (1.0 / p)
-    if p < 0:
-        pole = inner == 0  # mean of powers cancelled exactly
-        # an overflowed mean would root to a finite 0; keep it visible as overflow
-        out = np.where(np.isinf(inner), np.inf, out)
-    return _apply_policy(out, undefined, Ws, p, policy, pole)
+        return np.power(W, p), undefined
+
+
+def _root(inner, p):
+    """Map a mean of ``_powers`` back to M_p; a pole (inner == 0 at p < 0) maps to NaN."""
+    if p == 0:
+        return np.exp(inner)
+    # sign-preserving outer root; for even/non-integer p the mean is >= 0
+    # wherever defined, so the sign factor is inert there
+    out = np.sign(inner) * np.abs(inner) ** (1.0 / p)
+    if p > 0:
+        return out
+    # an overflowed mean would root to a finite 0; keep it visible as overflow
+    return np.where(np.isinf(inner), np.inf, out)
 
 
 def _apply_policy(out, undefined, Ws, p, policy, pole=False):
@@ -171,23 +185,95 @@ def embed_corpus(
 ) -> np.ndarray:
     """Pool each sentence into one row of ``cfg.output_dim`` values, in order.
 
-    A sentence is tokenized once. Per configured part its tokens are looked
-    up once, and the part's power means are concatenated in p order; the
-    parts' blocks follow in configuration order.
+    A sentence is tokenized once. Each part's power means are concatenated in
+    p order, and the parts' blocks follow in configuration order. Row by row
+    the result is bit-identical to ``power_mean`` over the sentence's
+    ``lookup_sequence`` rows, with the same entries zeroed and tallied; under
+    an ``error`` policy the first offending (sentence, part, p) raises the
+    oracle's own message.
     """
     tokenizer = tokenizer or TokenizerConfig()
     oov_policy = oov_policy or OovPolicy()
-    rows = []
-    for sentence in sentences:
-        tokens = tokenize(tokenizer, sentence)
-        blocks = []
-        for part in cfg.parts:
-            W = lookup_sequence(part.space, tokens, oov_policy).matrix
-            blocks.extend(power_mean(W, p, sing_policy) for p in part.p_values)
-        rows.append(np.concatenate(blocks))
-    if not rows:
-        return np.zeros((0, cfg.output_dim))
-    return np.stack(rows)
+    sing_policy = sing_policy or SingularityPolicy()
+    token_lists = [tokenize(tokenizer, sentence) for sentence in sentences]
+    X = np.empty((len(token_lists), cfg.output_dim))
+    if not token_lists:
+        return X
+    offenders = []  # per policed (part, p) in output order: (first sentence, part, p)
+    col = 0
+    for part in cfg.parts:
+        for p, (block, replace) in zip(part.p_values, _pool_part(part, token_lists, oov_policy)):
+            if replace is not None and replace.any():
+                if sing_policy.on_undefined == ERROR:
+                    offenders.append((int(np.argmax(replace.any(axis=1))), part, p))
+                else:
+                    sing_policy.undefined_counter += int(replace.sum())
+                    block[replace] = 0.0
+            X[:, col:col + part.space.dim] = block
+            col += part.space.dim
+    if offenders:
+        s, part, p = min(offenders, key=lambda offender: offender[0])
+        power_mean(lookup_sequence(part.space, token_lists[s], oov_policy).matrix, p, sing_policy)
+        raise NumericalPolicyError(f"power mean undefined for p={format_p(p)}")  # not reached
+    return X
+
+
+def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy):
+    """Yield, per p of the part, its S x dim block and the mask the policy acts on.
+
+    The mask is None for p in {1, +/-inf}, which the policy never touches.
+    Powers are computed once per vocabulary row the corpus uses. Per
+    sentence, the extremes and the p = 1 mean come from ``np.sort`` exactly as
+    in ``power_mean``; the powers are summed in ``np.argsort`` order, which
+    differs from the sort only within ties of equal powers. Signed zeros sum
+    to the same value in any order; at negative p their powers are +/-inf,
+    but such columns are undefined and masked either way.
+    """
+    space = part.space
+    zero_id = len(space.vocab)  # the zero row of OOV tokens and empty sentences
+    if oov_policy.mode == "zero":
+        id_lists = [[space.vocab.get(t, zero_id) for t in tokens] for tokens in token_lists]
+    else:
+        id_lists = [[i for i in map(space.vocab.get, tokens) if i is not None]
+                    for tokens in token_lists]
+    id_lists = [ids or [zero_id] for ids in id_lists]
+    bounds = np.cumsum([0] + [len(ids) for ids in id_lists])
+    used, local = np.unique(np.fromiter(chain.from_iterable(id_lists), dtype=np.intp),
+                            return_inverse=True)
+    # only the used rows are gathered: a copy of the whole matrix costs peak memory
+    E = np.zeros((len(used), space.dim))
+    n_vocab_rows = int(np.searchsorted(used, zero_id))
+    E[:n_vocab_rows] = space.matrix[used[:n_vocab_rows]]
+
+    extremes = (1, math.inf, -math.inf)
+    powered = {p: _powers(E, p) for p in part.p_values if p not in extremes}
+    pooled = {p: np.empty((len(id_lists), space.dim)) for p in part.p_values}
+    columns = np.arange(space.dim)
+    for s, (start, stop) in enumerate(pairwise(bounds.tolist())):
+        ids = local[start:stop]
+        x = E[ids]
+        Ws = np.sort(x, axis=0)
+        if powered:
+            order = ids[np.argsort(x, axis=0)] * space.dim + columns
+        for p, block in pooled.items():
+            if p == math.inf:
+                block[s] = Ws[-1]
+            elif p == -math.inf:
+                block[s] = Ws[0]
+            elif p == 1:
+                block[s] = Ws.mean(axis=0)
+            else:
+                with np.errstate(all="ignore"):
+                    block[s] = powered[p][0].take(order).mean(axis=0)
+
+    for p in part.p_values:
+        if p in extremes:
+            yield pooled[p], None
+            continue
+        with np.errstate(all="ignore"):
+            out = _root(pooled[p], p)
+        undefined = np.logical_or.reduceat(powered[p][1][local], bounds[:-1], axis=0)
+        yield out, undefined | ~np.isfinite(out)
 
 
 # --- z-normalization ---------------------------------------------------------

@@ -258,6 +258,57 @@ class TestEvalCommands:
         cell = doc["rows"][0]["tasks"][0]
         assert cell["drop"] == pytest.approx(cell["in_language"] - cell["score"])
 
+    def transfer(self, workdir, src_cfg, tgt_cfg, train, test, out):
+        return main(["eval-transfer", "--source-config", str(workdir / src_cfg),
+                     "--target-config", str(workdir / tgt_cfg),
+                     "--train-task", str(workdir / train), "--test-task", str(workdir / test),
+                     "--out", str(workdir / out), *PROTOCOL_ARGS])
+
+    @staticmethod
+    def tag_task(workdir, lang):
+        return write(workdir / f"task_{lang}.tsv",
+                     f"#lang={lang}\n" + (workdir / "task.tsv").read_text()).name
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_transfer_language_mismatch_exits_2(self, workdir, capsys, side):
+        write(workdir / "en.cfg", "space=one p=1,inf path=one.txt lang=en\n")
+        write(workdir / "de.cfg", "space=one p=1,inf path=one.txt lang=de\n")
+        en, fr = self.tag_task(workdir, "en"), self.tag_task(workdir, "fr")
+        if side == "source":
+            rc = self.transfer(workdir, "de.cfg", "de.cfg", en, en, "never")
+            want = "pmean: space 'one' is tagged 'de' but task 'toy' is 'en'\n"
+        else:
+            rc = self.transfer(workdir, "en.cfg", "de.cfg", en, fr, "never")
+            want = "pmean: space 'one' is tagged 'de' but task 'toy' is 'fr'\n"
+        assert rc == 2
+        assert capsys.readouterr().err == want
+        assert not (workdir / "never.json").exists()
+
+    def test_transfer_parses_a_shared_embedding_file_once(self, workdir, monkeypatch):
+        loads = []
+        real_load = pmean.cli.load_text_embeddings
+        monkeypatch.setattr(pmean.cli, "load_text_embeddings",
+                            lambda *a, **kw: loads.append(a) or real_load(*a, **kw))
+        write(workdir / "copy.txt", (workdir / "one.txt").read_text())
+        write(workdir / "en.cfg", "space=one p=1,inf path=one.txt lang=en\n")
+        write(workdir / "de.cfg", "space=one p=1,inf path=one.txt lang=de\n")
+        write(workdir / "de_copy.cfg", "space=one p=1,inf path=copy.txt lang=de\n")
+        en, de = self.tag_task(workdir, "en"), self.tag_task(workdir, "de")
+        # each side passes its language check only if it keeps its own lang= tag
+        assert self.transfer(workdir, "en.cfg", "de.cfg", en, de, "shared") == 0
+        assert len(loads) == 1
+        assert self.transfer(workdir, "en.cfg", "de_copy.cfg", en, de, "copied") == 0
+        assert len(loads) == 3
+        for suffix in (".json", ".md"):
+            assert ((workdir / "shared").with_suffix(suffix).read_bytes()
+                    == (workdir / "copied").with_suffix(suffix).read_bytes())
+        shared, copied = (json.loads((workdir / f"{name}.manifest.json").read_text())
+                          for name in ("shared", "copied"))
+        assert sorted(shared.pop("inputs")) == sorted(["en.cfg", "de.cfg", "one.txt", en, de])
+        assert sorted(copied.pop("inputs")) == sorted(["en.cfg", "de_copy.cfg", "one.txt",
+                                                       "copy.txt", en, de])
+        assert shared == copied
+
     def test_sweep_two_rows(self, workdir):
         rc = main(["sweep", "--config", str(workdir / "cfg.txt"),
                    "--p-set", "1,inf,-inf", "--p-set", "1,inf,-inf,3",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pmean.embeddings import EmbeddingSpace, OovPolicy, lookup_sequence
 from pmean.errors import DimensionError, FormatError, NumericalPolicyError
 from pmean.pooling import (
+    EPSILON,
     ZNORM_FLOOR,
     ConfigEntry,
     PooledConfig,
@@ -255,6 +256,143 @@ class TestPooling:
         cfg = PooledConfig([PooledPart(shifted, [0.5, -1.0, 0.0])])
         X = embed_corpus(cfg, ["w0 w1 zzz", "w2", ""])
         assert np.isfinite(X).all()
+
+
+KERNEL_PS = [1.0, INF, -INF, 0.0, -1.0, 0.5, 2.0, 3.0]
+
+
+def oracle_corpus(cfg, sentences, oov_policy, sing_policy):
+    """embed_corpus's oracle: per-part power_mean blocks over lookup_sequence rows."""
+    rows = [
+        np.concatenate([
+            power_mean(lookup_sequence(part.space, s.split(), oov_policy).matrix, p, sing_policy)
+            for part in cfg.parts
+            for p in part.p_values
+        ])
+        for s in sentences
+    ]
+    return np.stack(rows) if rows else np.zeros((0, cfg.output_dim))
+
+
+def pooled_or_error(pool, cfg, sentences, oov_mode, on_undefined):
+    """(output bytes, undefined tally) of one pooling, or the --strict message it raises."""
+    policy = SingularityPolicy(on_undefined)
+    try:
+        X = pool(cfg, sentences, oov_policy=OovPolicy(oov_mode), sing_policy=policy)
+    except NumericalPolicyError as exc:
+        return str(exc)
+    return X.shape, X.tobytes(), policy.undefined_counter
+
+
+def tricky_space(name, rng):
+    """A space whose columns hold signed-zero ties, negatives and near-zero entries.
+
+    Column 0's maximum and column 1's minimum are a 0.0 / -0.0 tie in most
+    sentences; rows pos0..pos2 are positive and moderate, so sentences made of
+    them are defined for every p.
+    """
+    n, d = 12, 5
+    M = rng.choice([0.5, -1.5, 2.0, -0.25, 1e-13, -EPSILON, 3.0], size=(n, d))
+    M[:, 0] = rng.choice([0.0, -0.0, -1.0, -2.5], size=n)
+    M[:, 1] = rng.choice([0.0, -0.0, 1.0, 3.0], size=n)
+    M[:3] = rng.uniform(0.5, 2.0, size=(3, d))
+    M[3] = 1e200  # overflows x**p for p >= 2
+    vocab = {f"pos{i}": i for i in range(3)} | {f"w{i}": i for i in range(3, n)}
+    return EmbeddingSpace(name, d, vocab, M)
+
+
+def tricky_sentences(space, rng, n=40):
+    """Sentences with repeats, OOV tokens, an empty and an all-OOV one; the first
+    three use only the positive rows."""
+    words = list(space.vocab) + ["oov1", "oov2"]
+    clean = [" ".join(rng.choice(["pos0", "pos1", "pos2"], size=k)) for k in (1, 4, 30)]
+    mixed = [" ".join(rng.choice(words, size=rng.integers(1, 40))) for _ in range(n)]
+    return clean + mixed[: n // 2] + ["", "oov1 oov2 oov1"] + mixed[n // 2:]
+
+
+class TestCorpusKernel:
+    """embed_corpus must equal per-sentence power_mean blocks bit for bit."""
+
+    @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_power_mean_blocks(self, oov_mode, seed):
+        rng = np.random.default_rng(seed)
+        a, b = tricky_space("a", rng), tricky_space("b", rng)
+        cfg = PooledConfig([PooledPart(a, KERNEL_PS), PooledPart(b, KERNEL_PS[::-1])])
+        sentences = tricky_sentences(a, rng)
+        got = pooled_or_error(embed_corpus, cfg, sentences, oov_mode, "nan_to_zero")
+        want = pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, "nan_to_zero")
+        assert got[:2] == want[:2]
+        assert got[2] == want[2] > 0  # same undefined tally
+
+    def test_signed_zero_ties_keep_their_sign(self):
+        # argsort and sort may order 0.0 and -0.0 differently; the extremes and
+        # the p = 1 mean must come from the sort, as in power_mean
+        space = EmbeddingSpace("z", 1, {"p": 0, "n": 1, "m": 2},
+                               np.array([[0.0], [-0.0], [-1.0]]))
+        cfg = PooledConfig([PooledPart(space, [INF, -INF, 1.0, 3.0])])
+        rng = np.random.default_rng(0)
+        sentences = [" ".join(rng.choice(["p", "n", "m"], size=k)) for k in range(1, 60)]
+        got = embed_corpus(cfg, sentences)
+        want = oracle_corpus(cfg, sentences, OovPolicy(), SingularityPolicy())
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("on_undefined", ["nan_to_zero", "error"])
+    def test_pole_columns_are_policed(self, on_undefined):
+        # 1 and -1 at p = -1 or -3: the mean of powers cancels to exactly 0
+        space = EmbeddingSpace("pole", 2, {"a": 0, "b": 1}, np.array([[1.0, 2.0], [-1.0, 2.0]]))
+        cfg = PooledConfig([PooledPart(space, [-1.0, -3.0])])
+        sentences = ["a", "a b b a", "b"]
+        got = pooled_or_error(embed_corpus, cfg, sentences, "skip", on_undefined)
+        assert got == pooled_or_error(oracle_corpus, cfg, sentences, "skip", on_undefined)
+        assert "p=-1 at dimension 0" in got if on_undefined == "error" else got[2] == 2
+
+    @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, 3.0, -2.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strict_raises_the_oracles_first_message(self, oov_mode, p, seed):
+        rng = np.random.default_rng(seed)
+        a, b = tricky_space("a", rng), tricky_space("b", rng)
+        cfg = PooledConfig([PooledPart(a, [1.0, INF]), PooledPart(b, [2.0, p, -INF])])
+        sentences = tricky_sentences(a, rng)
+        got = pooled_or_error(embed_corpus, cfg, sentences, oov_mode, "error")
+        want = pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, "error")
+        assert isinstance(want, str) and got == want
+
+    def test_strict_passes_a_defined_corpus(self):
+        rng = np.random.default_rng(0)
+        a = tricky_space("a", rng)
+        cfg = PooledConfig([PooledPart(a, KERNEL_PS)])
+        sentences = ["pos0 pos1", "pos2 pos2 pos0"]
+        got = pooled_or_error(embed_corpus, cfg, sentences, "skip", "error")
+        assert got == pooled_or_error(oracle_corpus, cfg, sentences, "skip", "error")
+        assert got[2] == 0
+
+    @given(
+        st.integers(1, 5).flatmap(lambda d: st.lists(
+            st.lists(st.floats(-1e3, 1e3).filter(lambda v: v != 0), min_size=d, max_size=d),
+            min_size=1, max_size=6)),
+        st.lists(st.integers(0, 7), max_size=12),
+        st.randoms(use_true_random=False),
+        st.sampled_from(["skip", "zero"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_token_order_does_not_change_a_row(self, rows, token_ids, rnd, oov_mode):
+        # signed zeros are left out: np.sort may put either one of a 0.0 / -0.0
+        # tie last, so an extreme's sign depends on token order, in power_mean too
+        space = EmbeddingSpace("h", len(rows[0]), {f"w{i}": i for i in range(len(rows))},
+                               np.array(rows))
+        cfg = PooledConfig([PooledPart(space, KERNEL_PS)])
+        tokens = [f"w{i}" for i in token_ids]  # ids past the vocabulary are OOV
+        shuffled = list(tokens)
+        rnd.shuffle(shuffled)
+        first, second = SingularityPolicy(), SingularityPolicy()
+        X = embed_corpus(cfg, [" ".join(tokens)], oov_policy=OovPolicy(oov_mode),
+                         sing_policy=first)
+        Y = embed_corpus(cfg, [" ".join(shuffled)], oov_policy=OovPolicy(oov_mode),
+                         sing_policy=second)
+        assert X.tobytes() == Y.tobytes()
+        assert first.undefined_counter == second.undefined_counter
 
 
 class TestZNorm:
