@@ -298,7 +298,7 @@ def cmd_train_projection(args) -> int:
         config={"shared_dim": cfg.shared_dim, "margin": cfg.margin,
                 "dropout": cfg.dropout_rate, "epochs": cfg.max_epochs,
                 "batch_size": cfg.batch_size, "step_size": cfg.step_size,
-                "oov": args.oov, "lowercase": not args.no_lowercase},
+                "oov": args.oov, "strict": args.strict, "lowercase": not args.no_lowercase},
         seeds={"seed": seed},
         tool_version=__version__,
         directory=Path(args.model_out).parent,

@@ -2,12 +2,15 @@
 
 The text format is the common one-word-per-line layout: ``token v1 v2 ... vd``
 with an optional first line ``count dim`` (auto-detected when it parses as
-exactly two integers). UTF-8, LF or CRLF.
+exactly two integers). UTF-8, LF or CRLF. A value is any text Python's
+``float()`` accepts, and every row is parsed and checked, whether or not a
+sentence uses it.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -122,11 +125,86 @@ def load_text_embeddings(
 ) -> EmbeddingSpace:
     """Load a text-format embedding file into an EmbeddingSpace.
 
+    Every row is parsed and checked, whether or not a sentence uses it.
     Duplicate tokens keep their first occurrence; the number skipped is
     reported through a warning. Ragged lines and non-finite values raise
     FormatError naming the offending line.
+
+    numpy's C parser reads the numbers. A file it does not take whole goes to
+    the per-line ``float()`` loop, which names the first bad line, or reads
+    the spellings only ``float()`` accepts (``1_0``, non-ASCII digits).
     """
     path = Path(path)
+    parsed = _parse_with_loadtxt(path)
+    vocab, matrix, duplicates = parsed if parsed is not None else _parse_with_float(path)
+    if duplicates:
+        logger.warning("%s: skipped %d duplicate tokens (kept first occurrence)", path, duplicates)
+
+    return EmbeddingSpace(
+        name=name or path.stem,
+        dim=matrix.shape[1],
+        vocab=vocab,
+        matrix=matrix,
+        language_tag=language_tag,
+    )
+
+
+# separators that numpy strips around a number and float() rejects
+_C_ONLY_BLANKS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_with_loadtxt(path: Path):
+    """``(vocab, matrix, duplicates)`` with the numbers read by ``np.loadtxt``, or None.
+
+    One pass over the lines skips the ``count dim`` header, checks each token,
+    notes duplicates and feeds every row's value text to one ``np.loadtxt``
+    call, which also rejects a change in the number of fields. None means
+    ``_parse_with_float`` must decide: a line failed a check, a value did not
+    parse, a value is non-finite, or the file holds no rows.
+    """
+    vocab: dict[str, int] = {}
+    duplicate_rows: list[int] = []
+    rejected = False
+
+    def value_texts():
+        nonlocal rejected
+        for lineno, line in read_lines(path):
+            token, _, values = line.partition(" ")
+            if lineno == 1 and " " not in values and _is_int(token) and _is_int(values):
+                continue  # word2vec-style count/dim header
+            # an empty value text would be skipped by numpy as a blank line
+            if not token or not values or any(c in values for c in _C_ONLY_BLANKS):
+                rejected = True
+                return
+            if token in vocab:
+                duplicate_rows.append(len(vocab) + len(duplicate_rows))
+            else:
+                vocab[token] = len(vocab)
+            yield values
+
+    texts = value_texts()
+    try:
+        first = next(texts, None)
+        if first is None:  # peeked, so numpy never warns about an empty input
+            return None
+        matrix = np.loadtxt(chain([first], texts), dtype=np.float64, comments=None,
+                            delimiter=" ", ndmin=2)
+    except ValueError:  # a value numpy rejects, ragged rows, or a FormatError (not UTF-8)
+        return None
+    if rejected or not np.isfinite(matrix).all():
+        return None
+    if duplicate_rows:
+        keep = np.ones(len(matrix), dtype=bool)
+        keep[duplicate_rows] = False
+        matrix = matrix[keep]
+    return vocab, matrix, len(duplicate_rows)
+
+
+def _parse_with_float(path: Path):
+    """``(vocab, matrix, duplicates)`` with every value read by ``float()``, line by line.
+
+    The reference parser: it raises FormatError for the first bad line.
+    """
     vocab: dict[str, int] = {}
     vectors: list[np.ndarray] = []
     dim: int | None = None
@@ -157,16 +235,7 @@ def load_text_embeddings(
 
     if dim is None:
         raise FormatError(f"{path}: no embedding rows found")
-    if duplicates:
-        logger.warning("%s: skipped %d duplicate tokens (kept first occurrence)", path, duplicates)
-
-    return EmbeddingSpace(
-        name=name or path.stem,
-        dim=dim,
-        vocab=vocab,
-        matrix=np.stack(vectors),
-        language_tag=language_tag,
-    )
+    return vocab, np.stack(vectors), duplicates
 
 
 def save_text_embeddings(space: EmbeddingSpace, path) -> None:

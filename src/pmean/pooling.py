@@ -95,8 +95,9 @@ def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None)
     """Reduce each column of an n x d matrix with the generalized mean M_p.
 
     Columns are sorted before any arithmetic, so the result is bit-identical
-    under row permutations of W. This is the scalar oracle ``embed_corpus``
-    must match bit for bit.
+    under row permutations of W. A 0.0 / -0.0 tie may sort either way, so a
+    zero max or min is returned as 0.0. This is the scalar oracle
+    ``embed_corpus`` must match bit for bit.
     """
     if policy is None:
         policy = SingularityPolicy()
@@ -106,9 +107,9 @@ def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None)
 
     Ws = np.sort(W, axis=0)
     if p == math.inf:
-        return Ws[-1].copy()
+        return Ws[-1] + 0.0
     if p == -math.inf:
-        return Ws[0].copy()
+        return Ws[0] + 0.0
     if p == 1:
         return Ws.mean(axis=0)
     powers, undefined = _powers(Ws, p)
@@ -224,10 +225,11 @@ def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy):
     The mask is None for p in {1, +/-inf}, which the policy never touches.
     Powers are computed once per vocabulary row the corpus uses. Per
     sentence, the extremes and the p = 1 mean come from ``np.sort`` exactly as
-    in ``power_mean``; the powers are summed in ``np.argsort`` order, which
-    differs from the sort only within ties of equal powers. Signed zeros sum
-    to the same value in any order; at negative p their powers are +/-inf,
-    but such columns are undefined and masked either way.
+    in ``power_mean`` (a zero extreme is 0.0); the powers are summed in
+    ``np.argsort`` order, which differs from the sort only within ties of
+    equal powers. Signed zeros sum to the same value in any order; at
+    negative p their powers are +/-inf, but such columns are undefined and
+    masked either way.
     """
     space = part.space
     zero_id = len(space.vocab)  # the zero row of OOV tokens and empty sentences
@@ -257,9 +259,9 @@ def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy):
             order = ids[np.argsort(x, axis=0)] * space.dim + columns
         for p, block in pooled.items():
             if p == math.inf:
-                block[s] = Ws[-1]
+                block[s] = Ws[-1] + 0.0
             elif p == -math.inf:
-                block[s] = Ws[0]
+                block[s] = Ws[0] + 0.0
             elif p == 1:
                 block[s] = Ws.mean(axis=0)
             else:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,29 @@ class TestEmbed:
         assert_names_bad_file(capsys.readouterr().err, workdir / "latin.cfg")
         assert not (workdir / "x.tsv").exists()
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_embeddings_without_rows_exit_2_without_a_warning(self, workdir, capsys, text):
+        write(workdir / "none.txt", text)
+        write(workdir / "ncfg.txt", "space=one p=1 path=none.txt\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["embed", "--config", str(workdir / "ncfg.txt"),
+                       "--input", str(workdir / "sentences.txt"),
+                       "--output", str(workdir / "x.tsv")])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err == f"pmean: {workdir / 'none.txt'}: no embedding rows found\n"
+
+    def test_bad_row_no_sentence_uses_exits_2(self, workdir, capsys):
+        # every row is checked, used or not
+        with open(workdir / "one.txt", "a", encoding="utf-8") as fh:
+            fh.write("unused 1.0 nan 1.0 1.0\n")
+        rc = main(["embed", "--config", str(workdir / "cfg.txt"),
+                   "--input", str(workdir / "sentences.txt"),
+                   "--output", str(workdir / "x.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"pmean: {workdir / 'one.txt'}:5: non-finite value\n"
+        assert not (workdir / "x.tsv").exists()
+
     def test_non_utf8_embeddings_exit_2(self, workdir, capsys):
         # the bad byte sits past the first decoded chunk of the file
         rows = "".join(f"w{i} 1.0 2.0 3.0 4.0\n" for i in range(3000))
@@ -156,8 +180,12 @@ class TestTrainProjection:
         manifest = json.loads((workdir / "model.json.manifest.json").read_text())
         assert manifest["config"]["margin"] == 0.5
         assert manifest["config"]["dropout"] == 0.5
+        assert manifest["config"]["strict"] is False
         model = load_projection(workdir / "model.json")
         assert model.margin == 0.5
+        assert self.run(workdir, "--strict") == 0
+        manifest = json.loads((workdir / "model.json.manifest.json").read_text())
+        assert manifest["config"]["strict"] is True
 
     def test_history_has_one_row_per_epoch(self, workdir):
         assert self.run(workdir) == 0

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from pmean.embeddings import (
     EmbeddingSpace,
+    _parse_with_float,
+    _parse_with_loadtxt,
     OovPolicy,
     TokenizerConfig,
     load_text_embeddings,
@@ -52,6 +55,14 @@ class TestLoad:
         assert len(space.vocab) == 2
         assert "1 duplicate" in caplog.text
 
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n\n", "3 2\n"])
+    def test_no_rows_raise_without_a_warning(self, tmp_path, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FormatError, match="no embedding rows found"):
+                load_text_embeddings(write(tmp_path, text))
+        assert caught == []
+
     def test_crlf_accepted(self, tmp_path):
         space = load_text_embeddings(write(tmp_path, "a 1.0 2.0\r\nb 3.0 4.0\r\n"))
         assert space.dim == 2 and len(space.vocab) == 2
@@ -96,6 +107,110 @@ class TestLoad:
         assert np.array_equal(
             lookup_sequence(fwd, tokens).matrix, lookup_sequence(shf, tokens).matrix
         )
+
+
+# file text -> whether numpy's C parser takes the whole file (None: either,
+# numpy versions differ); the float() loop decides every other file
+LOADER_CASES = {
+    "plain": ("a 1.0 2.0\nb 3.0 4.0\n", True),
+    "ragged": ("a 1.0 2.0\nb 3.0\n", False),
+    "nan": ("a 1.0 nan\n", False),
+    "nan after ragged": ("a 1.0 2.0\nb 3.0\nc nan 1.0\n", False),
+    "ragged after nan": ("a nan 2.0\nb 3.0\n", False),
+    "underscore": ("a 1_0 2.0\nb 3.0 4.0\n", False),
+    "non-ASCII digit": ("a \u0661 2.0\n", False),
+    "empty": ("", False),
+    "blank": ("\n\r\n\n", False),
+    "header only": ("2 2\n", False),
+    "duplicate": ("a 1.0\nb 2.0\na 9.0\n", True),
+    "duplicate with nan": ("a 1.0\nb 2.0\na nan\n", False),
+    "header": ("2 2\na 1.0 2.0\nb 3.0 4.0\n", True),
+    "header-like second line": ("a 1.0\n2 2\n", True),
+    "dim 1": ("a 1.0\nb -2.5\n", True),
+    "CRLF": ("a 1.0 2.0\r\nb 3.0 4.0\r\n", True),
+    "trailing space": ("a 1.0 2.0 \n", False),
+    "trailing tab": ("a 1.0 2.0\t\n", None),
+    "tab between values": ("a 1.0\t2.0\n", False),
+    "token only": ("a\nb\n", False),
+    "token only after a row": ("a 1.0 2.0\nb\n", False),
+    "token and space": ("a \nb \n", False),
+    "empty token": (" 1.0 2.0\n", False),
+    "empty token after a row": ("a 1.0\n 2.0\n", False),
+    "overflow": ("a 1e999 2.0\n", False),
+    "hash token": ("# 1.0 2.0\nb 3.0 4.0\n", True),
+    "hash value": ("a #1.0 2.0\n", False),
+    "quotes": ('"a" 1.0 2.0\nb "3.0" 4.0\n', False),
+    "underflow": ("a 1e-400 2.0\n", True),
+    "signs": ("a +1.0 -0.0\n", True),
+    "file separator": ("a 1.0 2.0\nb 1.0\x1c 2.0\n", False),  # numpy strips it, float() does not
+    "no-break space": ("a 1.0\xa0 2.0\n", None),
+    "not UTF-8 after nan": (b"a nan\n" + b"b 1.0\n" * 5000 + b"caf\xe9 1.0\n", False),
+}
+
+
+def parsed(parse, path):
+    """A parser's (vocab, matrix bytes, shape, duplicates), or its FormatError's type and text."""
+    try:
+        vocab, matrix, duplicates = parse(path)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    return vocab, matrix.tobytes(), matrix.shape, duplicates
+
+
+def loaded(path):
+    try:
+        space = load_text_embeddings(path)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    return space.vocab, space.matrix.tobytes(), space.matrix.shape
+
+
+def assert_loads_as_float_reads(path, c_path=None):
+    """The C parser, where it takes the file, and the loader agree with the float() loop."""
+    want = parsed(_parse_with_float, path)
+    assert loaded(path) == want[:3]
+    fast = _parse_with_loadtxt(path)
+    if c_path is not None:
+        assert (fast is not None) is c_path
+    if fast is not None:
+        assert parsed(lambda _: fast, path) == want
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1e300, -3.25e300, 1e-300, -7.5e-301, 0.0, -0.0]
+)
+
+
+class TestLoaderDifferential:
+    """np.loadtxt must read every file it takes exactly as the float() loop does."""
+
+    @pytest.mark.parametrize("name", LOADER_CASES)
+    def test_case_matches_float_loop(self, tmp_path, name):
+        text, c_path = LOADER_CASES[name]
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        assert_loads_as_float_reads(path, c_path)
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(finite_doubles, min_size=d, max_size=d), min_size=1, max_size=5)))
+    @settings(max_examples=150, deadline=None)
+    def test_repr_doubles_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("doubles") / "emb.txt"
+        lines = [f"w{i} " + " ".join(repr(v) for v in row) for i, row in enumerate(rows)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_loads_as_float_reads(path, c_path=True)
+        assert load_text_embeddings(path).matrix.tobytes() == np.array(rows).tobytes()
+
+    @given(st.lists(st.lists(
+        st.text("0123456789.e+-_ \t\x0b\x1c\x1f\x85\xa0\u0661\u2028nafi#\"", max_size=5),
+        min_size=1, max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_text_matches_float_loop(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("texts") / "emb.txt"
+        lines = [f"w{i} " + " ".join(fields) for i, fields in enumerate(rows)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_loads_as_float_reads(path)
 
 
 class TestTokenize:

@@ -40,16 +40,20 @@ def naive_power_mean(values, p):
     return math.copysign(abs(mean) ** (1.0 / p), mean) if mean != 0 else 0.0
 
 
-def positive_matrices(max_n=8, max_d=8):
+def matrices(elements, max_n=8, max_d=8):
     return st.integers(1, max_n).flatmap(
         lambda n: st.integers(1, max_d).flatmap(
             lambda d: st.lists(
-                st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d),
+                st.lists(elements, min_size=d, max_size=d),
                 min_size=n,
                 max_size=n,
             ).map(np.array)
         )
     )
+
+
+def positive_matrices(max_n=8, max_d=8):
+    return matrices(st.floats(0.1, 10.0), max_n, max_d)
 
 
 class TestPowerMeanCases:
@@ -163,14 +167,16 @@ class TestPowerMeanProperties:
         near = power_mean(W, 50.0)
         assert (np.abs(near - top) <= 0.15 * top).all()
 
-    @given(positive_matrices(), st.randoms(use_true_random=False))
+    # signed zeros and -1 make 0.0 / -0.0 ties at a column's max and min
+    @given(matrices(st.floats(0.1, 10.0) | st.sampled_from([0.0, -0.0, -1.0])),
+           st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_permutation_invariance_bit_exact(self, W, rnd):
         perm = list(range(W.shape[0]))
         rnd.shuffle(perm)
         Wp = W[perm]
         for p in (1.0, INF, -INF, 0.0, 2.5, -1.0, 3.0):
-            assert np.array_equal(power_mean(W, p), power_mean(Wp, p))
+            assert power_mean(W, p).tobytes() == power_mean(Wp, p).tobytes()
 
     @given(positive_matrices(), st.sampled_from([1.0, 3.0, 5.0, -1.0, -3.0]))
     @settings(max_examples=100, deadline=None)
@@ -370,7 +376,7 @@ class TestCorpusKernel:
 
     @given(
         st.integers(1, 5).flatmap(lambda d: st.lists(
-            st.lists(st.floats(-1e3, 1e3).filter(lambda v: v != 0), min_size=d, max_size=d),
+            st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=d, max_size=d),
             min_size=1, max_size=6)),
         st.lists(st.integers(0, 7), max_size=12),
         st.randoms(use_true_random=False),
@@ -378,8 +384,6 @@ class TestCorpusKernel:
     )
     @settings(max_examples=100, deadline=None)
     def test_token_order_does_not_change_a_row(self, rows, token_ids, rnd, oov_mode):
-        # signed zeros are left out: np.sort may put either one of a 0.0 / -0.0
-        # tie last, so an extreme's sign depends on token order, in power_mean too
         space = EmbeddingSpace("h", len(rows[0]), {f"w{i}": i for i in range(len(rows))},
                                np.array(rows))
         cfg = PooledConfig([PooledPart(space, KERNEL_PS)])
