@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .optim import AdamState, Layout, adam_step
+from .optim import AdamState, adam_step
 from .pooling import znorm_apply, znorm_fit
 
 ACCURACY = "accuracy"
@@ -127,24 +127,48 @@ def _first_appearance_labels(y) -> list:
     return list(seen)
 
 
-def _train_softmax(X, y_idx, n_classes, lr, protocol, rng):
-    """Minibatched Adam on softmax cross-entropy; returns the params."""
+def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
+    """Minibatched Adam on softmax cross-entropy, one cell per learning rate.
+
+    The K cells step together as one ``(K, C*D + C)`` parameter array: row k
+    is cell k's ``W.ravel()`` followed by its ``b``. Cell k draws its init and
+    then one permutation per epoch from ``rngs[k]``, and its arithmetic is
+    ``_xent``'s, so each row equals that cell trained on its own bit for bit.
+    Returns the cells' ``(K, C, D)`` weights and ``(K, C)`` biases.
+    """
     n, d = X.shape
-    init = {"W": rng.normal(0.0, 0.01, size=(n_classes, d)), "b": np.zeros(n_classes)}
-    layout = Layout(init)
-    flat = layout.pack(init)
-    params = layout.views(flat)
-    state = AdamState.zeros_like(flat)
+    k, cd = len(lrs), n_classes * d
+
+    def split(a):  # (K, C*D + C) -> the (K, C, D) weights and (K, C) biases, as views
+        return a[:, :cd].reshape(k, n_classes, d), a[:, cd:]
+
+    params = np.zeros((k, cd + n_classes))
+    for row, rng in zip(params, rngs):
+        row[:cd] = rng.normal(0.0, 0.01, size=cd)
+    step_size = np.asarray(lrs, dtype=np.float64)[:, None]
+    state = AdamState.zeros_like(params)
+    grads = np.empty_like(params)
+    grad_w, grad_b = split(grads)
+    cells = np.arange(k)[:, None]
     t = 0
     for _ in range(protocol.max_epochs):
-        order = rng.permutation(n)
+        orders = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, protocol.batch_size):
-            idx = order[start : start + protocol.batch_size]
-            _, grads = _xent(params, X[idx], y_idx[idx])
+            idx = orders[:, start : start + protocol.batch_size]
+            Xb, m = X[idx], idx.shape[1]
+            # _xent's operations in its order, batched over the cells, without the loss
+            W, b = split(params)
+            logits = Xb @ W.transpose(0, 2, 1) + b[:, None, :]
+            logits -= logits.max(axis=2, keepdims=True)
+            log_z = np.log(np.exp(logits).sum(axis=2))
+            probs = np.exp(logits - log_z[:, :, None])
+            probs[cells, np.arange(m), y_idx[idx]] -= 1.0
+            probs /= m
+            np.matmul(probs.transpose(0, 2, 1), Xb, out=grad_w)
+            probs.sum(axis=1, out=grad_b)
             t += 1
-            flat, state = adam_step(flat, layout.pack(grads), state, t, step_size=lr)
-            params = layout.views(flat)
-    return params
+            params, state = adam_step(params, grads, state, t, step_size=step_size)
+    return split(params)
 
 
 def _stratified_split(y_idx, fraction, rng, min_second=True, labels=None):
@@ -186,13 +210,12 @@ def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator, metric_kind: st
     if val_idx.size == 0:
         val_idx = train_idx  # dataset too small to hold anything out
     cell_rngs = rng.spawn(len(protocol.lr_grid))
+    weights, biases = _train_softmax(X[train_idx], y_idx[train_idx], len(labels),
+                                     protocol.lr_grid, protocol, cell_rngs)
 
     candidates = []
-    for lr, cell_rng in zip(protocol.lr_grid, cell_rngs):
-        params = _train_softmax(
-            X[train_idx], y_idx[train_idx], len(labels), lr, protocol, cell_rng
-        )
-        model = SoftmaxModel(weights=params["W"], bias=params["b"], class_labels=labels)
+    for lr, W, b in zip(protocol.lr_grid, weights, biases):
+        model = SoftmaxModel(weights=W, bias=b, class_labels=labels)
         score = metrics([labels[i] for i in y_idx[val_idx]], model.predict(X[val_idx]),
                         metric_kind, labels=labels)
         candidates.append((-score, lr, model))

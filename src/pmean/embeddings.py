@@ -149,8 +149,9 @@ def load_text_embeddings(
     )
 
 
-# separators that numpy strips around a number and float() rejects
-_C_ONLY_BLANKS = ("\x1c", "\x1d", "\x1e", "\x1f")
+# left to the float() loop: numpy ends a line at "\r", and strips the
+# separators "\x1c"-"\x1f" around a number, which float() rejects
+_FLOAT_LOOP_CHARS = ("\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _parse_with_loadtxt(path: Path):
@@ -173,7 +174,7 @@ def _parse_with_loadtxt(path: Path):
             if lineno == 1 and " " not in values and _is_int(token) and _is_int(values):
                 continue  # word2vec-style count/dim header
             # an empty value text would be skipped by numpy as a blank line
-            if not token or not values or any(c in values for c in _C_ONLY_BLANKS):
+            if not token or not values or any(c in values for c in _FLOAT_LOOP_CHARS):
                 rejected = True
                 return
             if token in vocab:

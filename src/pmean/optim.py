@@ -54,7 +54,12 @@ def adam_step(
     t: int,
     step_size: float = 1e-3,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; pure, t counts steps from 1."""
+    """One bias-corrected Adam update; pure, t counts steps from 1.
+
+    Every operation is elementwise, so ``params`` may stack several
+    independent problems as rows, and ``step_size`` may be a per-row column
+    (shape ``(K, 1)`` for ``(K, n)`` params) that broadcasts against them.
+    """
     if t < 1:
         raise ValueError(f"step index t must be >= 1, got {t}")
     # m = BETA1 m + (1 - BETA1) g

@@ -348,7 +348,8 @@ def parse_p(token: str) -> float:
 
 def parse_config_text(text: str, source: str = "<config>") -> list[ConfigEntry]:
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # one entry per "\n"; str.splitlines would also break at "\r", "\x0c", "\x85", ...
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

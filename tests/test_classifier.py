@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pmean.classifier import (
     SoftmaxModel,
     TrainProtocol,
+    _stratified_split,
     _train_softmax,
     _xent,
     fit,
@@ -198,11 +199,78 @@ class TestFit:
         # longer run, so retraining for 1..30 epochs gives the per-epoch losses
         losses = []
         for k in range(1, 31):
-            params = _train_softmax(X, y_idx, 2, 0.01, TrainProtocol(max_epochs=k, seed=0),
-                                    np.random.default_rng(2))
-            losses.append(_xent(params, X, y_idx)[0])
+            W, b = _train_softmax(X, y_idx, 2, [0.01], TrainProtocol(max_epochs=k, seed=0),
+                                  [np.random.default_rng(2)])
+            losses.append(_xent({"W": W[0], "b": b[0]}, X, y_idx)[0])
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
         assert drops / (len(losses) - 1) >= 0.95
+
+
+def train_cell_reference(X, y_idx, labels, lr, protocol, rng):
+    """One learning-rate cell trained on its own: softmax_xent and adam_step per minibatch."""
+    n, d = X.shape
+    C = len(labels)
+    flat = np.concatenate([rng.normal(0.0, 0.01, size=(C, d)).ravel(), np.zeros(C)])
+    state = AdamState.zeros_like(flat)
+    t = 0
+    for _ in range(protocol.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, protocol.batch_size):
+            idx = order[start : start + protocol.batch_size]
+            model = SoftmaxModel(flat[: C * d].reshape(C, d), flat[C * d :], labels)
+            _, grads = softmax_xent(model, X[idx], [labels[i] for i in y_idx[idx]])
+            t += 1
+            flat, state = adam_step(flat, np.concatenate([grads["W"].ravel(), grads["b"]]),
+                                    state, t, step_size=lr)
+    return flat[: C * d].reshape(C, d), flat[C * d :]
+
+
+class TestBatchedCells:
+    """Every cell of the stacked trainer equals that cell trained alone, bit for bit."""
+
+    @pytest.mark.parametrize("n, d, C, batch_size, epochs, lrs", [
+        (12, 3, 2, 1, 2, (1e-1, 1e-2, 1e-3, 1e-4)),  # batch size 1
+        (37, 4, 5, 8, 3, (1e-1, 1e-2, 1e-3, 1e-4)),  # ragged last batch, 5 classes
+        (20, 1, 2, 6, 4, (1e-1, 1e-3)),  # d = 1
+        (15, 3, 5, 4, 0, (1e-1, 1e-2)),  # no epochs: the init is returned
+        (30, 6, 2, 32, 5, (1e-2,)),  # one rate; batch larger than n
+        (25, 5, 3, 7, 3, (1e-2, 1e-2, 1e-3)),  # a repeated rate
+        (64, 300, 5, 32, 2, (1e-1, 1e-2, 1e-3, 1e-4)),  # wide
+    ])
+    def test_cells_match_per_cell_reference(self, n, d, C, batch_size, epochs, lrs):
+        rng = np.random.default_rng(n * 1000 + d)
+        X = rng.normal(size=(n, d)) * 3.0
+        y_idx = rng.integers(0, C, size=n)
+        labels = [f"k{i}" for i in range(C)]
+        protocol = TrainProtocol(lr_grid=lrs, batch_size=batch_size, max_epochs=epochs)
+        weights, biases = _train_softmax(X, y_idx, C, lrs, protocol,
+                                         np.random.default_rng(5).spawn(len(lrs)))
+        assert weights.shape == (len(lrs), C, d) and biases.shape == (len(lrs), C)
+        for k, (lr, cell_rng) in enumerate(zip(lrs, np.random.default_rng(5).spawn(len(lrs)))):
+            W, b = train_cell_reference(X, y_idx, labels, lr, protocol, cell_rng)
+            assert np.array_equal(weights[k], W)
+            assert np.array_equal(biases[k], b)
+
+    def test_fit_returns_the_cell_that_wins_validation(self):
+        X, y = make_blobs(n_per_class=30, d=4, seed=12)
+        protocol = TrainProtocol(max_epochs=4)
+        model = fit(X, y, protocol, np.random.default_rng(3))
+        # the same split and cell streams as fit draws them
+        rng = np.random.default_rng(3)
+        labels = ["k0", "k1"]
+        y_idx = np.array([labels.index(v) for v in y])
+        train_idx, val_idx = _stratified_split(y_idx, protocol.val_fraction, rng,
+                                               min_second=False)
+        scored = []
+        for lr, cell_rng in zip(protocol.lr_grid, rng.spawn(len(protocol.lr_grid))):
+            W, b = train_cell_reference(X[train_idx], y_idx[train_idx], labels, lr,
+                                        protocol, cell_rng)
+            cell = SoftmaxModel(W, b, labels)
+            score = metrics([y[i] for i in val_idx], cell.predict(X[val_idx]), "accuracy")
+            scored.append((-score, lr, cell))
+        best = min(scored, key=lambda c: (c[0], c[1]))[2]
+        assert np.array_equal(model.weights, best.weights)
+        assert np.array_equal(model.bias, best.bias)
 
 
 class TestMetrics:

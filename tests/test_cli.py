@@ -60,6 +60,18 @@ class TestEmbed:
         assert rc == 0
         assert out.read_text().count("\n") == 4
 
+    def test_lone_cr_stays_in_its_sentence_and_crlf_reads_as_lf(self, workdir):
+        def embed(name, data):
+            (workdir / name).write_bytes(data)
+            assert main(["embed", "--config", str(workdir / "cfg.txt"), "--input",
+                         str(workdir / name), "--output", str(workdir / "o.tsv")]) == 0
+            return (workdir / "o.tsv").read_bytes()
+
+        lf = embed("lf.txt", b"alpha\rbeta\ngamma\n")
+        assert lf.count(b"\n") == 2
+        assert lf == embed("cr.txt", b"alpha beta\ngamma\n")  # CR is whitespace to the tokenizer
+        assert lf == embed("crlf.txt", b"alpha\rbeta\r\ngamma\r\n")
+
     def test_strict_pole_exits_3(self, workdir):
         # zero entry meets p=-1 under --strict
         write(workdir / "zero.txt", "alpha 0.0 1.0 1.0 1.0\n")
@@ -249,6 +261,14 @@ class TestTrainProjection:
         assert "Traceback" not in err
         assert not (workdir / "model.json").exists()
         assert not (workdir / "hist.csv").exists()
+
+    def test_lone_cr_does_not_end_a_pair_and_crlf_reads_as_lf(self, workdir):
+        (workdir / "pairs.tsv").write_bytes(b"alpha\rbeta\tgamma delta\n" * 8)
+        assert self.run(workdir) == 0
+        lf = (workdir / "model.json").read_bytes()
+        (workdir / "pairs.tsv").write_bytes(b"alpha\rbeta\tgamma delta\r\n" * 8)
+        assert self.run(workdir) == 0
+        assert (workdir / "model.json").read_bytes() == lf
 
     def test_non_utf8_pairs_exit_2(self, workdir, capsys):
         (workdir / "pairs.tsv").write_bytes(b"alpha\tbeta\ngamma\t\xff\n")
@@ -453,6 +473,20 @@ class TestConfig:
             {"space": "one", "p": ["1"]}, {"space": "one", "p": ["inf"]},
             {"space": "one", "p": ["-inf"]}]
         assert sorted(manifest["inputs"]) == ["cfg.txt", "one.txt", "sentences.txt"]
+
+
+    def test_lone_cr_does_not_end_a_config_line(self, workdir, capsys):
+        (workdir / "cfg.txt").write_bytes(b"space=one p=1 path=one.txt\rspace=two p=1\n")
+        assert main(command_argv(workdir, "embed")) == 2
+        assert capsys.readouterr().err == f"pmean: {workdir / 'cfg.txt'}:1: duplicate key 'space'\n"
+
+    def test_crlf_config_reads_as_lf(self, workdir):
+        lf = (workdir / "cfg.txt").read_bytes()
+        assert main(command_argv(workdir, "embed")) == 0
+        want = (workdir / "never.tsv").read_bytes()
+        (workdir / "cfg.txt").write_bytes(lf.replace(b"\n", b"\r\n"))
+        assert main(command_argv(workdir, "embed")) == 0
+        assert (workdir / "never.tsv").read_bytes() == want
 
 
 class TestManifest:

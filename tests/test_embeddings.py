@@ -67,6 +67,12 @@ class TestLoad:
         space = load_text_embeddings(write(tmp_path, "a 1.0 2.0\r\nb 3.0 4.0\r\n"))
         assert space.dim == 2 and len(space.vocab) == 2
 
+    def test_lone_cr_does_not_end_a_row(self, tmp_path):
+        path = write(tmp_path, "a 1.0 2.0\rb 3.0 4.0\n")
+        assert _parse_with_loadtxt(path) is None  # the float() loop names the line
+        with pytest.raises(FormatError, match=r":1: could not convert string to float: '2\.0\\rb'"):
+            load_text_embeddings(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         space = EmbeddingSpace(
@@ -128,6 +134,9 @@ LOADER_CASES = {
     "header-like second line": ("a 1.0\n2 2\n", True),
     "dim 1": ("a 1.0\nb -2.5\n", True),
     "CRLF": ("a 1.0 2.0\r\nb 3.0 4.0\r\n", True),
+    "CR inside a value": ("a 1.0\r2.0\nb 3.0\n", False),  # not a line end
+    "CR between rows": ("a 1.0 2.0\rb 3.0 4.0\n", False),
+    "CR before CRLF": ("a 1.0 2.0\r\r\nb 3.0 4.0\r\n", False),  # float() strips it
     "trailing space": ("a 1.0 2.0 \n", False),
     "trailing tab": ("a 1.0 2.0\t\n", None),
     "tab between values": ("a 1.0\t2.0\n", False),
@@ -203,7 +212,7 @@ class TestLoaderDifferential:
         assert load_text_embeddings(path).matrix.tobytes() == np.array(rows).tobytes()
 
     @given(st.lists(st.lists(
-        st.text("0123456789.e+-_ \t\x0b\x1c\x1f\x85\xa0\u0661\u2028nafi#\"", max_size=5),
+        st.text("0123456789.e+-_ \t\r\x0b\x1c\x1f\x85\xa0\u0661\u2028nafi#\"", max_size=5),
         min_size=1, max_size=3), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_any_value_text_matches_float_loop(self, tmp_path_factory, rows):

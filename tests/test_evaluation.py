@@ -74,6 +74,16 @@ class TestLoadTask:
         with pytest.raises(FormatError):
             load_task(path)
 
+    def test_only_lf_ends_a_line(self, tmp_path):
+        lf = tmp_path / "lf.tsv"
+        lf.write_bytes(b"#name=x\n#metric=accuracy\npos\tgood\rneg\tbad\nneg\tawful\n")
+        ds = load_task(lf)
+        # the lone CR stays inside the first sentence
+        assert ds.items == [("pos", "good\rneg\tbad"), ("neg", "awful")]
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_task(crlf) == ds
+
     def test_save_load_round_trip(self, tmp_path):
         _, ds = make_blobs_task(seed=1, n_sentences=20)
         path = tmp_path / "rt.tsv"
