@@ -215,7 +215,8 @@ def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator, metric_kind: st
 
     candidates = []
     for lr, W, b in zip(protocol.lr_grid, weights, biases):
-        model = SoftmaxModel(weights=W, bias=b, class_labels=labels)
+        # copies, so the returned model does not keep every cell's parameters alive
+        model = SoftmaxModel(weights=W.copy(), bias=b.copy(), class_labels=labels)
         score = metrics([labels[i] for i in y_idx[val_idx]], model.predict(X[val_idx]),
                         metric_kind, labels=labels)
         candidates.append((-score, lr, model))
