@@ -148,6 +148,7 @@ def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
     step_size = np.asarray(lrs, dtype=np.float64)[:, None]
     state = AdamState.zeros_like(params)
     grads = np.empty_like(params)
+    W, b = split(params)
     grad_w, grad_b = split(grads)
     cells = np.arange(k)[:, None]
     t = 0
@@ -157,7 +158,6 @@ def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
             idx = orders[:, start : start + protocol.batch_size]
             Xb, m = X[idx], idx.shape[1]
             # _xent's operations in its order, batched over the cells, without the loss
-            W, b = split(params)
             logits = Xb @ W.transpose(0, 2, 1) + b[:, None, :]
             logits -= logits.max(axis=2, keepdims=True)
             log_z = np.log(np.exp(logits).sum(axis=2))
@@ -167,8 +167,8 @@ def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
             np.matmul(probs.transpose(0, 2, 1), Xb, out=grad_w)
             probs.sum(axis=1, out=grad_b)
             t += 1
-            params, state = adam_step(params, grads, state, t, step_size=step_size)
-    return split(params)
+            adam_step(params, grads, state, t, step_size=step_size)
+    return W, b
 
 
 def _stratified_split(y_idx, fraction, rng, min_second=True, labels=None):

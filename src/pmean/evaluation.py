@@ -122,11 +122,41 @@ def load_task(path) -> TaskDataset:
 
 
 def save_task(ds: TaskDataset, path) -> None:
-    lines = [f"#name={ds.name}", f"#metric={ds.metric_kind}"]
-    if ds.language_tag:
-        lines.append(f"#lang={ds.language_tag}")
-    lines.extend(f"{label}\t{text}" for label, text in ds.items)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a task file that ``load_task`` reads back as ``ds``.
+
+    Name, metric, language tag and items come back equal; the classes come
+    back in first-appearance order, which the format does not record
+    otherwise (scoring sorts them). A line that ends in ``\r`` gets one more,
+    because the reader drops one before ``\n``. Raises InputError for what
+    the format cannot hold: a field that is not a string or holds ``\n``, a
+    label that is empty, holds a TAB or starts with ``#``, a class without
+    items, or text that is not encodable as UTF-8.
+    """
+    def field(what, value):
+        if not isinstance(value, str) or "\n" in value:
+            raise InputError(f"task {ds.name!r}: {what} {value!r} cannot be written to a "
+                             "task file: not a string or holds a newline")
+        return value
+
+    used = {label for label, _ in ds.items}
+    for cls in ds.classes:
+        if cls not in used:
+            raise InputError(f"task {ds.name!r}: class {cls!r} has no items, so a task file "
+                             "cannot hold it")
+    lines = [f"#name={field('name', ds.name)}", f"#metric={ds.metric_kind}"]
+    if ds.language_tag is not None:
+        lines.append(f"#lang={field('language tag', ds.language_tag)}")
+    for label, text in ds.items:
+        if not field("label", label) or "\t" in label or label.startswith("#"):
+            raise InputError(f"task {ds.name!r}: label {label!r} cannot be written to a task "
+                             "file: empty, holds a TAB or starts with '#'")
+        lines.append(f"{label}\t{field('text', text)}")
+    data = "".join(line + ("\r\n" if line.endswith("\r") else "\n") for line in lines)
+    try:
+        encoded = data.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"task {ds.name!r}: not encodable as UTF-8: {exc.reason}") from None
+    Path(path).write_bytes(encoded)
 
 
 def _canonical(ds: TaskDataset) -> tuple[list, list[str], list]:

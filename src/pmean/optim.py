@@ -1,8 +1,10 @@
 """Minimal Adam optimizer over one flat float64 parameter vector.
 
 A trainer packs its named parameter arrays into one contiguous vector with a
-``Layout``, steps that vector with ``adam_step``, and reads the arrays back
-as named views of it.
+``Layout``, writes its gradients into a second vector of the same layout, and
+steps the first with ``adam_step``, which updates the parameters and the
+moment estimates in place. The named arrays are views of the vectors, so
+they follow every step without being rebuilt.
 """
 from __future__ import annotations
 
@@ -53,27 +55,30 @@ def adam_step(
     state: AdamState,
     t: int,
     step_size: float = 1e-3,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; pure, t counts steps from 1.
+) -> None:
+    """One bias-corrected Adam update in place; t counts steps from 1.
 
-    Every operation is elementwise, so ``params`` may stack several
-    independent problems as rows, and ``step_size`` may be a per-row column
-    (shape ``(K, 1)`` for ``(K, n)`` params) that broadcasts against them.
+    ``params``, ``state.m`` and ``state.v`` are overwritten with their
+    updated values and ``grads`` is left as it is. Every operation is
+    elementwise, so ``params`` may stack several independent problems as
+    rows, and ``step_size`` may be a per-row column (shape ``(K, 1)`` for
+    ``(K, n)`` params) that broadcasts against them.
     """
     if t < 1:
         raise ValueError(f"step index t must be >= 1, got {t}")
     # m = BETA1 m + (1 - BETA1) g
     # v = BETA2 v + (1 - BETA2) g g
     # params - step_size (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPS)
-    # in that operation order. Only m, v, the result and one scratch vector
-    # are allocated: a temporary per operation page-faults on every step at
-    # the projection's vector size (160 KB).
+    # in that operation order. Only one scratch vector and the update are
+    # allocated: a temporary per operation page-faults on every step at the
+    # projection's vector size (160 KB).
+    m, v = state.m, state.v
     scratch = (1 - BETA1) * grads
-    m = BETA1 * state.m
+    m *= BETA1
     m += scratch
-    v = (1 - BETA2) * grads
+    np.multiply(BETA2, v, out=scratch)
+    np.multiply(1 - BETA2, grads, out=v)
     v *= grads
-    np.multiply(BETA2, state.v, out=scratch)
     v += scratch
     np.divide(v, 1 - BETA2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
@@ -81,5 +86,4 @@ def adam_step(
     out = m / (1 - BETA1**t)
     out *= step_size
     out /= scratch
-    np.subtract(params, out, out=out)
-    return out, AdamState(m=m, v=v)
+    params -= out

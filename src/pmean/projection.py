@@ -147,13 +147,15 @@ def hinge_loss(model: ProjectionModel, x_s, x_t, x_u) -> float:
     return max(0.0, model.margin - cosine(r_s, r_t) + cosine(r_s, r_u))
 
 
-def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float):
+def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params | None = None):
     """Mean hinge loss over a batch of triples plus analytic parameter gradients.
 
     ``params`` holds W_l, b_l, W_k and b_k as in ProjectionModel.params().
     Accepts single vectors or B x dim stacks. Gradients are exact except at
     the hinge kink and at guarded zero-norm projections, where the
-    subgradient 0 is used.
+    subgradient 0 is used. They are written into ``out``, arrays shaped like
+    ``params`` (a trainer passes views of one flat gradient vector), or into
+    new arrays when ``out`` is None; the filled dict is returned either way.
     """
     losses, cache = _hinge_forward(params, Xs, Xt, Xu, margin)
     Xs, Xt, Xu, Rs, Rt, Ru, ns, nt, nu, n_st, n_su, cos_st, cos_su, guard = cache
@@ -182,13 +184,15 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float):
     dZt = dRt * (1.0 - Rt**2)
     dZu = dRu * (1.0 - Ru**2)
 
-    grads = {
-        "W_l": dZs.T @ Xs,
-        "b_l": dZs.sum(axis=0),
-        "W_k": dZt.T @ Xt + dZu.T @ Xu,
-        "b_k": dZt.sum(axis=0) + dZu.sum(axis=0),
-    }
-    return _clipped_mean(losses), grads
+    if out is None:
+        out = {name: np.empty(np.shape(p)) for name, p in params.items()}
+    np.matmul(dZs.T, Xs, out=out["W_l"])
+    np.add.reduce(dZs, axis=0, out=out["b_l"])
+    np.matmul(dZt.T, Xt, out=out["W_k"])
+    out["W_k"] += dZu.T @ Xu
+    np.add.reduce(dZt, axis=0, out=out["b_k"])
+    out["b_k"] += np.add.reduce(dZu, axis=0)
+    return _clipped_mean(losses), out
 
 
 def mean_hinge_loss(params: Params, Xs, Xt, Xu, margin: float) -> float:
@@ -219,7 +223,8 @@ def _hinge_forward(params: Params, Xs, Xt, Xu, margin: float):
     Rt = np.tanh(Xt @ params["W_k"].T + params["b_k"])
     Ru = np.tanh(Xu @ params["W_k"].T + params["b_k"])
 
-    ns, nt, nu = (np.linalg.norm(R, axis=1, keepdims=True) for R in (Rs, Rt, Ru))
+    # np.linalg.norm's own arithmetic for real rows, without its per-call overhead
+    ns, nt, nu = (np.sqrt(np.add.reduce(R * R, axis=1, keepdims=True)) for R in (Rs, Rt, Ru))
     small_s, small_t, small_u = ns < _NORM_GUARD, nt < _NORM_GUARD, nu < _NORM_GUARD
     guard = None
     if small_s.any() or small_t.any() or small_u.any():
@@ -262,6 +267,8 @@ def train_projection(
     layout = Layout(init)
     flat = layout.pack(init)
     params = layout.views(flat)
+    gflat = np.empty_like(flat)
+    grads = layout.views(gflat)
     state = AdamState.zeros_like(flat)
     rng = np.random.default_rng(cfg.seed)
     keep = 1.0 - cfg.dropout_rate
@@ -280,10 +287,9 @@ def train_projection(
                 xs = xs * (rng.random(xs.shape) < keep) / keep
                 xt = xt * (rng.random(xt.shape) < keep) / keep
                 xu = xu * (rng.random(xu.shape) < keep) / keep
-            _, grads = hinge_loss_grads(params, xs, xt, xu, cfg.margin)
+            hinge_loss_grads(params, xs, xt, xu, cfg.margin, out=grads)
             t += 1
-            flat, state = adam_step(flat, layout.pack(grads), state, t, step_size=cfg.step_size)
-            params = layout.views(flat)
+            adam_step(flat, gflat, state, t, step_size=cfg.step_size)
         history.append(mean_hinge_loss(
             params, corpus.source, corpus.target, corpus.target[negatives], cfg.margin
         ))

@@ -41,31 +41,44 @@ class TestAdam:
         params = np.array([1.0, -2.0])
         grads = np.zeros(2)
         state = AdamState.zeros_like(params)
-        out, state = adam_step(params, grads, state, t=1)
-        assert np.array_equal(out, params)
+        adam_step(params, grads, state, t=1)
+        assert np.array_equal(params, [1.0, -2.0])
 
     def test_first_step_magnitude_is_step_size(self):
         # bias correction makes m_hat / sqrt(v_hat) = sign(g) at t=1
         params = np.array([0.0])
         grads = np.array([7.3])
         state = AdamState.zeros_like(params)
-        out, _ = adam_step(params, grads, state, t=1, step_size=0.05)
-        assert out[0] == pytest.approx(-0.05, rel=1e-6)
+        adam_step(params, grads, state, t=1, step_size=0.05)
+        assert params[0] == pytest.approx(-0.05, rel=1e-6)
 
-    def test_pure_function(self):
-        params = np.array([1.0])
-        grads = np.array([0.5])
-        state = AdamState.zeros_like(params)
-        a1, s1 = adam_step(params, grads, state, t=1)
-        a2, s2 = adam_step(params, grads, state, t=1)
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(s1.m, s2.m)
-        assert params[0] == 1.0  # inputs untouched
+    def test_updates_in_place(self):
+        def start():
+            return (np.array([1.0, -3.0, 0.25]),
+                    AdamState(m=np.array([0.1, 0.2, -0.3]), v=np.array([0.4, 0.0, 0.5])))
+
+        grads = np.array([0.5, -2.0, 0.0])
+        params, state = start()
+        m, v = state.m, state.v
+        before = (params.copy(), m.copy(), v.copy())
+        assert adam_step(params, grads, state, t=3) is None
+        # the caller's arrays hold the stepped values; the gradient is left as it was
+        assert state.m is m and state.v is v
+        for stepped, old in zip((params, m, v), before):
+            assert not np.array_equal(stepped, old)
+        assert np.array_equal(grads, [0.5, -2.0, 0.0])
+        # two steps from equal copies give equal bytes
+        other_params, other_state = start()
+        for t in (3, 4):
+            adam_step(other_params, grads, other_state, t)
+        adam_step(params, grads, state, t=4)
+        for a, b in zip((params, m, v), (other_params, other_state.m, other_state.v)):
+            assert a.tobytes() == b.tobytes()
 
     def test_moments_decay_toward_zero_on_zero_grads(self):
         params = np.array([1.0])
         state = AdamState(m=np.array([1.0]), v=np.array([1.0]))
-        _, state = adam_step(params, np.zeros(1), state, t=5)
+        adam_step(params, np.zeros(1), state, t=5)
         assert abs(state.m[0]) < 1.0 and state.v[0] < 1.0
 
     def test_rejects_bad_t(self):
@@ -84,7 +97,7 @@ class TestAdam:
         for t in range(1, 6):
             g_t = grads * t  # a different gradient each step
             with np.errstate(over="ignore"):  # g * g overflows to inf, as in Python
-                params, state = adam_step(params, g_t, state, t, step_size=0.01)
+                adam_step(params, g_t, state, t, step_size=0.01)
             for i, g in enumerate(float(x) for x in g_t):
                 m_ref[i] = BETA1 * m_ref[i] + (1 - BETA1) * g
                 v_ref[i] = BETA2 * v_ref[i] + (1 - BETA2) * g * g
@@ -220,8 +233,8 @@ def train_cell_reference(X, y_idx, labels, lr, protocol, rng):
             model = SoftmaxModel(flat[: C * d].reshape(C, d), flat[C * d :], labels)
             _, grads = softmax_xent(model, X[idx], [labels[i] for i in y_idx[idx]])
             t += 1
-            flat, state = adam_step(flat, np.concatenate([grads["W"].ravel(), grads["b"]]),
-                                    state, t, step_size=lr)
+            adam_step(flat, np.concatenate([grads["W"].ravel(), grads["b"]]), state, t,
+                      step_size=lr)
     return flat[: C * d].reshape(C, d), flat[C * d :]
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmean.cli
 from pmean.cli import main
@@ -275,6 +279,57 @@ class TestTrainProjection:
         assert self.run(workdir) == 2
         assert_names_bad_file(capsys.readouterr().err, workdir / "pairs.tsv")
         assert not (workdir / "model.json").exists()
+
+
+EDGE_NUMBERS = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-0.0",
+                "0.9999999999999999", "1.5", "x", ""]
+# typical values, so that most draws train; --shared-dim <= 64 and --epochs <= 3
+# keep every draw small and quick
+TYPICAL_TRAINING = {
+    "--margin": st.floats(-2.0, 2.0), "--step-size": st.floats(1e-6, 1.0),
+    "--dropout": st.floats(0.0, 0.99), "--batch-size": st.integers(1, 20),
+    "--epochs": st.integers(0, 3), "--seed": st.integers(0, 2**64),
+    "--shared-dim": st.integers(1, 64),
+}
+INT_CAPS = {"--epochs": 3, "--shared-dim": 64}
+
+
+@st.composite
+def training_settings(draw):
+    """Typical values for every flag, with up to three of them replaced by anything."""
+    values = {flag: repr(draw(typical)) for flag, typical in TYPICAL_TRAINING.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True)):
+        values[flag] = draw(st.sampled_from(EDGE_NUMBERS) | st.floats().map(repr)
+                            | st.integers(-2**80, INT_CAPS.get(flag, 2**80)).map(str))
+    return values
+
+
+@pytest.fixture(scope="module")
+def tiny_workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("train-projection")
+    build_cli_fixture(root)
+    return root
+
+
+class TestTrainProjectionExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(values=training_settings())
+    def test_any_setting_exits_cleanly(self, tiny_workdir, values):
+        argv = ["train-projection",
+                f"--source-embeddings={tiny_workdir / 'one.txt'}",
+                f"--target-embeddings={tiny_workdir / 'two.txt'}",
+                f"--pairs={tiny_workdir / 'pairs.tsv'}",
+                f"--model-out={tiny_workdir / 'model.json'}",
+                f"--history-out={tiny_workdir / 'hist.csv'}",
+                *(f"{flag}={value}" for flag, value in values.items())]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 64), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 PROTOCOL_ARGS = ["--runs", "3", "--epochs", "8", "--seed", "11"]

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pmean.classifier
 from pmean.classifier import TrainProtocol, fit_runs, score_runs
@@ -92,6 +95,106 @@ class TestLoadTask:
         assert back.name == ds.name
         assert back.items == ds.items
         assert back.metric_kind == ds.metric_kind
+
+
+# characters the task format gives a meaning to, and any other that UTF-8 can encode
+TASK_CHAR = st.sampled_from(["a", "b", "#", "=", " ", "\t", "\r", "\x85", "\u2028"]) | (
+    st.characters(exclude_categories=("Cs",), exclude_characters="\n"))
+TASK_TEXT = st.text(TASK_CHAR, max_size=5)
+TASK_LABEL = st.text(TASK_CHAR.filter(lambda c: c != "\t"), min_size=1, max_size=4).filter(
+    lambda label: not label.startswith("#"))
+# one way for a dataset to be beyond the format, or None for a writable one
+DEFECTS = [None] * 6 + ["empty label", "label TAB", "label #", "label newline",
+                        "text newline", "name newline", "lang newline", "surrogate",
+                        "class without items"]
+
+
+@st.composite
+def task_datasets(draw):
+    """A writable TaskDataset, or one with a single drawn defect; returns (ds, defect)."""
+    items = draw(st.lists(st.tuples(TASK_LABEL, TASK_TEXT), min_size=2, max_size=6))
+    assume(len({label for label, _ in items}) >= 2)
+    name, lang = draw(TASK_TEXT), draw(st.none() | TASK_TEXT)
+    extra = []
+    defect = draw(st.sampled_from(DEFECTS))
+    i = draw(st.integers(0, len(items) - 1))
+    label, text = items[i]
+    if defect == "empty label":
+        label = ""
+    elif defect == "label TAB":
+        label = label[:1] + "\t" + label[1:]
+    elif defect == "label #":
+        label = "#" + label
+    elif defect == "label newline":
+        label += "\n"
+    elif defect == "text newline":
+        text = "\n" + text
+    elif defect == "surrogate":
+        text += "\ud800"
+    elif defect == "name newline":
+        name += "\n"
+    elif defect == "lang newline":
+        lang = (lang or "") + "\n"
+    elif defect == "class without items":
+        extra = [label + "!"]
+        assume(all(lab != extra[0] for lab, _ in items))
+    items[i] = (label, text)
+    classes = list(dict.fromkeys([lab for lab, _ in items] + extra))
+    metric = draw(st.sampled_from(["accuracy", "macro_f1"]))
+    return TaskDataset(name, classes, items, metric, language_tag=lang), defect
+
+
+class TestSaveTask:
+    def test_plain_task_bytes(self, tmp_path):
+        ds = TaskDataset("t", ["pos", "neg"], [("pos", "good film"), ("neg", "bad\tfilm")],
+                         "macro_f1", language_tag="en")
+        save_task(ds, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == (
+            b"#name=t\n#metric=macro_f1\n#lang=en\npos\tgood film\nneg\tbad\tfilm\n")
+
+    def test_text_ending_in_cr_round_trips(self, tmp_path):
+        (tmp_path / "in.tsv").write_bytes(b"#name=x\n#metric=accuracy\npos\tgood\r\r\nneg\tbad\n")
+        ds = load_task(tmp_path / "in.tsv")
+        assert ds.items[0] == ("pos", "good\r")
+        save_task(ds, tmp_path / "out.tsv")
+        assert (tmp_path / "out.tsv").read_bytes() == (tmp_path / "in.tsv").read_bytes()
+        assert load_task(tmp_path / "out.tsv") == ds
+
+    @pytest.mark.parametrize("items, match", [
+        ([("#h", "a"), ("b", "c")], "label '#h'"),
+        ([("a", "one\ntwo"), ("b", "c")], r"text 'one\ntwo'"),
+        ([("", "a"), ("b", "c")], "label ''"),
+        ([("a\tb", "a"), ("b", "c")], r"label 'a\tb'"),
+        ([("a\nb", "a"), ("b", "c")], r"label 'a\nb'"),
+        ([("a", "\ud800"), ("b", "c")], "UTF-8"),
+    ])
+    def test_unwritable_item_raises(self, tmp_path, items, match):
+        ds = TaskDataset("t", list(dict.fromkeys(label for label, _ in items)), items)
+        with pytest.raises(InputError, match=re.escape(match)):
+            save_task(ds, tmp_path / "t.tsv")
+        assert not (tmp_path / "t.tsv").exists()
+
+    def test_class_without_items_raises(self, tmp_path):
+        ds = TaskDataset("t", ["a", "b", "c"], [("a", "x"), ("b", "y")])
+        with pytest.raises(InputError, match="class 'c' has no items"):
+            save_task(ds, tmp_path / "t.tsv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=task_datasets())
+    def test_round_trip_or_input_error(self, tmp_path_factory, drawn):
+        ds, defect = drawn
+        path = tmp_path_factory.getbasetemp() / "round-trip.tsv"
+        path.unlink(missing_ok=True)
+        if defect is not None:
+            with pytest.raises(InputError):
+                save_task(ds, path)
+            assert not path.exists()
+            return
+        save_task(ds, path)
+        # the file records no class order; load_task infers first appearance
+        first_seen = list(dict.fromkeys(label for label, _ in ds.items))
+        assert load_task(path) == TaskDataset(ds.name, first_seen, ds.items, ds.metric_kind,
+                                              language_tag=ds.language_tag)
 
 
 class TestMonolingual:

@@ -6,6 +6,7 @@ import pytest
 import pmean.projection
 from pmean.embeddings import EmbeddingSpace
 from pmean.errors import DimensionError, FormatError, InputError
+from pmean.optim import BETA1, BETA2, EPS, Layout
 from pmean.projection import (
     ParallelCorpus,
     ProjectionModel,
@@ -20,6 +21,7 @@ from pmean.projection import (
     project_space,
     save_projection,
     train_projection,
+    _derangement,
 )
 
 TANH_1 = 0.7615941559557649  # math.tanh(1.0)
@@ -225,6 +227,119 @@ class TestLossOnlyForward:
         _, sub = hinge_loss_grads(model.params(), xs[keep], xt[keep], xu[keep], model.margin)
         for name, g in grads.items():
             assert g * len(xs) == pytest.approx(sub[name] * keep.sum(), rel=1e-12, abs=1e-12)
+
+
+class TestGradientBuffer:
+    @pytest.mark.parametrize("guard", [None, zero_target_map, zero_some_sources])
+    def test_out_views_receive_the_allocating_bytes(self, guard):
+        model, xs, xt, xu = triple_batch(rows=7)
+        if guard is not None:
+            guard(model, xs)
+        params = model.params()
+        layout = Layout(params)
+        gflat = np.full(sum(p.size for p in params.values()), np.nan)
+        views = layout.views(gflat)
+        loss, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, out=views)
+        assert grads is views
+        for g in grads.values():
+            assert np.shares_memory(g, gflat)
+        want_loss, want = hinge_loss_grads(params, xs, xt, xu, model.margin)
+        assert loss == want_loss
+        assert gflat.tobytes() == layout.pack(want).tobytes()
+        ref_loss, ref = reference_hinge(params, xs, xt, xu, model.margin)
+        assert loss == ref_loss
+        assert gflat.tobytes() == layout.pack(ref).tobytes()
+
+
+def reference_hinge(params, Xs, Xt, Xu, margin):
+    """Mean hinge loss and gradients the way they were first computed: row norms
+    from ``np.linalg.norm`` and a new array for every result."""
+    Rs = np.tanh(Xs @ params["W_l"].T + params["b_l"])
+    Rt = np.tanh(Xt @ params["W_k"].T + params["b_k"])
+    Ru = np.tanh(Xu @ params["W_k"].T + params["b_k"])
+    ns, nt, nu = (np.linalg.norm(R, axis=1, keepdims=True) for R in (Rs, Rt, Ru))
+    small_s, small_t, small_u = ns < 1e-12, nt < 1e-12, nu < 1e-12
+    g_st, g_su = small_s | small_t, small_s | small_u
+    ns, nt, nu = np.where(small_s, 1.0, ns), np.where(small_t, 1.0, nt), np.where(small_u, 1.0, nu)
+    n_st, n_su = ns * nt, ns * nu
+    cos_st = np.where(g_st, 0.0, (Rs * Rt).sum(axis=1, keepdims=True) / n_st)
+    cos_su = np.where(g_su, 0.0, (Rs * Ru).sum(axis=1, keepdims=True) / n_su)
+    losses = margin - cos_st[:, 0] + cos_su[:, 0]
+    B = len(Xs)
+    active = (losses > 0).astype(np.float64)[:, None]
+    d_st_s = np.where(g_st, 0.0, Rt / n_st - cos_st * Rs / ns**2)
+    d_st_t = np.where(g_st, 0.0, Rs / n_st - cos_st * Rt / nt**2)
+    d_su_s = np.where(g_su, 0.0, Ru / n_su - cos_su * Rs / ns**2)
+    d_su_u = np.where(g_su, 0.0, Rs / n_su - cos_su * Ru / nu**2)
+    dZs = (-d_st_s + d_su_s) * active / B * (1.0 - Rs**2)
+    dZt = -d_st_t * active / B * (1.0 - Rt**2)
+    dZu = d_su_u * active / B * (1.0 - Ru**2)
+    grads = {"W_l": dZs.T @ Xs, "b_l": dZs.sum(axis=0),
+             "W_k": dZt.T @ Xt + dZu.T @ Xu, "b_k": dZt.sum(axis=0) + dZu.sum(axis=0)}
+    return float(np.maximum(losses, 0.0).mean()), grads
+
+
+def reference_train(corpus, cfg):
+    """The training loop with fresh arrays every step: ``reference_hinge``,
+    ``Layout.pack`` and Adam written out from its formula."""
+    n = len(corpus)
+    init = init_projection(corpus.source.shape[1], corpus.target.shape[1],
+                           cfg.shared_dim, cfg.seed).params()
+    layout = Layout(init)
+    flat = layout.pack(init)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    rng = np.random.default_rng(cfg.seed)
+    keep = 1.0 - cfg.dropout_rate
+    history, t = [], 0
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        negatives = _derangement(rng, n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xs, xt, xu = corpus.source[idx], corpus.target[idx], corpus.target[negatives[idx]]
+            if cfg.dropout_rate > 0:
+                xs = xs * (rng.random(xs.shape) < keep) / keep
+                xt = xt * (rng.random(xt.shape) < keep) / keep
+                xu = xu * (rng.random(xu.shape) < keep) / keep
+            _, grads = reference_hinge(layout.views(flat), xs, xt, xu, cfg.margin)
+            g = layout.pack(grads)
+            t += 1
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            flat = flat - cfg.step_size * m_hat / (np.sqrt(v_hat) + EPS)
+        history.append(reference_hinge(layout.views(flat), corpus.source, corpus.target,
+                                       corpus.target[negatives], cfg.margin)[0])
+    return layout.views(flat), history
+
+
+class TestTrainerMatchesReference:
+    """The in-place trainer equals the allocating loop bit for bit."""
+
+    @pytest.mark.parametrize("n, e, f, d, batch_size, epochs, dropout, zero_rows", [
+        (9, 4, 4, 3, 1, 2, 0.5, False),  # batch size 1
+        (23, 5, 5, 4, 5, 3, 0.0, False),  # ragged last batch, no dropout
+        (30, 7, 3, 5, 8, 3, 0.5, False),  # e != f
+        (20, 3, 6, 4, 6, 2, 0.0, True),  # zero rows trip the norm guard
+        (16, 3, 2, 2, 4, 2, 0.5, True),  # guarded rows under dropout
+        (12, 4, 3, 3, 16, 0, 0.5, False),  # no epochs: the init is returned
+    ])
+    def test_weights_and_history_equal(self, n, e, f, d, batch_size, epochs, dropout,
+                                       zero_rows):
+        rng = np.random.default_rng(n * 100 + e)
+        source, target = rng.normal(size=(n, e)), rng.normal(size=(n, f))
+        if zero_rows:
+            source[::3] = 0.0
+            target[1::4] = 0.0
+        corpus = ParallelCorpus(source, target)
+        cfg = ProjectionTrainConfig(shared_dim=d, batch_size=batch_size, max_epochs=epochs,
+                                    dropout_rate=dropout, step_size=2e-2, seed=n)
+        model, history = train_projection(corpus, cfg)
+        want, want_history = reference_train(corpus, cfg)
+        assert history == want_history
+        for name, arr in want.items():
+            assert np.array_equal(getattr(model, name), arr)
 
 
 def identity_corpus(n=200, dim=6, seed=5):
