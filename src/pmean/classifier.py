@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalPolicyError
 from .optim import AdamState, adam_step
 from .pooling import znorm_apply, znorm_fit
 
@@ -198,7 +198,8 @@ def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator, metric_kind: st
     """Grid-search the learning rate on a validation slice and return the winner.
 
     Ties in validation score go to the smaller learning rate. The selected
-    already-trained model is returned as-is (no refit on train+val).
+    already-trained model is returned as-is (no refit on train+val); it
+    raises NumericalPolicyError if its weights are not finite.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = list(labels) if labels is not None else _first_appearance_labels(y)
@@ -210,18 +211,21 @@ def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator, metric_kind: st
     if val_idx.size == 0:
         val_idx = train_idx  # dataset too small to hold anything out
     cell_rngs = rng.spawn(len(protocol.lr_grid))
-    weights, biases = _train_softmax(X[train_idx], y_idx[train_idx], len(labels),
-                                     protocol.lr_grid, protocol, cell_rngs)
-
     candidates = []
-    for lr, W, b in zip(protocol.lr_grid, weights, biases):
-        # copies, so the returned model does not keep every cell's parameters alive
-        model = SoftmaxModel(weights=W.copy(), bias=b.copy(), class_labels=labels)
-        score = metrics([labels[i] for i in y_idx[val_idx]], model.predict(X[val_idx]),
-                        metric_kind, labels=labels)
-        candidates.append((-score, lr, model))
+    with np.errstate(all="ignore"):  # a diverging cell loses or fails the check below
+        weights, biases = _train_softmax(X[train_idx], y_idx[train_idx], len(labels),
+                                         protocol.lr_grid, protocol, cell_rngs)
+        for lr, W, b in zip(protocol.lr_grid, weights, biases):
+            # copies, so the returned model does not keep every cell's parameters alive
+            model = SoftmaxModel(weights=W.copy(), bias=b.copy(), class_labels=labels)
+            score = metrics([labels[i] for i in y_idx[val_idx]], model.predict(X[val_idx]),
+                            metric_kind, labels=labels)
+            candidates.append((-score, lr, model))
     candidates.sort(key=lambda c: (c[0], c[1]))
-    return candidates[0][2]
+    _, lr, model = candidates[0]
+    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+        raise NumericalPolicyError(f"classifier training with learning rate {lr!r} ended non-finite")
+    return model
 
 
 def metrics(y_true, y_pred, metric_kind: str, labels=None) -> float:

@@ -3,7 +3,8 @@
 Every command resolves its options into a RunManifest, computes all outputs
 in memory, and only then writes files (atomically), so a failing run never
 leaves partial outputs behind. Exit codes: 0 ok, 2 input/format error,
-3 numerical-policy error (--strict), 64 usage error.
+3 numerical-policy error (--strict, or a non-finite z-norm or training result),
+64 usage error.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .manifest import RunManifest, write_atomic
 from .pooling import (
     PooledConfig,
     PooledPart,
-    SingularityPolicy,
     embed_corpus,
     format_p,
     parse_config_text,
@@ -73,7 +73,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--oov", choices=("skip", "zero"), default="skip",
                    help="out-of-vocabulary handling")
     p.add_argument("--strict", action="store_true",
-                   help="error out on undefined power means instead of zeroing")
+                   help="error out on undefined or overflowing power means instead of zeroing")
 
 
 def _add_protocol(p: _Parser) -> None:
@@ -159,10 +159,7 @@ def _seed_of(args) -> int:
 
 
 def _policies(args):
-    tokenizer = TokenizerConfig(lowercase=not args.no_lowercase)
-    oov = OovPolicy(mode=args.oov)
-    sing = SingularityPolicy(on_undefined="error" if args.strict else "nan_to_zero")
-    return tokenizer, oov, sing
+    return TokenizerConfig(lowercase=not args.no_lowercase), OovPolicy(mode=args.oov), args.strict
 
 
 def _load_config(config_path, manifest: RunManifest, loaded: dict | None = None) -> PooledConfig:
@@ -234,9 +231,8 @@ def _eval_manifest(args) -> RunManifest:
 
 
 def _scoring(args) -> tuple:
-    """The protocol, znorm flag and policies every evaluation call takes."""
-    tokenizer, oov, sing = _policies(args)
-    return _protocol_of(args), args.znorm, tokenizer, oov, sing
+    """The protocol, znorm flag, policies and strict flag every evaluation call takes."""
+    return _protocol_of(args), args.znorm, *_policies(args)
 
 
 def _write_report(base, report: EvalReport, manifest: RunManifest) -> None:
@@ -270,15 +266,15 @@ def cmd_embed(args) -> int:
     sentences = text.removesuffix("\n").split("\n") if text else []
     manifest.add_input(args.input)
 
-    tokenizer, oov, sing = _policies(args)
-    X = embed_corpus(cfg, sentences, tokenizer, oov, sing)
+    tokenizer, oov, strict = _policies(args)
+    X, stats = embed_corpus(cfg, sentences, tokenizer, oov, strict=strict)
     if args.znorm and X.shape[0] > 0:
         params = znorm_fit(X)
         X = znorm_apply(params, X)
         manifest.extra["znorm_params"] = {
             "mean": params.mean.tolist(), "std": params.std.tolist(),
         }
-    manifest.extra["undefined_pool_entries"] = sing.undefined_counter
+    manifest.extra["undefined_pool_entries"] = stats.undefined_total
 
     lines = ["\t".join(repr(float(v)) for v in row) for row in X]
     write_atomic(args.output, "\n".join(lines) + ("\n" if lines else ""))
@@ -320,11 +316,10 @@ def cmd_train_projection(args) -> int:
         raise InputError(f"{args.pairs}: no sentence pairs")
 
     # each side is represented by its average word vector
-    tokenizer, oov, sing = _policies(args)
-    corpus = ParallelCorpus(
-        embed_corpus(PooledConfig([PooledPart(src_space, [1.0])]), src_texts, tokenizer, oov, sing),
-        embed_corpus(PooledConfig([PooledPart(tgt_space, [1.0])]), tgt_texts, tokenizer, oov, sing),
-    )
+    tokenizer, oov, strict = _policies(args)
+    corpus = ParallelCorpus(*(
+        embed_corpus(PooledConfig([PooledPart(space, [1.0])]), texts, tokenizer, oov, strict=strict)[0]
+        for space, texts in ((src_space, src_texts), (tgt_space, tgt_texts))))
     model, history = train_projection(corpus, cfg)
 
     buf = io.StringIO()

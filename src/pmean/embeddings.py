@@ -1,4 +1,4 @@
-"""Word-embedding spaces: text-format loading, tokenization, and lookup.
+"""Word-embedding spaces: text-format loading, tokenization, and the OOV policy.
 
 The text format is the common one-word-per-line layout: ``token v1 v2 ... vd``
 with an optional first line ``count dim`` (auto-detected when it parses as
@@ -81,41 +81,11 @@ class OovPolicy:
             raise InputError(f"unknown OOV mode {self.mode!r}")
 
 
-@dataclass
-class LookupResult:
-    """Rows for a token sequence plus per-call degradation metadata."""
-
-    matrix: np.ndarray
-    n_oov: int = 0
-    used_fallback: bool = False
-
-
 def tokenize(cfg: TokenizerConfig, sentence: str) -> list[str]:
     """Split on any whitespace, drop empties, lowercase per config."""
     if cfg.lowercase:
         sentence = sentence.lower()
     return sentence.split()
-
-
-def lookup_sequence(space: EmbeddingSpace, tokens, policy: OovPolicy = OovPolicy()) -> LookupResult:
-    """Resolve tokens to an n x dim matrix, degrading per the OOV policy.
-
-    Never raises: an all-OOV (or empty) sequence yields one zero row with
-    ``used_fallback`` set.
-    """
-    rows = []
-    n_oov = 0
-    for tok in tokens:
-        idx = space.vocab.get(tok)
-        if idx is None:
-            n_oov += 1
-            if policy.mode == "zero":
-                rows.append(np.zeros(space.dim))
-        else:
-            rows.append(space.matrix[idx])
-    if not rows:
-        return LookupResult(np.zeros((1, space.dim)), n_oov=n_oov, used_fallback=True)
-    return LookupResult(np.stack(rows), n_oov=n_oov)
 
 
 def load_text_embeddings(

@@ -32,7 +32,7 @@ from .classifier import (
 )
 from .embeddings import OovPolicy, TokenizerConfig
 from .errors import DimensionError, FormatError, InputError
-from .pooling import PooledConfig, PooledPart, SingularityPolicy, embed_corpus
+from .pooling import PooledConfig, PooledPart, embed_corpus
 from .textio import read_lines
 
 REPORT_FORMAT_VERSION = 1
@@ -179,10 +179,10 @@ def _check_language(cfg: PooledConfig, ds: TaskDataset) -> None:
             )
 
 
-def _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy):
+def _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, strict):
     """Embed a task and fit its subsample runs; returns (runs, X, y)."""
     y, texts, labels = _canonical(ds)
-    X = embed_corpus(cfg, texts, tokenizer, oov_policy, sing_policy)
+    X, _ = embed_corpus(cfg, texts, tokenizer, oov_policy, strict=strict)
     return fit_runs(X, y, protocol, ds.metric_kind, labels=labels, znorm=znorm), X, y
 
 
@@ -193,11 +193,11 @@ def evaluate_monolingual(
     znorm: bool = False,
     tokenizer: TokenizerConfig | None = None,
     oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
+    strict: bool = False,
 ) -> EvalScore:
     """Embed a task and score each subsample run on its own held-out rows."""
     _check_language(cfg, ds)
-    runs, X, y = _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, sing_policy)
+    runs, X, y = _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, strict)
     return score_runs(runs, X, y, ds.metric_kind, held_out=True)
 
 
@@ -230,7 +230,7 @@ def evaluate_transfer(
     znorm: bool = False,
     tokenizer: TokenizerConfig | None = None,
     oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
+    strict: bool = False,
 ) -> TransferResult:
     """Train on the source-language task, score on the target-language one.
 
@@ -242,11 +242,10 @@ def evaluate_transfer(
     _check_aligned_configs(cfg_src, cfg_tgt)
     _check_language(cfg_src, pair.train)
     _check_language(cfg_tgt, pair.test)
-    runs, X, y = _fit_task(cfg_src, pair.train, protocol, znorm,
-                           tokenizer, oov_policy, sing_policy)
+    runs, X, y = _fit_task(cfg_src, pair.train, protocol, znorm, tokenizer, oov_policy, strict)
     in_language = score_runs(runs, X, y, pair.train.metric_kind, held_out=True)
     y_tgt, texts_tgt, _ = _canonical(pair.test)
-    X_tgt = embed_corpus(cfg_tgt, texts_tgt, tokenizer, oov_policy, sing_policy)
+    X_tgt, _ = embed_corpus(cfg_tgt, texts_tgt, tokenizer, oov_policy, strict=strict)
     cross = score_runs(runs, X_tgt, y_tgt, pair.test.metric_kind)
     return TransferResult(cross=cross, in_language=in_language)
 
@@ -311,7 +310,7 @@ def evaluate_report(
     znorm: bool = False,
     tokenizer: TokenizerConfig | None = None,
     oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
+    strict: bool = False,
 ) -> EvalReport:
     """Score every task under every (source config, target config) row.
 
@@ -327,7 +326,7 @@ def evaluate_report(
         for task in tasks:
             if isinstance(task, TransferPair):
                 res = evaluate_transfer(cfg_src, cfg_tgt, task, protocol, znorm,
-                                        tokenizer, oov_policy, sing_policy)
+                                        tokenizer, oov_policy, strict)
                 results.append(TaskResult(
                     task=task.train.name,
                     metric=res.cross.metric,
@@ -338,7 +337,7 @@ def evaluate_report(
                 ))
             else:
                 score = evaluate_monolingual(cfg_src, task, protocol, znorm,
-                                             tokenizer, oov_policy, sing_policy)
+                                             tokenizer, oov_policy, strict)
                 results.append(TaskResult(task=task.name, metric=score.metric,
                                           score=score.mean, std=score.std))
         report_rows.append(ReportRow.from_results(cfg_src.describe(), results))
@@ -353,7 +352,7 @@ def sweep_pmeans(
     znorm: bool = False,
     tokenizer: TokenizerConfig | None = None,
     oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
+    strict: bool = False,
 ) -> EvalReport:
     """Evaluate the same spaces under different p-value sets, one row per set.
 
@@ -368,7 +367,7 @@ def sweep_pmeans(
         raise InputError("sweep needs at least one p-value set")
     cfgs = [PooledConfig([PooledPart(sp, list(p_set)) for sp in spaces]) for p_set in p_sets]
     return evaluate_report([(cfg, cfg) for cfg in cfgs], tasks, protocol, znorm,
-                           tokenizer, oov_policy, sing_policy)
+                           tokenizer, oov_policy, strict)
 
 
 def emit_report(report: EvalReport, fmt: str) -> str:

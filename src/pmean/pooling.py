@@ -12,16 +12,17 @@ explicitly fitted step.
 
 ``embed_corpus`` pools a whole corpus per space: it computes each power once
 per vocabulary row the corpus uses, then reduces every sentence's rows in
-sorted order. ``power_mean`` pools one matrix and is the scalar oracle the
-corpus kernel matches bit for bit.
+sorted order, and returns its counts as a ``PoolStats``. ``power_mean``
+pools one matrix and is the scalar oracle the corpus kernel matches bit for
+bit.
 
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
 Real powers are not total: x**p is undefined over the reals for a negative
 base with non-integer p and for a zero base with negative p, and the
-geometric mean needs strictly positive entries. The SingularityPolicy
-decides whether such output entries, and entries that overflow the float
-range, become 0 (tallied) or raise.
+geometric mean needs strictly positive entries. Such output entries, and
+entries that overflow the float range (at any finite p, p = 1 included),
+become 0 and are counted, or raise NumericalPolicyError with ``strict``.
 """
 from __future__ import annotations
 
@@ -31,28 +32,11 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, OovPolicy, TokenizerConfig, lookup_sequence, tokenize
+from .embeddings import EmbeddingSpace, OovPolicy, TokenizerConfig, tokenize
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 
-NAN_TO_ZERO = "nan_to_zero"
-ERROR = "error"
 EPSILON = 1e-12  # magnitude below which a base counts as zero
 ZNORM_FLOOR = 1e-8  # smallest standard deviation z-normalization divides by
-
-
-@dataclass
-class SingularityPolicy:
-    """Handling of output entries whose power mean is undefined or overflows.
-
-    ``undefined_counter`` tallies replaced output entries (nan_to_zero mode).
-    """
-
-    on_undefined: str = NAN_TO_ZERO
-    undefined_counter: int = 0
-
-    def __post_init__(self):
-        if self.on_undefined not in (NAN_TO_ZERO, ERROR):
-            raise ValueError(f"unknown on_undefined mode {self.on_undefined!r}")
 
 
 @dataclass
@@ -91,16 +75,15 @@ class PooledConfig:
         )
 
 
-def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None) -> np.ndarray:
+def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
     """Reduce each column of an n x d matrix with the generalized mean M_p.
 
     Columns are sorted before any arithmetic, so the result is bit-identical
     under row permutations of W. A 0.0 / -0.0 tie may sort either way, so a
-    zero max or min is returned as 0.0. This is the scalar oracle
-    ``embed_corpus`` must match bit for bit.
+    zero max or min is returned as 0.0. An undefined or overflowing column
+    is 0, or raises NumericalPolicyError with ``strict``. This is the scalar
+    oracle ``embed_corpus`` must match bit for bit.
     """
-    if policy is None:
-        policy = SingularityPolicy()
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 1:
         raise DimensionError(f"power_mean expects an n x d matrix with n >= 1, got shape {W.shape}")
@@ -110,20 +93,27 @@ def power_mean(W: np.ndarray, p: float, policy: SingularityPolicy | None = None)
         return Ws[-1] + 0.0
     if p == -math.inf:
         return Ws[0] + 0.0
-    if p == 1:
-        return Ws.mean(axis=0)
-    powers, undefined = _powers(Ws, p)
     with np.errstate(all="ignore"):
-        inner = powers.mean(axis=0)
-        out = _root(inner, p)
-    pole = inner == 0 if p < 0 else False  # mean of powers cancelled exactly
-    return _apply_policy(out, undefined, Ws, p, policy, pole)
+        if p == 1:
+            out = Ws.mean(axis=0)
+            replace = ~np.isfinite(out)
+        else:
+            powers, undefined = _powers(Ws, p)
+            inner = powers.mean(axis=0)
+            out = _root(inner, p)
+            pole = inner == 0 if p < 0 else False  # mean of powers cancelled exactly
+            replace = undefined.any(axis=0) | pole | ~np.isfinite(out)
+    if not replace.any():
+        return out
+    if strict:
+        raise _strict_error(W, p, replace)
+    return np.where(replace, 0.0, out)
 
 
 def _powers(W, p):
     """Entrywise x**p (log x for p = 0) and the mask of entries where it is undefined.
 
-    p is finite and not 1. The geometric mean needs strictly positive entries;
+    p is finite. The geometric mean needs strictly positive entries;
     otherwise a negative base is undefined for non-integer p, and a zero base
     for negative p.
     """
@@ -155,26 +145,43 @@ def _root(inner, p):
     return np.where(np.isinf(inner), np.inf, out)
 
 
-def _apply_policy(out, undefined, Ws, p, policy, pole=False):
-    """Zero (and tally) or raise on undefined, pole and non-finite output columns.
+def _strict_error(W, p, replace) -> NumericalPolicyError:
+    """The error ``strict`` raises for M_p over the rows of W with these columns replaced.
 
-    ``undefined`` is the n x d mask of entries whose power is undefined.
+    It names the first replaced column and, in that column's sorted order,
+    the first undefined entry; a pole column has none and names its minimum.
+    A column with neither overflows.
     """
-    bad = undefined.any(axis=0) | pole
-    replace = bad | ~np.isfinite(out)
-    if not replace.any():
-        return out
-    if policy.on_undefined == ERROR:
-        dim = int(np.argmax(replace))
-        if not bad[dim]:
-            raise NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
-        # the first undefined entry; a pole column has none, and argmax then picks row 0
-        offender = float(Ws[np.argmax(undefined[:, dim]), dim])
-        raise NumericalPolicyError(
-            f"power mean undefined for p={format_p(p)} at dimension {dim} (value {offender!r})"
-        )
-    policy.undefined_counter += int(replace.sum())
-    return np.where(replace, 0.0, out)
+    dim = int(np.argmax(replace))
+    Ws = np.sort(W, axis=0)
+    powers, undefined = _powers(Ws, p)
+    with np.errstate(all="ignore"):
+        pole = p < 0 and powers.mean(axis=0)[dim] == 0
+    if not (undefined[:, dim].any() or pole):
+        return NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
+    offender = float(Ws[np.argmax(undefined[:, dim]), dim])
+    return NumericalPolicyError(
+        f"power mean undefined for p={format_p(p)} at dimension {dim} (value {offender!r})"
+    )
+
+
+@dataclass(frozen=True)
+class PoolStats:
+    """Counts of one ``embed_corpus`` call, one entry per part in configuration order.
+
+    ``vocab_rows`` counts the distinct vocabulary rows the corpus used, and
+    ``undefined`` the zeroed entries per p, in the part's p order.
+    """
+
+    tokens: tuple[int, ...]
+    oov_tokens: tuple[int, ...]
+    fallback_sentences: tuple[int, ...]
+    vocab_rows: tuple[int, ...]
+    undefined: tuple[tuple[int, ...], ...]
+
+    @property
+    def undefined_total(self) -> int:
+        return sum(map(sum, self.undefined))
 
 
 def embed_corpus(
@@ -182,47 +189,43 @@ def embed_corpus(
     sentences,
     tokenizer: TokenizerConfig | None = None,
     oov_policy: OovPolicy | None = None,
-    sing_policy: SingularityPolicy | None = None,
-) -> np.ndarray:
-    """Pool each sentence into one row of ``cfg.output_dim`` values, in order.
+    *,
+    strict: bool = False,
+) -> tuple[np.ndarray, PoolStats]:
+    """Pool each sentence into one row of ``cfg.output_dim`` values; returns (X, stats).
 
     A sentence is tokenized once. Each part's power means are concatenated in
     p order, and the parts' blocks follow in configuration order. Row by row
-    the result is bit-identical to ``power_mean`` over the sentence's
-    ``lookup_sequence`` rows, with the same entries zeroed and tallied; under
-    an ``error`` policy the first offending (sentence, part, p) raises the
-    oracle's own message.
+    the result is bit-identical to ``power_mean`` over the sentence's word
+    vectors (OOV tokens skipped or zero rows, one zero row if none remain),
+    with the same entries zeroed and counted; with ``strict`` the first
+    offending (sentence, part, p) raises the oracle's own message.
     """
     tokenizer = tokenizer or TokenizerConfig()
     oov_policy = oov_policy or OovPolicy()
-    sing_policy = sing_policy or SingularityPolicy()
     token_lists = [tokenize(tokenizer, sentence) for sentence in sentences]
     X = np.empty((len(token_lists), cfg.output_dim))
-    if not token_lists:
-        return X
-    offenders = []  # per policed (part, p) in output order: (first sentence, part, p)
-    col = 0
+    counts, offences, col = [], [], 0
     for part in cfg.parts:
-        for p, (block, replace) in zip(part.p_values, _pool_part(part, token_lists, oov_policy)):
-            if replace is not None and replace.any():
-                if sing_policy.on_undefined == ERROR:
-                    offenders.append((int(np.argmax(replace.any(axis=1))), part, p))
-                else:
-                    sing_policy.undefined_counter += int(replace.sum())
-                    block[replace] = 0.0
+        blocks, part_counts, offence = _pool_part(part, token_lists, oov_policy, strict)
+        for block in blocks:
             X[:, col:col + part.space.dim] = block
             col += part.space.dim
-    if offenders:
-        s, part, p = min(offenders, key=lambda offender: offender[0])
-        power_mean(lookup_sequence(part.space, token_lists[s], oov_policy).matrix, p, sing_policy)
-        raise NumericalPolicyError(f"power mean undefined for p={format_p(p)}")  # not reached
-    return X
+        counts.append(part_counts)
+        if offence is not None:
+            offences.append(offence)
+    if offences:
+        raise min(offences, key=lambda offence: offence[0])[1]
+    return X, PoolStats(*map(tuple, zip(*counts)))
 
 
-def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy):
-    """Yield, per p of the part, its S x dim block and the mask the policy acts on.
+def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy, strict: bool):
+    """Pool one part: ``(blocks, counts, offence)``.
 
-    The mask is None for p in {1, +/-inf}, which the policy never touches.
+    ``blocks`` holds the S x dim block of each p. ``counts`` holds one part's
+    entries of PoolStats' fields. ``offence`` is None, or under ``strict`` the
+    first offending sentence with the error it raises.
+
     Powers are computed once per vocabulary row the corpus uses. Per
     sentence, the extremes and the p = 1 mean come from ``np.sort`` exactly as
     in ``power_mean`` (a zero extreme is 0.0); the powers are summed in
@@ -238,6 +241,7 @@ def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy):
     else:
         id_lists = [[i for i in map(space.vocab.get, tokens) if i is not None]
                     for tokens in token_lists]
+    fallbacks = sum(not ids for ids in id_lists)
     id_lists = [ids or [zero_id] for ids in id_lists]
     bounds = np.cumsum([0] + [len(ids) for ids in id_lists])
     used, local = np.unique(np.fromiter(chain.from_iterable(id_lists), dtype=np.intp),
@@ -251,31 +255,48 @@ def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy):
     powered = {p: _powers(E, p) for p in part.p_values if p not in extremes}
     pooled = {p: np.empty((len(id_lists), space.dim)) for p in part.p_values}
     columns = np.arange(space.dim)
-    for s, (start, stop) in enumerate(pairwise(bounds.tolist())):
-        ids = local[start:stop]
-        x = E[ids]
-        Ws = np.sort(x, axis=0)
-        if powered:
-            order = ids[np.argsort(x, axis=0)] * space.dim + columns
-        for p, block in pooled.items():
-            if p == math.inf:
-                block[s] = Ws[-1] + 0.0
-            elif p == -math.inf:
-                block[s] = Ws[0] + 0.0
-            elif p == 1:
-                block[s] = Ws.mean(axis=0)
-            else:
-                with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for s, (start, stop) in enumerate(pairwise(bounds.tolist())):
+            ids = local[start:stop]
+            x = E[ids]
+            Ws = np.sort(x, axis=0)
+            if powered:
+                order = ids[np.argsort(x, axis=0)] * space.dim + columns
+            for p, block in pooled.items():
+                if p == math.inf:
+                    block[s] = Ws[-1] + 0.0
+                elif p == -math.inf:
+                    block[s] = Ws[0] + 0.0
+                elif p == 1:
+                    block[s] = Ws.mean(axis=0)
+                else:
                     block[s] = powered[p][0].take(order).mean(axis=0)
 
+    blocks, undefined, offence = [], [], None
     for p in part.p_values:
-        if p in extremes:
-            yield pooled[p], None
-            continue
-        with np.errstate(all="ignore"):
-            out = _root(pooled[p], p)
-        undefined = np.logical_or.reduceat(powered[p][1][local], bounds[:-1], axis=0)
-        yield out, undefined | ~np.isfinite(out)
+        block = pooled[p]
+        if p in (math.inf, -math.inf):  # a max or min of finite rows is finite
+            replace = None
+        elif p == 1:
+            replace = ~np.isfinite(block)
+        else:
+            with np.errstate(all="ignore"):
+                block = _root(block, p)
+            replace = np.logical_or.reduceat(powered[p][1][local], bounds[:-1], axis=0)
+            replace |= ~np.isfinite(block)
+        n_replaced = 0 if replace is None else int(np.count_nonzero(replace))
+        if n_replaced and strict:
+            s = int(np.argmax(replace.any(axis=1)))
+            if offence is None or s < offence[0]:
+                offence = (s, _strict_error(E[local[bounds[s]:bounds[s + 1]]], p, replace[s]))
+        elif n_replaced:
+            block[replace] = 0.0
+        blocks.append(block)
+        undefined.append(n_replaced)
+    in_vocab = int(np.count_nonzero(local < n_vocab_rows))
+    n_tokens = sum(map(len, token_lists))
+    counts = (n_tokens, n_tokens - in_vocab, fallbacks, n_vocab_rows, tuple(undefined))
+    return blocks, counts, offence
 
 
 # --- z-normalization ---------------------------------------------------------
@@ -294,8 +315,11 @@ def znorm_fit(X: np.ndarray) -> ZNormParams:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise DimensionError(f"znorm_fit expects an N x D matrix with N >= 1, got shape {X.shape}")
-    mean = X.mean(axis=0)
-    std = np.maximum(X.std(axis=0), ZNORM_FLOOR)
+    with np.errstate(all="ignore"):
+        mean = X.mean(axis=0)
+        std = np.maximum(X.std(axis=0), ZNORM_FLOOR)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise NumericalPolicyError("z-normalization overflows: a column's mean or std is not finite")
     return ZNormParams(mean=mean, std=std)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSpace
-from .errors import DimensionError, FormatError, InputError
+from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
 
 MODEL_FORMAT_VERSION = 1
@@ -255,7 +255,8 @@ def train_projection(
     steps on minibatch mean loss. The history entry for an epoch is the mean
     hinge loss over the whole corpus at epoch end, computed without dropout
     (dropout is train-time corruption only, never part of evaluation) against
-    that epoch's negatives. Fully deterministic per cfg.seed.
+    that epoch's negatives. Fully deterministic per cfg.seed. Raises
+    NumericalPolicyError if the parameters or a history entry end non-finite.
     """
     n = len(corpus)
     if n < 2:
@@ -275,25 +276,28 @@ def train_projection(
 
     history: list[float] = []
     t = 0
-    for _ in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        negatives = _derangement(rng, n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xs = corpus.source[idx]
-            xt = corpus.target[idx]
-            xu = corpus.target[negatives[idx]]
-            if cfg.dropout_rate > 0:
-                xs = xs * (rng.random(xs.shape) < keep) / keep
-                xt = xt * (rng.random(xt.shape) < keep) / keep
-                xu = xu * (rng.random(xu.shape) < keep) / keep
-            hinge_loss_grads(params, xs, xt, xu, cfg.margin, out=grads)
-            t += 1
-            adam_step(flat, gflat, state, t, step_size=cfg.step_size)
-        history.append(mean_hinge_loss(
-            params, corpus.source, corpus.target, corpus.target[negatives], cfg.margin
-        ))
-
+    with np.errstate(all="ignore"):  # a diverging run fails the one check below instead
+        for _ in range(cfg.max_epochs):
+            order = rng.permutation(n)
+            negatives = _derangement(rng, n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                xs = corpus.source[idx]
+                xt = corpus.target[idx]
+                xu = corpus.target[negatives[idx]]
+                if cfg.dropout_rate > 0:
+                    xs = xs * (rng.random(xs.shape) < keep) / keep
+                    xt = xt * (rng.random(xt.shape) < keep) / keep
+                    xu = xu * (rng.random(xu.shape) < keep) / keep
+                hinge_loss_grads(params, xs, xt, xu, cfg.margin, out=grads)
+                t += 1
+                adam_step(flat, gflat, state, t, step_size=cfg.step_size)
+            history.append(mean_hinge_loss(
+                params, corpus.source, corpus.target, corpus.target[negatives], cfg.margin
+            ))
+    if not (np.isfinite(flat).all() and np.isfinite(history).all()):
+        raise NumericalPolicyError(f"projection training with margin {cfg.margin!r} and step "
+                                   f"size {cfg.step_size!r} gave non-finite parameters or losses")
     return ProjectionModel(margin=cfg.margin, **params), history
 
 

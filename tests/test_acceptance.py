@@ -101,8 +101,8 @@ def test_c2_dimensionality():
     three = PooledConfig([PooledPart(space(f"t{i}"), [-INF, 1.0, 3.0, INF]) for i in range(3)])
     from pmean.pooling import embed_corpus
 
-    len_four = embed_corpus(four, ["w0 w1"]).shape[1]
-    len_three = embed_corpus(three, ["w0 w1"]).shape[1]
+    len_four = embed_corpus(four, ["w0 w1"])[0].shape[1]
+    len_three = embed_corpus(three, ["w0 w1"])[0].shape[1]
     ok = four.output_dim == 3600 and three.output_dim == 3600 \
         and len_four == 3600 and len_three == 3600
     report(2, "dimensionality reproduction", ok,

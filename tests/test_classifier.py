@@ -17,7 +17,7 @@ from pmean.classifier import (
     score_runs,
     softmax_xent,
 )
-from pmean.errors import InputError
+from pmean.errors import InputError, NumericalPolicyError
 from pmean.optim import BETA1, BETA2, EPS, AdamState, Layout, adam_step
 
 
@@ -203,6 +203,18 @@ class TestFit:
         X = np.zeros((10, 2))
         with pytest.raises(InputError):
             fit(X, ["same"] * 10, TrainProtocol(), np.random.default_rng(0))
+
+    def test_non_finite_winner_raises_naming_its_rate(self):
+        X, y = make_blobs(seed=3)
+        with pytest.raises(NumericalPolicyError, match=r"learning rate 1e\+308 ended non-finite"):
+            fit(X, y, TrainProtocol(lr_grid=(1e308,), max_epochs=2), np.random.default_rng(0))
+
+    def test_diverged_cell_that_loses_is_no_error(self):
+        X, y = make_blobs(seed=3)
+        protocol = TrainProtocol(lr_grid=(1e308, 0.1), max_epochs=5)
+        model = fit(X, y, protocol, np.random.default_rng(0))
+        assert np.isfinite(model.weights).all()
+        assert metrics(y, model.predict(X), "accuracy") >= 0.99
 
     def test_loss_nonincreasing_on_separable_data(self):
         X, y = make_blobs(seed=11)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmean.cli
@@ -266,6 +267,15 @@ class TestTrainProjection:
         assert not (workdir / "model.json").exists()
         assert not (workdir / "hist.csv").exists()
 
+    def test_non_finite_training_exits_3(self, workdir, capsys):
+        # each triple's loss is about 1e308, so their sum overflows
+        assert self.run(workdir, "--margin", "1e308") == 3
+        assert capsys.readouterr().err == (
+            "pmean: numerical policy error: projection training with margin 1e+308 and step "
+            "size 0.001 gave non-finite parameters or losses\n")
+        assert not (workdir / "model.json").exists()
+        assert not (workdir / "hist.csv").exists()
+
     def test_lone_cr_does_not_end_a_pair_and_crlf_reads_as_lf(self, workdir):
         (workdir / "pairs.tsv").write_bytes(b"alpha\rbeta\tgamma delta\n" * 8)
         assert self.run(workdir) == 0
@@ -322,14 +332,69 @@ class TestTrainProjectionExitCodes:
                 f"--model-out={tiny_workdir / 'model.json'}",
                 f"--history-out={tiny_workdir / 'hist.csv'}",
                 *(f"{flag}={value}" for flag, value in values.items())]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 2, 3, 64), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        code, err = run_quietly(argv)
+        assert code in (0, 2, 3, 64), err
+        assert "Traceback" not in err
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# huge magnitudes, signed zeros, negatives and tiny values, which overflow or
+# are undefined at some p
+EMBED_VALUES = st.sampled_from([1e308, -1e308, 1.7e308, 1e154, 0.0, -0.0, -1.0, -2.5,
+                                1e-300, 5e-324]) | st.floats(-1e3, 1e3)
+EMBED_P = ["1", "inf", "-inf", "0", "-1", "-2", "0.5", "2", "3", "-30", "400"]
+
+
+@st.composite
+def embed_cases(draw):
+    """A 1-4 word embedding file's rows, a p-set, up to four sentences and embed's flags."""
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(EMBED_VALUES, min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    words = [f"w{i}" for i in range(len(rows))] + ["oov"]
+    return (rows, draw(st.lists(st.sampled_from(EMBED_P), min_size=1, max_size=4)),
+            draw(st.lists(st.lists(st.sampled_from(words), max_size=5).map(" ".join),
+                          min_size=1, max_size=4)),
+            draw(st.lists(st.sampled_from(["--strict", "--znorm", "--oov=zero"]), unique=True)))
+
+
+OVERFLOWING_MEAN = [[1e308, 1.0], [1e308, 2.0]], ["1", "inf"], ["w0 w1"]
+
+
+class TestEmbedExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(case=embed_cases())
+    @example(case=(*OVERFLOWING_MEAN, []))
+    @example(case=(*OVERFLOWING_MEAN, ["--strict"]))
+    @example(case=(*OVERFLOWING_MEAN, ["--znorm"]))
+    def test_any_input_exits_cleanly(self, tmp_path_factory, case):
+        rows, p_set, sentences, flags = case
+        root = tmp_path_factory.mktemp("embed")
+        write(root / "emb.txt", "".join(f"w{i} " + " ".join(map(repr, row)) + "\n"
+                                        for i, row in enumerate(rows)))
+        write(root / "cfg.txt", f"space=S p={','.join(p_set)} path=emb.txt\n")
+        write(root / "in.txt", "".join(sentence + "\n" for sentence in sentences))
+        out = root / "out.tsv"
+        code, err = run_quietly(["embed", f"--config={root / 'cfg.txt'}",
+                                 f"--input={root / 'in.txt'}", f"--output={out}", *flags])
+        assert code in (0, 2, 3, 64), err
+        assert "Traceback" not in err
+        if code == 0:
+            values = [float(v) for line in out.read_text().splitlines() for v in line.split("\t")]
+            assert len(values) == len(sentences) * len(p_set) * len(rows[0])
+            assert all(map(math.isfinite, values))
+            json.loads((root / "out.tsv.manifest.json").read_text(),
+                       parse_constant=lambda name: pytest.fail(f"manifest holds {name}"))
 
 
 PROTOCOL_ARGS = ["--runs", "3", "--epochs", "8", "--seed", "11"]
@@ -346,6 +411,15 @@ class TestEvalCommands:
         assert len(doc["rows"]) == 1
         assert (workdir / "report.md").read_text().startswith("| Model |")
         assert (workdir / "report.manifest.json").exists()
+
+    def test_non_finite_classifier_exits_3(self, workdir, capsys):
+        rc = main(["eval", "--config", str(workdir / "cfg.txt"),
+                   "--task", str(workdir / "task.tsv"),
+                   "--out", str(workdir / "report"), *PROTOCOL_ARGS, "--lr-grid", "1e308"])
+        assert rc == 3
+        assert capsys.readouterr().err == ("pmean: numerical policy error: classifier training "
+                                           "with learning rate 1e+308 ended non-finite\n")
+        assert not (workdir / "report.json").exists()
 
     def test_transfer_emits_drop_in_parentheses(self, workdir):
         rc = main(["eval-transfer",

@@ -13,11 +13,16 @@ from pmean.embeddings import (
     OovPolicy,
     TokenizerConfig,
     load_text_embeddings,
-    lookup_sequence,
     save_text_embeddings,
     tokenize,
 )
 from pmean.errors import DimensionError, FormatError
+from pmean.pooling import PooledConfig, PooledPart, embed_corpus
+
+
+def rows(space, tokens):
+    """The vocabulary rows of the tokens a space knows, in token order."""
+    return np.array([space.vector(t) for t in tokens if t in space])
 
 
 def write(tmp_path, text, name="emb.txt"):
@@ -89,9 +94,7 @@ class TestLoad:
         fwd = load_text_embeddings(write(tmp_path, "\n".join(lines) + "\n", "f.txt"))
         rev = load_text_embeddings(write(tmp_path, "\n".join(reversed(lines)) + "\n", "r.txt"))
         for tokens in (["a"], ["c", "b"], ["a", "b", "c"]):
-            assert np.array_equal(
-                lookup_sequence(fwd, tokens).matrix, lookup_sequence(rev, tokens).matrix
-            )
+            assert np.array_equal(rows(fwd, tokens), rows(rev, tokens))
 
     @given(
         vocab=st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=8, unique=True),
@@ -110,9 +113,7 @@ class TestLoad:
         root = tmp_path_factory.mktemp("perm")
         fwd = load_text_embeddings(write(root, "\n".join(lines) + "\n", "f.txt"))
         shf = load_text_embeddings(write(root, "\n".join(shuffled) + "\n", "s.txt"))
-        assert np.array_equal(
-            lookup_sequence(fwd, tokens).matrix, lookup_sequence(shf, tokens).matrix
-        )
+        assert np.array_equal(rows(fwd, tokens), rows(shf, tokens))
 
 
 # file text -> whether numpy's C parser takes the whole file (None: either,
@@ -248,48 +249,65 @@ def small_space():
     )
 
 
+def pool(space, sentence, oov_mode="skip"):
+    """One sentence's mean, max and min rows over one space, and the PoolStats."""
+    cfg = PooledConfig([PooledPart(space, [1.0, float("inf"), -float("inf")])])
+    X, stats = embed_corpus(cfg, [sentence], oov_policy=OovPolicy(oov_mode))
+    return X.reshape(3, space.dim).tolist(), stats
+
+
 class TestLookup:
+    """Token lookup as embed_corpus does it, seen through its output and counts."""
+
     def test_all_in_vocab(self, small_space):
-        res = lookup_sequence(small_space, ["a", "b"])
-        assert np.array_equal(res.matrix, [[1.0, 2.0], [3.0, 4.0]])
-        assert res.n_oov == 0 and not res.used_fallback
+        out, stats = pool(small_space, "a b")
+        assert out == [[2.0, 3.0], [3.0, 4.0], [1.0, 2.0]]
+        assert (stats.tokens, stats.oov_tokens, stats.fallback_sentences) == ((2,), (0,), (0,))
+        assert stats.vocab_rows == (2,)
 
     def test_skip_drops_oov(self, small_space):
-        res = lookup_sequence(small_space, ["a", "zzz"], OovPolicy("skip"))
-        assert np.array_equal(res.matrix, [[1.0, 2.0]])
-        assert res.n_oov == 1
+        out, stats = pool(small_space, "a zzz", "skip")
+        assert out == [[1.0, 2.0]] * 3
+        assert (stats.tokens, stats.oov_tokens, stats.fallback_sentences) == ((2,), (1,), (0,))
 
     def test_zero_mode_substitutes(self, small_space):
-        res = lookup_sequence(small_space, ["a", "zzz"], OovPolicy("zero"))
-        assert np.array_equal(res.matrix, [[1.0, 2.0], [0.0, 0.0]])
-        assert res.n_oov == 1
+        out, stats = pool(small_space, "a zzz", "zero")
+        assert out == [[0.5, 1.0], [1.0, 2.0], [0.0, 0.0]]
+        assert (stats.oov_tokens, stats.fallback_sentences, stats.vocab_rows) == ((1,), (0,), (1,))
 
     def test_forced_fallback(self, small_space):
-        res = lookup_sequence(small_space, ["zzz"], OovPolicy("skip"))
-        assert res.matrix.shape == (1, 2)
-        assert np.array_equal(res.matrix, [[0.0, 0.0]])
-        assert res.used_fallback
+        for oov_mode, fallbacks in (("skip", 1), ("zero", 0)):  # zero mode keeps a zero row
+            out, stats = pool(small_space, "zzz", oov_mode)
+            assert out == [[0.0, 0.0]] * 3
+            assert stats.oov_tokens == (1,) and stats.vocab_rows == (0,)
+            assert stats.fallback_sentences == (fallbacks,)
 
     def test_empty_sequence_fallback(self, small_space):
-        res = lookup_sequence(small_space, [])
-        assert res.matrix.shape == (1, 2) and res.used_fallback
+        for oov_mode in ("skip", "zero"):
+            out, stats = pool(small_space, "", oov_mode)
+            assert out == [[0.0, 0.0]] * 3
+            assert (stats.tokens, stats.fallback_sentences) == ((0,), (1,))
 
     @given(
         vocab=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True),
         tokens=st.lists(st.sampled_from("abcdefghxyz"), max_size=20),
+        oov_mode=st.sampled_from(["skip", "zero"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_skip_row_count_matches_in_vocab_tokens(self, vocab, tokens):
+    def test_skip_row_count_matches_in_vocab_tokens(self, vocab, tokens, oov_mode):
         rng = np.random.default_rng(0)
         space = EmbeddingSpace(
             "p", 3, {t: i for i, t in enumerate(vocab)}, rng.standard_normal((len(vocab), 3))
         )
-        res = lookup_sequence(space, tokens, OovPolicy("skip"))
-        present = sum(1 for t in tokens if t in space.vocab)
-        if present == 0:
-            assert res.used_fallback and res.matrix.shape == (1, 3)
-        else:
-            assert res.matrix.shape == (present, 3)
+        out, stats = pool(space, " ".join(tokens), oov_mode)
+        present = [t for t in tokens if t in space.vocab]
+        assert stats.tokens == (len(tokens),)
+        assert stats.oov_tokens == (len(tokens) - len(present),)
+        assert stats.vocab_rows == (len(set(present)),)
+        kept = present if oov_mode == "skip" else tokens
+        assert stats.fallback_sentences == (int(not kept),)
+        want = rows(space, present).sum(axis=0) / len(kept) if present else np.zeros(3)
+        assert out[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestSpaceInvariants:

@@ -274,7 +274,7 @@ class TestTransfer:
         _, bilingual, pair = swap_setup
         cfg = PooledConfig([PooledPart(bilingual, [1.0])])
         src = sorted(pair.train.items)
-        X = embed_corpus(cfg, [text for _, text in src])
+        X, _ = embed_corpus(cfg, [text for _, text in src])
         y = [label for label, _ in src]
         runs = fit_runs(X, y, FAST, labels=sorted(pair.train.classes), znorm=True)
         runs_again = fit_runs(X, y, FAST, labels=sorted(pair.train.classes), znorm=True)
@@ -283,7 +283,7 @@ class TestTransfer:
             assert np.array_equal(z1.mean, z2.mean)
             assert np.array_equal(t1, t2)
         tgt = sorted(pair.test.items)
-        X_tgt = embed_corpus(cfg, [text for _, text in tgt])
+        X_tgt, _ = embed_corpus(cfg, [text for _, text in tgt])
         cross = score_runs(runs, X_tgt, [label for label, _ in tgt], pair.test.metric_kind)
         assert evaluate_transfer(cfg, cfg, pair, FAST, znorm=True).cross == cross
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmean.embeddings import EmbeddingSpace, OovPolicy, lookup_sequence
+from pmean.embeddings import EmbeddingSpace, OovPolicy
 from pmean.errors import DimensionError, FormatError, NumericalPolicyError
 from pmean.pooling import (
     EPSILON,
@@ -13,7 +13,7 @@ from pmean.pooling import (
     ConfigEntry,
     PooledConfig,
     PooledPart,
-    SingularityPolicy,
+    PoolStats,
     embed_corpus,
     format_config,
     format_p,
@@ -75,32 +75,29 @@ class TestPowerMeanCases:
         assert power_mean(np.array([[1.0], [4.0]]), 0) == pytest.approx([2.0])
 
     def test_negative_base_fractional_p_policy(self):
-        pol = SingularityPolicy()
-        out = power_mean(np.array([[-1.0], [2.0]]), 0.5, pol)
-        assert out == pytest.approx([0.0])
-        assert pol.undefined_counter == 1
+        W = np.array([[-1.0, 1.0], [2.0, 4.0]])
+        assert power_mean(W, 0.5).tolist() == [0.0, 2.25]
+        assert undefined_columns(W, 0.5) == 1
 
     def test_zero_base_negative_p_policy(self):
-        pol = SingularityPolicy()
-        out = power_mean(np.array([[0.0], [2.0]]), -1, pol)
-        assert out == pytest.approx([0.0])
-        assert pol.undefined_counter == 1
+        W = np.array([[0.0, 1.0], [2.0, 4.0]])
+        assert power_mean(W, -1).tolist() == [0.0, 1.6]
+        assert undefined_columns(W, -1) == 1
 
     def test_geometric_needs_positive_entries(self):
-        pol = SingularityPolicy()
-        assert power_mean(np.array([[-1.0], [2.0]]), 0, pol) == pytest.approx([0.0])
-        assert pol.undefined_counter == 1
+        W = np.array([[-1.0], [2.0]])
+        assert power_mean(W, 0) == pytest.approx([0.0])
+        assert undefined_columns(W, 0) == 1
 
     def test_exact_pole_cancellation(self):
         # reciprocals of -1 and 1 sum to exactly zero
-        pol = SingularityPolicy()
-        assert power_mean(np.array([[-1.0], [1.0]]), -1, pol) == pytest.approx([0.0])
-        assert pol.undefined_counter == 1
+        W = np.array([[-1.0], [1.0]])
+        assert power_mean(W, -1) == pytest.approx([0.0])
+        assert undefined_columns(W, -1) == 1
 
     def test_error_mode_names_p_and_dimension(self):
-        pol = SingularityPolicy(on_undefined="error")
         with pytest.raises(NumericalPolicyError, match=r"p=0\.5.*dimension 1"):
-            power_mean(np.array([[2.0, -1.0], [2.0, 2.0]]), 0.5, pol)
+            power_mean(np.array([[2.0, -1.0], [2.0, 2.0]]), 0.5, strict=True)
 
     @pytest.mark.parametrize("W, p, detail", [
         ([[2.0, 5.0], [3.0, 0.0], [4.0, -3.0]], 0, "p=0 at dimension 1 (value -3.0)"),
@@ -110,28 +107,30 @@ class TestPowerMeanCases:
         ([[1.0, 2.0], [2.0, -2.0]], -1, "p=-1 at dimension 1 (value -2.0)"),
     ])
     def test_error_mode_names_the_offending_value(self, W, p, detail):
-        pol = SingularityPolicy(on_undefined="error")
         with pytest.raises(NumericalPolicyError) as exc:
-            power_mean(np.array(W), p, pol)
+            power_mean(np.array(W), p, strict=True)
         assert str(exc.value) == f"power mean undefined for {detail}"
 
-    # the mean of powers overflows; for p < 0 its root would be a finite 0
+    # the mean (of powers) overflows; for p < 0 its root would be a finite 0
     OVERFLOWS = [(np.array([[1.0, 1e160], [2.0, 1e160]]), 2),
-                 (np.array([[1.0, 1e-11], [2.0, 1e-11]]), -30)]
+                 (np.array([[1.0, 1e-11], [2.0, 1e-11]]), -30),
+                 (np.array([[1.0, 1e308], [2.0, 1e308]]), 1)]
 
     def test_overflow_is_zeroed_not_propagated(self):
         for W, p in self.OVERFLOWS:
-            pol = SingularityPolicy()
-            out = power_mean(W, p, pol)
-            assert np.isfinite(out).all() and out[1] == 0.0
-            assert pol.undefined_counter == 1
+            out = power_mean(W, p)
+            assert np.isfinite(out).all() and out[0] != 0.0 and out[1] == 0.0
+            assert undefined_columns(W, p) == 1
 
     def test_overflow_raises_in_error_mode(self):
         for W, p in self.OVERFLOWS:
-            pol = SingularityPolicy(on_undefined="error")
             with pytest.raises(NumericalPolicyError, match=rf"overflows for p={p} at dimension 1"):
-                power_mean(W, p, pol)
-            assert pol.undefined_counter == 0
+                power_mean(W, p, strict=True)
+
+    def test_extremes_of_huge_entries_are_kept(self):
+        W = np.array([[1e308, -1e308], [1e308, -1e308]])
+        assert power_mean(W, INF, strict=True).tolist() == [1e308, -1e308]
+        assert power_mean(W, -INF, strict=True).tolist() == [1e308, -1e308]
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionError):
@@ -200,7 +199,7 @@ def two_spaces():
 
 def embed_one(space, p_values, sentence):
     """The single row embed_corpus gives one sentence over one space."""
-    X = embed_corpus(PooledConfig([PooledPart(space, p_values)]), [sentence])
+    X, _ = embed_corpus(PooledConfig([PooledPart(space, p_values)]), [sentence])
     assert X.shape == (1, len(p_values) * space.dim)
     return X[0]
 
@@ -226,7 +225,7 @@ class TestPooling:
         a, b = two_spaces
         cfg = PooledConfig([PooledPart(a, [1.0, INF]), PooledPart(b, [1.0, -INF, 3.0])])
         assert cfg.output_dim == 2 * 3 + 3 * 4
-        X = embed_corpus(cfg, ["w0 w3"])
+        X, _ = embed_corpus(cfg, ["w0 w3"])
         assert X.shape == (1, cfg.output_dim)
 
     def test_single_part_p1_equals_plain_average(self, two_spaces):
@@ -239,11 +238,11 @@ class TestPooling:
         a, b = two_spaces
         cfg = PooledConfig([PooledPart(a, [1.0, -INF]), PooledPart(b, [INF, 3.0])])
         sents = ["w0 w1", "w2 w3 zzz w4"]
-        X = embed_corpus(cfg, sents)
+        X, _ = embed_corpus(cfg, sents)
         assert X.shape == (2, cfg.output_dim)
         for i, s in enumerate(sents):
             blocks = [
-                power_mean(lookup_sequence(part.space, s.split(), OovPolicy()).matrix, p)
+                power_mean(gather(part.space, s.split(), "skip"), p)
                 for part in cfg.parts
                 for p in part.p_values
             ]
@@ -252,42 +251,71 @@ class TestPooling:
     def test_embed_corpus_empty_and_duplicates(self, two_spaces):
         a, _ = two_spaces
         cfg = PooledConfig([PooledPart(a, [1.0])])
-        assert embed_corpus(cfg, []).shape == (0, 3)
-        X = embed_corpus(cfg, ["w0 w1", "w0 w1"])
+        X, stats = embed_corpus(cfg, [])
+        assert X.shape == (0, 3)
+        assert stats == PoolStats((0,), (0,), (0,), (0,), ((0,),))
+        X, _ = embed_corpus(cfg, ["w0 w1", "w0 w1"])
         assert np.array_equal(X[0], X[1])
 
     def test_corpus_output_always_finite_under_nan_to_zero(self, two_spaces):
         a, _ = two_spaces
         shifted = EmbeddingSpace("sh", 3, dict(a.vocab), a.matrix - 1.0)
         cfg = PooledConfig([PooledPart(shifted, [0.5, -1.0, 0.0])])
-        X = embed_corpus(cfg, ["w0 w1 zzz", "w2", ""])
-        assert np.isfinite(X).all()
+        X, stats = embed_corpus(cfg, ["w0 w1 zzz", "w2", ""])
+        assert np.isfinite(X).all() and stats.undefined_total > 0
 
 
 KERNEL_PS = [1.0, INF, -INF, 0.0, -1.0, 0.5, 2.0, 3.0]
 
 
-def oracle_corpus(cfg, sentences, oov_policy, sing_policy):
-    """embed_corpus's oracle: per-part power_mean blocks over lookup_sequence rows."""
-    rows = [
-        np.concatenate([
-            power_mean(lookup_sequence(part.space, s.split(), oov_policy).matrix, p, sing_policy)
-            for part in cfg.parts
-            for p in part.p_values
-        ])
-        for s in sentences
-    ]
-    return np.stack(rows) if rows else np.zeros((0, cfg.output_dim))
+def gather(space, tokens, oov_mode):
+    """A sentence's word vectors: OOV tokens dropped or zero rows, one zero row if none remain."""
+    zero = np.zeros(space.dim)
+    rows = [space.vector(t) if t in space else zero
+            for t in tokens if t in space or oov_mode == "zero"]
+    return np.array(rows) if rows else zero[None]
 
 
-def pooled_or_error(pool, cfg, sentences, oov_mode, on_undefined):
-    """(output bytes, undefined tally) of one pooling, or the --strict message it raises."""
-    policy = SingularityPolicy(on_undefined)
+def undefined_columns(W, p):
+    """How many columns of W power_mean zeroes: those it raises on alone under strict."""
+    count = 0
+    for j in range(W.shape[1]):
+        try:
+            power_mean(W[:, [j]], p, strict=True)
+        except NumericalPolicyError:
+            count += 1
+    return count
+
+
+def oracle_corpus(cfg, sentences, oov_mode, strict):
+    """embed_corpus's oracle: per-part power_mean blocks over gathered rows, and the
+    column-by-column count of zeroed entries per (part, p)."""
+    rows, undefined = [], [[0] * len(part.p_values) for part in cfg.parts]
+    for s in sentences:
+        blocks = []
+        for part, counts in zip(cfg.parts, undefined):
+            W = gather(part.space, s.split(), oov_mode)
+            for i, p in enumerate(part.p_values):
+                blocks.append(power_mean(W, p, strict=strict))
+                counts[i] += undefined_columns(W, p)
+        rows.append(np.concatenate(blocks))
+    X = np.stack(rows) if rows else np.zeros((0, cfg.output_dim))
+    return X, tuple(map(tuple, undefined))
+
+
+def kernel_corpus(cfg, sentences, oov_mode, strict):
+    X, stats = embed_corpus(cfg, sentences, oov_policy=OovPolicy(oov_mode), strict=strict)
+    return X, stats.undefined
+
+
+def pooled_or_error(pool, cfg, sentences, oov_mode, strict):
+    """(shape, output bytes, undefined entries per (part, p)) of one pooling, or the
+    strict message it raises."""
     try:
-        X = pool(cfg, sentences, oov_policy=OovPolicy(oov_mode), sing_policy=policy)
+        X, undefined = pool(cfg, sentences, oov_mode, strict)
     except NumericalPolicyError as exc:
         return str(exc)
-    return X.shape, X.tobytes(), policy.undefined_counter
+    return X.shape, X.tobytes(), undefined
 
 
 def tricky_space(name, rng):
@@ -326,10 +354,11 @@ class TestCorpusKernel:
         a, b = tricky_space("a", rng), tricky_space("b", rng)
         cfg = PooledConfig([PooledPart(a, KERNEL_PS), PooledPart(b, KERNEL_PS[::-1])])
         sentences = tricky_sentences(a, rng)
-        got = pooled_or_error(embed_corpus, cfg, sentences, oov_mode, "nan_to_zero")
-        want = pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, "nan_to_zero")
+        got = pooled_or_error(kernel_corpus, cfg, sentences, oov_mode, False)
+        want = pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, False)
         assert got[:2] == want[:2]
-        assert got[2] == want[2] > 0  # same undefined tally
+        assert got[2] == want[2]  # same undefined entries per (part, p)
+        assert sum(map(sum, got[2])) > 0
 
     def test_signed_zero_ties_keep_their_sign(self):
         # argsort and sort may order 0.0 and -0.0 differently; the extremes and
@@ -339,19 +368,19 @@ class TestCorpusKernel:
         cfg = PooledConfig([PooledPart(space, [INF, -INF, 1.0, 3.0])])
         rng = np.random.default_rng(0)
         sentences = [" ".join(rng.choice(["p", "n", "m"], size=k)) for k in range(1, 60)]
-        got = embed_corpus(cfg, sentences)
-        want = oracle_corpus(cfg, sentences, OovPolicy(), SingularityPolicy())
+        got, _ = embed_corpus(cfg, sentences)
+        want, _ = oracle_corpus(cfg, sentences, "skip", False)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("on_undefined", ["nan_to_zero", "error"])
-    def test_pole_columns_are_policed(self, on_undefined):
+    @pytest.mark.parametrize("strict", [False, True], ids=["nan_to_zero", "error"])
+    def test_pole_columns_are_policed(self, strict):
         # 1 and -1 at p = -1 or -3: the mean of powers cancels to exactly 0
         space = EmbeddingSpace("pole", 2, {"a": 0, "b": 1}, np.array([[1.0, 2.0], [-1.0, 2.0]]))
         cfg = PooledConfig([PooledPart(space, [-1.0, -3.0])])
         sentences = ["a", "a b b a", "b"]
-        got = pooled_or_error(embed_corpus, cfg, sentences, "skip", on_undefined)
-        assert got == pooled_or_error(oracle_corpus, cfg, sentences, "skip", on_undefined)
-        assert "p=-1 at dimension 0" in got if on_undefined == "error" else got[2] == 2
+        got = pooled_or_error(kernel_corpus, cfg, sentences, "skip", strict)
+        assert got == pooled_or_error(oracle_corpus, cfg, sentences, "skip", strict)
+        assert "p=-1 at dimension 0" in got if strict else got[2] == ((1, 1),)
 
     @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
     @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, 3.0, -2.0])
@@ -361,8 +390,8 @@ class TestCorpusKernel:
         a, b = tricky_space("a", rng), tricky_space("b", rng)
         cfg = PooledConfig([PooledPart(a, [1.0, INF]), PooledPart(b, [2.0, p, -INF])])
         sentences = tricky_sentences(a, rng)
-        got = pooled_or_error(embed_corpus, cfg, sentences, oov_mode, "error")
-        want = pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, "error")
+        got = pooled_or_error(kernel_corpus, cfg, sentences, oov_mode, True)
+        want = pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, True)
         assert isinstance(want, str) and got == want
 
     def test_strict_passes_a_defined_corpus(self):
@@ -370,9 +399,9 @@ class TestCorpusKernel:
         a = tricky_space("a", rng)
         cfg = PooledConfig([PooledPart(a, KERNEL_PS)])
         sentences = ["pos0 pos1", "pos2 pos2 pos0"]
-        got = pooled_or_error(embed_corpus, cfg, sentences, "skip", "error")
-        assert got == pooled_or_error(oracle_corpus, cfg, sentences, "skip", "error")
-        assert got[2] == 0
+        got = pooled_or_error(kernel_corpus, cfg, sentences, "skip", True)
+        assert got == pooled_or_error(oracle_corpus, cfg, sentences, "skip", True)
+        assert got[2] == ((0,) * len(KERNEL_PS),)
 
     @given(
         st.integers(1, 5).flatmap(lambda d: st.lists(
@@ -390,16 +419,60 @@ class TestCorpusKernel:
         tokens = [f"w{i}" for i in token_ids]  # ids past the vocabulary are OOV
         shuffled = list(tokens)
         rnd.shuffle(shuffled)
-        first, second = SingularityPolicy(), SingularityPolicy()
-        X = embed_corpus(cfg, [" ".join(tokens)], oov_policy=OovPolicy(oov_mode),
-                         sing_policy=first)
-        Y = embed_corpus(cfg, [" ".join(shuffled)], oov_policy=OovPolicy(oov_mode),
-                         sing_policy=second)
+        X, first = embed_corpus(cfg, [" ".join(tokens)], oov_policy=OovPolicy(oov_mode))
+        Y, second = embed_corpus(cfg, [" ".join(shuffled)], oov_policy=OovPolicy(oov_mode))
         assert X.tobytes() == Y.tobytes()
-        assert first.undefined_counter == second.undefined_counter
+        assert first == second
+
+
+def brute_force_stats(cfg, sentences, oov_mode):
+    """PoolStats' per-part counts, straight from the tokens and each vocabulary."""
+    token_lists = [s.split() for s in sentences]
+    counts = []
+    for part in cfg.parts:
+        known = [[t for t in tokens if t in part.space] for tokens in token_lists]
+        kept = known if oov_mode == "skip" else token_lists
+        counts.append((sum(map(len, token_lists)),
+                       sum(len(tokens) - len(k) for tokens, k in zip(token_lists, known)),
+                       sum(not k for k in kept),
+                       len(set().union(*known))))
+    return [tuple(c) for c in zip(*counts)]
+
+
+class TestPoolStats:
+    @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_match_brute_force(self, oov_mode, seed):
+        rng = np.random.default_rng(seed)
+        a = tricky_space("a", rng)
+        b = EmbeddingSpace("b", a.dim, dict(list(a.vocab.items())[:8]), a.matrix[:8])  # no w8..w11
+        cfg = PooledConfig([PooledPart(a, [1.0, -1.0]), PooledPart(b, [INF, 0.5, 3.0])])
+        sentences = tricky_sentences(a, rng)
+        _, stats = embed_corpus(cfg, sentences, oov_policy=OovPolicy(oov_mode))
+        want = brute_force_stats(cfg, sentences, oov_mode)
+        assert [stats.tokens, stats.oov_tokens, stats.fallback_sentences,
+                stats.vocab_rows] == want
+        assert stats.fallback_sentences[0] >= (2 if oov_mode == "skip" else 1)
+        assert stats.undefined_total == sum(map(sum, stats.undefined)) > 0
+        assert stats.undefined[1][0] == 0  # a max never is
+
+    def test_overflowing_mean_is_zeroed_and_counted(self):
+        space = EmbeddingSpace("S", 2, {"a": 0, "b": 1}, np.array([[1e308, 1.0], [1e308, 2.0]]))
+        cfg = PooledConfig([PooledPart(space, [1.0, INF])])
+        X, stats = embed_corpus(cfg, ["a b", "a"])
+        assert X.tolist() == [[0.0, 1.5, 1e308, 2.0], [1e308, 1.0, 1e308, 1.0]]
+        assert stats.undefined == ((1, 0),) and stats.undefined_total == 1
+        with pytest.raises(NumericalPolicyError, match=r"^power mean overflows for p=1 at "
+                                                       r"dimension 0$"):
+            embed_corpus(cfg, ["a", "a b"], strict=True)
 
 
 class TestZNorm:
+    @pytest.mark.parametrize("column", [[1e308, 1e308], [1.5e308, -1.5e308]])
+    def test_overflowing_statistics_raise(self, column):
+        with pytest.raises(NumericalPolicyError, match="z-normalization overflows"):
+            znorm_fit(np.array(column)[:, None])
+
     def test_fit_constant_column_floored(self):
         params = znorm_fit(np.array([[1.0, 2.0], [3.0, 2.0]]))
         assert params.mean == pytest.approx([2.0, 2.0])

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import pmean.projection
 from pmean.embeddings import EmbeddingSpace
-from pmean.errors import DimensionError, FormatError, InputError
+from pmean.errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from pmean.optim import BETA1, BETA2, EPS, Layout
 from pmean.projection import (
     ParallelCorpus,
@@ -356,6 +357,16 @@ class TestTraining:
         model, history = train_projection(corpus, cfg)
         assert len(history) == 100
         assert history[-1] < 0.1 * history[0]
+
+    @pytest.mark.parametrize("setting, detail", [
+        ({"margin": 1e308}, "margin 1e+308 and step size 0.001"),  # the summed losses overflow
+        ({"step_size": 1e308}, "margin 0.5 and step size 1e+308"),  # the weights overflow
+    ])
+    def test_non_finite_training_raises_naming_the_setting(self, setting, detail):
+        cfg = ProjectionTrainConfig(shared_dim=4, max_epochs=2, seed=2, **setting)
+        want = re.escape(f"projection training with {detail} gave non-finite")
+        with pytest.raises(NumericalPolicyError, match=want):
+            train_projection(identity_corpus(n=20), cfg)
 
     def test_zero_epochs_returns_init(self):
         corpus = identity_corpus()
