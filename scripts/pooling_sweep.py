@@ -8,6 +8,7 @@ Also contrasts z-normalization on a deliberately mis-scaled concatenation.
 """
 import argparse
 import math
+from dataclasses import replace
 
 from pmean.classifier import TrainProtocol
 from pmean.evaluation import emit_report, evaluate_monolingual, sweep_pmeans
@@ -40,7 +41,7 @@ def main():
 
     print("\n== exponent sweep over A+B ==")
     report = sweep_pmeans(
-        [space_a, space_b],
+        PooledConfig([PooledPart(space_a, [1.0]), PooledPart(space_b, [1.0])]),
         [[1.0], [1.0, INF, -INF], [1.0, INF, -INF, 3.0], [1.0, INF, -INF, -1.0]],
         [task], proto,
     )
@@ -49,8 +50,8 @@ def main():
     print("== z-norm with space B mis-scaled x100 ==")
     cfg = PooledConfig([PooledPart(space_a, [1.0, INF]),
                         PooledPart(scale_space(space_b, 100.0), [1.0, INF])])
-    off = evaluate_monolingual(cfg, task, proto, znorm=False)
-    on = evaluate_monolingual(cfg, task, proto, znorm=True)
+    off = evaluate_monolingual(cfg, task, proto)
+    on = evaluate_monolingual(cfg, task, replace(proto, znorm=True))
     print(f"  znorm off {100 * off.mean:.1f}   znorm on {100 * on.mean:.1f}   "
           f"gain {100 * (on.mean - off.mean):+.1f}")
 

@@ -47,7 +47,10 @@ class SoftmaxModel:
 
 @dataclass
 class TrainProtocol:
-    """Settings for grid-tuned training and repeated subsample validation."""
+    """Settings for grid-tuned training and repeated subsample validation.
+
+    ``znorm`` standardizes each run's rows with statistics fit on its train side.
+    """
 
     lr_grid: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     batch_size: int = 32
@@ -56,6 +59,7 @@ class TrainProtocol:
     val_fraction: float = 0.1
     test_fraction: float = 0.2
     seed: int = 0
+    znorm: bool = False
 
     def __post_init__(self):
         if not self.lr_grid or not all(0 < lr < math.inf for lr in self.lr_grid):
@@ -253,12 +257,12 @@ def metrics(y_true, y_pred, metric_kind: str, labels=None) -> float:
 
 
 def fit_runs(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
-             labels=None, znorm: bool = False) -> list[tuple]:
+             labels=None) -> list[tuple]:
     """Fit every seeded subsample run; returns (model, znorm_params, test_indices) each.
 
-    Splits are stratified 80/20 by default; z-norm statistics, when enabled,
-    are fit on each run's train side only. Run seeds derive from
-    protocol.seed, so runs are reproducible and order-independent.
+    Splits are stratified 80/20 by default; z-norm statistics, with
+    ``protocol.znorm``, are fit on each run's train side only. Run seeds derive
+    from protocol.seed, so runs are reproducible and order-independent.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = list(labels) if labels is not None else _first_appearance_labels(y)
@@ -270,7 +274,7 @@ def fit_runs(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
                                                 labels=labels)
         X_train = X[train_idx]
         zn = None
-        if znorm:
+        if protocol.znorm:
             zn = znorm_fit(X_train)
             X_train = znorm_apply(zn, X_train)
         model = fit(X_train, [labels[i] for i in y_idx[train_idx]], protocol, rng,

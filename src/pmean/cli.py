@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import TrainProtocol
-from .embeddings import OovPolicy, TokenizerConfig, load_text_embeddings
+from .embeddings import load_text_embeddings
 from .errors import FormatError, InputError, NumericalPolicyError
 from .evaluation import (
     EvalReport,
@@ -51,6 +51,49 @@ USAGE_EXIT = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error, and reads ``--opt -x`` as ``--opt=-x``.
+
+    argparse takes a token that starts with "-" as an option's value only when
+    it looks like a plain negative decimal, so ``--p-set -inf,1`` and
+    ``--step-size -1e-3`` would be usage errors. pmean has no single-dash
+    option but -h, so after an option that takes a value such a token is that
+    value. Each subcommand's parser joins the tokens it is handed.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.takes_value: dict[str, bool] = {}  # __init__ adds -h/--help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs != 0))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        joined, i = [], 0
+        while i < len(args):
+            if args[i] == "--":  # everything after it is positional
+                joined += args[i:]
+                break
+            value = args[i + 1] if i + 1 < len(args) else ""
+            if value[:1] == "-" and value[1:2] != "-" and self._wants_value(args[i]):
+                joined.append(f"{args[i]}={value}")
+                i += 2
+            else:
+                joined.append(args[i])
+                i += 1
+        return super().parse_known_args(joined, namespace)
+
+    def _wants_value(self, token: str) -> bool:
+        """Whether a ``--`` token names, whole or as its only prefix, an option with a value."""
+        if not token.startswith("--") or "=" in token:
+            return False
+        if token in self.takes_value:
+            return self.takes_value[token]
+        names = [name for name in self.takes_value if name.startswith(token)]
+        return len(names) == 1 and self.takes_value[names[0]]
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -158,11 +201,13 @@ def _seed_of(args) -> int:
     return seed
 
 
-def _policies(args):
-    return TokenizerConfig(lowercase=not args.no_lowercase), OovPolicy(mode=args.oov), args.strict
+def _pooled(parts, args) -> PooledConfig:
+    """A config over these parts with the command's --no-lowercase, --oov and --strict."""
+    return PooledConfig(parts, lowercase=not args.no_lowercase, oov=args.oov, strict=args.strict)
 
 
-def _load_config(config_path, manifest: RunManifest, loaded: dict | None = None) -> PooledConfig:
+def _load_config(config_path, args, manifest: RunManifest,
+                 loaded: dict | None = None) -> PooledConfig:
     """Parse a config file and load each space it names once, from its path=.
 
     A space may repeat with more p-values; a repeat that gives path= or lang=
@@ -194,7 +239,7 @@ def _load_config(config_path, manifest: RunManifest, loaded: dict | None = None)
         elif e.lang not in (None, spaces[e.space].language_tag):
             raise FormatError(f"{config_path}: space {e.space!r} has conflicting lang= values")
         parts.append(PooledPart(spaces[e.space], list(e.p_values)))
-    return PooledConfig(parts)
+    return _pooled(parts, args)
 
 
 def _protocol_of(args) -> TrainProtocol:
@@ -210,6 +255,7 @@ def _protocol_of(args) -> TrainProtocol:
         val_fraction=args.val_fraction,
         test_fraction=args.test_fraction,
         seed=_seed_of(args),
+        znorm=args.znorm,
     )
 
 
@@ -228,11 +274,6 @@ def _eval_manifest(args) -> RunManifest:
         seeds={"seed": _seed_of(args)}, tool_version=__version__,
         directory=Path(args.out).parent,
     )
-
-
-def _scoring(args) -> tuple:
-    """The protocol, znorm flag, policies and strict flag every evaluation call takes."""
-    return _protocol_of(args), args.znorm, *_policies(args)
 
 
 def _write_report(base, report: EvalReport, manifest: RunManifest) -> None:
@@ -255,7 +296,7 @@ def cmd_embed(args) -> int:
         tool_version=__version__,
         directory=Path(args.output).parent,
     )
-    cfg = _load_config(args.config, manifest)
+    cfg = _load_config(args.config, args, manifest)
     manifest.config["pooling"] = [
         {"space": part.space.name, "p": [format_p(p) for p in part.p_values]}
         for part in cfg.parts
@@ -266,8 +307,7 @@ def cmd_embed(args) -> int:
     sentences = text.removesuffix("\n").split("\n") if text else []
     manifest.add_input(args.input)
 
-    tokenizer, oov, strict = _policies(args)
-    X, stats = embed_corpus(cfg, sentences, tokenizer, oov, strict=strict)
+    X, stats = embed_corpus(cfg, sentences)
     if args.znorm and X.shape[0] > 0:
         params = znorm_fit(X)
         X = znorm_apply(params, X)
@@ -316,9 +356,8 @@ def cmd_train_projection(args) -> int:
         raise InputError(f"{args.pairs}: no sentence pairs")
 
     # each side is represented by its average word vector
-    tokenizer, oov, strict = _policies(args)
     corpus = ParallelCorpus(*(
-        embed_corpus(PooledConfig([PooledPart(space, [1.0])]), texts, tokenizer, oov, strict=strict)[0]
+        embed_corpus(_pooled([PooledPart(space, [1.0])], args), texts)[0]
         for space, texts in ((src_space, src_texts), (tgt_space, tgt_texts))))
     model, history = train_projection(corpus, cfg)
 
@@ -336,10 +375,10 @@ def cmd_train_projection(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest = _eval_manifest(args)
-    cfg = _load_config(args.config, manifest)
+    cfg = _load_config(args.config, args, manifest)
     ds = load_task(args.task)
     manifest.add_input(args.task)
-    report = evaluate_report([(cfg, cfg)], [ds], *_scoring(args))
+    report = evaluate_report([(cfg, cfg)], [ds], _protocol_of(args))
     _write_report(args.out, report, manifest)
     return 0
 
@@ -347,12 +386,12 @@ def cmd_eval(args) -> int:
 def cmd_eval_transfer(args) -> int:
     manifest = _eval_manifest(args)
     loaded = {}  # both configs often name one bilingual file; parse it once
-    cfg_src = _load_config(args.source_config, manifest, loaded)
-    cfg_tgt = _load_config(args.target_config, manifest, loaded)
+    cfg_src = _load_config(args.source_config, args, manifest, loaded)
+    cfg_tgt = _load_config(args.target_config, args, manifest, loaded)
     pair = TransferPair(train=load_task(args.train_task), test=load_task(args.test_task))
     manifest.add_input(args.train_task)
     manifest.add_input(args.test_task)
-    report = evaluate_report([(cfg_src, cfg_tgt)], [pair], *_scoring(args))
+    report = evaluate_report([(cfg_src, cfg_tgt)], [pair], _protocol_of(args))
     _write_report(args.out, report, manifest)
     return 0
 
@@ -360,15 +399,14 @@ def cmd_eval_transfer(args) -> int:
 def cmd_sweep(args) -> int:
     manifest = _eval_manifest(args)
     manifest.config["p_sets"] = args.p_set
-    cfg = _load_config(args.config, manifest)
-    spaces = {part.space.name: part.space for part in cfg.parts}.values()
+    cfg = _load_config(args.config, args, manifest)
     p_sets = [[parse_p(tok) for tok in ps.split(",") if tok] for ps in args.p_set]
 
     tasks = []
     for task_path in args.task:
         tasks.append(load_task(task_path))
         manifest.add_input(task_path)
-    report = sweep_pmeans(spaces, p_sets, tasks, *_scoring(args))
+    report = sweep_pmeans(cfg, p_sets, tasks, _protocol_of(args))
     _write_report(args.out, report, manifest)
     return 0
 

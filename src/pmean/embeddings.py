@@ -1,4 +1,4 @@
-"""Word-embedding spaces: text-format loading, tokenization, and the OOV policy.
+"""Word-embedding spaces and their text-format loading.
 
 The text format is the common one-word-per-line layout: ``token v1 v2 ... vd``
 with an optional first line ``count dim`` (auto-detected when it parses as
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, InputError
+from .errors import DimensionError, FormatError
 from .textio import read_lines
 
 logger = logging.getLogger(__name__)
@@ -56,36 +56,6 @@ class EmbeddingSpace:
 
     def vector(self, token: str) -> np.ndarray:
         return self.matrix[self.vocab[token]]
-
-
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Deterministic whitespace tokenizer with optional lowercasing."""
-
-    lowercase: bool = True
-
-
-@dataclass(frozen=True)
-class OovPolicy:
-    """What to do with tokens missing from a space's vocabulary.
-
-    ``skip`` drops them, ``zero`` substitutes a zero vector. Sentences that
-    end up with no rows at all fall back to a single zero row so downstream
-    pooling stays total.
-    """
-
-    mode: str = "skip"
-
-    def __post_init__(self):
-        if self.mode not in ("skip", "zero"):
-            raise InputError(f"unknown OOV mode {self.mode!r}")
-
-
-def tokenize(cfg: TokenizerConfig, sentence: str) -> list[str]:
-    """Split on any whitespace, drop empties, lowercase per config."""
-    if cfg.lowercase:
-        sentence = sentence.lower()
-    return sentence.split()
 
 
 def load_text_embeddings(

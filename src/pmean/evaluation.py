@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ from .classifier import (
     fit_runs,
     score_runs,
 )
-from .embeddings import OovPolicy, TokenizerConfig
 from .errors import DimensionError, FormatError, InputError
 from .pooling import PooledConfig, PooledPart, embed_corpus
 from .textio import read_lines
@@ -179,25 +178,18 @@ def _check_language(cfg: PooledConfig, ds: TaskDataset) -> None:
             )
 
 
-def _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, strict):
+def _fit_task(cfg, ds, protocol):
     """Embed a task and fit its subsample runs; returns (runs, X, y)."""
     y, texts, labels = _canonical(ds)
-    X, _ = embed_corpus(cfg, texts, tokenizer, oov_policy, strict=strict)
-    return fit_runs(X, y, protocol, ds.metric_kind, labels=labels, znorm=znorm), X, y
+    X, _ = embed_corpus(cfg, texts)
+    return fit_runs(X, y, protocol, ds.metric_kind, labels=labels), X, y
 
 
-def evaluate_monolingual(
-    cfg: PooledConfig,
-    ds: TaskDataset,
-    protocol: TrainProtocol,
-    znorm: bool = False,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    strict: bool = False,
-) -> EvalScore:
+def evaluate_monolingual(cfg: PooledConfig, ds: TaskDataset,
+                         protocol: TrainProtocol) -> EvalScore:
     """Embed a task and score each subsample run on its own held-out rows."""
     _check_language(cfg, ds)
-    runs, X, y = _fit_task(cfg, ds, protocol, znorm, tokenizer, oov_policy, strict)
+    runs, X, y = _fit_task(cfg, ds, protocol)
     return score_runs(runs, X, y, ds.metric_kind, held_out=True)
 
 
@@ -227,10 +219,6 @@ def evaluate_transfer(
     cfg_tgt: PooledConfig,
     pair: TransferPair,
     protocol: TrainProtocol,
-    znorm: bool = False,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    strict: bool = False,
 ) -> TransferResult:
     """Train on the source-language task, score on the target-language one.
 
@@ -242,10 +230,10 @@ def evaluate_transfer(
     _check_aligned_configs(cfg_src, cfg_tgt)
     _check_language(cfg_src, pair.train)
     _check_language(cfg_tgt, pair.test)
-    runs, X, y = _fit_task(cfg_src, pair.train, protocol, znorm, tokenizer, oov_policy, strict)
+    runs, X, y = _fit_task(cfg_src, pair.train, protocol)
     in_language = score_runs(runs, X, y, pair.train.metric_kind, held_out=True)
     y_tgt, texts_tgt, _ = _canonical(pair.test)
-    X_tgt, _ = embed_corpus(cfg_tgt, texts_tgt, tokenizer, oov_policy, strict=strict)
+    X_tgt, _ = embed_corpus(cfg_tgt, texts_tgt)
     cross = score_runs(runs, X_tgt, y_tgt, pair.test.metric_kind)
     return TransferResult(cross=cross, in_language=in_language)
 
@@ -303,15 +291,7 @@ class EvalReport:
     version: int = REPORT_FORMAT_VERSION
 
 
-def evaluate_report(
-    rows,
-    tasks,
-    protocol: TrainProtocol,
-    znorm: bool = False,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    strict: bool = False,
-) -> EvalReport:
+def evaluate_report(rows, tasks, protocol: TrainProtocol) -> EvalReport:
     """Score every task under every (source config, target config) row.
 
     This builds every report. A TaskDataset cell is scored monolingually with
@@ -325,8 +305,7 @@ def evaluate_report(
         results = []
         for task in tasks:
             if isinstance(task, TransferPair):
-                res = evaluate_transfer(cfg_src, cfg_tgt, task, protocol, znorm,
-                                        tokenizer, oov_policy, strict)
+                res = evaluate_transfer(cfg_src, cfg_tgt, task, protocol)
                 results.append(TaskResult(
                     task=task.train.name,
                     metric=res.cross.metric,
@@ -336,38 +315,31 @@ def evaluate_report(
                     drop=res.drop,
                 ))
             else:
-                score = evaluate_monolingual(cfg_src, task, protocol, znorm,
-                                             tokenizer, oov_policy, strict)
+                score = evaluate_monolingual(cfg_src, task, protocol)
                 results.append(TaskResult(task=task.name, metric=score.metric,
                                           score=score.mean, std=score.std))
         report_rows.append(ReportRow.from_results(cfg_src.describe(), results))
     return EvalReport(rows=report_rows)
 
 
-def sweep_pmeans(
-    spaces,
-    p_sets: list[list[float]],
-    tasks,
-    protocol: TrainProtocol,
-    znorm: bool = False,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    strict: bool = False,
-) -> EvalReport:
-    """Evaluate the same spaces under different p-value sets, one row per set.
+def sweep_pmeans(cfg: PooledConfig, p_sets: list[list[float]], tasks,
+                 protocol: TrainProtocol) -> EvalReport:
+    """Evaluate the config's spaces under different p-value sets, one row per set.
 
-    Transfer rows reuse the same config on both sides, so the spaces must be
-    shared/bilingual.
+    Each row keeps the config's pooling options and its spaces, one per name
+    in first-appearance order, and pools every space with that row's
+    p-values; the config's own p-values are ignored. Transfer rows reuse the same
+    config on both sides, so the spaces must be shared/bilingual.
     """
-    spaces = list(spaces)
+    spaces = {part.space.name: part.space for part in cfg.parts}.values()
     tasks = list(tasks)
     if not tasks:
         raise InputError("sweep needs at least one task")
     if not p_sets:
         raise InputError("sweep needs at least one p-value set")
-    cfgs = [PooledConfig([PooledPart(sp, list(p_set)) for sp in spaces]) for p_set in p_sets]
-    return evaluate_report([(cfg, cfg) for cfg in cfgs], tasks, protocol, znorm,
-                           tokenizer, oov_policy, strict)
+    cfgs = [replace(cfg, parts=[PooledPart(sp, list(p_set)) for sp in spaces])
+            for p_set in p_sets]
+    return evaluate_report([(c, c) for c in cfgs], tasks, protocol)
 
 
 def emit_report(report: EvalReport, fmt: str) -> str:

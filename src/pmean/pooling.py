@@ -32,7 +32,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, OovPolicy, TokenizerConfig, tokenize
+from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 
 EPSILON = 1e-12  # magnitude below which a base counts as zero
@@ -56,13 +56,25 @@ class PooledPart:
 
 @dataclass
 class PooledConfig:
-    """Ordered list of (space, p-values) parts defining one representation."""
+    """Ordered (space, p-values) parts defining one representation, and how text becomes rows.
+
+    A sentence is lowercased if ``lowercase``, then split on whitespace. A
+    token missing from a space's vocabulary is dropped (``oov="skip"``) or
+    becomes a zero row (``oov="zero"``); a sentence left with no rows pools
+    one zero row. With ``strict``, an entry that would be zeroed raises
+    NumericalPolicyError instead.
+    """
 
     parts: list[PooledPart]
+    lowercase: bool = True
+    oov: str = "skip"
+    strict: bool = False
 
     def __post_init__(self):
         if not self.parts:
             raise InputError("PooledConfig needs at least one part")
+        if self.oov not in ("skip", "zero"):
+            raise InputError(f"unknown OOV mode {self.oov!r}")
 
     @property
     def output_dim(self) -> int:
@@ -184,30 +196,21 @@ class PoolStats:
         return sum(map(sum, self.undefined))
 
 
-def embed_corpus(
-    cfg: PooledConfig,
-    sentences,
-    tokenizer: TokenizerConfig | None = None,
-    oov_policy: OovPolicy | None = None,
-    *,
-    strict: bool = False,
-) -> tuple[np.ndarray, PoolStats]:
+def embed_corpus(cfg: PooledConfig, sentences) -> tuple[np.ndarray, PoolStats]:
     """Pool each sentence into one row of ``cfg.output_dim`` values; returns (X, stats).
 
-    A sentence is tokenized once. Each part's power means are concatenated in
-    p order, and the parts' blocks follow in configuration order. Row by row
-    the result is bit-identical to ``power_mean`` over the sentence's word
-    vectors (OOV tokens skipped or zero rows, one zero row if none remain),
-    with the same entries zeroed and counted; with ``strict`` the first
+    A sentence is tokenized once, as ``cfg.lowercase`` says. Each part's power
+    means are concatenated in p order, and the parts' blocks follow in
+    configuration order. Row by row the result is bit-identical to
+    ``power_mean`` over the sentence's word vectors (rows per ``cfg.oov``),
+    with the same entries zeroed and counted; with ``cfg.strict`` the first
     offending (sentence, part, p) raises the oracle's own message.
     """
-    tokenizer = tokenizer or TokenizerConfig()
-    oov_policy = oov_policy or OovPolicy()
-    token_lists = [tokenize(tokenizer, sentence) for sentence in sentences]
+    token_lists = [(s.lower() if cfg.lowercase else s).split() for s in sentences]
     X = np.empty((len(token_lists), cfg.output_dim))
     counts, offences, col = [], [], 0
     for part in cfg.parts:
-        blocks, part_counts, offence = _pool_part(part, token_lists, oov_policy, strict)
+        blocks, part_counts, offence = _pool_part(part, token_lists, cfg.oov, cfg.strict)
         for block in blocks:
             X[:, col:col + part.space.dim] = block
             col += part.space.dim
@@ -219,7 +222,7 @@ def embed_corpus(
     return X, PoolStats(*map(tuple, zip(*counts)))
 
 
-def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy, strict: bool):
+def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool):
     """Pool one part: ``(blocks, counts, offence)``.
 
     ``blocks`` holds the S x dim block of each p. ``counts`` holds one part's
@@ -236,7 +239,7 @@ def _pool_part(part: PooledPart, token_lists, oov_policy: OovPolicy, strict: boo
     """
     space = part.space
     zero_id = len(space.vocab)  # the zero row of OOV tokens and empty sentences
-    if oov_policy.mode == "zero":
+    if oov == "zero":
         id_lists = [[space.vocab.get(t, zero_id) for t in tokens] for tokens in token_lists]
     else:
         id_lists = [[i for i in map(space.vocab.get, tokens) if i is not None]

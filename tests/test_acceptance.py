@@ -7,6 +7,7 @@ constructions in pmean.synthetic.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,8 +243,8 @@ def test_c6_znorm_direction(mixed_task):
     proto = full_protocol()
     cfg = PooledConfig([PooledPart(a, [1.0, INF]),
                         PooledPart(scale_space(b, 100.0), [1.0, INF])])
-    off = evaluate_monolingual(cfg, task, proto, znorm=False)
-    on = evaluate_monolingual(cfg, task, proto, znorm=True)
+    off = evaluate_monolingual(cfg, task, replace(proto, znorm=False))
+    on = evaluate_monolingual(cfg, task, replace(proto, znorm=True))
     gain = on.mean - off.mean
     report(6, "standardization fixes mis-scaled concatenation", gain >= 0.02,
            f"off {off.mean:.3f}, on {on.mean:.3f}, gain {gain:+.3f}")
@@ -252,7 +253,8 @@ def test_c6_znorm_direction(mixed_task):
 def test_c7_negative_p_degrades(mixed_task):
     a, b, task = mixed_task
     proto = full_protocol()
-    rep = sweep_pmeans([a, b], [[1.0, INF, -INF], [1.0, INF, -INF, -1.0]], [task], proto)
+    cfg = PooledConfig([PooledPart(a, [1.0]), PooledPart(b, [1.0])])
+    rep = sweep_pmeans(cfg, [[1.0, INF, -INF], [1.0, INF, -INF, -1.0]], [task], proto)
     base, with_neg = rep.rows[0].sigma, rep.rows[1].sigma
     report(7, "adding p=-1 degrades a zero-crossing task", with_neg < base,
            f"[1,inf,-inf] {base:.3f} vs [...,-1] {with_neg:.3f}")

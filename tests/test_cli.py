@@ -256,6 +256,7 @@ class TestTrainProjection:
     @pytest.mark.parametrize("flag, value", [
         ("--margin", "nan"), ("--margin", "inf"), ("--step-size", "nan"),
         ("--step-size", "inf"), ("--step-size", "0"), ("--step-size", "-1"),
+        ("--step-size", "-1e-3"),
     ])
     def test_bad_training_setting_exits_2(self, workdir, capsys, flag, value):
         assert self.run(workdir, flag, value) == 2
@@ -266,6 +267,12 @@ class TestTrainProjection:
         assert "Traceback" not in err
         assert not (workdir / "model.json").exists()
         assert not (workdir / "hist.csv").exists()
+
+    def test_negative_margin_in_exponent_form_trains(self, workdir):
+        # argparse alone takes "-1e-3" for an option, not for --margin's value
+        assert self.run(workdir, "--margin", "-1e-3") == 0
+        manifest = json.loads((workdir / "model.json.manifest.json").read_text())
+        assert manifest["config"]["margin"] == -1e-3
 
     def test_non_finite_training_exits_3(self, workdir, capsys):
         # each triple's loss is about 1e308, so their sum overflows
@@ -497,6 +504,18 @@ class TestEvalCommands:
         assert "[1,inf,-inf]" in doc["rows"][0]["model"]
         assert "[1,inf,-inf,3]" in doc["rows"][1]["model"]
 
+    def test_p_set_may_start_with_a_dash(self, workdir):
+        def sweep(out, *p_set):
+            return main(["sweep", "--config", str(workdir / "cfg.txt"), *p_set,
+                         "--task", str(workdir / "task.tsv"), "--out", str(workdir / out),
+                         *PROTOCOL_ARGS])
+
+        assert sweep("spaced", "--p-set", "-inf,1", "--p-set", "-1,1") == 0
+        assert sweep("joined", "--p-set=-inf,1", "--p-set=-1,1") == 0
+        for suffix in (".json", ".md", ".manifest.json"):
+            assert ((workdir / "spaced").with_suffix(suffix).read_bytes()
+                    == (workdir / "joined").with_suffix(suffix).read_bytes())
+
     def test_eval_and_one_row_sweep_write_identical_reports(self, workdir):
         cfg, task = str(workdir / "cfg.txt"), str(workdir / "task.tsv")
         assert main(["eval", "--config", cfg, "--task", task,
@@ -576,6 +595,86 @@ def command_argv(workdir: Path, command: str) -> list[str]:
 
 
 COMMANDS = ["embed", "train-projection", "eval", "eval-transfer", "sweep"]
+
+
+def flags_task(path: Path, sentences: list[str]) -> str:
+    """A two-class task over these sentences, eight times each; returns its path."""
+    items = [("up" if i % 2 else "down", text) for i, text in enumerate(sentences * 8)]
+    write(path, "#name=flags\n#metric=accuracy\n" + "".join(f"{a}\t{b}\n" for a, b in items))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["eval", "eval-transfer", "sweep"])
+class TestEvalFlags:
+    """eval, eval-transfer and sweep pool their tasks with --oov, --no-lowercase and
+    --strict, and fit them with --znorm.
+
+    The task holds capitalized known words and all-OOV sentences, and the
+    config pools p = -1, which the zero row of an all-OOV sentence makes
+    undefined.
+    """
+
+    @pytest.fixture
+    def run(self, workdir, monkeypatch):
+        write(workdir / "cfg.txt", "space=one p=1,-1 path=one.txt\n")
+        flags_task(workdir / "task.tsv", ["Alpha beta", "gamma Delta", "zzz", "beta qqq"])
+        returned = {}
+
+        def spy(name):
+            real = getattr(pmean.evaluation, name)
+
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                returned[name].append(out)
+                return out
+
+            monkeypatch.setattr(pmean.evaluation, name, call)
+
+        spy("embed_corpus")
+        spy("fit_runs")
+
+        def run(command, *flags):
+            """The exit code, every embed_corpus call's PoolStats and every fit_runs result."""
+            returned.update(embed_corpus=[], fit_runs=[])
+            extra = ["--p-set", "1,-1"] if command == "sweep" else []
+            code = main([*command_argv(workdir, command), *extra, *flags])
+            return code, [stats for _, stats in returned["embed_corpus"]], returned["fit_runs"]
+
+        return run
+
+    def test_oov_zero(self, run, command):
+        code, skip, _ = run(command)
+        assert code == 0 and skip and all(s.fallback_sentences == (8,) for s in skip)
+        code, zero, _ = run(command, "--oov", "zero")
+        assert code == 0 and len(zero) == len(skip)
+        assert all(s.fallback_sentences == (0,) for s in zero)
+
+    def test_no_lowercase(self, run, command):
+        code, lower, _ = run(command)
+        assert code == 0 and lower and all(s.oov_tokens == (16,) for s in lower)
+        code, kept, _ = run(command, "--no-lowercase")
+        assert code == 0 and len(kept) == len(lower)
+        assert all(s.oov_tokens == (32,) for s in kept)
+
+    def test_strict(self, run, command, workdir, capsys):
+        code, lenient, _ = run(command)
+        assert code == 0 and lenient[-1].undefined_total > 0
+        assert run(command, "--strict")[0] == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pmean: numerical policy error: power mean undefined for p=-1 ")
+        if command == "eval-transfer":  # each side is strict: a pole on one side exits 3
+            clean = flags_task(workdir / "clean.tsv",
+                               ["Alpha beta", "gamma Delta", "delta", "beta qqq"])
+            for side in ("--train-task", "--test-task"):
+                assert run(command, side, clean)[0] == 0
+                assert run(command, side, clean, "--strict")[0] == 3
+
+    def test_znorm(self, run, command):
+        code, _, plain = run(command)
+        assert code == 0 and plain and all(zn is None for runs in plain for _, zn, _ in runs)
+        code, _, scaled = run(command, "--znorm")
+        assert code == 0 and len(scaled) == len(plain)
+        assert all(zn is not None for runs in scaled for _, zn, _ in runs)
 
 
 class TestConfig:

@@ -10,13 +10,10 @@ from pmean.embeddings import (
     EmbeddingSpace,
     _parse_with_float,
     _parse_with_loadtxt,
-    OovPolicy,
-    TokenizerConfig,
     load_text_embeddings,
     save_text_embeddings,
-    tokenize,
 )
-from pmean.errors import DimensionError, FormatError
+from pmean.errors import DimensionError, FormatError, InputError
 from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 
 
@@ -223,23 +220,37 @@ class TestLoaderDifferential:
         assert_loads_as_float_reads(path)
 
 
+def tokens_seen(sentence, vocab, **options):
+    """(tokens, OOV tokens) that embed_corpus counts for one sentence over a vocabulary."""
+    space = EmbeddingSpace("t", 1, {t: i for i, t in enumerate(vocab)},
+                           np.arange(1.0, len(vocab) + 1)[:, None])
+    _, stats = embed_corpus(PooledConfig([PooledPart(space, [1.0])], **options), [sentence])
+    return stats.tokens[0], stats.oov_tokens[0]
+
+
 class TestTokenize:
+    """Tokenization as embed_corpus does it, seen through its counts."""
+
     def test_lowercase_default(self):
-        assert tokenize(TokenizerConfig(), "Dark  and funny") == ["dark", "and", "funny"]
+        assert tokens_seen("Dark  and funny", ["dark", "and", "funny"]) == (3, 0)
 
     def test_empty_input(self):
-        assert tokenize(TokenizerConfig(), "") == []
+        assert tokens_seen("", ["a"]) == (0, 0)
 
     def test_mixed_whitespace(self):
-        assert tokenize(TokenizerConfig(), " a\tb ") == ["a", "b"]
+        assert tokens_seen(" a\tb\x0c\u2028c ", ["a", "b", "c"]) == (3, 0)
 
     def test_case_preserved_when_disabled(self):
-        assert tokenize(TokenizerConfig(lowercase=False), "Ab cD") == ["Ab", "cD"]
+        assert tokens_seen("Ab cD", ["Ab", "cD"], lowercase=False) == (2, 0)
+        assert tokens_seen("Ab cD", ["ab", "cd"], lowercase=False) == (2, 2)
+        assert tokens_seen("Ab cD", ["Ab", "cD"]) == (2, 2)
 
     @given(st.text())
     def test_deterministic(self, s):
-        cfg = TokenizerConfig()
-        assert tokenize(cfg, s) == tokenize(cfg, s)
+        cfg = PooledConfig([PooledPart(EmbeddingSpace("t", 1, {"a": 0}, [[1.0]]), [1.0, 2.0])])
+        (X, stats), (Y, again) = embed_corpus(cfg, [s]), embed_corpus(cfg, [s])
+        assert X.tobytes() == Y.tobytes() and stats == again
+        assert stats.tokens == (len(s.lower().split()),)
 
 
 @pytest.fixture
@@ -251,8 +262,8 @@ def small_space():
 
 def pool(space, sentence, oov_mode="skip"):
     """One sentence's mean, max and min rows over one space, and the PoolStats."""
-    cfg = PooledConfig([PooledPart(space, [1.0, float("inf"), -float("inf")])])
-    X, stats = embed_corpus(cfg, [sentence], oov_policy=OovPolicy(oov_mode))
+    cfg = PooledConfig([PooledPart(space, [1.0, float("inf"), -float("inf")])], oov=oov_mode)
+    X, stats = embed_corpus(cfg, [sentence])
     return X.reshape(3, space.dim).tolist(), stats
 
 
@@ -311,11 +322,9 @@ class TestLookup:
 
 
 class TestSpaceInvariants:
-    def test_unknown_oov_mode_rejected(self):
-        from pmean.errors import InputError
-
-        with pytest.raises(InputError):
-            OovPolicy("bogus")
+    def test_unknown_oov_mode_rejected(self, small_space):
+        with pytest.raises(InputError, match="unknown OOV mode 'bogus'"):
+            PooledConfig([PooledPart(small_space, [1.0])], oov="bogus")
 
     def test_row_count_must_match_vocab(self):
         with pytest.raises(DimensionError):

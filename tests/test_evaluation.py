@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pmean.classifier
+import pmean.evaluation
 from pmean.classifier import TrainProtocol, fit_runs, score_runs
 from pmean.errors import DimensionError, FormatError, InputError
 from pmean.evaluation import (
@@ -36,6 +38,11 @@ from pmean.synthetic import (
 
 INF = math.inf
 FAST = TrainProtocol(runs=4, max_epochs=15, seed=0)
+
+
+def spaces_config(*spaces):
+    """A config naming these spaces, for sweep_pmeans, which ignores its p-values."""
+    return PooledConfig([PooledPart(space, [1.0]) for space in spaces])
 
 
 class TestLoadTask:
@@ -276,8 +283,9 @@ class TestTransfer:
         src = sorted(pair.train.items)
         X, _ = embed_corpus(cfg, [text for _, text in src])
         y = [label for label, _ in src]
-        runs = fit_runs(X, y, FAST, labels=sorted(pair.train.classes), znorm=True)
-        runs_again = fit_runs(X, y, FAST, labels=sorted(pair.train.classes), znorm=True)
+        znorm = replace(FAST, znorm=True)
+        runs = fit_runs(X, y, znorm, labels=sorted(pair.train.classes))
+        runs_again = fit_runs(X, y, znorm, labels=sorted(pair.train.classes))
         for (m1, z1, t1), (m2, z2, t2) in zip(runs, runs_again):
             assert np.array_equal(m1.weights, m2.weights)
             assert np.array_equal(z1.mean, z2.mean)
@@ -285,14 +293,15 @@ class TestTransfer:
         tgt = sorted(pair.test.items)
         X_tgt, _ = embed_corpus(cfg, [text for _, text in tgt])
         cross = score_runs(runs, X_tgt, [label for label, _ in tgt], pair.test.metric_kind)
-        assert evaluate_transfer(cfg, cfg, pair, FAST, znorm=True).cross == cross
+        assert evaluate_transfer(cfg, cfg, pair, znorm).cross == cross
 
     @pytest.mark.parametrize("znorm", [False, True])
     def test_in_language_equals_monolingual_source_score(self, swap_setup, znorm):
         _, bilingual, pair = swap_setup
         cfg = PooledConfig([PooledPart(bilingual, [1.0, INF])])
-        res = evaluate_transfer(cfg, cfg, pair, FAST, znorm=znorm)
-        mono = evaluate_monolingual(cfg, pair.train, FAST, znorm=znorm)
+        protocol = replace(FAST, znorm=znorm)
+        res = evaluate_transfer(cfg, cfg, pair, protocol)
+        mono = evaluate_monolingual(cfg, pair.train, protocol)
         assert res.in_language == mono
         assert res.in_language.per_run == mono.per_run
 
@@ -336,7 +345,7 @@ class TestTransfer:
 class TestSweep:
     def test_row_structure_and_order(self):
         space, task = make_blobs_task(seed=6, n_sentences=60)
-        report = sweep_pmeans([space], [[1.0, INF, -INF], [1.0, INF, -INF, 3.0]],
+        report = sweep_pmeans(spaces_config(space), [[1.0, INF, -INF], [1.0, INF, -INF, 3.0]],
                               [task], FAST)
         assert len(report.rows) == 2
         assert "[1,inf,-inf]" in report.rows[0].model
@@ -349,21 +358,34 @@ class TestSweep:
 
         a, b, task = make_complementarity_task(seed=42)
         proto = TrainProtocol(runs=6, max_epochs=20, seed=7)
-        report = sweep_pmeans([a, b], [[1.0, INF, -INF], [1.0, INF, -INF, -1.0]],
+        report = sweep_pmeans(spaces_config(a, b), [[1.0, INF, -INF], [1.0, INF, -INF, -1.0]],
                               [task], proto)
         assert report.rows[1].sigma < report.rows[0].sigma
 
     def test_empty_task_list_rejected(self):
         space, _ = make_blobs_task(seed=6, n_sentences=40)
         with pytest.raises(InputError):
-            sweep_pmeans([space], [[1.0]], [], FAST)
+            sweep_pmeans(spaces_config(space), [[1.0]], [], FAST)
 
     def test_transfer_pair_rows_get_drop(self, swap_setup):
         _, bilingual, pair = swap_setup
-        report = sweep_pmeans([bilingual], [[1.0]], [pair], FAST)
+        report = sweep_pmeans(spaces_config(bilingual), [[1.0]], [pair], FAST)
         cell = report.rows[0].results[0]
         assert cell.drop is not None
         assert cell.drop == pytest.approx(cell.in_language - cell.score, abs=1e-15)
+
+    def test_rows_keep_each_space_once_and_the_pooling_options(self, monkeypatch):
+        space, task = make_blobs_task(seed=6, n_sentences=40)
+        cfg = PooledConfig([PooledPart(space, [1.0]), PooledPart(space, [INF])],
+                           lowercase=False, oov="zero", strict=True)
+        seen = []
+        real = pmean.evaluation.embed_corpus
+        monkeypatch.setattr(pmean.evaluation, "embed_corpus",
+                            lambda c, texts: seen.append(c) or real(c, texts))
+        report = sweep_pmeans(cfg, [[1.0, -INF], [3.0]], [task], FAST)
+        assert [row.model for row in report.rows] == [f"{space.name}[1,-inf]",
+                                                      f"{space.name}[3]"]
+        assert [(c.lowercase, c.oov, c.strict) for c in seen] == [(False, "zero", True)] * 2
 
 
 class TestReports:

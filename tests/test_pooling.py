@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmean.embeddings import EmbeddingSpace, OovPolicy
+from pmean.embeddings import EmbeddingSpace
 from pmean.errors import DimensionError, FormatError, NumericalPolicyError
 from pmean.pooling import (
     EPSILON,
@@ -304,7 +305,7 @@ def oracle_corpus(cfg, sentences, oov_mode, strict):
 
 
 def kernel_corpus(cfg, sentences, oov_mode, strict):
-    X, stats = embed_corpus(cfg, sentences, oov_policy=OovPolicy(oov_mode), strict=strict)
+    X, stats = embed_corpus(replace(cfg, oov=oov_mode, strict=strict), sentences)
     return X, stats.undefined
 
 
@@ -415,12 +416,12 @@ class TestCorpusKernel:
     def test_token_order_does_not_change_a_row(self, rows, token_ids, rnd, oov_mode):
         space = EmbeddingSpace("h", len(rows[0]), {f"w{i}": i for i in range(len(rows))},
                                np.array(rows))
-        cfg = PooledConfig([PooledPart(space, KERNEL_PS)])
+        cfg = PooledConfig([PooledPart(space, KERNEL_PS)], oov=oov_mode)
         tokens = [f"w{i}" for i in token_ids]  # ids past the vocabulary are OOV
         shuffled = list(tokens)
         rnd.shuffle(shuffled)
-        X, first = embed_corpus(cfg, [" ".join(tokens)], oov_policy=OovPolicy(oov_mode))
-        Y, second = embed_corpus(cfg, [" ".join(shuffled)], oov_policy=OovPolicy(oov_mode))
+        X, first = embed_corpus(cfg, [" ".join(tokens)])
+        Y, second = embed_corpus(cfg, [" ".join(shuffled)])
         assert X.tobytes() == Y.tobytes()
         assert first == second
 
@@ -446,9 +447,10 @@ class TestPoolStats:
         rng = np.random.default_rng(seed)
         a = tricky_space("a", rng)
         b = EmbeddingSpace("b", a.dim, dict(list(a.vocab.items())[:8]), a.matrix[:8])  # no w8..w11
-        cfg = PooledConfig([PooledPart(a, [1.0, -1.0]), PooledPart(b, [INF, 0.5, 3.0])])
+        cfg = PooledConfig([PooledPart(a, [1.0, -1.0]), PooledPart(b, [INF, 0.5, 3.0])],
+                           oov=oov_mode)
         sentences = tricky_sentences(a, rng)
-        _, stats = embed_corpus(cfg, sentences, oov_policy=OovPolicy(oov_mode))
+        _, stats = embed_corpus(cfg, sentences)
         want = brute_force_stats(cfg, sentences, oov_mode)
         assert [stats.tokens, stats.oov_tokens, stats.fallback_sentences,
                 stats.vocab_rows] == want
@@ -464,7 +466,7 @@ class TestPoolStats:
         assert stats.undefined == ((1, 0),) and stats.undefined_total == 1
         with pytest.raises(NumericalPolicyError, match=r"^power mean overflows for p=1 at "
                                                        r"dimension 0$"):
-            embed_corpus(cfg, ["a", "a b"], strict=True)
+            embed_corpus(replace(cfg, strict=True), ["a", "a b"])
 
 
 class TestZNorm:
