@@ -3,7 +3,8 @@
 The classifier is deliberately plain: softmax cross-entropy trained with
 minibatched Adam, a learning-rate grid tuned on a held-out validation slice,
 and repeated stratified train/test subsampling to average out initialization
-and split noise.
+and split noise. Classes are the indices 0..C-1; ``evaluation`` maps a task's
+labels to them.
 """
 from __future__ import annotations
 
@@ -23,26 +24,23 @@ METRICS = (ACCURACY, MACRO_F1)
 
 @dataclass
 class SoftmaxModel:
-    """Weights, bias, and the fixed label order they were fit under."""
+    """Weights and bias of a softmax over the classes 0..C-1."""
 
     weights: np.ndarray  # C x D
     bias: np.ndarray  # C
-    class_labels: list
 
     def __post_init__(self):
-        if len(self.class_labels) < 2:
-            raise InputError("softmax model needs at least 2 classes")
-        if self.weights.shape[0] != len(self.class_labels) or self.bias.shape != (
-            self.weights.shape[0],
-        ):
+        if self.weights.ndim != 2 or self.bias.shape != self.weights.shape[:1]:
             raise InputError("softmax parameter shapes disagree with class count")
+        if len(self.bias) < 2:
+            raise InputError("softmax model needs at least 2 classes")
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights.T + self.bias
 
-    def predict(self, X: np.ndarray) -> list:
-        idx = np.argmax(self.logits(X), axis=1)
-        return [self.class_labels[i] for i in idx]
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The index of each row's highest-scoring class."""
+        return np.argmax(self.logits(X), axis=1)
 
 
 @dataclass
@@ -95,40 +93,17 @@ class EvalScore:
 
 
 def softmax_xent(model: SoftmaxModel, X: np.ndarray, y) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy of the model on (X, y) and its exact gradients."""
-    y_idx = _label_indices(y, model.class_labels)
-    params = {"W": model.weights, "b": model.bias}
-    return _xent(params, np.asarray(X, dtype=np.float64), y_idx)
-
-
-def _xent(params, X, y_idx):
-    W, b = params["W"], params["b"]
-    n = X.shape[0]
-    logits = X @ W.T + b
+    """Mean cross-entropy of the model on (X, y) and its exact gradients; y holds class indices."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.arange(X.shape[0])
+    logits = model.logits(X)
     logits -= logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(logits).sum(axis=1))
-    loss = float(np.mean(log_z - logits[np.arange(n), y_idx]))
+    loss = float(np.mean(log_z - logits[rows, y]))
     probs = np.exp(logits - log_z[:, None])
-    probs[np.arange(n), y_idx] -= 1.0
-    probs /= n
-    grads = {"W": probs.T @ X, "b": probs.sum(axis=0)}
-    return loss, grads
-
-
-def _label_indices(y, labels) -> np.ndarray:
-    index = {lab: i for i, lab in enumerate(labels)}
-    try:
-        return np.array([index[v] for v in y], dtype=np.intp)
-    except KeyError as exc:
-        raise InputError(f"unknown label {exc.args[0]!r}") from None
-
-
-def _first_appearance_labels(y) -> list:
-    seen = {}
-    for v in y:
-        if v not in seen:
-            seen[v] = None
-    return list(seen)
+    probs[rows, y] -= 1.0
+    probs /= X.shape[0]
+    return loss, {"W": probs.T @ X, "b": probs.sum(axis=0)}
 
 
 def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
@@ -137,7 +112,7 @@ def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
     The K cells step together as one ``(K, C*D + C)`` parameter array: row k
     is cell k's ``W.ravel()`` followed by its ``b``. Cell k draws its init and
     then one permutation per epoch from ``rngs[k]``, and its arithmetic is
-    ``_xent``'s, so each row equals that cell trained on its own bit for bit.
+    ``softmax_xent``'s, so each row equals that cell trained on its own bit for bit.
     Returns the cells' ``(K, C, D)`` weights and ``(K, C)`` biases.
     """
     n, d = X.shape
@@ -161,7 +136,7 @@ def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
         for start in range(0, n, protocol.batch_size):
             idx = orders[:, start : start + protocol.batch_size]
             Xb, m = X[idx], idx.shape[1]
-            # _xent's operations in its order, batched over the cells, without the loss
+            # softmax_xent's operations in its order, batched over the cells, without the loss
             logits = Xb @ W.transpose(0, 2, 1) + b[:, None, :]
             logits -= logits.max(axis=2, keepdims=True)
             log_z = np.log(np.exp(logits).sum(axis=2))
@@ -175,55 +150,55 @@ def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
     return W, b
 
 
-def _stratified_split(y_idx, fraction, rng, min_second=True, labels=None):
+def _stratified_split(y, fraction, rng, classes=None):
     """Per-class shuffle and split; second part gets ~fraction of each class.
 
-    With min_second, every class must land at least one sample on each side
-    (raises InputError naming the class otherwise); without it, small classes
-    may be absent from the second part but always keep one in the first.
+    With ``classes``, the names of the classes 0..C-1, every class must land at
+    least one sample on each side (raises InputError naming the class
+    otherwise); without, small classes may be absent from the second part but
+    always keep one in the first.
     """
     first, second = [], []
-    for cls in np.unique(y_idx):
-        members = np.flatnonzero(y_idx == cls)
-        if min_second and members.size < 2:
-            name = labels[cls] if labels is not None else cls
-            raise InputError(f"class {name!r} has only {members.size} samples; cannot stratify")
+    for cls in np.unique(y) if classes is None else range(len(classes)):
+        members = np.flatnonzero(y == cls)
+        if classes is not None and members.size < 2:
+            raise InputError(f"class {classes[cls]!r} has only {members.size} samples; "
+                             "cannot stratify")
         members = rng.permutation(members)
         k = int(round(fraction * members.size))
-        lo = 1 if min_second else 0
-        k = int(np.clip(k, lo, members.size - 1))
+        k = int(np.clip(k, 0 if classes is None else 1, members.size - 1))
         second.extend(members[:k])
         first.extend(members[k:])
     return np.sort(np.array(first, dtype=np.intp)), np.sort(np.array(second, dtype=np.intp))
 
 
-def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator, metric_kind: str = ACCURACY,
-        labels=None) -> SoftmaxModel:
+def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator,
+        metric_kind: str = ACCURACY) -> SoftmaxModel:
     """Grid-search the learning rate on a validation slice and return the winner.
 
-    Ties in validation score go to the smaller learning rate. The selected
+    ``y`` holds class indices; the model has ``max(y) + 1`` classes. Ties in
+    validation score go to the smaller learning rate. The selected
     already-trained model is returned as-is (no refit on train+val); it
     raises NumericalPolicyError if its weights are not finite.
     """
     X = np.asarray(X, dtype=np.float64)
-    labels = list(labels) if labels is not None else _first_appearance_labels(y)
-    if len(labels) < 2:
+    y = np.asarray(y, dtype=np.intp)
+    n_classes = int(y.max(initial=0)) + 1
+    if n_classes < 2:
         raise InputError("need at least 2 classes to fit a classifier")
-    y_idx = _label_indices(y, labels)
 
-    train_idx, val_idx = _stratified_split(y_idx, protocol.val_fraction, rng, min_second=False)
+    train_idx, val_idx = _stratified_split(y, protocol.val_fraction, rng)
     if val_idx.size == 0:
         val_idx = train_idx  # dataset too small to hold anything out
     cell_rngs = rng.spawn(len(protocol.lr_grid))
     candidates = []
     with np.errstate(all="ignore"):  # a diverging cell loses or fails the check below
-        weights, biases = _train_softmax(X[train_idx], y_idx[train_idx], len(labels),
+        weights, biases = _train_softmax(X[train_idx], y[train_idx], n_classes,
                                          protocol.lr_grid, protocol, cell_rngs)
         for lr, W, b in zip(protocol.lr_grid, weights, biases):
             # copies, so the returned model does not keep every cell's parameters alive
-            model = SoftmaxModel(weights=W.copy(), bias=b.copy(), class_labels=labels)
-            score = metrics([labels[i] for i in y_idx[val_idx]], model.predict(X[val_idx]),
-                            metric_kind, labels=labels)
+            model = SoftmaxModel(weights=W.copy(), bias=b.copy())
+            score = metrics(y[val_idx], model.predict(X[val_idx]), metric_kind, n_classes)
             candidates.append((-score, lr, model))
     candidates.sort(key=lambda c: (c[0], c[1]))
     _, lr, model = candidates[0]
@@ -232,54 +207,52 @@ def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator, metric_kind: st
     return model
 
 
-def metrics(y_true, y_pred, metric_kind: str, labels=None) -> float:
-    """Accuracy or macro-F1 (empty-class F1 counts as 0 in the mean)."""
-    y_true = list(y_true)
-    y_pred = list(y_pred)
-    if not y_true or len(y_true) != len(y_pred):
+def metrics(y_true, y_pred, metric_kind: str, n_classes: int) -> float:
+    """Accuracy or macro-F1 of class indices in 0..n_classes-1.
+
+    Macro-F1 averages over all n_classes; a class with no true and no
+    predicted sample has F1 0.
+    """
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    if not y_true.size or y_true.shape != y_pred.shape:
         raise InputError("y_true and y_pred must be non-empty and equally long")
     if metric_kind == ACCURACY:
-        return float(np.mean([t == p for t, p in zip(y_true, y_pred)]))
+        return float(np.mean(y_true == y_pred))
     if metric_kind != MACRO_F1:
         raise InputError(f"unknown metric {metric_kind!r}")
 
-    if labels is None:
-        labels = _first_appearance_labels(y_true + y_pred)
-    f1s = []
-    for lab in labels:
-        tp = sum(1 for t, p in zip(y_true, y_pred) if t == lab and p == lab)
-        fp = sum(1 for t, p in zip(y_true, y_pred) if t != lab and p == lab)
-        fn = sum(1 for t, p in zip(y_true, y_pred) if t == lab and p != lab)
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-    return float(np.mean(f1s))
+    tp = np.bincount(y_true[y_true == y_pred], minlength=n_classes)
+    predicted = np.bincount(y_pred, minlength=n_classes)  # tp + fp
+    actual = np.bincount(y_true, minlength=n_classes)  # tp + fn
+    prec = np.divide(tp, predicted, out=np.zeros(n_classes), where=predicted > 0)
+    rec = np.divide(tp, actual, out=np.zeros(n_classes), where=actual > 0)
+    total = prec + rec
+    f1 = np.divide(2 * prec * rec, total, out=np.zeros(n_classes), where=total > 0)
+    return float(np.mean(f1))
 
 
-def fit_runs(X, y, protocol: TrainProtocol, metric_kind: str = ACCURACY,
-             labels=None) -> list[tuple]:
+def fit_runs(X, y, classes, protocol: TrainProtocol,
+             metric_kind: str = ACCURACY) -> list[tuple]:
     """Fit every seeded subsample run; returns (model, znorm_params, test_indices) each.
 
+    ``y`` holds indices into ``classes``, whose names only label errors.
     Splits are stratified 80/20 by default; z-norm statistics, with
     ``protocol.znorm``, are fit on each run's train side only. Run seeds derive
     from protocol.seed, so runs are reproducible and order-independent.
     """
     X = np.asarray(X, dtype=np.float64)
-    labels = list(labels) if labels is not None else _first_appearance_labels(y)
-    y_idx = _label_indices(y, labels)
+    y = np.asarray(y, dtype=np.intp)
     runs = []
     for child in np.random.SeedSequence(protocol.seed).spawn(protocol.runs):
         rng = np.random.default_rng(child)
-        train_idx, test_idx = _stratified_split(y_idx, protocol.test_fraction, rng,
-                                                labels=labels)
+        train_idx, test_idx = _stratified_split(y, protocol.test_fraction, rng, classes)
         X_train = X[train_idx]
         zn = None
         if protocol.znorm:
             zn = znorm_fit(X_train)
             X_train = znorm_apply(zn, X_train)
-        model = fit(X_train, [labels[i] for i in y_idx[train_idx]], protocol, rng,
-                    metric_kind, labels=labels)
-        runs.append((model, zn, test_idx))
+        runs.append((fit(X_train, y[train_idx], protocol, rng, metric_kind), zn, test_idx))
     return runs
 
 
@@ -287,14 +260,11 @@ def score_runs(runs: list[tuple], X, y, metric_kind: str = ACCURACY,
                held_out: bool = False) -> EvalScore:
     """Score each fitted run on (X, y), or with held_out on its own test rows of it."""
     X = np.asarray(X, dtype=np.float64)
-    y = list(y)
+    y = np.asarray(y, dtype=np.intp)
     scores = []
     for model, zn, test_idx in runs:
-        X_run, y_run = X, y
-        if held_out:
-            X_run, y_run = X[test_idx], [y[i] for i in test_idx]
+        X_run, y_run = (X[test_idx], y[test_idx]) if held_out else (X, y)
         if zn is not None:
             X_run = znorm_apply(zn, X_run)
-        scores.append(metrics(y_run, model.predict(X_run), metric_kind,
-                              labels=model.class_labels))
+        scores.append(metrics(y_run, model.predict(X_run), metric_kind, len(model.bias)))
     return EvalScore.from_runs(metric_kind, scores)

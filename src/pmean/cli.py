@@ -201,9 +201,14 @@ def _seed_of(args) -> int:
     return seed
 
 
+def _text_options(args) -> dict:
+    """--oov, --strict and --no-lowercase as PooledConfig fields, which are also manifest keys."""
+    return {"oov": args.oov, "strict": args.strict, "lowercase": not args.no_lowercase}
+
+
 def _pooled(parts, args) -> PooledConfig:
-    """A config over these parts with the command's --no-lowercase, --oov and --strict."""
-    return PooledConfig(parts, lowercase=not args.no_lowercase, oov=args.oov, strict=args.strict)
+    """A config over these parts with the command's text options."""
+    return PooledConfig(parts, **_text_options(args))
 
 
 def _load_config(config_path, args, manifest: RunManifest,
@@ -242,7 +247,7 @@ def _load_config(config_path, args, manifest: RunManifest,
     return _pooled(parts, args)
 
 
-def _protocol_of(args) -> TrainProtocol:
+def _protocol_of(args, seed: int) -> TrainProtocol:
     try:
         lr_grid = tuple(float(v) for v in args.lr_grid.split(",") if v)
     except ValueError:
@@ -254,26 +259,19 @@ def _protocol_of(args) -> TrainProtocol:
         runs=args.runs,
         val_fraction=args.val_fraction,
         test_fraction=args.test_fraction,
-        seed=_seed_of(args),
+        seed=seed,
         znorm=args.znorm,
     )
 
 
-def _protocol_config(args) -> dict:
-    return {
+def _eval_manifest(args, seed: int) -> RunManifest:
+    config = {
         "runs": args.runs, "epochs": args.epochs, "batch_size": args.batch_size,
         "lr_grid": args.lr_grid, "val_fraction": args.val_fraction,
-        "test_fraction": args.test_fraction, "znorm": args.znorm,
-        "oov": args.oov, "strict": args.strict, "lowercase": not args.no_lowercase,
+        "test_fraction": args.test_fraction, "znorm": args.znorm, **_text_options(args),
     }
-
-
-def _eval_manifest(args) -> RunManifest:
-    return RunManifest(
-        command=args.command, config=_protocol_config(args),
-        seeds={"seed": _seed_of(args)}, tool_version=__version__,
-        directory=Path(args.out).parent,
-    )
+    return RunManifest(command=args.command, config=config, seeds={"seed": seed},
+                       tool_version=__version__, directory=Path(args.out).parent)
 
 
 def _write_report(base, report: EvalReport, manifest: RunManifest) -> None:
@@ -290,8 +288,7 @@ def cmd_embed(args) -> int:
     seed = _seed_of(args)
     manifest = RunManifest(
         command="embed",
-        config={"znorm": args.znorm, "oov": args.oov, "strict": args.strict,
-                "lowercase": not args.no_lowercase},
+        config={"znorm": args.znorm, **_text_options(args)},
         seeds={"seed": seed},
         tool_version=__version__,
         directory=Path(args.output).parent,
@@ -334,7 +331,7 @@ def cmd_train_projection(args) -> int:
         config={"shared_dim": cfg.shared_dim, "margin": cfg.margin,
                 "dropout": cfg.dropout_rate, "epochs": cfg.max_epochs,
                 "batch_size": cfg.batch_size, "step_size": cfg.step_size,
-                "oov": args.oov, "strict": args.strict, "lowercase": not args.no_lowercase},
+                **_text_options(args)},
         seeds={"seed": seed},
         tool_version=__version__,
         directory=Path(args.model_out).parent,
@@ -374,30 +371,33 @@ def cmd_train_projection(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = _eval_manifest(args)
+    seed = _seed_of(args)
+    manifest = _eval_manifest(args, seed)
     cfg = _load_config(args.config, args, manifest)
     ds = load_task(args.task)
     manifest.add_input(args.task)
-    report = evaluate_report([(cfg, cfg)], [ds], _protocol_of(args))
+    report = evaluate_report([(cfg, cfg)], [ds], _protocol_of(args, seed))
     _write_report(args.out, report, manifest)
     return 0
 
 
 def cmd_eval_transfer(args) -> int:
-    manifest = _eval_manifest(args)
+    seed = _seed_of(args)
+    manifest = _eval_manifest(args, seed)
     loaded = {}  # both configs often name one bilingual file; parse it once
     cfg_src = _load_config(args.source_config, args, manifest, loaded)
     cfg_tgt = _load_config(args.target_config, args, manifest, loaded)
     pair = TransferPair(train=load_task(args.train_task), test=load_task(args.test_task))
     manifest.add_input(args.train_task)
     manifest.add_input(args.test_task)
-    report = evaluate_report([(cfg_src, cfg_tgt)], [pair], _protocol_of(args))
+    report = evaluate_report([(cfg_src, cfg_tgt)], [pair], _protocol_of(args, seed))
     _write_report(args.out, report, manifest)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    manifest = _eval_manifest(args)
+    seed = _seed_of(args)
+    manifest = _eval_manifest(args, seed)
     manifest.config["p_sets"] = args.p_set
     cfg = _load_config(args.config, args, manifest)
     p_sets = [[parse_p(tok) for tok in ps.split(",") if tok] for ps in args.p_set]
@@ -406,7 +406,7 @@ def cmd_sweep(args) -> int:
     for task_path in args.task:
         tasks.append(load_task(task_path))
         manifest.add_input(task_path)
-    report = sweep_pmeans(cfg, p_sets, tasks, _protocol_of(args))
+    report = sweep_pmeans(cfg, p_sets, tasks, _protocol_of(args, seed))
     _write_report(args.out, report, manifest)
     return 0
 

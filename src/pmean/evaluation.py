@@ -9,8 +9,8 @@ Task file grammar (UTF-8, one item per line after the headers):
     <label>TAB<sentence text>
 
 Before any seeded subsampling, items are canonicalized by lexicographic sort
-and label order by sorted class set, so reshuffling a task file never changes
-reported scores.
+and each label becomes its index in the sorted class set, so reshuffling a
+task file never changes reported scores. The classifier sees only indices.
 """
 from __future__ import annotations
 
@@ -158,10 +158,14 @@ def save_task(ds: TaskDataset, path) -> None:
     Path(path).write_bytes(encoded)
 
 
-def _canonical(ds: TaskDataset) -> tuple[list, list[str], list]:
+def _canonical(ds: TaskDataset) -> tuple[np.ndarray, list[str], list]:
+    """``(y, texts, classes)`` in sorted item order; y holds each label's index in
+    the sorted classes. Labels become class indices here and nowhere else."""
+    classes = sorted(ds.classes)
+    index = {label: i for i, label in enumerate(classes)}
     items = sorted(ds.items)
-    labels = sorted(ds.classes)
-    return [lab for lab, _ in items], [text for _, text in items], labels
+    y = np.array([index[label] for label, _ in items], dtype=np.intp)
+    return y, [text for _, text in items], classes
 
 
 def _check_language(cfg: PooledConfig, ds: TaskDataset) -> None:
@@ -180,9 +184,9 @@ def _check_language(cfg: PooledConfig, ds: TaskDataset) -> None:
 
 def _fit_task(cfg, ds, protocol):
     """Embed a task and fit its subsample runs; returns (runs, X, y)."""
-    y, texts, labels = _canonical(ds)
+    y, texts, classes = _canonical(ds)
     X, _ = embed_corpus(cfg, texts)
-    return fit_runs(X, y, protocol, ds.metric_kind, labels=labels), X, y
+    return fit_runs(X, y, classes, protocol, ds.metric_kind), X, y
 
 
 def evaluate_monolingual(cfg: PooledConfig, ds: TaskDataset,

@@ -112,9 +112,8 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
         else:
             powers, undefined = _powers(Ws, p)
             inner = powers.mean(axis=0)
-            out = _root(inner, p)
-            pole = inner == 0 if p < 0 else False  # mean of powers cancelled exactly
-            replace = undefined.any(axis=0) | pole | ~np.isfinite(out)
+            out = _root(inner, p)  # a pole, where the mean of powers cancels to 0, is NaN
+            replace = undefined.any(axis=0) | ~np.isfinite(out)
     if not replace.any():
         return out
     if strict:

@@ -160,10 +160,9 @@ def test_c3_gradient_checks():
         C = int(rng.integers(2, 5))
         D = int(rng.integers(1, 7))
         n = int(rng.integers(2, 9))
-        labels = [f"k{i}" for i in range(C)]
-        model = SoftmaxModel(rng.normal(size=(C, D)), rng.normal(size=C), labels)
+        model = SoftmaxModel(rng.normal(size=(C, D)), rng.normal(size=C))
         X = rng.normal(size=(n, D))
-        y = [labels[i] for i in rng.integers(0, C, size=n)]
+        y = rng.integers(0, C, size=n)
         _, grads = softmax_xent(model, X, y)
         for name, arr in (("W", model.weights), ("b", model.bias)):
             num = central_diff(lambda: softmax_xent(model, X, y)[0], arr, 1e-6)

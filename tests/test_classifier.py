@@ -10,7 +10,6 @@ from pmean.classifier import (
     TrainProtocol,
     _stratified_split,
     _train_softmax,
-    _xent,
     fit,
     fit_runs,
     metrics,
@@ -22,7 +21,7 @@ from pmean.optim import BETA1, BETA2, EPS, AdamState, Layout, adam_step
 
 
 def make_blobs(n_per_class=100, d=2, margin_gap=1.0, n_classes=2, seed=0):
-    """Linearly separable Gaussian blobs with centers 2+gap apart."""
+    """Linearly separable Gaussian blobs with centers 2+gap apart; y holds class indices."""
     rng = np.random.default_rng(seed)
     X, y = [], []
     for c in range(n_classes):
@@ -32,8 +31,8 @@ def make_blobs(n_per_class=100, d=2, margin_gap=1.0, n_classes=2, seed=0):
         if d > 2:
             pts = np.hstack([pts, rng.standard_normal((n_per_class, d - 2))])
         X.append(pts)
-        y.extend([f"k{c}"] * n_per_class)
-    return np.vstack(X), y
+        y.extend([c] * n_per_class)
+    return np.vstack(X), np.array(y)
 
 
 class TestAdam:
@@ -124,21 +123,16 @@ class TestLayout:
 class TestSoftmaxXent:
     def test_uniform_logits_loss_is_ln_c(self):
         for C in (2, 3, 5):
-            model = SoftmaxModel(np.zeros((C, 4)), np.zeros(C), [f"k{i}" for i in range(C)])
+            model = SoftmaxModel(np.zeros((C, 4)), np.zeros(C))
             X = np.random.default_rng(0).normal(size=(10, 4)) * 0  # zero features
-            loss, _ = softmax_xent(model, X, ["k0"] * 10)
+            loss, _ = softmax_xent(model, X, np.zeros(10, dtype=int))
             assert loss == pytest.approx(math.log(C), rel=1e-12)
 
     def test_confident_correct_logits_near_zero_loss(self):
-        model = SoftmaxModel(np.array([[30.0], [-30.0]]), np.zeros(2), ["a", "b"])
+        model = SoftmaxModel(np.array([[30.0], [-30.0]]), np.zeros(2))
         X = np.array([[1.0], [-1.0]])
-        loss, _ = softmax_xent(model, X, ["a", "b"])
+        loss, _ = softmax_xent(model, X, [0, 1])
         assert loss < 1e-3
-
-    def test_unknown_label_rejected(self):
-        model = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), ["a", "b"])
-        with pytest.raises(InputError):
-            softmax_xent(model, np.zeros((1, 2)), ["zzz"])
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(7)
@@ -146,10 +140,9 @@ class TestSoftmaxXent:
             C = int(rng.integers(2, 5))
             D = int(rng.integers(1, 7))
             n = int(rng.integers(2, 9))
-            labels = [f"k{i}" for i in range(C)]
-            model = SoftmaxModel(rng.normal(size=(C, D)), rng.normal(size=C), labels)
+            model = SoftmaxModel(rng.normal(size=(C, D)), rng.normal(size=C))
             X = rng.normal(size=(n, D))
-            y = [labels[i] for i in rng.integers(0, C, size=n)]
+            y = rng.integers(0, C, size=n)
             _, grads = softmax_xent(model, X, y)
             h = 1e-6
             for name, arr in (("W", model.weights), ("b", model.bias)):
@@ -169,26 +162,26 @@ class TestSoftmaxXent:
 
     def test_bias_shift_leaves_predictions_unchanged(self):
         rng = np.random.default_rng(1)
-        model = SoftmaxModel(rng.normal(size=(3, 4)), rng.normal(size=3), ["a", "b", "c"])
+        model = SoftmaxModel(rng.normal(size=(3, 4)), rng.normal(size=3))
         X = rng.normal(size=(50, 4))
         before = model.predict(X)
-        shifted = SoftmaxModel(model.weights, model.bias + 11.7, model.class_labels)
-        assert shifted.predict(X) == before
+        shifted = SoftmaxModel(model.weights, model.bias + 11.7)
+        assert np.array_equal(shifted.predict(X), before)
 
 
 class TestFit:
     def test_separable_blobs_high_train_accuracy(self):
         X, y = make_blobs(seed=3)
         model = fit(X, y, TrainProtocol(seed=0), np.random.default_rng(0))
-        assert metrics(y, model.predict(X), "accuracy") >= 0.99
+        assert metrics(y, model.predict(X), "accuracy", 2) >= 0.99
 
     def test_random_labels_stay_near_chance(self):
         rng = np.random.default_rng(8)
         n = 400
         X = rng.standard_normal((n, 4))
-        y = [f"k{i}" for i in rng.integers(0, 2, size=n)]
+        y = rng.integers(0, 2, size=n)
         model = fit(X, y, TrainProtocol(seed=1), np.random.default_rng(1))
-        acc = metrics(y, model.predict(X), "accuracy")
+        acc = metrics(y, model.predict(X), "accuracy", 2)
         # binomial null on the full set; training can only overfit mildly here
         assert abs(acc - 0.5) < 3 * math.sqrt(0.25 / n) + 0.05
 
@@ -202,7 +195,7 @@ class TestFit:
     def test_single_class_rejected(self):
         X = np.zeros((10, 2))
         with pytest.raises(InputError):
-            fit(X, ["same"] * 10, TrainProtocol(), np.random.default_rng(0))
+            fit(X, np.zeros(10, dtype=int), TrainProtocol(), np.random.default_rng(0))
 
     def test_non_finite_winner_raises_naming_its_rate(self):
         X, y = make_blobs(seed=3)
@@ -214,27 +207,24 @@ class TestFit:
         protocol = TrainProtocol(lr_grid=(1e308, 0.1), max_epochs=5)
         model = fit(X, y, protocol, np.random.default_rng(0))
         assert np.isfinite(model.weights).all()
-        assert metrics(y, model.predict(X), "accuracy") >= 0.99
+        assert metrics(y, model.predict(X), "accuracy", 2) >= 0.99
 
     def test_loss_nonincreasing_on_separable_data(self):
         X, y = make_blobs(seed=11)
-        labels = ["k0", "k1"]
-        y_idx = np.array([labels.index(v) for v in y])
         # training for k epochs from the same seed is the first k epochs of a
         # longer run, so retraining for 1..30 epochs gives the per-epoch losses
         losses = []
         for k in range(1, 31):
-            W, b = _train_softmax(X, y_idx, 2, [0.01], TrainProtocol(max_epochs=k, seed=0),
+            W, b = _train_softmax(X, y, 2, [0.01], TrainProtocol(max_epochs=k, seed=0),
                                   [np.random.default_rng(2)])
-            losses.append(_xent({"W": W[0], "b": b[0]}, X, y_idx)[0])
+            losses.append(softmax_xent(SoftmaxModel(W[0], b[0]), X, y)[0])
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
         assert drops / (len(losses) - 1) >= 0.95
 
 
-def train_cell_reference(X, y_idx, labels, lr, protocol, rng):
+def train_cell_reference(X, y_idx, C, lr, protocol, rng):
     """One learning-rate cell trained on its own: softmax_xent and adam_step per minibatch."""
     n, d = X.shape
-    C = len(labels)
     flat = np.concatenate([rng.normal(0.0, 0.01, size=(C, d)).ravel(), np.zeros(C)])
     state = AdamState.zeros_like(flat)
     t = 0
@@ -242,8 +232,8 @@ def train_cell_reference(X, y_idx, labels, lr, protocol, rng):
         order = rng.permutation(n)
         for start in range(0, n, protocol.batch_size):
             idx = order[start : start + protocol.batch_size]
-            model = SoftmaxModel(flat[: C * d].reshape(C, d), flat[C * d :], labels)
-            _, grads = softmax_xent(model, X[idx], [labels[i] for i in y_idx[idx]])
+            model = SoftmaxModel(flat[: C * d].reshape(C, d), flat[C * d :])
+            _, grads = softmax_xent(model, X[idx], y_idx[idx])
             t += 1
             adam_step(flat, np.concatenate([grads["W"].ravel(), grads["b"]]), state, t,
                       step_size=lr)
@@ -266,13 +256,12 @@ class TestBatchedCells:
         rng = np.random.default_rng(n * 1000 + d)
         X = rng.normal(size=(n, d)) * 3.0
         y_idx = rng.integers(0, C, size=n)
-        labels = [f"k{i}" for i in range(C)]
         protocol = TrainProtocol(lr_grid=lrs, batch_size=batch_size, max_epochs=epochs)
         weights, biases = _train_softmax(X, y_idx, C, lrs, protocol,
                                          np.random.default_rng(5).spawn(len(lrs)))
         assert weights.shape == (len(lrs), C, d) and biases.shape == (len(lrs), C)
         for k, (lr, cell_rng) in enumerate(zip(lrs, np.random.default_rng(5).spawn(len(lrs)))):
-            W, b = train_cell_reference(X, y_idx, labels, lr, protocol, cell_rng)
+            W, b = train_cell_reference(X, y_idx, C, lr, protocol, cell_rng)
             assert np.array_equal(weights[k], W)
             assert np.array_equal(biases[k], b)
 
@@ -282,16 +271,12 @@ class TestBatchedCells:
         model = fit(X, y, protocol, np.random.default_rng(3))
         # the same split and cell streams as fit draws them
         rng = np.random.default_rng(3)
-        labels = ["k0", "k1"]
-        y_idx = np.array([labels.index(v) for v in y])
-        train_idx, val_idx = _stratified_split(y_idx, protocol.val_fraction, rng,
-                                               min_second=False)
+        train_idx, val_idx = _stratified_split(y, protocol.val_fraction, rng)
         scored = []
         for lr, cell_rng in zip(protocol.lr_grid, rng.spawn(len(protocol.lr_grid))):
-            W, b = train_cell_reference(X[train_idx], y_idx[train_idx], labels, lr,
-                                        protocol, cell_rng)
-            cell = SoftmaxModel(W, b, labels)
-            score = metrics([y[i] for i in val_idx], cell.predict(X[val_idx]), "accuracy")
+            W, b = train_cell_reference(X[train_idx], y[train_idx], 2, lr, protocol, cell_rng)
+            cell = SoftmaxModel(W, b)
+            score = metrics(y[val_idx], cell.predict(X[val_idx]), "accuracy", 2)
             scored.append((-score, lr, cell))
         best = min(scored, key=lambda c: (c[0], c[1]))[2]
         assert np.array_equal(model.weights, best.weights)
@@ -300,55 +285,87 @@ class TestBatchedCells:
 
 class TestMetrics:
     def test_perfect_prediction(self):
-        assert metrics(["a", "b"], ["a", "b"], "accuracy") == 1.0
-        assert metrics(["a", "b"], ["a", "b"], "macro_f1") == 1.0
+        assert metrics([0, 1], [0, 1], "accuracy", 2) == 1.0
+        assert metrics([0, 1], [0, 1], "macro_f1", 2) == 1.0
 
     def test_hand_computed_macro_f1(self):
-        # per-class F1: A -> 2/3, B -> 4/5
-        got = metrics(["A", "A", "B", "B"], ["A", "B", "B", "B"], "macro_f1")
+        # per-class F1: 0 -> 2/3, 1 -> 4/5
+        got = metrics([0, 0, 1, 1], [0, 1, 1, 1], "macro_f1", 2)
         assert got == pytest.approx(0.7333333333333333, abs=1e-12)
-        assert metrics(["A", "A", "B", "B"], ["A", "B", "B", "B"], "accuracy") == 0.75
+        assert metrics([0, 0, 1, 1], [0, 1, 1, 1], "accuracy", 2) == 0.75
 
     def test_all_one_class_prediction(self):
-        got = metrics(["A", "B", "A", "B"], ["A", "A", "A", "A"], "macro_f1")
+        got = metrics([0, 1, 0, 1], [0, 0, 0, 0], "macro_f1", 2)
         assert got == pytest.approx(0.3333333333333333, abs=1e-12)
-        assert metrics(["A", "B", "A", "B"], ["A", "A", "A", "A"], "accuracy") == 0.5
+        assert metrics([0, 1, 0, 1], [0, 0, 0, 0], "accuracy", 2) == 0.5
 
     def test_absent_class_still_counts_via_labels(self):
-        got = metrics(["A", "A"], ["A", "A"], "macro_f1", labels=["A", "B"])
-        assert got == pytest.approx(0.5)  # B contributes F1 = 0
+        got = metrics([0, 0], [0, 0], "macro_f1", 2)
+        assert got == pytest.approx(0.5)  # class 1 contributes F1 = 0
 
     def test_macro_f1_equals_accuracy_on_symmetric_confusion(self):
-        y_true = ["A"] * 10 + ["B"] * 10
-        y_pred = ["A"] * 8 + ["B"] * 2 + ["B"] * 8 + ["A"] * 2
-        assert metrics(y_true, y_pred, "macro_f1") == pytest.approx(
-            metrics(y_true, y_pred, "accuracy")
+        y_true = [0] * 10 + [1] * 10
+        y_pred = [0] * 8 + [1] * 2 + [1] * 8 + [0] * 2
+        assert metrics(y_true, y_pred, "macro_f1", 2) == pytest.approx(
+            metrics(y_true, y_pred, "accuracy", 2)
         )
 
     @given(st.permutations(list(range(12))))
     @settings(deadline=None)
     def test_sample_order_invariance(self, perm):
-        y_true = ["A", "B", "C"] * 4
-        y_pred = ["A", "A", "C", "B"] * 3
+        y_true = [0, 1, 2] * 4
+        y_pred = [0, 0, 2, 1] * 3
         pt = [y_true[i] for i in perm]
         pp = [y_pred[i] for i in perm]
         for kind in ("accuracy", "macro_f1"):
-            assert metrics(pt, pp, kind, labels=["A", "B", "C"]) == pytest.approx(
-                metrics(y_true, y_pred, kind, labels=["A", "B", "C"])
-            )
+            assert metrics(pt, pp, kind, 3) == pytest.approx(metrics(y_true, y_pred, kind, 3))
+
+    @given(st.integers(2, 8).flatmap(lambda C: st.tuples(
+        st.just(C),
+        st.lists(st.tuples(st.integers(0, C - 1), st.integers(0, C - 1)), min_size=1, max_size=60),
+        st.booleans(),
+    )))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_per_class_loop_bit_for_bit(self, case):
+        C, pairs, one_prediction = case
+        y_true = [t for t, _ in pairs]
+        y_pred = [pairs[0][1]] * len(pairs) if one_prediction else [p for _, p in pairs]
+        names = [f"class{i}" for i in range(C)]
+        true_names = [names[i] for i in y_true]
+        pred_names = [names[i] for i in y_pred]
+        for kind in ("accuracy", "macro_f1"):
+            got = metrics(np.array(y_true), np.array(y_pred), kind, C)
+            want = per_class_loop_metrics(true_names, pred_names, kind, names)
+            assert got.hex() == want.hex()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
-            metrics(["a"], ["a", "b"], "accuracy")
+            metrics([0], [0, 1], "accuracy", 2)
 
     def test_unknown_metric_kind_rejected(self):
         with pytest.raises(InputError):
-            metrics(["a"], ["a"], "rmse")
+            metrics([0], [0], "rmse", 2)
 
 
-def held_out_score(X, y, protocol, metric_kind="accuracy"):
+def per_class_loop_metrics(y_true, y_pred, metric_kind, labels):
+    """Accuracy or macro-F1 over label strings, one Python loop per class in ``labels``."""
+    if metric_kind == "accuracy":
+        return float(np.mean([t == p for t, p in zip(y_true, y_pred)]))
+    f1s = []
+    for lab in labels:
+        tp = sum(1 for t, p in zip(y_true, y_pred) if t == lab and p == lab)
+        fp = sum(1 for t, p in zip(y_true, y_pred) if t != lab and p == lab)
+        fn = sum(1 for t, p in zip(y_true, y_pred) if t == lab and p != lab)
+        prec = tp / (tp + fp) if tp + fp else 0.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
+    return float(np.mean(f1s))
+
+
+def held_out_score(X, y, protocol, metric_kind="accuracy", classes=("k0", "k1")):
     """Fit every seeded run once and score each on its own held-out rows."""
-    return score_runs(fit_runs(X, y, protocol, metric_kind), X, y, metric_kind, held_out=True)
+    runs = fit_runs(X, y, classes, protocol, metric_kind)
+    return score_runs(runs, X, y, metric_kind, held_out=True)
 
 
 class TestSubsampleValidate:
@@ -374,15 +391,20 @@ class TestSubsampleValidate:
         X, y = make_blobs(n_per_class=50, seed=7)
         base = held_out_score(X, y, TrainProtocol(runs=8, seed=3))
         X2 = np.vstack([X, X])
-        y2 = y + y
+        y2 = np.concatenate([y, y])
         doubled = held_out_score(X2, y2, TrainProtocol(runs=8, seed=3))
         assert abs(base.mean - doubled.mean) <= 0.05
 
     def test_degenerate_class_named_in_error(self):
         X = np.zeros((5, 2))
-        y = ["a", "a", "a", "a", "lonely"]
+        y = np.array([0, 0, 0, 0, 1])
         with pytest.raises(InputError, match="lonely"):
-            held_out_score(X, y, TrainProtocol(runs=1, seed=0))
+            held_out_score(X, y, TrainProtocol(runs=1, seed=0), classes=["a", "lonely"])
+
+    def test_class_without_items_named_in_error(self):
+        X, y = make_blobs(n_per_class=10, seed=2)
+        with pytest.raises(InputError, match="class 'empty' has only 0 samples"):
+            held_out_score(X, y, TrainProtocol(runs=1, seed=0), classes=["k0", "k1", "empty"])
 
     def test_macro_f1_metric_plumbs_through(self):
         X, y = make_blobs(n_per_class=40, seed=8)

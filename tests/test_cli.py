@@ -428,6 +428,16 @@ class TestEvalCommands:
                                            "with learning rate 1e+308 ended non-finite\n")
         assert not (workdir / "report.json").exists()
 
+    def test_single_item_class_exits_2_naming_it(self, workdir, capsys):
+        write(workdir / "lonely.tsv", (workdir / "task.tsv").read_text() + "lonely\talpha\n")
+        rc = main(["eval", "--config", str(workdir / "cfg.txt"),
+                   "--task", str(workdir / "lonely.tsv"),
+                   "--out", str(workdir / "never"), *PROTOCOL_ARGS])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "pmean: class 'lonely' has only 1 samples; cannot stratify"]
+        assert not list(workdir.glob("never*"))
+
     def test_transfer_emits_drop_in_parentheses(self, workdir):
         rc = main(["eval-transfer",
                    "--source-config", str(workdir / "cfg.txt"),

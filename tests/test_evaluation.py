@@ -282,17 +282,19 @@ class TestTransfer:
         cfg = PooledConfig([PooledPart(bilingual, [1.0])])
         src = sorted(pair.train.items)
         X, _ = embed_corpus(cfg, [text for _, text in src])
-        y = [label for label, _ in src]
+        classes = sorted(pair.train.classes)
+        y = [classes.index(label) for label, _ in src]
         znorm = replace(FAST, znorm=True)
-        runs = fit_runs(X, y, znorm, labels=sorted(pair.train.classes))
-        runs_again = fit_runs(X, y, znorm, labels=sorted(pair.train.classes))
+        runs = fit_runs(X, y, classes, znorm)
+        runs_again = fit_runs(X, y, classes, znorm)
         for (m1, z1, t1), (m2, z2, t2) in zip(runs, runs_again):
             assert np.array_equal(m1.weights, m2.weights)
             assert np.array_equal(z1.mean, z2.mean)
             assert np.array_equal(t1, t2)
         tgt = sorted(pair.test.items)
         X_tgt, _ = embed_corpus(cfg, [text for _, text in tgt])
-        cross = score_runs(runs, X_tgt, [label for label, _ in tgt], pair.test.metric_kind)
+        cross = score_runs(runs, X_tgt, [classes.index(label) for label, _ in tgt],
+                           pair.test.metric_kind)
         assert evaluate_transfer(cfg, cfg, pair, znorm).cross == cross
 
     @pytest.mark.parametrize("znorm", [False, True])
