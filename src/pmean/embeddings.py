@@ -5,10 +5,18 @@ with an optional first line ``count dim`` (auto-detected when it parses as
 exactly two integers). UTF-8, LF or CRLF. A value is any text Python's
 ``float()`` accepts, and every row is parsed and checked, whether or not a
 sentence uses it.
+
+A parse is done once per file content: its result is cached under
+``${XDG_CACHE_HOME:-~/.cache}/pmean``, keyed by the SHA-256 of the file's bytes
+and ``CACHE_VERSION``, and a later load of the same bytes reads the entry
+instead. Outputs never depend on the cache: an entry that cannot be read or
+fails any check is ignored and rewritten, and a cache that cannot be written
+is skipped.
 """
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -16,9 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
+from .manifest import atomic_open, sha256_file
 from .textio import read_lines
 
 logger = logging.getLogger(__name__)
+
+# bump when the parse result or the entry layout changes; old entries then miss
+CACHE_VERSION = 1
 
 
 @dataclass
@@ -73,20 +85,105 @@ def load_text_embeddings(
     numpy's C parser reads the numbers. A file it does not take whole goes to
     the per-line ``float()`` loop, which names the first bad line, or reads
     the spellings only ``float()`` accepts (``1_0``, non-ASCII digits).
+
+    A file whose bytes were parsed before is read from the parse cache (see
+    the module docstring) instead; the result is the same bit for bit. A file
+    that fails to parse is never cached.
     """
     path = Path(path)
-    parsed = _parse_with_loadtxt(path)
-    vocab, matrix, duplicates = parsed if parsed is not None else _parse_with_float(path)
+    name = name or path.stem
+    entry, stat = _cache_entry(path)
+    cached = _read_entry(entry, name, language_tag) if entry is not None else None
+    if cached is None:
+        vocab, matrix, duplicates = _parse_with_loadtxt(path) or _parse_with_float(path)
+        space = EmbeddingSpace(name=name, dim=matrix.shape[1], vocab=vocab, matrix=matrix,
+                               language_tag=language_tag)
+        if entry is not None:
+            _write_entry(entry, space, duplicates, path, stat)
+    else:
+        space, duplicates = cached
     if duplicates:
         logger.warning("%s: skipped %d duplicate tokens (kept first occurrence)", path, duplicates)
+    return space
 
-    return EmbeddingSpace(
-        name=name or path.stem,
-        dim=matrix.shape[1],
-        vocab=vocab,
-        matrix=matrix,
-        language_tag=language_tag,
-    )
+
+# --- parse cache ----------------------------------------------------------------
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/pmean``, or ``~/.cache/pmean`` when that is unset, empty
+    or relative (as the XDG spec says); None when no home directory is known."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(root):
+            return None
+    return Path(root) / "pmean"
+
+
+def _cache_entry(path: Path):
+    """``(entry path, stat of the file before it was hashed)``, or ``(None, None)``
+    when there is no cache directory to look in.
+
+    Hashing reads the file, so a missing or unreadable file raises the same
+    OSError the parser would.
+    """
+    cache = _cache_dir()
+    if cache is None:
+        return None, None
+    stat = os.stat(path)
+    return cache / f"{sha256_file(path)}-v{CACHE_VERSION}.npy", stat
+
+
+def _write_entry(entry: Path, space: EmbeddingSpace, duplicates: int,
+                 path: Path, stat: os.stat_result) -> None:
+    """Store a parse as three ``.npy`` arrays in one file: the duplicate count,
+    the tokens in row order as ``\n``-joined UTF-8 bytes (a token holds no
+    ``\n``), and the matrix.
+
+    Nothing is stored if the file changed since ``stat`` was taken before
+    hashing, since the parse may then not be of the hashed bytes. A cache that
+    cannot be written is skipped.
+    """
+    tokens = "\n".join(sorted(space.vocab, key=space.vocab.get)).encode("utf-8")
+    try:
+        now = os.stat(path)
+        if (now.st_ino, now.st_size, now.st_mtime_ns) != (stat.st_ino, stat.st_size,
+                                                           stat.st_mtime_ns):
+            return
+        with atomic_open(entry, "wb") as fh:
+            np.save(fh, np.array([duplicates], dtype=np.int64), allow_pickle=False)
+            np.save(fh, np.frombuffer(tokens, dtype=np.uint8), allow_pickle=False)
+            np.save(fh, space.matrix, allow_pickle=False)
+    except OSError:
+        pass
+
+
+def _read_entry(entry: Path, name: str, language_tag: str | None):
+    """``(space, duplicates)`` from a cache entry, or None for a miss.
+
+    Any entry that cannot be read, is cut short, holds arrays of the wrong
+    dtype or shape, repeats a token or fails EmbeddingSpace's checks is a
+    miss, never an error: the caller parses the file and rewrites the entry.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            meta, tokens, matrix = (np.load(fh, allow_pickle=False) for _ in range(3))
+        if (meta.dtype != np.int64 or meta.shape != (1,) or meta[0] < 0
+                or tokens.dtype != np.uint8 or tokens.ndim != 1
+                or matrix.dtype != np.float64 or matrix.ndim != 2):
+            return None
+        # a repeated token leaves fewer vocab entries than rows, which EmbeddingSpace rejects
+        order = tokens.tobytes().decode("utf-8").split("\n")
+        vocab = {token: row for row, token in enumerate(order)}
+        space = EmbeddingSpace(name=name, dim=matrix.shape[1], vocab=vocab, matrix=matrix,
+                               language_tag=language_tag)
+    except FileNotFoundError:
+        return None
+    except Exception:  # an entry only saves a parse: whatever is wrong with it, parse instead
+        logger.debug("%s: unusable parse cache entry", entry, exc_info=True)
+        return None
+    return space, int(meta[0])
 
 
 # left to the float() loop: numpy ends a line at "\r", and strips the

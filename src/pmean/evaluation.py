@@ -70,10 +70,11 @@ class TransferPair:
     test: TaskDataset
 
     def __post_init__(self):
-        if self.train.classes != self.test.classes:
+        # both tasks are scored through their sorted classes, so line order is free
+        if sorted(self.train.classes) != sorted(self.test.classes):
             raise InputError(
                 f"transfer pair {self.train.name!r}/{self.test.name!r}: "
-                "class sets must be identical and identically ordered"
+                "class sets must be identical"
             )
 
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +28,7 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     def add_input(self, path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        digest = sha256_file(path)
         key = Path(os.path.relpath(path, self.directory)).as_posix()
         self.inputs[key] = f"sha256:{digest}"
 
@@ -43,14 +44,32 @@ class RunManifest:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def sha256_file(path) -> str:
+    """The hex SHA-256 of a file's bytes, read in 1 MiB blocks so memory stays bounded."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
+
+
 def write_atomic(path, text: str) -> None:
     """Write via a temp file in the same directory plus an atomic rename."""
+    with atomic_open(path, "w") as fh:
+        fh.write(text)
+
+
+@contextmanager
+def atomic_open(path, mode: str):
+    """A file opened for writing (``"w"``, UTF-8, or ``"wb"``) that appears at
+    ``path`` only when the block ends without an error; a failed write leaves
+    neither a partial file nor the temp file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -202,7 +202,19 @@ def mean_hinge_loss(params: Params, Xs, Xt, Xu, margin: float) -> float:
 
 
 def _clipped_mean(losses) -> float:
-    return float(np.maximum(losses, 0.0).mean())
+    """The mean of the positive parts of ``losses``.
+
+    Finite losses near the float limit can overflow the sum while the mean
+    is finite; only then is the mean taken over the losses scaled by their
+    largest (Higham 2002, ch. 4), so every other mean keeps its arithmetic.
+    """
+    clipped = np.maximum(losses, 0.0)
+    with np.errstate(over="ignore"):
+        mean = clipped.mean()
+    if np.isinf(mean) and np.isfinite(clipped).all():
+        top = clipped.max()
+        mean = top * (clipped / top).mean()
+    return float(mean)
 
 
 def _hinge_forward(params: Params, Xs, Xt, Xu, margin: float):

@@ -275,13 +275,19 @@ class TestTrainProjection:
         assert manifest["config"]["margin"] == -1e-3
 
     def test_non_finite_training_exits_3(self, workdir, capsys):
-        # each triple's loss is about 1e308, so their sum overflows
-        assert self.run(workdir, "--margin", "1e308") == 3
+        # Adam's first steps are about the step size, so the weights overflow
+        assert self.run(workdir, "--step-size", "1.7e308") == 3
         assert capsys.readouterr().err == (
-            "pmean: numerical policy error: projection training with margin 1e+308 and step "
-            "size 0.001 gave non-finite parameters or losses\n")
+            "pmean: numerical policy error: projection training with margin 0.5 and step "
+            "size 1.7e+308 gave non-finite parameters or losses\n")
         assert not (workdir / "model.json").exists()
         assert not (workdir / "hist.csv").exists()
+
+    def test_margin_near_float_max_trains(self, workdir):
+        # each triple's loss is about 1e308: their sum overflows, their mean does not
+        assert self.run(workdir, "--margin", "1e308") == 0
+        rows = (workdir / "hist.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [1e308, 1e308]
 
     def test_lone_cr_does_not_end_a_pair_and_crlf_reads_as_lf(self, workdir):
         (workdir / "pairs.tsv").write_bytes(b"alpha\rbeta\tgamma delta\n" * 8)
@@ -477,6 +483,18 @@ class TestEvalCommands:
         assert rc == 2
         assert capsys.readouterr().err == want
         assert not (workdir / "never.json").exists()
+
+    def test_transfer_test_task_line_order_leaves_reports_unchanged(self, workdir):
+        lines = (workdir / "task.tsv").read_text().splitlines(keepends=True)
+        heads = [line for line in lines if line.startswith("#")]
+        items = sorted(line for line in lines if not line.startswith("#"))
+        assert items[0].split("\t")[0] != lines[len(heads)].split("\t")[0]  # another class first
+        write(workdir / "sorted.tsv", "".join(heads + items))
+        assert self.transfer(workdir, "cfg.txt", "cfg.txt", "task.tsv", "task.tsv", "plain") == 0
+        assert self.transfer(workdir, "cfg.txt", "cfg.txt", "task.tsv", "sorted.tsv", "sorted") == 0
+        for suffix in (".json", ".md"):
+            assert ((workdir / "plain").with_suffix(suffix).read_bytes()
+                    == (workdir / "sorted").with_suffix(suffix).read_bytes())
 
     def test_transfer_parses_a_shared_embedding_file_once(self, workdir, monkeypatch):
         loads = []

@@ -22,6 +22,7 @@ from pmean.projection import (
     project_space,
     save_projection,
     train_projection,
+    _clipped_mean,
     _derangement,
 )
 
@@ -203,6 +204,24 @@ def zero_some_sources(model, xs):
     return guarded
 
 
+class TestClippedMean:
+    def test_in_range_means_keep_the_plain_arithmetic(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-300, 1.0, 1e300):
+            losses = rng.normal(size=(50, 16)) * scale
+            for row in losses:
+                assert _clipped_mean(row) == float(np.maximum(row, 0.0).mean())
+
+    def test_overflowing_sum_gives_the_scaled_mean(self):
+        losses = np.full(16, 1e308)
+        losses[3] = -1.0
+        assert _clipped_mean(losses) == 1e308 * float((np.maximum(losses, 0.0) / 1e308).mean())
+        assert np.isfinite(_clipped_mean(np.full(16, 1.7e308)))
+
+    def test_an_infinite_loss_stays_infinite(self):
+        assert _clipped_mean(np.array([np.inf, 1.0])) == np.inf
+
+
 class TestLossOnlyForward:
     @pytest.mark.parametrize("guard", [None, zero_target_map, zero_some_sources])
     def test_equals_loss_of_gradient_pass(self, guard):
@@ -358,15 +377,19 @@ class TestTraining:
         assert len(history) == 100
         assert history[-1] < 0.1 * history[0]
 
-    @pytest.mark.parametrize("setting, detail", [
-        ({"margin": 1e308}, "margin 1e+308 and step size 0.001"),  # the summed losses overflow
-        ({"step_size": 1e308}, "margin 0.5 and step size 1e+308"),  # the weights overflow
-    ])
-    def test_non_finite_training_raises_naming_the_setting(self, setting, detail):
-        cfg = ProjectionTrainConfig(shared_dim=4, max_epochs=2, seed=2, **setting)
-        want = re.escape(f"projection training with {detail} gave non-finite")
-        with pytest.raises(NumericalPolicyError, match=want):
+    def test_non_finite_training_raises_naming_the_setting(self):
+        cfg = ProjectionTrainConfig(shared_dim=4, max_epochs=2, seed=2, step_size=1e308)
+        want = re.escape("projection training with margin 0.5 and step size 1e+308 gave non-finite")
+        with pytest.raises(NumericalPolicyError, match=want):  # the weights overflow
             train_projection(identity_corpus(n=20), cfg)
+
+    def test_margin_near_float_max_gives_a_finite_history(self):
+        # each loss is 1e308 (the cosines vanish at its ulp), so their sum overflows;
+        # the mean is taken over the losses scaled by their largest instead
+        cfg = ProjectionTrainConfig(shared_dim=4, max_epochs=2, seed=2, margin=1e308)
+        model, history = train_projection(identity_corpus(n=20), cfg)
+        assert history == [1e308, 1e308]
+        assert np.isfinite(model.W_l).all()
 
     def test_zero_epochs_returns_init(self):
         corpus = identity_corpus()
