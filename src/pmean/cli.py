@@ -1,10 +1,10 @@
 """Command-line surface: embed, train-projection, eval, eval-transfer, sweep.
 
-Every command resolves its options into a RunManifest, computes all outputs
-in memory, and only then writes files (atomically), so a failing run never
-leaves partial outputs behind. Exit codes: 0 ok, 2 input/format error,
-3 numerical-policy error (--strict, or a non-finite z-norm or training result),
-64 usage error.
+Every command resolves its options into a RunManifest and returns its outputs
+as text; main writes them (atomically) only after the command returns, so a
+failing run never leaves partial outputs behind. Exit codes: 0 ok, 2
+input/format error, 3 numerical-policy error (--strict, or a non-finite
+z-norm or training result), 64 usage error.
 """
 from __future__ import annotations
 
@@ -100,14 +100,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _default_seed() -> int:
-    value = os.environ.get("PMEAN_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"PMEAN_SEED must be an integer, got {value!r}") from None
-
-
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="global seed (default: $PMEAN_SEED or 0)")
@@ -195,7 +187,14 @@ def build_parser() -> _Parser:
 
 
 def _seed_of(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    """--seed, else $PMEAN_SEED, else 0."""
+    seed = args.seed
+    if seed is None:
+        value = os.environ.get("PMEAN_SEED", "0")
+        try:
+            seed = int(value)
+        except ValueError:
+            raise InputError(f"PMEAN_SEED must be an integer, got {value!r}") from None
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     return seed
@@ -264,35 +263,35 @@ def _protocol_of(args, seed: int) -> TrainProtocol:
     )
 
 
+def _manifest(args, seed: int, output, config: dict) -> RunManifest:
+    """The run's manifest, written beside ``output``; the text options join ``config``."""
+    return RunManifest(command=args.command, config={**config, **_text_options(args)},
+                       seeds={"seed": seed}, tool_version=__version__,
+                       directory=Path(output).parent)
+
+
 def _eval_manifest(args, seed: int) -> RunManifest:
-    config = {
+    return _manifest(args, seed, args.out, {
         "runs": args.runs, "epochs": args.epochs, "batch_size": args.batch_size,
         "lr_grid": args.lr_grid, "val_fraction": args.val_fraction,
-        "test_fraction": args.test_fraction, "znorm": args.znorm, **_text_options(args),
-    }
-    return RunManifest(command=args.command, config=config, seeds={"seed": seed},
-                       tool_version=__version__, directory=Path(args.out).parent)
+        "test_fraction": args.test_fraction, "znorm": args.znorm,
+    })
 
 
-def _write_report(base, report: EvalReport, manifest: RunManifest) -> None:
-    base = Path(base)
-    write_atomic(base.with_suffix(".json"), emit_report(report, "json"))
-    write_atomic(base.with_suffix(".md"), emit_report(report, "markdown"))
-    write_atomic(base.with_suffix(".manifest.json"), manifest.to_json())
+def _report_outputs(base, report: EvalReport, manifest: RunManifest) -> dict[str, str]:
+    """The report as JSON and markdown, then the manifest, at ``base`` plus a suffix."""
+    return {f"{base}.json": emit_report(report, "json"),
+            f"{base}.md": emit_report(report, "markdown"),
+            f"{base}.manifest.json": manifest.to_json()}
 
 
 # --- commands -----------------------------------------------------------------
+# Each takes the parsed options and the seed, and returns {path: text} in the
+# order main writes them, the manifest last.
 
 
-def cmd_embed(args) -> int:
-    seed = _seed_of(args)
-    manifest = RunManifest(
-        command="embed",
-        config={"znorm": args.znorm, **_text_options(args)},
-        seeds={"seed": seed},
-        tool_version=__version__,
-        directory=Path(args.output).parent,
-    )
+def cmd_embed(args, seed: int) -> dict[str, str]:
+    manifest = _manifest(args, seed, args.output, {"znorm": args.znorm})
     cfg = _load_config(args.config, args, manifest)
     manifest.config["pooling"] = [
         {"space": part.space.name, "p": [format_p(p) for p in part.p_values]}
@@ -314,28 +313,20 @@ def cmd_embed(args) -> int:
     manifest.extra["undefined_pool_entries"] = stats.undefined_total
 
     lines = ["\t".join(repr(float(v)) for v in row) for row in X]
-    write_atomic(args.output, "\n".join(lines) + ("\n" if lines else ""))
-    write_atomic(str(args.output) + ".manifest.json", manifest.to_json())
-    return 0
+    return {args.output: "\n".join(lines) + ("\n" if lines else ""),
+            f"{args.output}.manifest.json": manifest.to_json()}
 
 
-def cmd_train_projection(args) -> int:
-    seed = _seed_of(args)
+def cmd_train_projection(args, seed: int) -> dict[str, str]:
     cfg = ProjectionTrainConfig(
         shared_dim=args.shared_dim, margin=args.margin, dropout_rate=args.dropout,
         step_size=args.step_size, batch_size=args.batch_size,
         max_epochs=args.epochs, seed=seed,
     )
-    manifest = RunManifest(
-        command="train-projection",
-        config={"shared_dim": cfg.shared_dim, "margin": cfg.margin,
-                "dropout": cfg.dropout_rate, "epochs": cfg.max_epochs,
-                "batch_size": cfg.batch_size, "step_size": cfg.step_size,
-                **_text_options(args)},
-        seeds={"seed": seed},
-        tool_version=__version__,
-        directory=Path(args.model_out).parent,
-    )
+    manifest = _manifest(args, seed, args.model_out, {
+        "shared_dim": cfg.shared_dim, "margin": cfg.margin, "dropout": cfg.dropout_rate,
+        "epochs": cfg.max_epochs, "batch_size": cfg.batch_size, "step_size": cfg.step_size,
+    })
     src_space = load_text_embeddings(args.source_embeddings)
     tgt_space = load_text_embeddings(args.target_embeddings)
     manifest.add_input(args.source_embeddings)
@@ -364,25 +355,20 @@ def cmd_train_projection(args) -> int:
     for epoch, loss in enumerate(history, start=1):
         writer.writerow([epoch, repr(loss)])
 
-    write_atomic(args.model_out, projection_json(model))
-    write_atomic(args.history_out, buf.getvalue())
-    write_atomic(str(args.model_out) + ".manifest.json", manifest.to_json())
-    return 0
+    return {args.model_out: projection_json(model), args.history_out: buf.getvalue(),
+            f"{args.model_out}.manifest.json": manifest.to_json()}
 
 
-def cmd_eval(args) -> int:
-    seed = _seed_of(args)
+def cmd_eval(args, seed: int) -> dict[str, str]:
     manifest = _eval_manifest(args, seed)
     cfg = _load_config(args.config, args, manifest)
     ds = load_task(args.task)
     manifest.add_input(args.task)
     report = evaluate_report([(cfg, cfg)], [ds], _protocol_of(args, seed))
-    _write_report(args.out, report, manifest)
-    return 0
+    return _report_outputs(args.out, report, manifest)
 
 
-def cmd_eval_transfer(args) -> int:
-    seed = _seed_of(args)
+def cmd_eval_transfer(args, seed: int) -> dict[str, str]:
     manifest = _eval_manifest(args, seed)
     loaded = {}  # both configs often name one bilingual file; parse it once
     cfg_src = _load_config(args.source_config, args, manifest, loaded)
@@ -391,12 +377,10 @@ def cmd_eval_transfer(args) -> int:
     manifest.add_input(args.train_task)
     manifest.add_input(args.test_task)
     report = evaluate_report([(cfg_src, cfg_tgt)], [pair], _protocol_of(args, seed))
-    _write_report(args.out, report, manifest)
-    return 0
+    return _report_outputs(args.out, report, manifest)
 
 
-def cmd_sweep(args) -> int:
-    seed = _seed_of(args)
+def cmd_sweep(args, seed: int) -> dict[str, str]:
     manifest = _eval_manifest(args, seed)
     manifest.config["p_sets"] = args.p_set
     cfg = _load_config(args.config, args, manifest)
@@ -407,17 +391,15 @@ def cmd_sweep(args) -> int:
         tasks.append(load_task(task_path))
         manifest.add_input(task_path)
     report = sweep_pmeans(cfg, p_sets, tasks, _protocol_of(args, seed))
-    _write_report(args.out, report, manifest)
-    return 0
+    return _report_outputs(args.out, report, manifest)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit:
-        raise
+        for path, text in args.func(args, _seed_of(args)).items():
+            write_atomic(path, text)
+        return 0
     except NumericalPolicyError as exc:
         print(f"pmean: numerical policy error: {exc}", file=sys.stderr)
         return 3

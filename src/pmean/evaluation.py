@@ -395,19 +395,28 @@ def emit_report(report: EvalReport, fmt: str) -> str:
 
 
 def parse_report(text: str) -> EvalReport:
-    """Inverse of emit_report(fmt="json"); rejects unknown versions."""
+    """Inverse of emit_report(fmt="json"); rejects unknown versions and reports without rows."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"report is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"report must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != REPORT_FORMAT_VERSION:
         raise FormatError(f"unsupported report version {doc.get('version')!r}")
-    rows = []
-    for row in doc["rows"]:
-        results = [
-            TaskResult(task=t["task"], metric=t["metric"], score=t["score"], std=t["std"],
-                       in_language=t["in_language"], drop=t["drop"])
-            for t in row["tasks"]
+    try:
+        rows = [
+            ReportRow(model=row["model"], sigma=row["sigma"], results=[
+                TaskResult(task=t["task"], metric=t["metric"], score=t["score"], std=t["std"],
+                           in_language=t["in_language"], drop=t["drop"])
+                for t in row["tasks"]
+            ])
+            for row in doc["rows"]
         ]
-        rows.append(ReportRow(model=row["model"], results=results, sigma=row["sigma"]))
+    except KeyError as exc:
+        raise FormatError(f"report has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise FormatError(f"report has a malformed entry: {exc}") from None
+    if not rows:
+        raise FormatError("report has no rows")
     return EvalReport(rows=rows)

@@ -17,6 +17,7 @@ import numpy as np
 from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
+from .textio import read_text
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -363,19 +364,24 @@ def save_projection(model: ProjectionModel, path) -> None:
 
 def load_projection(path) -> ProjectionModel:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported model format_version {version!r}")
-    model = ProjectionModel(
-        W_l=np.array(doc["W_l"], dtype=np.float64),
-        b_l=np.array(doc["b_l"], dtype=np.float64),
-        W_k=np.array(doc["W_k"], dtype=np.float64),
-        b_k=np.array(doc["b_k"], dtype=np.float64),
-        margin=float(doc["margin"]),
-    )
+    try:
+        model = ProjectionModel(
+            W_l=np.array(doc["W_l"], dtype=np.float64),
+            b_l=np.array(doc["b_l"], dtype=np.float64),
+            W_k=np.array(doc["W_k"], dtype=np.float64),
+            b_k=np.array(doc["b_k"], dtype=np.float64),
+            margin=float(doc["margin"]),
+        )
+    except KeyError as exc:
+        raise FormatError(f"{path}: model has no {exc.args[0]!r} key") from None
     dims = dict(zip(("e", "f", "d"), model.dims))
     if doc.get("dims") != dims:
         raise FormatError(f"{path}: declared dims {doc.get('dims')} do not match arrays {dims}")

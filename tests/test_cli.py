@@ -600,10 +600,11 @@ class TestEvalCommands:
         assert not (workdir / "never.json").exists()
 
 
-def command_argv(workdir: Path, command: str) -> list[str]:
-    """A valid invocation of each command whose outputs all start with 'never'."""
+def command_argv(workdir: Path, command: str, out: Path | None = None) -> list[str]:
+    """A valid invocation of each command whose outputs all start with ``out``
+    (default: workdir/never)."""
     cfg, task = str(workdir / "cfg.txt"), str(workdir / "task.tsv")
-    out = str(workdir / "never")
+    out = str(out or workdir / "never")
     return {
         "embed": ["embed", "--config", cfg, "--input", str(workdir / "sentences.txt"),
                   "--output", out + ".tsv"],
@@ -759,6 +760,28 @@ class TestManifest:
         assert manifests[0] == manifests[1]
         assert str(tmp_path) not in manifests[0].decode()
 
+    def test_dotted_report_bases_keep_their_own_outputs(self, workdir):
+        for seed in ("1", "2"):
+            assert main([*command_argv(workdir, "eval", workdir / f"r.{seed}"),
+                         "--seed", seed]) == 0
+        assert sorted(p.name for p in workdir.glob("r.*")) == [
+            f"r.{seed}.{suffix}" for seed in "12" for suffix in ("json", "manifest.json", "md")]
+        for seed in (1, 2):
+            manifest = json.loads((workdir / f"r.{seed}.manifest.json").read_text())
+            assert manifest["seeds"] == {"seed": seed}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_output_exits_2_and_leaves_nothing(self, workdir, capsys, command):
+        blocker = write(workdir / "blocker", "a regular file, not a directory\n")
+        assert main(command_argv(workdir, command, blocker / "never")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmean: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not list(workdir.rglob("never*")) and not list(workdir.rglob("*.tmp"))
+        assert blocker.read_text() == "a regular file, not a directory\n"
+
 
 
 class TestUsage:
@@ -771,6 +794,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 64
+
+    def test_version_ignores_a_bad_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("PMEAN_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"pmean {pmean.__version__}\n"
 
     def test_env_seed_fallback(self, workdir, monkeypatch):
         monkeypatch.setenv("PMEAN_SEED", "123")

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -430,6 +431,19 @@ class TestReports:
         text = emit_report(self.make_report(), "json").replace('"version": 1', '"version": 2')
         with pytest.raises(FormatError, match="version"):
             parse_report(text)
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc: [doc], "report must be a JSON object, got list"),
+        (lambda doc: {**doc, "rows": [{k: v for k, v in doc["rows"][0].items() if k != "tasks"}]},
+         "report has no 'tasks' key"),
+        (lambda doc: {**doc, "rows": [["m1"]]}, "report has a malformed entry: "),
+        (lambda doc: {**doc, "rows": []}, "report has no rows"),
+    ], ids=["list", "row-without-tasks", "row-is-a-list", "no-rows"])
+    def test_malformed_report_raises_format_error(self, mangle, message):
+        doc = json.loads(emit_report(self.make_report(), "json"))
+        with pytest.raises(FormatError) as exc:
+            parse_report(json.dumps(mangle(doc)))
+        assert str(exc.value).startswith(message)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(InputError):

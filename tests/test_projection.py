@@ -511,3 +511,17 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="dims"):
             load_projection(path)
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc: json.dumps([doc]).encode(), "expected a JSON object, got list"),
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "W_l"}).encode(),
+         "model has no 'W_l' key"),
+        (lambda doc: json.dumps(doc).encode().replace(b"{", b"{\xff", 1), "not UTF-8"),
+    ], ids=["list", "missing-key", "not-utf8"])
+    def test_malformed_file_raises_format_error_naming_it(self, tmp_path, mangle, message):
+        path = tmp_path / "model.json"
+        save_projection(init_projection(2, 2, 2, seed=0), path)
+        path.write_bytes(mangle(json.loads(path.read_text())))
+        with pytest.raises(FormatError) as exc:
+            load_projection(path)
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
