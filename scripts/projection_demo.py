@@ -5,7 +5,8 @@ import argparse
 
 import numpy as np
 
-from pmean.projection import ProjectionTrainConfig, project, save_projection, train_projection
+from pmean.manifest import write_atomic
+from pmean.projection import ProjectionTrainConfig, project, projection_json, train_projection
 from pmean.synthetic import make_parallel_corpus
 
 
@@ -46,7 +47,7 @@ def main():
     print(f"top-1 retrieval among {min(50, n)} candidates: {hits / n:.2%}")
 
     if args.model_out:
-        save_projection(model, args.model_out)
+        write_atomic(args.model_out, projection_json(model))
         print(f"model written to {args.model_out}")
 
 

@@ -9,8 +9,6 @@ z-norm or training result), 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from dataclasses import replace
@@ -112,13 +110,13 @@ def _add_common(p: _Parser) -> None:
 
 
 def _add_protocol(p: _Parser) -> None:
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr-grid", default="0.1,0.01,0.001,0.0001",
+    p.add_argument("--runs", type=int, default=TrainProtocol.runs)
+    p.add_argument("--epochs", type=int, default=TrainProtocol.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainProtocol.batch_size)
+    p.add_argument("--lr-grid", default=",".join(map(repr, TrainProtocol.lr_grid)),
                    help="comma-separated learning rates to grid-search")
-    p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=float, default=TrainProtocol.val_fraction)
+    p.add_argument("--test-fraction", type=float, default=TrainProtocol.test_fraction)
     p.add_argument("--znorm", action="store_true",
                    help="standardize embeddings (fit on training data only)")
 
@@ -144,12 +142,12 @@ def build_parser() -> _Parser:
                    help="parallel sentences: source TAB target per line")
     p.add_argument("--model-out", required=True)
     p.add_argument("--history-out", required=True, help="per-epoch loss CSV")
-    p.add_argument("--shared-dim", type=int, default=300)
-    p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--step-size", type=float, default=1e-3)
+    p.add_argument("--shared-dim", type=int, default=ProjectionTrainConfig.shared_dim)
+    p.add_argument("--margin", type=float, default=ProjectionTrainConfig.margin)
+    p.add_argument("--dropout", type=float, default=ProjectionTrainConfig.dropout_rate)
+    p.add_argument("--epochs", type=int, default=ProjectionTrainConfig.max_epochs)
+    p.add_argument("--batch-size", type=int, default=ProjectionTrainConfig.batch_size)
+    p.add_argument("--step-size", type=float, default=ProjectionTrainConfig.step_size)
     _add_common(p)
     p.set_defaults(func=cmd_train_projection)
 
@@ -263,6 +261,14 @@ def _protocol_of(args, seed: int) -> TrainProtocol:
     )
 
 
+def _projection_config_of(args, seed: int) -> ProjectionTrainConfig:
+    return ProjectionTrainConfig(
+        shared_dim=args.shared_dim, margin=args.margin, dropout_rate=args.dropout,
+        step_size=args.step_size, batch_size=args.batch_size,
+        max_epochs=args.epochs, seed=seed,
+    )
+
+
 def _manifest(args, seed: int, output, config: dict) -> RunManifest:
     """The run's manifest, written beside ``output``; the text options join ``config``."""
     return RunManifest(command=args.command, config={**config, **_text_options(args)},
@@ -318,11 +324,7 @@ def cmd_embed(args, seed: int) -> dict[str, str]:
 
 
 def cmd_train_projection(args, seed: int) -> dict[str, str]:
-    cfg = ProjectionTrainConfig(
-        shared_dim=args.shared_dim, margin=args.margin, dropout_rate=args.dropout,
-        step_size=args.step_size, batch_size=args.batch_size,
-        max_epochs=args.epochs, seed=seed,
-    )
+    cfg = _projection_config_of(args, seed)
     manifest = _manifest(args, seed, args.model_out, {
         "shared_dim": cfg.shared_dim, "margin": cfg.margin, "dropout": cfg.dropout_rate,
         "epochs": cfg.max_epochs, "batch_size": cfg.batch_size, "step_size": cfg.step_size,
@@ -349,13 +351,9 @@ def cmd_train_projection(args, seed: int) -> dict[str, str]:
         for space, texts in ((src_space, src_texts), (tgt_space, tgt_texts))))
     model, history = train_projection(corpus, cfg)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "mean_loss"])
-    for epoch, loss in enumerate(history, start=1):
-        writer.writerow([epoch, repr(loss)])
-
-    return {args.model_out: projection_json(model), args.history_out: buf.getvalue(),
+    history_csv = "epoch,mean_loss\n" + "".join(
+        f"{epoch},{loss!r}\n" for epoch, loss in enumerate(history, start=1))
+    return {args.model_out: projection_json(model), args.history_out: history_csv,
             f"{args.model_out}.manifest.json": manifest.to_json()}
 
 

@@ -10,19 +10,19 @@ harmonic mean, and p = +/-inf the column max/min. The per-space blocks are
 concatenated in configuration order; z-normalization is a separate,
 explicitly fitted step.
 
-``embed_corpus`` pools a whole corpus per space: it computes each power once
-per vocabulary row the corpus uses, then reduces every sentence's rows in
-sorted order, and returns its counts as a ``PoolStats``. ``power_mean``
-pools one matrix and is the scalar oracle the corpus kernel matches bit for
-bit.
+At every finite p each column's powers are summed left to right in ascending
+order. ``embed_corpus`` pools a whole corpus per space: it computes each
+power once per vocabulary row the corpus uses, reduces every sentence's rows
+by that rule, and returns its counts as a ``PoolStats``. ``power_mean`` pools
+one matrix and is the scalar oracle the corpus kernel matches bit for bit.
 
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
 Real powers are not total: x**p is undefined over the reals for a negative
 base with non-integer p and for a zero base with negative p, and the
 geometric mean needs strictly positive entries. Such output entries, and
-entries that overflow the float range (at any finite p, p = 1 included),
-become 0 and are counted, or raise NumericalPolicyError with ``strict``.
+entries that overflow the float range (at any finite p), become 0 and are
+counted, or raise NumericalPolicyError with ``strict``.
 """
 from __future__ import annotations
 
@@ -90,33 +90,25 @@ class PooledConfig:
 def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
     """Reduce each column of an n x d matrix with the generalized mean M_p.
 
-    Columns are sorted before any arithmetic, so the result is bit-identical
-    under row permutations of W. A 0.0 / -0.0 tie may sort either way, so a
-    zero max or min is returned as 0.0. An undefined or overflowing column
-    is 0, or raises NumericalPolicyError with ``strict``. This is the scalar
-    oracle ``embed_corpus`` must match bit for bit.
+    Each column's powers are summed left to right in ascending order, so the
+    result is bit-identical under row permutations of W and does not depend on
+    the other columns; a zero max or min is returned as 0.0. An undefined or
+    overflowing column is 0, or raises NumericalPolicyError with ``strict``.
+    This is the scalar oracle ``embed_corpus`` must match bit for bit.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 1:
         raise DimensionError(f"power_mean expects an n x d matrix with n >= 1, got shape {W.shape}")
 
-    Ws = np.sort(W, axis=0)
     if p == math.inf:
-        return Ws[-1] + 0.0
+        return W.max(axis=0) + 0.0
     if p == -math.inf:
-        return Ws[0] + 0.0
+        return W.min(axis=0) + 0.0
     with np.errstate(all="ignore"):
-        if p == 1:
-            out = Ws.mean(axis=0)
-            replace = ~np.isfinite(out)
-        else:
-            powers, undefined = _powers(Ws, p)
-            inner = powers.mean(axis=0)
-            out = _root(inner, p)  # a pole, where the mean of powers cancels to 0, is NaN
-            replace = undefined.any(axis=0) | ~np.isfinite(out)
-    if not replace.any():
-        return out
-    if strict:
+        powers, undefined = _powers(W, p)
+        out = _root(_ascending_mean(powers), p)  # a pole, where the mean cancels to 0, is NaN
+        replace = undefined.any(axis=0) | ~np.isfinite(out)
+    if strict and replace.any():
         raise _strict_error(W, p, replace)
     return np.where(replace, 0.0, out)
 
@@ -143,12 +135,25 @@ def _powers(W, p):
         return np.power(W, p), undefined
 
 
+def _ascending_mean(powers):
+    """Each column's mean, its entries summed left to right in ascending order.
+
+    A running sum, because numpy's ``mean`` adds a lone column pairwise.
+    ``np.sort`` may flip the signs of tied zeros, so a zero mean's sign
+    depends on the row order; ``_root`` maps it to 0.0.
+    """
+    total = np.sort(powers, axis=0)
+    np.cumsum(total, axis=0, out=total)
+    return total[-1] / len(total)
+
+
 def _root(inner, p):
     """Map a mean of ``_powers`` back to M_p; a pole (inner == 0 at p < 0) maps to NaN."""
     if p == 0:
         return np.exp(inner)
     # sign-preserving outer root; for even/non-integer p the mean is >= 0
-    # wherever defined, so the sign factor is inert there
+    # wherever defined, so the sign factor is inert there. np.sign(-0.0) is
+    # 0.0, so at p > 0 a zero mean roots to 0.0 whatever its sign.
     out = np.sign(inner) * np.abs(inner) ** (1.0 / p)
     if p > 0:
         return out
@@ -167,7 +172,7 @@ def _strict_error(W, p, replace) -> NumericalPolicyError:
     Ws = np.sort(W, axis=0)
     powers, undefined = _powers(Ws, p)
     with np.errstate(all="ignore"):
-        pole = p < 0 and powers.mean(axis=0)[dim] == 0
+        pole = p < 0 and _ascending_mean(powers)[dim] == 0
     if not (undefined[:, dim].any() or pole):
         return NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
     offender = float(Ws[np.argmax(undefined[:, dim]), dim])
@@ -228,13 +233,8 @@ def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool):
     entries of PoolStats' fields. ``offence`` is None, or under ``strict`` the
     first offending sentence with the error it raises.
 
-    Powers are computed once per vocabulary row the corpus uses. Per
-    sentence, the extremes and the p = 1 mean come from ``np.sort`` exactly as
-    in ``power_mean`` (a zero extreme is 0.0); the powers are summed in
-    ``np.argsort`` order, which differs from the sort only within ties of
-    equal powers. Signed zeros sum to the same value in any order; at
-    negative p their powers are +/-inf, but such columns are undefined and
-    masked either way.
+    Powers are computed once per vocabulary row the corpus uses; per sentence,
+    each column's powers are summed in ascending order, as in ``power_mean``.
     """
     space = part.space
     zero_id = len(space.vocab)  # the zero row of OOV tokens and empty sentences
@@ -253,48 +253,38 @@ def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool):
     n_vocab_rows = int(np.searchsorted(used, zero_id))
     E[:n_vocab_rows] = space.matrix[used[:n_vocab_rows]]
 
-    extremes = (1, math.inf, -math.inf)
-    powered = {p: _powers(E, p) for p in part.p_values if p not in extremes}
+    powered = {p: _powers(E, p) for p in part.p_values if abs(p) != math.inf}
     pooled = {p: np.empty((len(id_lists), space.dim)) for p in part.p_values}
-    columns = np.arange(space.dim)
     with np.errstate(all="ignore"):
         for s, (start, stop) in enumerate(pairwise(bounds.tolist())):
             ids = local[start:stop]
-            x = E[ids]
-            Ws = np.sort(x, axis=0)
-            if powered:
-                order = ids[np.argsort(x, axis=0)] * space.dim + columns
             for p, block in pooled.items():
                 if p == math.inf:
-                    block[s] = Ws[-1] + 0.0
+                    block[s] = E[ids].max(axis=0) + 0.0
                 elif p == -math.inf:
-                    block[s] = Ws[0] + 0.0
-                elif p == 1:
-                    block[s] = Ws.mean(axis=0)
+                    block[s] = E[ids].min(axis=0) + 0.0
                 else:
-                    block[s] = powered[p][0].take(order).mean(axis=0)
+                    block[s] = _ascending_mean(powered[p][0][ids])
 
-    blocks, undefined, offence = [], [], None
-    for p in part.p_values:
-        block = pooled[p]
-        if p in (math.inf, -math.inf):  # a max or min of finite rows is finite
-            replace = None
-        elif p == 1:
-            replace = ~np.isfinite(block)
-        else:
-            with np.errstate(all="ignore"):
+        blocks, undefined, offence = [], [], None
+        for p in part.p_values:
+            block = pooled[p]
+            if p in powered:
                 block = _root(block, p)
-            replace = np.logical_or.reduceat(powered[p][1][local], bounds[:-1], axis=0)
-            replace |= ~np.isfinite(block)
-        n_replaced = 0 if replace is None else int(np.count_nonzero(replace))
-        if n_replaced and strict:
-            s = int(np.argmax(replace.any(axis=1)))
-            if offence is None or s < offence[0]:
-                offence = (s, _strict_error(E[local[bounds[s]:bounds[s + 1]]], p, replace[s]))
-        elif n_replaced:
-            block[replace] = 0.0
-        blocks.append(block)
-        undefined.append(n_replaced)
+                replace = ~np.isfinite(block)
+                if powered[p][1].any():  # some used row is undefined at this p
+                    replace |= np.logical_or.reduceat(powered[p][1][local], bounds[:-1], axis=0)
+                n_replaced = int(np.count_nonzero(replace))
+            else:  # a max or min of finite rows is finite
+                n_replaced = 0
+            if n_replaced and strict:
+                s = int(np.argmax(replace.any(axis=1)))
+                if offence is None or s < offence[0]:
+                    offence = (s, _strict_error(E[local[bounds[s]:bounds[s + 1]]], p, replace[s]))
+            elif n_replaced:
+                block[replace] = 0.0
+            blocks.append(block)
+            undefined.append(n_replaced)
     in_vocab = int(np.count_nonzero(local < n_vocab_rows))
     n_tokens = sum(map(len, token_lists))
     counts = (n_tokens, n_tokens - in_vocab, fallbacks, n_vocab_rows, tuple(undefined))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,9 +39,11 @@ class ProjectionModel:
             setattr(self, name, arr)
             if not np.isfinite(arr).all():
                 raise InputError(f"projection parameter {name} contains non-finite entries")
-        d = self.W_l.shape[0]
-        if self.W_k.shape[0] != d or self.b_l.shape != (d,) or self.b_k.shape != (d,):
+        if not (self.W_l.ndim == self.W_k.ndim == 2
+                and self.W_l.shape[:1] == self.W_k.shape[:1] == self.b_l.shape == self.b_k.shape):
             raise DimensionError("projection parameter shapes disagree on shared dim")
+        if not math.isfinite(self.margin):
+            raise InputError(f"projection margin must be finite, got {self.margin}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -358,10 +359,6 @@ def projection_json(model: ProjectionModel) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def save_projection(model: ProjectionModel, path) -> None:
-    Path(path).write_text(projection_json(model), encoding="utf-8")
-
-
 def load_projection(path) -> ProjectionModel:
     try:
         doc = json.loads(read_text(path))
@@ -382,6 +379,8 @@ def load_projection(path) -> ProjectionModel:
         )
     except KeyError as exc:
         raise FormatError(f"{path}: model has no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError) as exc:  # ValueError includes the model's own InputError
+        raise FormatError(f"{path}: malformed model: {exc}") from None
     dims = dict(zip(("e", "f", "d"), model.dims))
     if doc.get("dims") != dims:
         raise FormatError(f"{path}: declared dims {doc.get('dims')} do not match arrays {dims}")

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmean.cli
+from pmean.classifier import TrainProtocol
 from pmean.cli import main
 from pmean.embeddings import load_text_embeddings
-from pmean.projection import init_projection, load_projection
+from pmean.projection import ProjectionTrainConfig, init_projection, load_projection
 from test_acceptance import build_cli_fixture
 
 
@@ -829,6 +830,23 @@ class TestUsage:
         assert main(command_argv(workdir, command)) == 2
         assert capsys.readouterr().err == f"pmean: {message}\n"
         assert not list(workdir.glob("never*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--config", "c", "--task", "t", "--out", "o"],
+        ["eval-transfer", "--source-config", "c", "--target-config", "c",
+         "--train-task", "t", "--test-task", "t", "--out", "o"],
+        ["sweep", "--config", "c", "--p-set", "1", "--task", "t", "--out", "o"],
+    ], ids=lambda argv: argv[0])
+    def test_protocol_defaults_are_the_dataclass_defaults(self, argv):
+        args = pmean.cli.build_parser().parse_args(argv)
+        assert pmean.cli._protocol_of(args, 7) == TrainProtocol(seed=7)
+        assert args.lr_grid == "0.1,0.01,0.001,0.0001"  # as manifests record it
+
+    def test_projection_defaults_are_the_dataclass_defaults(self):
+        args = pmean.cli.build_parser().parse_args([
+            "train-projection", "--source-embeddings", "s", "--target-embeddings", "t",
+            "--pairs", "p", "--model-out", "m", "--history-out", "h"])
+        assert pmean.cli._projection_config_of(args, 7) == ProjectionTrainConfig(seed=7)
 
     def test_module_entry_point(self, workdir):
         out = workdir / "sub.tsv"

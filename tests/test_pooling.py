@@ -20,6 +20,8 @@ from pmean.pooling import (
     format_p,
     parse_config_text,
     parse_p,
+    _powers,
+    _root,
     power_mean,
     znorm_apply,
     znorm_fit,
@@ -137,6 +139,25 @@ class TestPowerMeanCases:
         with pytest.raises(DimensionError):
             power_mean(np.zeros((0, 3)), 1)
 
+    def test_harmonic_mean_sums_ascending_reciprocals(self):
+        # the reciprocals summed smallest first (1/0.7, 1/0.3, 1/0.2, 1/0.1) give
+        # the correctly rounded harmonic mean
+        got = power_mean(np.array([[0.7], [0.3], [0.1], [0.2]]), -1)
+        assert got.tolist() == [0.20240963855421687]
+
+    def test_a_sum_of_signed_zeros_is_zero_in_any_row_order(self):
+        # np.sort may flip the signs of tied zeros, so the sum's sign depends on
+        # the row order; the mean's root must not
+        W = np.array([[-0.0]] * 10 + [[0.0]])
+        for p in (1.0, 3.0):
+            assert power_mean(W, p).tobytes() == power_mean(W[::-1], p).tobytes() == bytes(8)
+
+    def test_a_column_does_not_depend_on_its_neighbours(self):
+        # numpy sums a lone column of 8 or more rows pairwise, to 0.45 here
+        W = 0.1 * np.arange(1.0, 9.0)[:, None]
+        assert power_mean(W, 1).tolist() == [0.45000000000000007]
+        assert power_mean(np.hstack([W, W[::-1]]), 1).tolist() == [0.45000000000000007] * 2
+
 
 class TestPowerMeanProperties:
     @given(positive_matrices())
@@ -182,6 +203,24 @@ class TestPowerMeanProperties:
     @settings(max_examples=100, deadline=None)
     def test_odd_p_is_sign_odd(self, W, p):
         assert power_mean(-W, p) == pytest.approx(-power_mean(W, p), rel=1e-9, abs=1e-12)
+
+    @given(matrices(st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0, 1e-13]),
+                    max_n=12, max_d=4))
+    @settings(max_examples=150, deadline=None)
+    def test_each_column_sums_its_powers_in_ascending_order(self, W):
+        n = W.shape[0]
+        for p in (-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0):
+            got = power_mean(W, p)
+            powers, undefined = _powers(W, p)
+            for j in range(W.shape[1]):
+                if undefined[:, j].any():
+                    continue
+                total = 0.0
+                for value in sorted(powers[:, j].tolist()):
+                    total += value
+                want = _root(np.array([total / n]), p)
+                if np.isfinite(want).all():  # a pole or an overflow is zeroed instead
+                    assert got[j:j + 1].tobytes() == want.tobytes()
 
     def test_single_row_is_fixed_point(self):
         row = np.array([[0.3, 1.7, 2.2]])
@@ -266,7 +305,7 @@ class TestPooling:
         assert np.isfinite(X).all() and stats.undefined_total > 0
 
 
-KERNEL_PS = [1.0, INF, -INF, 0.0, -1.0, 0.5, 2.0, 3.0]
+KERNEL_PS = [1.0, INF, -INF, 0.0, -1.0, 0.5, 2.0, 3.0, -2.0, 4.0]
 
 
 def gather(space, tokens, oov_mode):
@@ -362,8 +401,8 @@ class TestCorpusKernel:
         assert sum(map(sum, got[2])) > 0
 
     def test_signed_zero_ties_keep_their_sign(self):
-        # argsort and sort may order 0.0 and -0.0 differently; the extremes and
-        # the p = 1 mean must come from the sort, as in power_mean
+        # np.sort may flip the signs of tied zeros, so a zero extreme or a zero
+        # mean is 0.0 whatever the token order
         space = EmbeddingSpace("z", 1, {"p": 0, "n": 1, "m": 2},
                                np.array([[0.0], [-0.0], [-1.0]]))
         cfg = PooledConfig([PooledPart(space, [INF, -INF, 1.0, 3.0])])

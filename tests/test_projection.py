@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import pmean.projection
 from pmean.embeddings import EmbeddingSpace
 from pmean.errors import DimensionError, FormatError, InputError, NumericalPolicyError
+from pmean.manifest import write_atomic
 from pmean.optim import BETA1, BETA2, EPS, Layout
 from pmean.projection import (
     ParallelCorpus,
@@ -20,7 +22,7 @@ from pmean.projection import (
     mean_hinge_loss,
     project,
     project_space,
-    save_projection,
+    projection_json,
     train_projection,
     _clipped_mean,
     _derangement,
@@ -486,7 +488,7 @@ class TestSerialization:
         model = init_projection(3, 4, 2, seed=8)
         model.margin = 0.25
         path = tmp_path / "model.json"
-        save_projection(model, path)
+        write_atomic(path, projection_json(model))
         back = load_projection(path)
         assert back.margin == 0.25
         for name in ("W_l", "b_l", "W_k", "b_k"):
@@ -495,7 +497,7 @@ class TestSerialization:
     def test_unknown_version_rejected(self, tmp_path):
         model = init_projection(2, 2, 2, seed=0)
         path = tmp_path / "model.json"
-        save_projection(model, path)
+        write_atomic(path, projection_json(model))
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
@@ -505,7 +507,7 @@ class TestSerialization:
     def test_inconsistent_dims_rejected(self, tmp_path):
         model = init_projection(2, 2, 2, seed=0)
         path = tmp_path / "model.json"
-        save_projection(model, path)
+        write_atomic(path, projection_json(model))
         doc = json.loads(path.read_text())
         doc["dims"]["e"] = 5
         path.write_text(json.dumps(doc))
@@ -520,8 +522,26 @@ class TestSerialization:
     ], ids=["list", "missing-key", "not-utf8"])
     def test_malformed_file_raises_format_error_naming_it(self, tmp_path, mangle, message):
         path = tmp_path / "model.json"
-        save_projection(init_projection(2, 2, 2, seed=0), path)
+        write_atomic(path, projection_json(init_projection(2, 2, 2, seed=0)))
         path.write_bytes(mangle(json.loads(path.read_text())))
         with pytest.raises(FormatError) as exc:
             load_projection(path)
         assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("W_l", "abc"),
+        ("W_l", [[0.5, 0.5], [0.5]]),
+        ("margin", [1]),
+        ("b_l", {"a": 1}),
+        ("margin", math.nan),
+        ("W_l", 5),
+        ("W_k", [0.5, 0.5]),
+    ], ids=["string-array", "ragged-array", "list-margin", "object-array", "nan-margin",
+            "scalar-weights", "vector-weights"])
+    def test_malformed_field_raises_format_error_naming_it(self, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        doc = json.loads(projection_json(init_projection(2, 2, 2, seed=0)))
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(FormatError) as exc:
+            load_projection(path)
+        assert str(exc.value).startswith(f"{path}: malformed model: ")

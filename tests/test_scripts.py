@@ -16,7 +16,7 @@ REPO = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script, args", [
     ("make_fixtures.py", ["--out", "{tmp}/fixtures"]),
     ("pooling_sweep.py", ["--runs", "1"]),
-    ("projection_demo.py", ["--pairs", "50", "--epochs", "2"]),
+    ("projection_demo.py", ["--pairs", "50", "--epochs", "2", "--model-out", "{tmp}/model.json"]),
 ])
 def test_script_exits_0(tmp_path, script, args):
     env = dict(os.environ)
