@@ -43,7 +43,7 @@ from .projection import (
     projection_json,
     train_projection,
 )
-from .textio import read_lines, read_text
+from .textio import float_row_text, read_lines, read_text
 
 USAGE_EXIT = 64
 
@@ -318,7 +318,7 @@ def cmd_embed(args, seed: int) -> dict[str, str]:
         }
     manifest.extra["undefined_pool_entries"] = stats.undefined_total
 
-    lines = ["\t".join(repr(float(v)) for v in row) for row in X]
+    lines = [float_row_text(row, "\t") for row in X]
     return {args.output: "\n".join(lines) + ("\n" if lines else ""),
             f"{args.output}.manifest.json": manifest.to_json()}
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError
 from .manifest import atomic_open, sha256_file
-from .textio import read_lines
+from .textio import float_row_text, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -62,12 +62,6 @@ class EmbeddingSpace:
             raise FormatError(f"space {self.name!r}: vocab indices are not a 0..n-1 range")
         if any(not tok for tok in self.vocab):
             raise FormatError(f"space {self.name!r}: empty token in vocab")
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocab
-
-    def vector(self, token: str) -> np.ndarray:
-        return self.matrix[self.vocab[token]]
 
 
 def load_text_embeddings(
@@ -279,13 +273,14 @@ def _parse_with_float(path: Path):
 def save_text_embeddings(space: EmbeddingSpace, path) -> None:
     """Write a space back out in the text format (no header line).
 
-    Floats are written with repr so a reload reproduces the matrix exactly.
+    Floats are written as repr writes them, so a reload reproduces the matrix
+    exactly.
     """
     order = sorted(space.vocab, key=space.vocab.get)
     with open(path, "w", encoding="utf-8") as fh:
         for token in order:
             row = space.matrix[space.vocab[token]]
-            fh.write(token + " " + " ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(token + " " + float_row_text(row, " ") + "\n")
 
 
 def _is_int(s: str) -> bool:

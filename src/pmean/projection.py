@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -128,25 +129,6 @@ def _side_params(model: ProjectionModel, side: str):
     if side == "target":
         return model.W_k, model.b_k
     raise InputError(f"side must be one of {SIDES}, got {side!r}")
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity with a zero-norm guard (returns 0)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < _NORM_GUARD or nv < _NORM_GUARD:
-        return 0.0
-    return float(u @ v / (nu * nv))
-
-
-def hinge_loss(model: ProjectionModel, x_s, x_t, x_u) -> float:
-    """max(0, m - cos(r_s, r_t) + cos(r_s, r_u)) on the projected triple."""
-    r_s = project(model, "source", x_s)
-    r_t = project(model, "target", x_t)
-    r_u = project(model, "target", x_u)
-    return max(0.0, model.margin - cosine(r_s, r_t) + cosine(r_s, r_u))
 
 
 def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params | None = None):
@@ -371,17 +353,33 @@ def load_projection(path) -> ProjectionModel:
         raise FormatError(f"{path}: unsupported model format_version {version!r}")
     try:
         model = ProjectionModel(
-            W_l=np.array(doc["W_l"], dtype=np.float64),
-            b_l=np.array(doc["b_l"], dtype=np.float64),
-            W_k=np.array(doc["W_k"], dtype=np.float64),
-            b_k=np.array(doc["b_k"], dtype=np.float64),
-            margin=float(doc["margin"]),
+            W_l=_json_numbers(doc["W_l"], 2),
+            b_l=_json_numbers(doc["b_l"], 1),
+            W_k=_json_numbers(doc["W_k"], 2),
+            b_k=_json_numbers(doc["b_k"], 1),
+            margin=float(_json_numbers(doc["margin"], 0)),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: model has no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError) as exc:  # ValueError includes the model's own InputError
+    # ValueError includes the model's own InputError; OverflowError, an integer past float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model: {exc}") from None
     dims = dict(zip(("e", "f", "d"), model.dims))
     if doc.get("dims") != dims:
         raise FormatError(f"{path}: declared dims {doc.get('dims')} do not match arrays {dims}")
     return model
+
+
+def _json_numbers(value, ndim: int) -> np.ndarray:
+    """A parsed JSON value as a float64 array, if it is numbers nested ``ndim`` lists deep.
+
+    Strings, booleans and null raise TypeError, though numpy would convert them.
+    """
+    leaves = [value]
+    for _ in range(ndim):
+        if not all(type(v) is list for v in leaves):
+            raise TypeError(f"expected numbers nested {ndim} lists deep")
+        leaves = list(chain.from_iterable(leaves))
+    if not {type(v) for v in leaves} <= {int, float}:
+        raise TypeError("expected JSON numbers, not strings, booleans or null")
+    return np.array(value, dtype=np.float64)

@@ -18,9 +18,8 @@ from pmean.embeddings import EmbeddingSpace
 from pmean.evaluation import TransferPair, evaluate_monolingual, evaluate_transfer, sweep_pmeans
 from pmean.pooling import PooledConfig, PooledPart, power_mean
 from pmean.projection import (
+    _NORM_GUARD,
     ProjectionTrainConfig,
-    cosine,
-    hinge_loss,
     hinge_loss_grads,
     init_projection,
     project,
@@ -112,6 +111,25 @@ def test_c2_dimensionality():
 
 
 # --- 3: gradient checks ---------------------------------------------------------
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity with the projection's zero-norm guard (returns 0)."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu < _NORM_GUARD or nv < _NORM_GUARD:
+        return 0.0
+    return float(u @ v / (nu * nv))
+
+
+def hinge_loss(model, x_s, x_t, x_u) -> float:
+    """max(0, m - cos(r_s, r_t) + cos(r_s, r_u)) on one projected triple."""
+    r_s = project(model, "source", x_s)
+    r_t = project(model, "target", x_t)
+    r_u = project(model, "target", x_u)
+    return max(0.0, model.margin - cosine(r_s, r_t) + cosine(r_s, r_u))
 
 
 def central_diff(f, arr, h):

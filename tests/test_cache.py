@@ -111,7 +111,8 @@ class TestHit:
         path.write_text(TEXT, encoding="utf-8")
         load_text_embeddings(path)
         path.write_text(TEXT.replace("gamma 5e-324 2 3", "gamma 5e-324 2 4"), encoding="utf-8")
-        assert load_text_embeddings(path).vector("gamma")[2] == 4.0
+        space = load_text_embeddings(path)
+        assert space.matrix[space.vocab["gamma"]][2] == 4.0
         assert len(list(parse_cache_home.iterdir())) == 2
 
 

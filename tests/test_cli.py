@@ -17,6 +17,7 @@ import pmean.cli
 from pmean.classifier import TrainProtocol
 from pmean.cli import main
 from pmean.embeddings import load_text_embeddings
+from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 from pmean.projection import ProjectionTrainConfig, init_projection, load_projection
 from test_acceptance import build_cli_fixture
 
@@ -120,6 +121,22 @@ class TestEmbed:
         assert rc == 0
         manifest = json.loads((out.parent / "zn.tsv.manifest.json").read_text())
         assert len(manifest["znorm_params"]["mean"]) == 16
+
+    def test_values_outside_reprs_positional_band_are_written_as_repr(self, workdir):
+        write(workdir / "wide.txt", "alpha 1e-05 1e17 -3e-07 0.5\nbeta 2e-05 -1e17 0.0 1e16\n")
+        write(workdir / "wcfg.txt", "space=w p=1,inf,3 path=wide.txt\n")
+        write(workdir / "wsent.txt", "alpha\nalpha beta\nbeta\n")
+        out = workdir / "w.tsv"
+        rc = main(["embed", "--config", str(workdir / "wcfg.txt"),
+                   "--input", str(workdir / "wsent.txt"), "--output", str(out)])
+        assert rc == 0
+        cfg = PooledConfig([PooledPart(load_text_embeddings(workdir / "wide.txt"),
+                                       [1.0, math.inf, 3.0])])
+        X, _ = embed_corpus(cfg, ["alpha", "alpha beta", "beta"])
+        magnitudes = np.abs(X[X != 0])
+        assert (magnitudes < 1e-4).any() and (magnitudes >= 1e16).any()
+        reference = "".join("\t".join(map(repr, row.tolist())) + "\n" for row in X)
+        assert out.read_bytes() == reference.encode()
 
     def test_missing_input_exits_2(self, workdir):
         rc = main(["embed", "--config", str(workdir / "cfg.txt"),
@@ -240,7 +257,8 @@ class TestTrainProjection:
         (corpus,) = corpora
 
         def average(space, sentence):
-            known = [space.vector(t) for t in sentence.lower().split() if t in space]
+            known = [space.matrix[space.vocab[t]] for t in sentence.lower().split()
+                     if t in space.vocab]
             n_rows = len(sentence.split()) if oov == "zero" else len(known)
             return sum(known, np.zeros(4)) / max(n_rows, 1)
 

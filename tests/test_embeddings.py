@@ -19,7 +19,7 @@ from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 
 def rows(space, tokens):
     """The vocabulary rows of the tokens a space knows, in token order."""
-    return np.array([space.vector(t) for t in tokens if t in space])
+    return np.array([space.matrix[space.vocab[t]] for t in tokens if t in space.vocab])
 
 
 def write(tmp_path, text, name="emb.txt"):
@@ -33,8 +33,8 @@ class TestLoad:
         space = load_text_embeddings(write(tmp_path, "a 1.0 2.0\nb 3.0 4.0\n"))
         assert space.dim == 2
         assert len(space.vocab) == 2
-        assert np.array_equal(space.vector("a"), [1.0, 2.0])
-        assert np.array_equal(space.vector("b"), [3.0, 4.0])
+        assert np.array_equal(space.matrix[space.vocab["a"]], [1.0, 2.0])
+        assert np.array_equal(space.matrix[space.vocab["b"]], [3.0, 4.0])
 
     def test_header_auto_detection(self, tmp_path):
         plain = load_text_embeddings(write(tmp_path, "a 1.0 2.0\nb 3.0 4.0\n", "p.txt"))
@@ -53,7 +53,7 @@ class TestLoad:
     def test_duplicates_keep_first_and_warn(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
             space = load_text_embeddings(write(tmp_path, "a 1.0\nb 2.0\na 9.0\n"))
-        assert space.vector("a")[0] == 1.0
+        assert space.matrix[space.vocab["a"]][0] == 1.0
         assert len(space.vocab) == 2
         assert "1 duplicate" in caplog.text
 

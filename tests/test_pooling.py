@@ -252,7 +252,7 @@ class TestPooling:
 
     def test_single_token_fixed_point(self, two_spaces):
         space, _ = two_spaces
-        vec = space.vector("w0")
+        vec = space.matrix[space.vocab["w0"]]
         out = embed_one(space, [1.0, 2.0, INF, -INF], "w0")
         assert out == pytest.approx(np.tile(vec, 4), rel=1e-12)
 
@@ -311,8 +311,8 @@ KERNEL_PS = [1.0, INF, -INF, 0.0, -1.0, 0.5, 2.0, 3.0, -2.0, 4.0]
 def gather(space, tokens, oov_mode):
     """A sentence's word vectors: OOV tokens dropped or zero rows, one zero row if none remain."""
     zero = np.zeros(space.dim)
-    rows = [space.vector(t) if t in space else zero
-            for t in tokens if t in space or oov_mode == "zero"]
+    rows = [space.matrix[space.vocab[t]] if t in space.vocab else zero
+            for t in tokens if t in space.vocab or oov_mode == "zero"]
     return np.array(rows) if rows else zero[None]
 
 
@@ -470,7 +470,7 @@ def brute_force_stats(cfg, sentences, oov_mode):
     token_lists = [s.split() for s in sentences]
     counts = []
     for part in cfg.parts:
-        known = [[t for t in tokens if t in part.space] for tokens in token_lists]
+        known = [[t for t in tokens if t in part.space.vocab] for tokens in token_lists]
         kept = known if oov_mode == "skip" else token_lists
         counts.append((sum(map(len, token_lists)),
                        sum(len(tokens) - len(k) for tokens, k in zip(token_lists, known)),

@@ -14,8 +14,6 @@ from pmean.projection import (
     ParallelCorpus,
     ProjectionModel,
     ProjectionTrainConfig,
-    cosine,
-    hinge_loss,
     hinge_loss_grads,
     init_projection,
     load_projection,
@@ -27,6 +25,7 @@ from pmean.projection import (
     _clipped_mean,
     _derangement,
 )
+from test_acceptance import cosine, hinge_loss
 
 TANH_1 = 0.7615941559557649  # math.tanh(1.0)
 
@@ -465,8 +464,8 @@ class TestProjectSpace:
         assert out.vocab == space.vocab
         assert out.dim == 2
         for tok in space.vocab:
-            assert out.vector(tok) == pytest.approx(
-                project(model, "source", space.vector(tok)), rel=1e-12
+            assert out.matrix[out.vocab[tok]] == pytest.approx(
+                project(model, "source", space.matrix[space.vocab[tok]]), rel=1e-12
             )
 
     def test_scalar_model_reproduces_tanh(self):
@@ -474,8 +473,8 @@ class TestProjectSpace:
         model = ProjectionModel(W_l=np.array([[1.0]]), b_l=np.zeros(1),
                                 W_k=np.array([[1.0]]), b_k=np.zeros(1))
         out = project_space(model, "source", space)
-        assert out.vector("a") == pytest.approx([TANH_1], abs=1e-12)
-        assert out.vector("b") == pytest.approx([-TANH_1], abs=1e-12)
+        assert out.matrix[out.vocab["a"]] == pytest.approx([TANH_1], abs=1e-12)
+        assert out.matrix[out.vocab["b"]] == pytest.approx([-TANH_1], abs=1e-12)
 
     def test_dim_mismatch(self):
         space = EmbeddingSpace("sp", 2, {"a": 0}, np.zeros((1, 2)))
@@ -536,8 +535,15 @@ class TestSerialization:
         ("margin", math.nan),
         ("W_l", 5),
         ("W_k", [0.5, 0.5]),
+        ("margin", "0.5"),
+        ("margin", True),
+        ("W_l", [[True, False], [False, True]]),
+        ("b_k", [0.5, True]),
+        ("b_l", [0.5, None]),
+        ("margin", 10**400),
     ], ids=["string-array", "ragged-array", "list-margin", "object-array", "nan-margin",
-            "scalar-weights", "vector-weights"])
+            "scalar-weights", "vector-weights", "string-margin", "bool-margin", "bool-array",
+            "bool-among-floats", "null-entry", "huge-int-margin"])
     def test_malformed_field_raises_format_error_naming_it(self, tmp_path, key, value):
         path = tmp_path / "model.json"
         doc = json.loads(projection_json(init_projection(2, 2, 2, seed=0)))
