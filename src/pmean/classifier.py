@@ -266,5 +266,9 @@ def score_runs(runs: list[tuple], X, y, metric_kind: str = ACCURACY,
         X_run, y_run = (X[test_idx], y[test_idx]) if held_out else (X, y)
         if zn is not None:
             X_run = znorm_apply(zn, X_run)
-        scores.append(metrics(y_run, model.predict(X_run), metric_kind, len(model.bias)))
+        with np.errstate(all="ignore"):
+            logits = model.logits(X_run)
+        if not np.isfinite(logits).all():  # rows far larger than those it was trained on
+            raise NumericalPolicyError("classifier logits overflow on the rows it scores")
+        scores.append(metrics(y_run, np.argmax(logits, axis=1), metric_kind, len(model.bias)))
     return EvalScore.from_runs(metric_kind, scores)

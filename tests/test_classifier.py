@@ -406,6 +406,12 @@ class TestSubsampleValidate:
         with pytest.raises(InputError, match="class 'empty' has only 0 samples"):
             held_out_score(X, y, TrainProtocol(runs=1, seed=0), classes=["k0", "k1", "empty"])
 
+    def test_overflowing_logits_raise_instead_of_scoring(self):
+        # finite weights, but a scored row far larger than any trained on
+        runs = [(SoftmaxModel(weights=np.array([[10.0], [-10.0]]), bias=np.zeros(2)), None, None)]
+        with pytest.raises(NumericalPolicyError, match="logits overflow"):
+            score_runs(runs, np.array([[1.0], [1e308]]), np.array([0, 1]))
+
     def test_macro_f1_metric_plumbs_through(self):
         X, y = make_blobs(n_per_class=40, seed=8)
         score = held_out_score(X, y, TrainProtocol(runs=2, seed=0), metric_kind="macro_f1")

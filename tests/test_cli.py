@@ -429,6 +429,109 @@ class TestEmbedExitCodes:
                        parse_constant=lambda name: pytest.fail(f"manifest holds {name}"))
 
 
+# small values, so that many draws train, and huge ones that overflow powers,
+# z-norm or logits
+EVAL_VALUES = st.floats(-3.0, 3.0).map(repr) | st.sampled_from(
+    ["1e308", "-1e308", "1e154", "0", "-0.0", "5e-324"])
+EVAL_WORDS = ["alpha", "beta", "gamma"]
+# (file, how) of the one damaged input, if any
+EVAL_DAMAGE = st.sampled_from([None] * 4 + [
+    ("emb.txt", "non_utf8"), ("train.tsv", "non_utf8"), ("test.tsv", "non_utf8"),
+    ("emb.txt", "ragged"), ("train.tsv", "ragged"), ("emb.txt", "nan"), ("emb.txt", "inf")])
+
+
+@st.composite
+def eval_cases(draw):
+    """Input files of the evaluation commands (``{name: bytes}``, at most one damaged),
+    one to three p-sets and the command's flags."""
+    dim = draw(st.integers(1, 3))
+    rows = [[draw(EVAL_VALUES) for _ in range(dim)] for _ in EVAL_WORDS]
+    classes = draw(st.sampled_from([["x", "y"], ["x", "y", "z"]]))
+
+    def task(damaged):
+        n = draw(st.integers(2, 4)) * len(classes)  # every class at least twice
+        words = st.lists(st.sampled_from([*EVAL_WORDS, "oov"]), max_size=4).map(" ".join)
+        lines = [f"{classes[i % len(classes)]}\t{draw(words)}" for i in range(n)]
+        if damaged:
+            lines.insert(draw(st.integers(0, n)), "x")  # no tab
+        return "#name=t\n#metric=accuracy\n" + "".join(line + "\n" for line in lines)
+
+    damage = draw(EVAL_DAMAGE)
+    damaged, how = damage if damage else (None, None)
+    if damaged == "emb.txt" and how != "non_utf8":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if how == "ragged":
+            row.append("1.0")
+        else:
+            row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([how, f"-{how}"]))
+    files = {"emb.txt": "".join(f"{word} {' '.join(row)}\n" for word, row in zip(EVAL_WORDS, rows)),
+             "train.tsv": task(damaged == "train.tsv" and how == "ragged"),
+             "test.tsv": task(damaged == "test.tsv" and how == "ragged")}
+    files = {name: text.encode() for name, text in files.items()}
+    if how == "non_utf8":
+        data = files[damaged]
+        at = draw(st.integers(0, len(data)))
+        files[damaged] = data[:at] + b"\xff" + data[at:]
+    p_sets = draw(st.lists(st.lists(st.sampled_from(EMBED_P), min_size=1, max_size=3)
+                           .map(",".join), min_size=1, max_size=3))
+    flags = draw(st.lists(st.sampled_from(["--strict", "--znorm", "--oov=zero"]), unique=True))
+    flags.append(f"--lr-grid={draw(st.sampled_from(['0.1', '0.01,1', '1e308']))}")
+    return files, p_sets, flags
+
+
+def eval_argv(command, root, p_sets):
+    """``command``'s arguments over the files under ``root``; --out is ``root / "out"``."""
+    cfg, train, test = root / "cfg.txt", root / "train.tsv", root / "test.tsv"
+    if command == "eval":
+        inputs = [f"--config={cfg}", f"--task={train}"]
+    elif command == "eval-transfer":
+        inputs = [f"--source-config={cfg}", f"--target-config={cfg}",
+                  f"--train-task={train}", f"--test-task={test}"]
+    else:
+        inputs = [f"--config={cfg}", f"--task={train}", f"--task={test}",
+                  *(f"--p-set={p_set}" for p_set in p_sets)]
+    return [command, *inputs, f"--out={root / 'out'}", "--runs=2", "--epochs=2",
+            "--batch-size=4"]
+
+
+def assert_report_is_finite(root):
+    """Every number in the report's JSON, markdown and manifest is finite."""
+    for name in ("out.json", "out.manifest.json"):
+        json.loads((root / name).read_text(),
+                   parse_constant=lambda constant: pytest.fail(f"{name} holds {constant}"))
+    for line in (root / "out.md").read_text().splitlines()[2:]:
+        for cell in line.strip("| ").split(" | ")[1:]:  # the first cell names the model
+            for number in cell.replace("(", "").replace(")", "").split():
+                assert math.isfinite(float(number)), line
+
+
+# only the test task holds 'alpha', which is huge in every column: it overflows
+# the z-norm fit on the train side, or, without z-norm, the classifier's logits
+HUGE_TEST_ROW = {
+    "emb.txt": b"alpha 1e308 1e308 1e308\nbeta 1.0 0.0 -1.0\ngamma 0.0 1.0 0.5\n",
+    "train.tsv": b"#name=t\n#metric=accuracy\n" + b"x\tbeta\ny\tgamma\n" * 3,
+    "test.tsv": b"#name=t\n#metric=accuracy\n" + b"x\talpha\ny\tgamma\n" * 3}
+
+
+@pytest.mark.parametrize("command", ["eval", "eval-transfer", "sweep"])
+class TestEvalExitCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(case=eval_cases())
+    @example(case=(HUGE_TEST_ROW, ["1"], ["--znorm", "--lr-grid=0.1"]))
+    @example(case=(HUGE_TEST_ROW, ["1"], ["--lr-grid=1"]))
+    def test_any_input_exits_cleanly(self, tmp_path_factory, command, case):
+        files, p_sets, flags = case
+        root = tmp_path_factory.mktemp(command)
+        for name, data in files.items():
+            (root / name).write_bytes(data)
+        write(root / "cfg.txt", f"space=S p={p_sets[0]} path=emb.txt\n")
+        code, err = run_quietly([*eval_argv(command, root, p_sets), *flags])
+        assert code in (0, 2, 3, 64), err
+        assert "Traceback" not in err
+        if code == 0:
+            assert_report_is_finite(root)
+
+
 PROTOCOL_ARGS = ["--runs", "3", "--epochs", "8", "--seed", "11"]
 
 

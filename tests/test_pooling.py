@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pmean import pooling
 from pmean.embeddings import EmbeddingSpace
 from pmean.errors import DimensionError, FormatError, NumericalPolicyError
 from pmean.pooling import (
@@ -204,6 +206,22 @@ class TestPowerMeanProperties:
     def test_odd_p_is_sign_odd(self, W, p):
         assert power_mean(-W, p) == pytest.approx(-power_mean(W, p), rel=1e-9, abs=1e-12)
 
+    # signed zeros, and entries whose powers overflow or vanish at some p
+    SIGNED = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-13, 1e200, -1e-200])
+
+    @given(matrices(SIGNED, max_n=12), st.sampled_from([2.0, 4.0, 6.0, -2.0, -4.0]))
+    @settings(max_examples=100, deadline=None)
+    # numpy's pow of a negative base can differ from that of |x| in the last bit
+    @example(W=np.array([[1.99], [9.19], [-0.65]]), p=4.0)
+    @example(W=np.array([[7.34], [2.23]]), p=-2.0)
+    def test_even_p_is_sign_symmetric_bit_exact(self, W, p):
+        assert power_mean(-W, p).tobytes() == power_mean(W, p).tobytes()
+
+    @given(matrices(SIGNED, max_n=12), st.sampled_from([1.0, 3.0, 5.0, 7.0, -1.0, -3.0, -5.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_odd_p_powers_are_sign_odd_bit_exact(self, W, p):
+        assert _powers(-W, p)[0].tobytes() == (-_powers(W, p)[0]).tobytes()
+
     @given(matrices(st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0, 1e-13]),
                     max_n=12, max_d=4))
     @settings(max_examples=150, deadline=None)
@@ -384,6 +402,18 @@ def tricky_sentences(space, rng, n=40):
     return clean + mixed[: n // 2] + ["", "oov1 oov2 oov1"] + mixed[n // 2:]
 
 
+BLOCK_PS = KERNEL_PS + [5.0, -3.0]
+
+
+def same_length_sentences(space, rng):
+    """Nine sentences of each of four token counts, repeats and OOV tokens included,
+    with an empty and an all-OOV sentence placed among them."""
+    words = list(space.vocab) + ["oov1", "oov2"]
+    sentences = [" ".join(rng.choice(words, size=k)) for k in (1, 2, 3, 7) for _ in range(9)]
+    rng.shuffle(sentences)
+    return sentences[:10] + ["", "oov1 oov2 oov1"] + sentences[10:]
+
+
 class TestCorpusKernel:
     """embed_corpus must equal per-sentence power_mean blocks bit for bit."""
 
@@ -442,6 +472,50 @@ class TestCorpusKernel:
         got = pooled_or_error(kernel_corpus, cfg, sentences, "skip", True)
         assert got == pooled_or_error(oracle_corpus, cfg, sentences, "skip", True)
         assert got[2] == ((0,) * len(KERNEL_PS),)
+
+    @pytest.mark.parametrize("block_rows", [1, 4, None], ids=["one_sentence", "ragged", "default"])
+    @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["nan_to_zero", "error"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_block_size_matches_power_mean(self, monkeypatch, block_rows, oov_mode, strict,
+                                               seed):
+        rng = np.random.default_rng(seed)
+        a, b = tricky_space("a", rng), tricky_space("b", rng)
+        if block_rows is not None:  # a block holds block_rows rows of a space
+            monkeypatch.setattr(pooling, "BLOCK_BYTES", block_rows * 8 * a.dim)
+        cfg = PooledConfig([PooledPart(a, BLOCK_PS), PooledPart(b, BLOCK_PS[::-1])])
+        sentences = same_length_sentences(a, rng)
+        got = pooled_or_error(kernel_corpus, cfg, sentences, oov_mode, strict)
+        want = pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, strict)
+        assert got == want
+        assert isinstance(want, str) == strict
+
+    @pytest.mark.parametrize("block_rows, dim", [(1, 5), (4, 5), (4, 1), (300, 2)])
+    def test_blocks_hold_each_sentence_once(self, monkeypatch, block_rows, dim):
+        monkeypatch.setattr(pooling, "BLOCK_BYTES", block_rows * 8 * dim)
+        rng = np.random.default_rng(0)
+        lengths = rng.choice([1, 2, 3, 7], size=30)
+        local = rng.integers(0, 9, size=lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        seen, sizes = [], {}
+        for sentences, ids in pooling._blocks(lengths, starts, local, dim):
+            length = int(lengths[sentences[0]])
+            assert (lengths[sentences] == length).all() and ids.shape == (length, len(sentences))
+            for j, s in enumerate(sentences):
+                assert ids[:, j].tolist() == local[starts[s]:starts[s] + length].tolist()
+            seen.extend(sentences.tolist())
+            sizes.setdefault(length, []).append(len(sentences))
+        assert seen == sorted(seen, key=lambda s: lengths[s])  # corpus order within a length
+        assert sorted(seen) == list(range(30))
+        # full blocks of max(1, block_rows // length) sentences, then what is left
+        want = {}
+        for length, count in Counter(lengths.tolist()).items():
+            per_block = max(1, block_rows // length)
+            full, rest = divmod(count, per_block)
+            want[length] = [per_block] * full + [rest] * (rest > 0)
+        assert sizes == want
+        if block_rows == 4:
+            assert sizes[1] == [4, 2]  # six sentences of one token: a ragged last block
 
     @given(
         st.integers(1, 5).flatmap(lambda d: st.lists(
@@ -513,6 +587,12 @@ class TestZNorm:
     def test_overflowing_statistics_raise(self, column):
         with pytest.raises(NumericalPolicyError, match="z-normalization overflows"):
             znorm_fit(np.array(column)[:, None])
+
+    def test_apply_raises_where_a_standardized_value_overflows(self):
+        # a row far outside the spread the parameters were fit on
+        params = znorm_fit(np.array([[0.0], [1.0]]))
+        with pytest.raises(NumericalPolicyError, match="a standardized value is not finite"):
+            znorm_apply(params, np.array([[0.5], [1e308]]))
 
     def test_fit_constant_column_floored(self):
         params = znorm_fit(np.array([[1.0, 2.0], [3.0, 2.0]]))
