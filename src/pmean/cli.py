@@ -1,8 +1,9 @@
 """Command-line surface: embed, train-projection, eval, eval-transfer, sweep.
 
 Every command resolves its options into a RunManifest and returns its outputs
-as text; main writes them (atomically) only after the command returns, so a
-failing run never leaves partial outputs behind. Exit codes: 0 ok, 2
+as text; main stages each in a temp file beside it and renames them into
+place only once all are staged, so a failing run leaves no partial outputs
+behind (short of a failure between two renames). Exit codes: 0 ok, 2
 input/format error, 3 numerical-policy error (--strict, or a non-finite
 z-norm or training result), 64 usage error.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -392,11 +394,27 @@ def cmd_sweep(args, seed: int) -> dict[str, str]:
     return _report_outputs(args.out, report, manifest)
 
 
+def _stage(path) -> str:
+    """A new empty temp file beside output ``path``, for main to fill and rename to it."""
+    path = Path(path)
+    if path.is_dir():  # caught here, the rename into place cannot fail on it
+        raise InputError(f"{path}: output path is a directory")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
+    return tmp
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    staged = {}  # output path -> the temp file holding its text, until renamed
     try:
         for path, text in args.func(args, _seed_of(args)).items():
-            write_atomic(path, text)
+            staged[path] = _stage(path)
+            write_atomic(staged[path], text)  # perfbench times and counts each output here
+        for path, tmp in list(staged.items()):  # all are staged: move each into place
+            os.replace(tmp, path)
+            del staged[path]
         return 0
     except NumericalPolicyError as exc:
         print(f"pmean: numerical policy error: {exc}", file=sys.stderr)
@@ -404,6 +422,9 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"pmean: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for tmp in staged.values():
+            Path(tmp).unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

@@ -64,18 +64,19 @@ class TaskDataset:
 
 @dataclass
 class TransferPair:
-    """A training task and its other-language counterpart with aligned classes."""
+    """A training task and its other-language counterpart with aligned classes and one metric."""
 
     train: TaskDataset
     test: TaskDataset
 
     def __post_init__(self):
+        pair = f"transfer pair {self.train.name!r}/{self.test.name!r}"
         # both tasks are scored through their sorted classes, so line order is free
         if sorted(self.train.classes) != sorted(self.test.classes):
-            raise InputError(
-                f"transfer pair {self.train.name!r}/{self.test.name!r}: "
-                "class sets must be identical"
-            )
+            raise InputError(f"{pair}: class sets must be identical")
+        if self.train.metric_kind != self.test.metric_kind:  # the drop subtracts one from the other
+            raise InputError(f"{pair}: metrics must be identical, got "
+                             f"{self.train.metric_kind!r} and {self.test.metric_kind!r}")
 
 
 def load_task(path) -> TaskDataset:

@@ -20,9 +20,11 @@ p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
 Real powers are not total: x**p is undefined over the reals for a negative
 base with non-integer p and for a zero base with negative p, and the
-geometric mean needs strictly positive entries. Such output entries, and
-entries that overflow the float range (at any finite p), become 0 and are
-counted, or raise NumericalPolicyError with ``strict``.
+geometric mean needs strictly positive entries (|x| <= EPSILON counts as
+zero). Such a power is NaN, which the sum and the root keep, so one rule
+covers it, a pole (a p < 0 sum that cancels to 0) and an overflow: an entry
+whose M_p is not finite becomes 0 and is counted, or raises
+NumericalPolicyError with ``strict``.
 """
 from __future__ import annotations
 
@@ -93,8 +95,8 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
 
     Each column's powers are summed left to right in ascending order, so the
     result is bit-identical under row permutations of W and does not depend on
-    the other columns; a zero max or min is returned as 0.0. An undefined or
-    overflowing column is 0, or raises NumericalPolicyError with ``strict``.
+    the other columns; a zero max or min is returned as 0.0. A column whose
+    mean is not finite is 0, or raises NumericalPolicyError with ``strict``.
     This is the scalar oracle ``embed_corpus`` must match bit for bit.
     """
     W = np.asarray(W, dtype=np.float64)
@@ -106,40 +108,33 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
     if p == -math.inf:
         return W.min(axis=0) + 0.0
     with np.errstate(all="ignore"):
-        powers, undefined = _powers(W, p)
-        out = _root(_ascending_mean(powers), p)  # a pole, where the mean cancels to 0, is NaN
-        replace = undefined.any(axis=0) | ~np.isfinite(out)
+        out = _root(_ascending_mean(_powers(W, p)), p)
+        replace = ~np.isfinite(out)
     if strict and replace.any():
         raise _strict_error(W, p, replace)
     return np.where(replace, 0.0, out)
 
 
 def _powers(W, p):
-    """Entrywise x**p (log x for p = 0) and the mask of entries where it is undefined.
+    """Entrywise x**p (log x for p = 0), NaN exactly where it is undefined.
 
-    p is finite. The power is |x|**p, with x's sign restored for odd integer
-    p: numpy raises a negative base far more slowly than a positive one, and
-    an even-p power of -x is then exactly that of x. The geometric mean needs
-    strictly positive entries; otherwise a negative base is undefined for
-    non-integer p (its |x|**p is masked, not used), and a zero base for
-    negative p.
+    p is finite. Undefined are x <= EPSILON at p = 0 (the geometric mean
+    needs strictly positive entries), |x| <= EPSILON at p < 0 (a zero base)
+    and x < 0 at non-integer p. Elsewhere the power is |x|**p, with x's sign
+    restored for odd integer p: numpy raises a negative base far more slowly
+    than a positive one, and an even-p power of -x is then exactly that of x.
     """
     if p == 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.where(W > 0, W, 1.0)), W <= EPSILON
-    near_zero = np.abs(W) <= EPSILON
-    if float(p).is_integer():
-        # zero base only hurts for negative exponents
-        undefined = near_zero if p < 0 else np.zeros_like(W, dtype=bool)
-    else:
-        undefined = W < 0
-        if p < 0:
-            undefined = undefined | near_zero
+        return np.log(np.where(W > EPSILON, W, np.nan))
     with np.errstate(all="ignore"):
         powers = np.power(np.abs(W), p)
     if p % 2 == 1:  # odd integer p
         np.copysign(powers, W, out=powers)
-    return powers, undefined
+    if p < 0:
+        np.copyto(powers, np.nan, where=np.abs(W) <= EPSILON)
+    if not float(p).is_integer():
+        np.copyto(powers, np.nan, where=W < 0)
+    return powers
 
 
 def _ascending_mean(powers):
@@ -177,17 +172,18 @@ def _strict_error(W, p, replace) -> NumericalPolicyError:
     """The error ``strict`` raises for M_p over the rows of W with these columns replaced.
 
     It names the first replaced column and, in that column's sorted order,
-    the first undefined entry; a pole column has none and names its minimum.
-    A column with neither overflows.
+    the first entry whose power is undefined (NaN in ``_powers``); a pole
+    column has none and names its minimum. A column with neither overflows.
     """
     dim = int(np.argmax(replace))
-    Ws = np.sort(W, axis=0)
-    powers, undefined = _powers(Ws, p)
+    column = np.sort(W[:, dim])
     with np.errstate(all="ignore"):
-        pole = p < 0 and _ascending_mean(powers)[dim] == 0
-    if not (undefined[:, dim].any() or pole):
+        powers = _powers(column, p)
+        undefined = np.isnan(powers)
+        pole = p < 0 and _ascending_mean(powers) == 0
+    if not (undefined.any() or pole):
         return NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
-    offender = float(Ws[np.argmax(undefined[:, dim]), dim])
+    offender = float(column[np.argmax(undefined)])
     return NumericalPolicyError(
         f"power mean undefined for p={format_p(p)} at dimension {dim} (value {offender!r})"
     )
@@ -247,7 +243,8 @@ def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool):
 
     Powers are computed once per vocabulary row the corpus uses. Sentences of
     one length are reduced together, in blocks from ``_blocks``: each
-    column's powers are summed in ascending order, as in ``power_mean``.
+    column's powers are summed in ascending order, as in ``power_mean``, and
+    an entry is zeroed where its mean is not finite.
     """
     space = part.space
     zero_id = len(space.vocab)  # the zero row of OOV tokens and empty sentences
@@ -278,19 +275,13 @@ def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool):
                 elif p == -math.inf:
                     block[sentences] = rows.min(axis=0) + 0.0
                 else:
-                    block[sentences] = _ascending_mean(powered[p][0][ids])
+                    block[sentences] = _ascending_mean(powered[p][ids])
 
         blocks, undefined, offence = [], [], None
         for p in part.p_values:
-            block = pooled[p]
-            if p in powered:
-                block = _root(block, p)
-                replace = ~np.isfinite(block)
-                if powered[p][1].any():  # some used row is undefined at this p
-                    replace |= np.logical_or.reduceat(powered[p][1][local], bounds[:-1], axis=0)
-                n_replaced = int(np.count_nonzero(replace))
-            else:  # a max or min of finite rows is finite
-                n_replaced = 0
+            block = _root(pooled[p], p) if p in powered else pooled[p]
+            replace = ~np.isfinite(block)
+            n_replaced = int(np.count_nonzero(replace))
             if n_replaced and strict:
                 s = int(np.argmax(replace.any(axis=1)))
                 if offence is None or s < offence[0]:

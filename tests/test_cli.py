@@ -606,6 +606,18 @@ class TestEvalCommands:
         assert capsys.readouterr().err == want
         assert not (workdir / "never.json").exists()
 
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_transfer_metric_mismatch_exits_2(self, workdir, capsys, side):
+        text = (workdir / "task.tsv").read_text()
+        assert "#metric=accuracy\n" in text
+        write(workdir / "f1.tsv", text.replace("#metric=accuracy\n", "#metric=macro_f1\n"))
+        tasks = ("f1.tsv", "task.tsv") if side == "train" else ("task.tsv", "f1.tsv")
+        assert self.transfer(workdir, "cfg.txt", "cfg.txt", *tasks, "never") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmean: transfer pair ") and err.count("\n") == 1
+        assert "metrics must be identical" in err
+        assert not list(workdir.glob("never*"))
+
     def test_transfer_test_task_line_order_leaves_reports_unchanged(self, workdir):
         lines = (workdir / "task.tsv").read_text().splitlines(keepends=True)
         heads = [line for line in lines if line.startswith("#")]
@@ -746,6 +758,12 @@ def command_argv(workdir: Path, command: str, out: Path | None = None) -> list[s
 
 
 COMMANDS = ["embed", "train-projection", "eval", "eval-transfer", "sweep"]
+# what each command of command_argv writes after its ``out``, in writing order
+REPORT_SUFFIXES = [".json", ".md", ".manifest.json"]
+OUTPUT_SUFFIXES = {"embed": [".tsv", ".tsv.manifest.json"],
+                   "train-projection": [".json", ".csv", ".json.manifest.json"],
+                   "eval": REPORT_SUFFIXES, "eval-transfer": REPORT_SUFFIXES,
+                   "sweep": REPORT_SUFFIXES}
 
 
 def flags_task(path: Path, sentences: list[str]) -> str:
@@ -903,6 +921,38 @@ class TestOutputs:
         assert "Traceback" not in err
         assert not list(workdir.rglob("never*")) and not list(workdir.rglob("*.tmp"))
         assert blocker.read_text() == "a regular file, not a directory\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_outputs_are_written_in_order(self, workdir, monkeypatch, command):
+        texts = []
+        real_write = pmean.cli.write_atomic
+        monkeypatch.setattr(pmean.cli, "write_atomic",
+                            lambda path, text: texts.append(text) or real_write(path, text))
+        assert main(command_argv(workdir, command)) == 0
+        paths = [workdir / f"never{suffix}" for suffix in OUTPUT_SUFFIXES[command]]
+        assert texts == [path.read_text() for path in paths]  # one write per output
+        assert sorted(workdir.glob("never*")) == sorted(paths)
+        assert not list(workdir.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command, k", [(command, k) for command in COMMANDS
+                                            for k in range(len(OUTPUT_SUFFIXES[command]))])
+    def test_blocking_any_one_output_leaves_no_output(self, workdir, capsys, command, k):
+        blocker = workdir / f"never{OUTPUT_SUFFIXES[command][k]}"
+        blocker.mkdir()  # a directory where output k would go
+        assert main(command_argv(workdir, command)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmean: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(workdir.rglob("never*")) == [blocker]
+        assert not list(workdir.rglob("*.tmp"))
+
+    def test_history_under_a_regular_file_leaves_no_model(self, workdir, capsys):
+        blocker = write(workdir / "blocker", "a regular file, not a directory\n")
+        argv = command_argv(workdir, "train-projection")
+        argv[argv.index("--history-out") + 1] = str(blocker / "h.csv")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("pmean: ")
+        assert not list(workdir.rglob("never*")) and not list(workdir.rglob("*.tmp"))
 
 
 

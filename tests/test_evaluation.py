@@ -344,6 +344,14 @@ class TestTransfer:
         with pytest.raises(InputError):
             TransferPair(train=pair.train, test=other)
 
+    def test_metrics_must_match(self, swap_setup):
+        _, _, pair = swap_setup
+        other = replace(pair.test, metric_kind="macro_f1")
+        with pytest.raises(InputError, match="metrics must be identical"):
+            TransferPair(train=pair.train, test=other)
+        with pytest.raises(InputError, match="metrics must be identical"):
+            TransferPair(train=other, test=pair.train)
+
 
 class TestSweep:
     def test_row_structure_and_order(self):

@@ -220,7 +220,22 @@ class TestPowerMeanProperties:
     @given(matrices(SIGNED, max_n=12), st.sampled_from([1.0, 3.0, 5.0, 7.0, -1.0, -3.0, -5.0]))
     @settings(max_examples=100, deadline=None)
     def test_odd_p_powers_are_sign_odd_bit_exact(self, W, p):
-        assert _powers(-W, p)[0].tobytes() == (-_powers(W, p)[0]).tobytes()
+        got, want = _powers(-W, p), -_powers(W, p)
+        defined = ~np.isnan(want)  # negating NaN flips its sign bit
+        assert (np.isnan(got) == ~defined).all()
+        assert got[defined].tobytes() == want[defined].tobytes()
+
+    @given(matrices(SIGNED | st.sampled_from([EPSILON, -EPSILON, 2e-12, -1e-13, -1e200])),
+           st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_powers_are_nan_exactly_where_undefined(self, W, p):
+        def undefined(x):
+            if p == 0:  # the geometric mean needs strictly positive entries
+                return x <= EPSILON
+            return (p < 0 and abs(x) <= EPSILON) or (x < 0 and not p.is_integer())
+
+        want = [[undefined(x) for x in row] for row in W.tolist()]
+        assert np.isnan(_powers(W, p)).tolist() == want
 
     @given(matrices(st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0, 1e-13]),
                     max_n=12, max_d=4))
@@ -229,9 +244,9 @@ class TestPowerMeanProperties:
         n = W.shape[0]
         for p in (-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0):
             got = power_mean(W, p)
-            powers, undefined = _powers(W, p)
+            powers = _powers(W, p)
             for j in range(W.shape[1]):
-                if undefined[:, j].any():
+                if np.isnan(powers[:, j]).any():  # an undefined column is zeroed
                     continue
                 total = 0.0
                 for value in sorted(powers[:, j].tolist()):
@@ -580,6 +595,21 @@ class TestPoolStats:
         with pytest.raises(NumericalPolicyError, match=r"^power mean overflows for p=1 at "
                                                        r"dimension 0$"):
             embed_corpus(replace(cfg, strict=True), ["a", "a b"])
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_powers_overflowing_with_both_signs_are_an_overflow(self, p):
+        # at p = 3 the powers are inf and -inf, so the mean is NaN, yet no power is undefined
+        W = np.array([[1e200, 1.0], [-1e200, 2.0]])
+        space = EmbeddingSpace("S", 2, {"a": 0, "b": 1}, W)
+        cfg = PooledConfig([PooledPart(space, [p])])
+        X, stats = embed_corpus(cfg, ["a b"])
+        assert X[0, 0] == 0.0 and X[0].tobytes() == power_mean(W, p).tobytes()
+        assert stats.undefined == ((1,),)
+        message = rf"^power mean overflows for p={int(p)} at dimension 0$"
+        with pytest.raises(NumericalPolicyError, match=message):
+            power_mean(W, p, strict=True)
+        with pytest.raises(NumericalPolicyError, match=message):
+            embed_corpus(replace(cfg, strict=True), ["a b"])
 
 
 class TestZNorm:
