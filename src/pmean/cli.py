@@ -1,9 +1,8 @@
 """Command-line surface: embed, train-projection, eval, eval-transfer, sweep.
 
 Every command resolves its options into a RunManifest and returns its outputs
-as text; main stages each in a temp file beside it and renames them into
-place only once all are staged, so a failing run leaves no partial outputs
-behind (short of a failure between two renames). Exit codes: 0 ok, 2
+as text; main stages each beside its path and renames none into place until
+all are staged, so a failing run leaves no partial outputs. Exit codes: 0 ok, 2
 input/format error, 3 numerical-policy error (--strict, or a non-finite
 z-norm or training result), 64 usage error.
 """
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from .evaluation import (
     load_task,
     sweep_pmeans,
 )
-from .manifest import RunManifest, write_atomic
+from .manifest import RunManifest, temp_beside, write_atomic
 from .pooling import (
     PooledConfig,
     PooledPart,
@@ -394,27 +392,18 @@ def cmd_sweep(args, seed: int) -> dict[str, str]:
     return _report_outputs(args.out, report, manifest)
 
 
-def _stage(path) -> str:
-    """A new empty temp file beside output ``path``, for main to fill and rename to it."""
-    path = Path(path)
-    if path.is_dir():  # caught here, the rename into place cannot fail on it
-        raise InputError(f"{path}: output path is a directory")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    return tmp
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     staged = {}  # output path -> the temp file holding its text, until renamed
     try:
         for path, text in args.func(args, _seed_of(args)).items():
-            staged[path] = _stage(path)
+            if Path(path).is_dir():  # caught here, the rename into place cannot fail on it
+                raise InputError(f"{path}: output path is a directory")
+            staged[path] = temp_beside(path)
             write_atomic(staged[path], text)  # perfbench times and counts each output here
         for path, tmp in list(staged.items()):  # all are staged: move each into place
             os.replace(tmp, path)
-            del staged[path]
+            del staged[path]  # only once moved, so a failed rename's temp is still unlinked
         return 0
     except NumericalPolicyError as exc:
         print(f"pmean: numerical policy error: {exc}", file=sys.stderr)

@@ -64,14 +64,20 @@ def atomic_open(path, mode: str):
     """A file opened for writing (``"w"``, UTF-8, or ``"wb"``) that appears at
     ``path`` only when the block ends without an error; a failed write leaves
     neither a partial file nor the temp file behind."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = temp_beside(path)
     try:
-        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def temp_beside(path) -> str:
+    """A new empty temp file ``.<name>.*.tmp`` in ``path``'s directory, made if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
+    return tmp

@@ -946,6 +946,21 @@ class TestOutputs:
         assert list(workdir.rglob("never*")) == [blocker]
         assert not list(workdir.rglob("*.tmp"))
 
+    def test_a_failed_rename_still_unlinks_every_staged_file(self, workdir, capsys, monkeypatch):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(".md"):  # the second of eval's three outputs
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(pmean.cli.os, "replace", replace)
+        assert main(command_argv(workdir, "eval")) == 2
+        assert capsys.readouterr().err == "pmean: rename refused\n"
+        # the window between two renames: the first output is in place, no temp file stays
+        assert [p.name for p in workdir.rglob("never*")] == ["never.json"]
+        assert not list(workdir.rglob("*.tmp"))
+
     def test_history_under_a_regular_file_leaves_no_model(self, workdir, capsys):
         blocker = write(workdir / "blocker", "a regular file, not a directory\n")
         argv = command_argv(workdir, "train-projection")
