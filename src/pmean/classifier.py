@@ -74,22 +74,18 @@ class TrainProtocol:
 
 @dataclass
 class EvalScore:
-    """Per-run scores of one evaluation plus their mean and population std."""
+    """Per-run scores of one evaluation; ``mean`` and ``std`` (population) derive from them."""
 
     metric: str
-    mean: float
-    std: float
     per_run: list[float]
 
-    @classmethod
-    def from_runs(cls, metric: str, per_run) -> "EvalScore":
-        per_run = [float(s) for s in per_run]
-        return cls(
-            metric=metric,
-            mean=float(np.mean(per_run)),
-            std=float(np.std(per_run)),
-            per_run=per_run,
-        )
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.per_run))
+
+    @property
+    def std(self) -> float:
+        return float(np.std(self.per_run))
 
 
 def softmax_xent(model: SoftmaxModel, X: np.ndarray, y) -> tuple[float, dict[str, np.ndarray]]:
@@ -271,4 +267,4 @@ def score_runs(runs: list[tuple], X, y, metric_kind: str = ACCURACY,
         if not np.isfinite(logits).all():  # rows far larger than those it was trained on
             raise NumericalPolicyError("classifier logits overflow on the rows it scores")
         scores.append(metrics(y_run, np.argmax(logits, axis=1), metric_kind, len(model.bias)))
-    return EvalScore.from_runs(metric_kind, scores)
+    return EvalScore(metric_kind, scores)

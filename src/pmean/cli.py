@@ -272,8 +272,7 @@ def _projection_config_of(args, seed: int) -> ProjectionTrainConfig:
 def _manifest(args, seed: int, output, config: dict) -> RunManifest:
     """The run's manifest, written beside ``output``; the text options join ``config``."""
     return RunManifest(command=args.command, config={**config, **_text_options(args)},
-                       seeds={"seed": seed}, tool_version=__version__,
-                       directory=Path(output).parent)
+                       seeds={"seed": seed}, directory=Path(output).parent)
 
 
 def _eval_manifest(args, seed: int) -> RunManifest:

@@ -41,19 +41,16 @@ class EmbeddingSpace:
     """
 
     name: str
-    dim: int
     vocab: dict[str, int]
     matrix: np.ndarray
     language_tag: str | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.dim <= 0:
-            raise DimensionError(f"space {self.name!r}: dim must be positive, got {self.dim}")
-        if self.matrix.shape != (len(self.vocab), self.dim):
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.vocab) or self.dim < 1:
             raise DimensionError(
-                f"space {self.name!r}: matrix shape {self.matrix.shape} does not match "
-                f"vocab size {len(self.vocab)} x dim {self.dim}"
+                f"space {self.name!r}: matrix shape {self.matrix.shape} is not vocab size "
+                f"{len(self.vocab)} x at least one column"
             )
         if not np.isfinite(self.matrix).all():
             raise FormatError(f"space {self.name!r}: matrix contains non-finite entries")
@@ -62,6 +59,10 @@ class EmbeddingSpace:
             raise FormatError(f"space {self.name!r}: vocab indices are not a 0..n-1 range")
         if any(not tok for tok in self.vocab):
             raise FormatError(f"space {self.name!r}: empty token in vocab")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 def load_text_embeddings(
@@ -90,8 +91,7 @@ def load_text_embeddings(
     cached = _read_entry(entry, name, language_tag) if entry is not None else None
     if cached is None:
         vocab, matrix, duplicates = _parse_with_loadtxt(path) or _parse_with_float(path)
-        space = EmbeddingSpace(name=name, dim=matrix.shape[1], vocab=vocab, matrix=matrix,
-                               language_tag=language_tag)
+        space = EmbeddingSpace(name=name, vocab=vocab, matrix=matrix, language_tag=language_tag)
         if entry is not None:
             _write_entry(entry, space, duplicates, path, stat)
     else:
@@ -170,8 +170,7 @@ def _read_entry(entry: Path, name: str, language_tag: str | None):
         # a repeated token leaves fewer vocab entries than rows, which EmbeddingSpace rejects
         order = tokens.tobytes().decode("utf-8").split("\n")
         vocab = {token: row for row, token in enumerate(order)}
-        space = EmbeddingSpace(name=name, dim=matrix.shape[1], vocab=vocab, matrix=matrix,
-                               language_tag=language_tag)
+        space = EmbeddingSpace(name=name, vocab=vocab, matrix=matrix, language_tag=language_tag)
     except FileNotFoundError:
         return None
     except Exception:  # an entry only saves a parse: whatever is wrong with it, parse instead

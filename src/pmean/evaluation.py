@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from .classifier import (
 )
 from .errors import DimensionError, FormatError, InputError
 from .pooling import PooledConfig, PooledPart, embed_corpus
-from .textio import read_lines
+from .textio import json_numbers, read_lines
 
 REPORT_FORMAT_VERSION = 1
 
@@ -41,25 +42,24 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TaskDataset:
-    """Labeled sentences with their class set and scoring metric."""
+    """Labeled sentences and their scoring metric; the classes are the sorted distinct labels."""
 
     name: str
-    classes: list
     items: list[tuple]  # (label, sentence text)
     metric_kind: str = ACCURACY
     language_tag: str | None = None
 
     def __post_init__(self):
-        if len(self.classes) < 2:
-            raise InputError(f"task {self.name!r}: needs at least 2 classes")
         if not self.items:
             raise InputError(f"task {self.name!r}: no items")
+        if len(self.classes) < 2:
+            raise InputError(f"task {self.name!r}: needs at least 2 classes")
         if self.metric_kind not in METRICS:
             raise InputError(f"task {self.name!r}: unknown metric {self.metric_kind!r}")
-        class_set = set(self.classes)
-        for label, _ in self.items:
-            if label not in class_set:
-                raise InputError(f"task {self.name!r}: item label {label!r} not in class set")
+
+    @property
+    def classes(self) -> list:
+        return sorted({label for label, _ in self.items})
 
 
 @dataclass
@@ -71,8 +71,7 @@ class TransferPair:
 
     def __post_init__(self):
         pair = f"transfer pair {self.train.name!r}/{self.test.name!r}"
-        # both tasks are scored through their sorted classes, so line order is free
-        if sorted(self.train.classes) != sorted(self.test.classes):
+        if self.train.classes != self.test.classes:
             raise InputError(f"{pair}: class sets must be identical")
         if self.train.metric_kind != self.test.metric_kind:  # the drop subtracts one from the other
             raise InputError(f"{pair}: metrics must be identical, got "
@@ -80,12 +79,11 @@ class TransferPair:
 
 
 def load_task(path) -> TaskDataset:
-    """Parse one task file; classes are inferred in first-appearance order."""
+    """Parse one task file; its classes are the sorted distinct labels."""
     path = Path(path)
     name = None
     metric_kind = None
     lang = None
-    classes: list = []
     items: list[tuple] = []
     for lineno, line in read_lines(path):
         if line.startswith("#"):
@@ -108,30 +106,26 @@ def load_task(path) -> TaskDataset:
         label, tab, text = line.partition("\t")
         if not tab or not label:
             raise FormatError(f"{path}:{lineno}: expected 'label<TAB>sentence'")
-        if label not in classes:
-            classes.append(label)
         items.append((label, text))
     if not items:
         raise FormatError(f"{path}: no data lines")
-    if len(classes) < 2:
-        raise FormatError(f"{path}: fewer than 2 classes")
     counts = Counter(label for label, _ in items)
+    if len(counts) < 2:
+        raise FormatError(f"{path}: fewer than 2 classes")
     logger.info("%s: task %r, %d items, per-class counts %s", path, name, len(items),
                 dict(counts))
-    return TaskDataset(name=name, classes=classes, items=items,
-                       metric_kind=metric_kind, language_tag=lang)
+    return TaskDataset(name=name, items=items, metric_kind=metric_kind, language_tag=lang)
 
 
 def save_task(ds: TaskDataset, path) -> None:
     """Write a task file that ``load_task`` reads back as ``ds``.
 
-    Name, metric, language tag and items come back equal; the classes come
-    back in first-appearance order, which the format does not record
-    otherwise (scoring sorts them). A line that ends in ``\r`` gets one more,
-    because the reader drops one before ``\n``. Raises InputError for what
-    the format cannot hold: a field that is not a string or holds ``\n``, a
-    label that is empty, holds a TAB or starts with ``#``, a class without
-    items, or text that is not encodable as UTF-8.
+    Name, metric, language tag and items come back equal, and so do the
+    classes, which both derive from the items. A line that ends in ``\r``
+    gets one more, because the reader drops one before ``\n``. Raises
+    InputError for what the format cannot hold: a field that is not a string
+    or holds ``\n``, a label that is empty, holds a TAB or starts with ``#``,
+    or text that is not encodable as UTF-8.
     """
     def field(what, value):
         if not isinstance(value, str) or "\n" in value:
@@ -139,11 +133,6 @@ def save_task(ds: TaskDataset, path) -> None:
                              "task file: not a string or holds a newline")
         return value
 
-    used = {label for label, _ in ds.items}
-    for cls in ds.classes:
-        if cls not in used:
-            raise InputError(f"task {ds.name!r}: class {cls!r} has no items, so a task file "
-                             "cannot hold it")
     lines = [f"#name={field('name', ds.name)}", f"#metric={ds.metric_kind}"]
     if ds.language_tag is not None:
         lines.append(f"#lang={field('language tag', ds.language_tag)}")
@@ -163,7 +152,7 @@ def save_task(ds: TaskDataset, path) -> None:
 def _canonical(ds: TaskDataset) -> tuple[np.ndarray, list[str], list]:
     """``(y, texts, classes)`` in sorted item order; y holds each label's index in
     the sorted classes. Labels become class indices here and nowhere else."""
-    classes = sorted(ds.classes)
+    classes = ds.classes
     index = {label: i for i, label in enumerate(classes)}
     items = sorted(ds.items)
     y = np.array([index[label] for label, _ in items], dtype=np.intp)
@@ -252,7 +241,7 @@ class TaskResult:
     """One task cell of a report row; score is the headline number.
 
     For transfer cells the headline is the cross-language score and
-    in_language/drop are filled; monolingual cells leave them None.
+    in_language is filled; monolingual cells leave it None, and so their drop.
     """
 
     task: str
@@ -260,41 +249,31 @@ class TaskResult:
     score: float
     std: float
     in_language: float | None = None
-    drop: float | None = None
 
-    def __post_init__(self):
-        if (self.in_language is None) != (self.drop is None):
-            raise InputError("in_language and drop must be set together")
-        if self.drop is not None and abs(self.drop - (self.in_language - self.score)) > 1e-12:
-            raise InputError(
-                f"task {self.task!r}: drop {self.drop} != in_language - score "
-                f"{self.in_language - self.score}"
-            )
+    @property
+    def drop(self) -> float | None:
+        return None if self.in_language is None else self.in_language - self.score
 
 
 @dataclass
 class ReportRow:
+    """One model's task cells; sigma is the mean of their scores."""
+
     model: str
     results: list[TaskResult]
-    sigma: float
 
     def __post_init__(self):
         if not self.results:
             raise InputError("report row has no task results")
-        expected = float(np.mean([r.score for r in self.results]))
-        if abs(self.sigma - expected) > 1e-12:
-            raise InputError(f"row {self.model!r}: sigma {self.sigma} != mean {expected}")
 
-    @classmethod
-    def from_results(cls, model: str, results: list[TaskResult]) -> "ReportRow":
-        return cls(model=model, results=results,
-                   sigma=float(np.mean([r.score for r in results])))
+    @property
+    def sigma(self) -> float:
+        return float(np.mean([r.score for r in self.results]))
 
 
 @dataclass
 class EvalReport:
     rows: list[ReportRow]
-    version: int = REPORT_FORMAT_VERSION
 
 
 def evaluate_report(rows, tasks, protocol: TrainProtocol) -> EvalReport:
@@ -312,19 +291,13 @@ def evaluate_report(rows, tasks, protocol: TrainProtocol) -> EvalReport:
         for task in tasks:
             if isinstance(task, TransferPair):
                 res = evaluate_transfer(cfg_src, cfg_tgt, task, protocol)
-                results.append(TaskResult(
-                    task=task.train.name,
-                    metric=res.cross.metric,
-                    score=res.cross.mean,
-                    std=res.cross.std,
-                    in_language=res.in_language.mean,
-                    drop=res.drop,
-                ))
+                results.append(TaskResult(task.train.name, res.cross.metric, res.cross.mean,
+                                          res.cross.std, in_language=res.in_language.mean))
             else:
                 score = evaluate_monolingual(cfg_src, task, protocol)
                 results.append(TaskResult(task=task.name, metric=score.metric,
                                           score=score.mean, std=score.std))
-        report_rows.append(ReportRow.from_results(cfg_src.describe(), results))
+        report_rows.append(ReportRow(cfg_src.describe(), results))
     return EvalReport(rows=report_rows)
 
 
@@ -356,7 +329,7 @@ def emit_report(report: EvalReport, fmt: str) -> str:
     """
     if fmt == "json":
         doc = {
-            "version": report.version,
+            "version": REPORT_FORMAT_VERSION,
             "rows": [
                 {
                     "model": row.model,
@@ -396,7 +369,14 @@ def emit_report(report: EvalReport, fmt: str) -> str:
 
 
 def parse_report(text: str) -> EvalReport:
-    """Inverse of emit_report(fmt="json"); rejects unknown versions and reports without rows."""
+    """Inverse of emit_report(fmt="json"); rejects what it never writes.
+
+    FormatError: not JSON, an unknown version, no rows, a missing key, a
+    metric not in METRICS, or a number field that is not a finite JSON number
+    (``in_language`` and ``drop`` may be null). InputError: a stored sigma or
+    drop more than 1e-12 from the one the scores give, or a drop without an
+    in_language.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -406,14 +386,7 @@ def parse_report(text: str) -> EvalReport:
     if doc.get("version") != REPORT_FORMAT_VERSION:
         raise FormatError(f"unsupported report version {doc.get('version')!r}")
     try:
-        rows = [
-            ReportRow(model=row["model"], sigma=row["sigma"], results=[
-                TaskResult(task=t["task"], metric=t["metric"], score=t["score"], std=t["std"],
-                           in_language=t["in_language"], drop=t["drop"])
-                for t in row["tasks"]
-            ])
-            for row in doc["rows"]
-        ]
+        rows = [_parse_row(row) for row in doc["rows"]]
     except KeyError as exc:
         raise FormatError(f"report has no {exc.args[0]!r} key") from None
     except TypeError as exc:
@@ -421,3 +394,37 @@ def parse_report(text: str) -> EvalReport:
     if not rows:
         raise FormatError("report has no rows")
     return EvalReport(rows=rows)
+
+
+def _parse_row(row) -> ReportRow:
+    """One JSON row, its stored sigma and drops checked against those its scores give."""
+    results, drops = [], []
+    for t in row["tasks"]:
+        if t["metric"] not in METRICS:
+            raise FormatError(f"report field 'metric' is {t['metric']!r}, not one of {METRICS}")
+        results.append(TaskResult(t["task"], t["metric"], _number(t, "score"), _number(t, "std"),
+                                  in_language=_number(t, "in_language", nullable=True)))
+        drops.append(_number(t, "drop", nullable=True))
+    parsed = ReportRow(row["model"], results)
+    for what, stored, derived in [("sigma", _number(row, "sigma"), parsed.sigma),
+                                  *((f"drop of task {r.task!r}", d, r.drop)
+                                    for d, r in zip(drops, results))]:
+        if ((stored is None) != (derived is None)
+                or stored is not None and abs(stored - derived) > 1e-12):
+            raise InputError(f"row {parsed.model!r}: stored {what} {stored} is not {derived}, "
+                             "the value its scores give")
+    return parsed
+
+
+def _number(entry: dict, key: str, nullable: bool = False) -> float | None:
+    """``entry[key]`` as a float if it is a finite JSON number, None if null and ``nullable``."""
+    value = entry[key]
+    if nullable and value is None:
+        return None
+    try:
+        number = float(json_numbers(value, 0))
+        if math.isfinite(number):
+            return number
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        pass
+    raise FormatError(f"report field {key!r} must be a finite number, got {value!r}")

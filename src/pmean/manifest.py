@@ -1,10 +1,10 @@
 """Run manifests: enough provenance to make any CLI run reproducible.
 
-A manifest records the command, every resolved option, the seeds, and SHA-256
+A manifest records the command, every resolved option, the seeds, SHA-256
 digests of all input files, each keyed by its path relative to the directory
-the manifest is written to. Two runs with equal manifests write
-byte-identical outputs, and the same run from another directory writes the
-same manifest.
+the manifest is written to, and the ``pmean.__version__`` that wrote it. Two
+runs with equal manifests write byte-identical outputs, and the same run from
+another directory writes the same manifest.
 """
 from __future__ import annotations
 
@@ -16,15 +16,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
+
 
 @dataclass
 class RunManifest:
+    """One run's provenance; ``to_json`` also records the ``pmean.__version__`` writing it."""
+
     command: str
     config: dict
     seeds: dict
     directory: str | os.PathLike  # where the manifest is written; not serialized
     inputs: dict[str, str] = field(default_factory=dict)
-    tool_version: str = ""
     extra: dict = field(default_factory=dict)
 
     def add_input(self, path) -> None:
@@ -38,7 +41,7 @@ class RunManifest:
             "config": self.config,
             "seeds": self.seeds,
             "inputs": self.inputs,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
         }
         doc.update(self.extra)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"

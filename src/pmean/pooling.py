@@ -103,12 +103,11 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
     if W.ndim != 2 or W.shape[0] < 1:
         raise DimensionError(f"power_mean expects an n x d matrix with n >= 1, got shape {W.shape}")
 
-    if p == math.inf:
-        return W.max(axis=0) + 0.0
-    if p == -math.inf:
-        return W.min(axis=0) + 0.0
     with np.errstate(all="ignore"):
-        out = _root(_ascending_mean(_powers(W, p)), p)
+        if abs(p) == math.inf:
+            out = (W.max(axis=0) if p > 0 else W.min(axis=0)) + 0.0
+        else:
+            out = _root(_ascending_mean(_powers(W, p)), p)
         replace = ~np.isfinite(out)
     if strict and replace.any():
         raise _strict_error(W, p, replace)
@@ -174,13 +173,17 @@ def _strict_error(W, p, replace) -> NumericalPolicyError:
     It names the first replaced column and, in that column's sorted order,
     the first entry whose power is undefined (NaN in ``_powers``); a pole
     column has none and names its minimum. A column with neither overflows.
+    At p = +/-inf the undefined entries are the non-finite ones.
     """
     dim = int(np.argmax(replace))
     column = np.sort(W[:, dim])
     with np.errstate(all="ignore"):
-        powers = _powers(column, p)
-        undefined = np.isnan(powers)
-        pole = p < 0 and _ascending_mean(powers) == 0
+        if abs(p) == math.inf:
+            undefined, pole = ~np.isfinite(column), False
+        else:
+            powers = _powers(column, p)
+            undefined = np.isnan(powers)
+            pole = p < 0 and _ascending_mean(powers) == 0
     if not (undefined.any() or pole):
         return NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
     offender = float(column[np.argmax(undefined)])

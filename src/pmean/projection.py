@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
-from .textio import read_text
+from .textio import json_numbers, read_text
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -311,14 +310,8 @@ def _derangement(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def project_space(model: ProjectionModel, side: str, space: EmbeddingSpace) -> EmbeddingSpace:
     """Map every word vector of a space through one side; vocab is preserved."""
-    W, _ = _side_params(model, side)
-    if space.dim != W.shape[1]:
-        raise DimensionError(
-            f"space dim {space.dim} != {side} input dim {W.shape[1]}"
-        )
     return EmbeddingSpace(
         name=f"{space.name}.projected",
-        dim=W.shape[0],
         vocab=dict(space.vocab),
         matrix=project(model, side, space.matrix),
         language_tag=space.language_tag,
@@ -353,11 +346,11 @@ def load_projection(path) -> ProjectionModel:
         raise FormatError(f"{path}: unsupported model format_version {version!r}")
     try:
         model = ProjectionModel(
-            W_l=_json_numbers(doc["W_l"], 2),
-            b_l=_json_numbers(doc["b_l"], 1),
-            W_k=_json_numbers(doc["W_k"], 2),
-            b_k=_json_numbers(doc["b_k"], 1),
-            margin=float(_json_numbers(doc["margin"], 0)),
+            W_l=json_numbers(doc["W_l"], 2),
+            b_l=json_numbers(doc["b_l"], 1),
+            W_k=json_numbers(doc["W_k"], 2),
+            b_k=json_numbers(doc["b_k"], 1),
+            margin=float(json_numbers(doc["margin"], 0)),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: model has no {exc.args[0]!r} key") from None
@@ -368,18 +361,3 @@ def load_projection(path) -> ProjectionModel:
     if doc.get("dims") != dims:
         raise FormatError(f"{path}: declared dims {doc.get('dims')} do not match arrays {dims}")
     return model
-
-
-def _json_numbers(value, ndim: int) -> np.ndarray:
-    """A parsed JSON value as a float64 array, if it is numbers nested ``ndim`` lists deep.
-
-    Strings, booleans and null raise TypeError, though numpy would convert them.
-    """
-    leaves = [value]
-    for _ in range(ndim):
-        if not all(type(v) is list for v in leaves):
-            raise TypeError(f"expected numbers nested {ndim} lists deep")
-        leaves = list(chain.from_iterable(leaves))
-    if not {type(v) for v in leaves} <= {int, float}:
-        raise TypeError("expected JSON numbers, not strings, booleans or null")
-    return np.array(value, dtype=np.float64)

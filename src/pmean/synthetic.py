@@ -75,10 +75,9 @@ def make_complementarity_task(
         rng.shuffle(tokens)
         items.append((f"c{s1}{s2}", " ".join(tokens)))
 
-    space_a = EmbeddingSpace("A", dim, dict(vocab), np.stack(rows_a))
-    space_b = EmbeddingSpace("B", dim, dict(vocab), np.stack(rows_b))
-    task = TaskDataset(name="mixed-signals", classes=["c00", "c01", "c10", "c11"],
-                       items=items, metric_kind="accuracy")
+    space_a = EmbeddingSpace("A", dict(vocab), np.stack(rows_a))
+    space_b = EmbeddingSpace("B", dict(vocab), np.stack(rows_b))
+    task = TaskDataset(name="mixed-signals", items=items, metric_kind="accuracy")
     return space_a, space_b, task
 
 
@@ -86,7 +85,6 @@ def scale_space(space: EmbeddingSpace, factor: float, name: str | None = None) -
     """Copy of a space with every vector multiplied by a constant."""
     return EmbeddingSpace(
         name=name or f"{space.name}x{factor:g}",
-        dim=space.dim,
         vocab=dict(space.vocab),
         matrix=space.matrix * factor,
         language_tag=space.language_tag,
@@ -121,9 +119,9 @@ def make_blobs_task(
         tokens = [f"{pool}{j}" for j in rng.integers(0, vocab_per_class, size=8)]
         items.append((label, " ".join(tokens)))
 
-    space = EmbeddingSpace("blobs", dim, vocab, np.stack(rows), language_tag=language_tag)
-    task = TaskDataset(name="blobs", classes=["pos", "neg"], items=items,
-                       metric_kind="accuracy", language_tag=language_tag)
+    space = EmbeddingSpace("blobs", vocab, np.stack(rows), language_tag=language_tag)
+    task = TaskDataset(name="blobs", items=items, metric_kind="accuracy",
+                       language_tag=language_tag)
     return space, task
 
 
@@ -164,9 +162,9 @@ def make_quad_blobs_task(
         tokens = [f"q{b1}{b2}_{j}" for j in rng.integers(0, vocab_per_class, size=8)]
         items.append((f"c{b1}{b2}", " ".join(tokens)))
 
-    space = EmbeddingSpace("quad", dim, vocab, np.stack(rows), language_tag=language_tag)
-    task = TaskDataset(name="quad", classes=["c00", "c01", "c10", "c11"], items=items,
-                       metric_kind="accuracy", language_tag=language_tag)
+    space = EmbeddingSpace("quad", vocab, np.stack(rows), language_tag=language_tag)
+    task = TaskDataset(name="quad", items=items, metric_kind="accuracy",
+                       language_tag=language_tag)
     return space, task
 
 
@@ -212,9 +210,8 @@ def make_max_signal_task(
         rng.shuffle(tokens)
         items.append(("hi" if spiked else "lo", " ".join(tokens)))
 
-    space = EmbeddingSpace("spikes", dim, vocab, np.stack(rows))
-    task = TaskDataset(name="spikes", classes=["hi", "lo"], items=items,
-                       metric_kind="accuracy")
+    space = EmbeddingSpace("spikes", vocab, np.stack(rows))
+    task = TaskDataset(name="spikes", items=items, metric_kind="accuracy")
     return space, task
 
 
@@ -223,7 +220,6 @@ def twin_space(space: EmbeddingSpace, suffix: str = "_x",
     """A 'foreign' copy: every token renamed with a suffix, vectors unchanged."""
     return EmbeddingSpace(
         name=name or f"{space.name}{suffix}",
-        dim=space.dim,
         vocab={f"{tok}{suffix}": idx for tok, idx in space.vocab.items()},
         matrix=space.matrix.copy(),
         language_tag=language_tag,
@@ -235,12 +231,10 @@ def merge_spaces(a: EmbeddingSpace, b: EmbeddingSpace, name: str) -> EmbeddingSp
     overlap = set(a.vocab) & set(b.vocab)
     if overlap:
         raise ValueError(f"cannot merge spaces with overlapping tokens: {sorted(overlap)[:3]}")
-    if a.dim != b.dim:
-        raise ValueError("cannot merge spaces of different dimensionality")
     vocab = dict(a.vocab)
     for tok, idx in b.vocab.items():
         vocab[tok] = len(a.vocab) + idx
-    return EmbeddingSpace(name, a.dim, vocab, np.vstack([a.matrix, b.matrix]))
+    return EmbeddingSpace(name, vocab, np.vstack([a.matrix, b.matrix]))
 
 
 def swap_dictionary(ds: TaskDataset, suffix: str = "_x",
@@ -250,8 +244,8 @@ def swap_dictionary(ds: TaskDataset, suffix: str = "_x",
         (label, " ".join(f"{tok}{suffix}" for tok in text.split()))
         for label, text in ds.items
     ]
-    return TaskDataset(name=name or f"{ds.name}{suffix}", classes=list(ds.classes),
-                       items=items, metric_kind=ds.metric_kind, language_tag=language_tag)
+    return TaskDataset(name=name or f"{ds.name}{suffix}", items=items,
+                       metric_kind=ds.metric_kind, language_tag=language_tag)
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -6,9 +6,12 @@ ends a line, and one ``\r`` before it is dropped, so CRLF reads as LF; any
 other ``\r`` is part of the line.
 
 ``float_row_text`` writes a row of floats exactly as ``repr`` writes each
-one, so a reader that parses them gets the same doubles back.
+one, so a reader that parses them gets the same doubles back. The JSON
+readers take their numbers through ``json_numbers``.
 """
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -64,3 +67,18 @@ def read_lines(path):
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> FormatError:
     return FormatError(f"{path}: not UTF-8: cannot decode byte 0x{exc.object[exc.start]:02x}")
+
+
+def json_numbers(value, ndim: int) -> np.ndarray:
+    """A parsed JSON value as a float64 array, if it is numbers nested ``ndim`` lists deep.
+
+    Strings, booleans and null raise TypeError, though numpy would convert them.
+    """
+    leaves = [value]
+    for _ in range(ndim):
+        if not all(type(v) is list for v in leaves):
+            raise TypeError(f"expected numbers nested {ndim} lists deep")
+        leaves = list(chain.from_iterable(leaves))
+    if not {type(v) for v in leaves} <= {int, float}:
+        raise TypeError("expected JSON numbers, not strings, booleans or null")
+    return np.array(value, dtype=np.float64)

@@ -94,7 +94,7 @@ def test_c2_dimensionality():
     rng = np.random.default_rng(7)
 
     def space(name):
-        return EmbeddingSpace(name, 300, {f"w{i}": i for i in range(5)},
+        return EmbeddingSpace(name, {f"w{i}": i for i in range(5)},
                               rng.standard_normal((5, 300)))
 
     four = PooledConfig([PooledPart(space(f"s{i}"), [-INF, 1.0, INF]) for i in range(4)])

@@ -78,7 +78,7 @@ class TestLoad:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         space = EmbeddingSpace(
-            "r", 5, {f"tok{i}": i for i in range(20)}, rng.standard_normal((20, 5))
+            "r", {f"tok{i}": i for i in range(20)}, rng.standard_normal((20, 5))
         )
         out = tmp_path / "round.txt"
         save_text_embeddings(space, out)
@@ -222,7 +222,7 @@ class TestLoaderDifferential:
 
 def tokens_seen(sentence, vocab, **options):
     """(tokens, OOV tokens) that embed_corpus counts for one sentence over a vocabulary."""
-    space = EmbeddingSpace("t", 1, {t: i for i, t in enumerate(vocab)},
+    space = EmbeddingSpace("t", {t: i for i, t in enumerate(vocab)},
                            np.arange(1.0, len(vocab) + 1)[:, None])
     _, stats = embed_corpus(PooledConfig([PooledPart(space, [1.0])], **options), [sentence])
     return stats.tokens[0], stats.oov_tokens[0]
@@ -247,7 +247,7 @@ class TestTokenize:
 
     @given(st.text())
     def test_deterministic(self, s):
-        cfg = PooledConfig([PooledPart(EmbeddingSpace("t", 1, {"a": 0}, [[1.0]]), [1.0, 2.0])])
+        cfg = PooledConfig([PooledPart(EmbeddingSpace("t", {"a": 0}, [[1.0]]), [1.0, 2.0])])
         (X, stats), (Y, again) = embed_corpus(cfg, [s]), embed_corpus(cfg, [s])
         assert X.tobytes() == Y.tobytes() and stats == again
         assert stats.tokens == (len(s.lower().split()),)
@@ -256,7 +256,7 @@ class TestTokenize:
 @pytest.fixture
 def small_space():
     return EmbeddingSpace(
-        "s", 2, {"a": 0, "b": 1}, np.array([[1.0, 2.0], [3.0, 4.0]])
+        "s", {"a": 0, "b": 1}, np.array([[1.0, 2.0], [3.0, 4.0]])
     )
 
 
@@ -308,7 +308,7 @@ class TestLookup:
     def test_skip_row_count_matches_in_vocab_tokens(self, vocab, tokens, oov_mode):
         rng = np.random.default_rng(0)
         space = EmbeddingSpace(
-            "p", 3, {t: i for i, t in enumerate(vocab)}, rng.standard_normal((len(vocab), 3))
+            "p", {t: i for i, t in enumerate(vocab)}, rng.standard_normal((len(vocab), 3))
         )
         out, stats = pool(space, " ".join(tokens), oov_mode)
         present = [t for t in tokens if t in space.vocab]
@@ -328,16 +328,24 @@ class TestSpaceInvariants:
 
     def test_row_count_must_match_vocab(self):
         with pytest.raises(DimensionError):
-            EmbeddingSpace("x", 2, {"a": 0}, np.zeros((2, 2)))
+            EmbeddingSpace("x", {"a": 0}, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 0), (1, 1, 1)])
+    def test_matrix_must_be_two_dimensional_with_a_column(self, shape):
+        with pytest.raises(DimensionError):
+            EmbeddingSpace("x", {"a": 0}, np.zeros(shape))
+
+    def test_dim_is_the_matrix_width(self):
+        assert EmbeddingSpace("x", {"a": 0}, np.zeros((1, 3))).dim == 3
 
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
-            EmbeddingSpace("x", 1, {"a": 0}, np.array([[np.inf]]))
+            EmbeddingSpace("x", {"a": 0}, np.array([[np.inf]]))
 
     def test_empty_token_rejected(self):
         with pytest.raises(FormatError):
-            EmbeddingSpace("x", 1, {"": 0}, np.zeros((1, 1)))
+            EmbeddingSpace("x", {"": 0}, np.zeros((1, 1)))
 
     def test_indices_must_cover_range(self):
         with pytest.raises(FormatError):
-            EmbeddingSpace("x", 1, {"a": 0, "b": 2}, np.zeros((2, 1)))
+            EmbeddingSpace("x", {"a": 0, "b": 2}, np.zeros((2, 1)))

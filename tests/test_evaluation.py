@@ -53,7 +53,7 @@ class TestLoadTask:
                         "pos\tfine\nneg\tawful\n")
         ds = load_task(path)
         assert ds.name == "small"
-        assert ds.classes == ["pos", "neg"]
+        assert ds.classes == ["neg", "pos"]  # sorted, not first-appearance order
         assert len(ds.items) == 4
 
     def test_missing_tab_names_line(self, tmp_path):
@@ -113,8 +113,7 @@ TASK_LABEL = st.text(TASK_CHAR.filter(lambda c: c != "\t"), min_size=1, max_size
     lambda label: not label.startswith("#"))
 # one way for a dataset to be beyond the format, or None for a writable one
 DEFECTS = [None] * 6 + ["empty label", "label TAB", "label #", "label newline",
-                        "text newline", "name newline", "lang newline", "surrogate",
-                        "class without items"]
+                        "text newline", "name newline", "lang newline", "surrogate"]
 
 
 @st.composite
@@ -123,7 +122,6 @@ def task_datasets(draw):
     items = draw(st.lists(st.tuples(TASK_LABEL, TASK_TEXT), min_size=2, max_size=6))
     assume(len({label for label, _ in items}) >= 2)
     name, lang = draw(TASK_TEXT), draw(st.none() | TASK_TEXT)
-    extra = []
     defect = draw(st.sampled_from(DEFECTS))
     i = draw(st.integers(0, len(items) - 1))
     label, text = items[i]
@@ -143,19 +141,15 @@ def task_datasets(draw):
         name += "\n"
     elif defect == "lang newline":
         lang = (lang or "") + "\n"
-    elif defect == "class without items":
-        extra = [label + "!"]
-        assume(all(lab != extra[0] for lab, _ in items))
     items[i] = (label, text)
-    classes = list(dict.fromkeys([lab for lab, _ in items] + extra))
     metric = draw(st.sampled_from(["accuracy", "macro_f1"]))
-    return TaskDataset(name, classes, items, metric, language_tag=lang), defect
+    return TaskDataset(name, items, metric, language_tag=lang), defect
 
 
 class TestSaveTask:
     def test_plain_task_bytes(self, tmp_path):
-        ds = TaskDataset("t", ["pos", "neg"], [("pos", "good film"), ("neg", "bad\tfilm")],
-                         "macro_f1", language_tag="en")
+        ds = TaskDataset("t", [("pos", "good film"), ("neg", "bad\tfilm")], "macro_f1",
+                         language_tag="en")
         save_task(ds, tmp_path / "t.tsv")
         assert (tmp_path / "t.tsv").read_bytes() == (
             b"#name=t\n#metric=macro_f1\n#lang=en\npos\tgood film\nneg\tbad\tfilm\n")
@@ -177,15 +171,10 @@ class TestSaveTask:
         ([("a", "\ud800"), ("b", "c")], "UTF-8"),
     ])
     def test_unwritable_item_raises(self, tmp_path, items, match):
-        ds = TaskDataset("t", list(dict.fromkeys(label for label, _ in items)), items)
+        ds = TaskDataset("t", items)
         with pytest.raises(InputError, match=re.escape(match)):
             save_task(ds, tmp_path / "t.tsv")
         assert not (tmp_path / "t.tsv").exists()
-
-    def test_class_without_items_raises(self, tmp_path):
-        ds = TaskDataset("t", ["a", "b", "c"], [("a", "x"), ("b", "y")])
-        with pytest.raises(InputError, match="class 'c' has no items"):
-            save_task(ds, tmp_path / "t.tsv")
 
     @settings(max_examples=200, deadline=None)
     @given(drawn=task_datasets())
@@ -199,10 +188,7 @@ class TestSaveTask:
             assert not path.exists()
             return
         save_task(ds, path)
-        # the file records no class order; load_task infers first appearance
-        first_seen = list(dict.fromkeys(label for label, _ in ds.items))
-        assert load_task(path) == TaskDataset(ds.name, first_seen, ds.items, ds.metric_kind,
-                                              language_tag=ds.language_tag)
+        assert load_task(path) == ds
 
 
 class TestMonolingual:
@@ -219,7 +205,7 @@ class TestMonolingual:
         rng = np.random.default_rng(0)
         labels = [lab for lab, _ in task.items]
         rng.shuffle(labels)
-        shuffled = TaskDataset(task.name, task.classes,
+        shuffled = TaskDataset(task.name,
                                [(lab, text) for lab, (_, text) in zip(labels, task.items)],
                                task.metric_kind)
         score = evaluate_monolingual(PooledConfig([PooledPart(space, [1.0])]), shuffled, FAST)
@@ -233,8 +219,7 @@ class TestMonolingual:
 
     def test_language_tag_mismatch_rejected(self):
         space, task = make_blobs_task(seed=4, n_sentences=40, language_tag="de")
-        task_en = TaskDataset(task.name, task.classes, task.items,
-                              task.metric_kind, language_tag="en")
+        task_en = replace(task, language_tag="en")
         with pytest.raises(InputError, match="tagged"):
             evaluate_monolingual(PooledConfig([PooledPart(space, [1.0])]), task_en, FAST)
 
@@ -242,8 +227,7 @@ class TestMonolingual:
         space, task = make_blobs_task(seed=4, n_sentences=80)
         rng = np.random.default_rng(1)
         perm = rng.permutation(len(task.items))
-        shuffled = TaskDataset(task.name, list(reversed(task.classes)),
-                               [task.items[i] for i in perm], task.metric_kind)
+        shuffled = TaskDataset(task.name, [task.items[i] for i in perm], task.metric_kind)
         cfg = PooledConfig([PooledPart(space, [1.0])])
         assert evaluate_monolingual(cfg, task, FAST) == evaluate_monolingual(cfg, shuffled, FAST)
 
@@ -283,7 +267,7 @@ class TestTransfer:
         cfg = PooledConfig([PooledPart(bilingual, [1.0])])
         src = sorted(pair.train.items)
         X, _ = embed_corpus(cfg, [text for _, text in src])
-        classes = sorted(pair.train.classes)
+        classes = pair.train.classes
         y = [classes.index(label) for label, _ in src]
         znorm = replace(FAST, znorm=True)
         runs = fit_runs(X, y, classes, znorm)
@@ -324,8 +308,7 @@ class TestTransfer:
 
     def test_source_language_tag_mismatch_rejected_before_training(self, monkeypatch):
         space, task = make_blobs_task(seed=4, n_sentences=40, language_tag="de")
-        task_en = TaskDataset(task.name, task.classes, task.items,
-                              task.metric_kind, language_tag="en")
+        task_en = replace(task, language_tag="en")
         cfg = PooledConfig([PooledPart(space, [1.0])])
         monkeypatch.setattr(pmean.classifier, "fit", None)  # training would raise TypeError
         with pytest.raises(InputError, match="tagged"):
@@ -340,7 +323,7 @@ class TestTransfer:
 
     def test_class_sets_must_align(self, swap_setup):
         _, _, pair = swap_setup
-        other = TaskDataset("other", ["x", "y"], [("x", "a"), ("y", "b")], "accuracy")
+        other = TaskDataset("other", [("x", "a"), ("y", "b")], "accuracy")
         with pytest.raises(InputError):
             TransferPair(train=pair.train, test=other)
 
@@ -399,15 +382,32 @@ class TestSweep:
         assert [(c.lowercase, c.oov, c.strict) for c in seen] == [(False, "zero", True)] * 2
 
 
+REPORT_SCORE = st.floats(0.0, 1.0)
+
+
+@st.composite
+def report_texts(draw):
+    """``emit_report``'s JSON for 1-3 rows of the same 1-3 tasks, each a transfer cell or not."""
+    n_tasks = draw(st.integers(1, 3))
+    metrics = draw(st.lists(st.sampled_from(["accuracy", "macro_f1"]),
+                            min_size=n_tasks, max_size=n_tasks))
+    transfer = draw(st.lists(st.booleans(), min_size=n_tasks, max_size=n_tasks))
+    rows = [ReportRow(f"m{i}", [
+        TaskResult(f"t{j}", metrics[j], draw(REPORT_SCORE), draw(REPORT_SCORE),
+                   in_language=draw(REPORT_SCORE) if transfer[j] else None)
+        for j in range(n_tasks)]) for i in range(draw(st.integers(1, 3)))]
+    return emit_report(EvalReport(rows), "json")
+
+
 class TestReports:
     def make_report(self):
         return EvalReport(rows=[
-            ReportRow.from_results("m1", [
-                TaskResult("t1", "accuracy", 0.732, 0.05, in_language=0.782, drop=0.05),
+            ReportRow("m1", [
+                TaskResult("t1", "accuracy", 0.732, 0.05, in_language=0.782),
                 TaskResult("t2", "macro_f1", 0.5, 0.01),
             ]),
-            ReportRow.from_results("m2", [
-                TaskResult("t1", "accuracy", 0.9, 0.0, in_language=0.95, drop=0.05),
+            ReportRow("m2", [
+                TaskResult("t1", "accuracy", 0.9, 0.0, in_language=0.95),
                 TaskResult("t2", "macro_f1", 0.7, 0.02),
             ]),
         ])
@@ -427,13 +427,34 @@ class TestReports:
         report = self.make_report()
         assert report.rows[0].sigma == pytest.approx((0.732 + 0.5) / 2, abs=1e-15)
 
-    def test_inconsistent_drop_rejected(self):
-        with pytest.raises(InputError, match="drop"):
-            TaskResult("t", "accuracy", 0.7, 0.0, in_language=0.8, drop=0.2)
+    @settings(max_examples=100, deadline=None)
+    @given(text=report_texts(), data=st.data())
+    def test_round_trip_and_stored_sigma_and_drop_checked(self, text, data):
+        assert emit_report(parse_report(text), "json") == text
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        pick = lambda values: data.draw(st.sampled_from(values))
 
-    def test_inconsistent_sigma_rejected(self):
+        doc = json.loads(text)
+        pick(doc["rows"])["sigma"] += sign * 0.5e-12  # within the tolerance
+        parse_report(json.dumps(doc))
+
+        doc = json.loads(text)
+        pick(doc["rows"])["sigma"] += sign * 2e-12
         with pytest.raises(InputError, match="sigma"):
-            ReportRow(model="m", results=[TaskResult("t", "accuracy", 0.5, 0.0)], sigma=0.9)
+            parse_report(json.dumps(doc))
+
+        doc = json.loads(text)
+        transfer_cells = [t for row in doc["rows"] for t in row["tasks"] if t["drop"] is not None]
+        if transfer_cells:
+            pick(transfer_cells)["drop"] += sign * 2e-12
+            with pytest.raises(InputError, match="drop"):
+                parse_report(json.dumps(doc))
+
+        doc = json.loads(text)
+        cell = pick([t for row in doc["rows"] for t in row["tasks"]])
+        cell["in_language"], cell["drop"] = None, data.draw(REPORT_SCORE)
+        with pytest.raises(InputError, match="drop"):
+            parse_report(json.dumps(doc))
 
     def test_unknown_version_rejected(self):
         text = emit_report(self.make_report(), "json").replace('"version": 1', '"version": 2')
@@ -452,6 +473,30 @@ class TestReports:
         with pytest.raises(FormatError) as exc:
             parse_report(json.dumps(mangle(doc)))
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("task", "score", math.nan),
+        ("task", "score", math.inf),
+        ("task", "std", -math.inf),
+        ("task", "score", True),
+        ("task", "score", "0.5"),
+        ("task", "score", None),
+        ("task", "score", 10**400),
+        ("task", "in_language", False),
+        ("task", "drop", "0"),
+        ("row", "sigma", True),
+        ("row", "sigma", None),
+        ("row", "sigma", math.nan),
+        ("task", "metric", "bogus"),
+        ("task", "metric", None),
+    ])
+    def test_field_emit_report_never_writes_raises_format_error_naming_it(self, where, key,
+                                                                          value):
+        doc = json.loads(emit_report(self.make_report(), "json"))
+        row = doc["rows"][0]
+        (row if where == "row" else row["tasks"][0])[key] = value
+        with pytest.raises(FormatError, match=f"report field '{key}'"):
+            parse_report(json.dumps(doc))
 
     def test_unknown_format_rejected(self):
         with pytest.raises(InputError):

@@ -137,6 +137,21 @@ class TestPowerMeanCases:
         assert power_mean(W, INF, strict=True).tolist() == [1e308, -1e308]
         assert power_mean(W, -INF, strict=True).tolist() == [1e308, -1e308]
 
+    @pytest.mark.parametrize("W, p, detail", [
+        ([[INF, 1.0]], INF, "p=inf at dimension 0 (value inf)"),
+        ([[1.0, 1.0], [2.0, math.nan]], -INF, "p=-inf at dimension 1 (value nan)"),
+        ([[1.0, -INF], [2.0, math.nan]], -INF, "p=-inf at dimension 1 (value -inf)"),
+    ])
+    def test_extremes_zero_a_non_finite_column_or_raise_naming_it(self, W, p, detail):
+        W = np.array(W)
+        out = power_mean(W, p)
+        replaced = ~np.isfinite(W).all(axis=0)
+        assert np.isfinite(out).all() and (out[replaced] == 0.0).all()
+        assert (out[~replaced] == (W.max(axis=0) if p > 0 else W.min(axis=0))[~replaced]).all()
+        with pytest.raises(NumericalPolicyError) as exc:
+            power_mean(W, p, strict=True)
+        assert str(exc.value) == f"power mean undefined for {detail}"
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionError):
             power_mean(np.zeros((0, 3)), 1)
@@ -265,7 +280,7 @@ class TestPowerMeanProperties:
 def two_spaces():
     rng = np.random.default_rng(4)
     mk = lambda name, d: EmbeddingSpace(
-        name, d, {f"w{i}": i for i in range(6)}, rng.uniform(0.2, 2.0, (6, d))
+        name, {f"w{i}": i for i in range(6)}, rng.uniform(0.2, 2.0, (6, d))
     )
     return mk("one", 3), mk("two", 4)
 
@@ -279,7 +294,7 @@ def embed_one(space, p_values, sentence):
 
 class TestPooling:
     def test_mean_then_max_concatenation(self):
-        space = EmbeddingSpace("s", 2, {"a": 0, "b": 1}, np.array([[1.0, 0.0], [3.0, 2.0]]))
+        space = EmbeddingSpace("s", {"a": 0, "b": 1}, np.array([[1.0, 0.0], [3.0, 2.0]]))
         out = embed_one(space, [1.0, INF], "a b")
         assert out == pytest.approx([2.0, 1.0, 3.0, 2.0])
 
@@ -332,7 +347,7 @@ class TestPooling:
 
     def test_corpus_output_always_finite_under_nan_to_zero(self, two_spaces):
         a, _ = two_spaces
-        shifted = EmbeddingSpace("sh", 3, dict(a.vocab), a.matrix - 1.0)
+        shifted = EmbeddingSpace("sh", dict(a.vocab), a.matrix - 1.0)
         cfg = PooledConfig([PooledPart(shifted, [0.5, -1.0, 0.0])])
         X, stats = embed_corpus(cfg, ["w0 w1 zzz", "w2", ""])
         assert np.isfinite(X).all() and stats.undefined_total > 0
@@ -405,7 +420,7 @@ def tricky_space(name, rng):
     M[:3] = rng.uniform(0.5, 2.0, size=(3, d))
     M[3] = 1e200  # overflows x**p for p >= 2
     vocab = {f"pos{i}": i for i in range(3)} | {f"w{i}": i for i in range(3, n)}
-    return EmbeddingSpace(name, d, vocab, M)
+    return EmbeddingSpace(name, vocab, M)
 
 
 def tricky_sentences(space, rng, n=40):
@@ -448,7 +463,7 @@ class TestCorpusKernel:
     def test_signed_zero_ties_keep_their_sign(self):
         # np.sort may flip the signs of tied zeros, so a zero extreme or a zero
         # mean is 0.0 whatever the token order
-        space = EmbeddingSpace("z", 1, {"p": 0, "n": 1, "m": 2},
+        space = EmbeddingSpace("z", {"p": 0, "n": 1, "m": 2},
                                np.array([[0.0], [-0.0], [-1.0]]))
         cfg = PooledConfig([PooledPart(space, [INF, -INF, 1.0, 3.0])])
         rng = np.random.default_rng(0)
@@ -460,7 +475,7 @@ class TestCorpusKernel:
     @pytest.mark.parametrize("strict", [False, True], ids=["nan_to_zero", "error"])
     def test_pole_columns_are_policed(self, strict):
         # 1 and -1 at p = -1 or -3: the mean of powers cancels to exactly 0
-        space = EmbeddingSpace("pole", 2, {"a": 0, "b": 1}, np.array([[1.0, 2.0], [-1.0, 2.0]]))
+        space = EmbeddingSpace("pole", {"a": 0, "b": 1}, np.array([[1.0, 2.0], [-1.0, 2.0]]))
         cfg = PooledConfig([PooledPart(space, [-1.0, -3.0])])
         sentences = ["a", "a b b a", "b"]
         got = pooled_or_error(kernel_corpus, cfg, sentences, "skip", strict)
@@ -542,7 +557,7 @@ class TestCorpusKernel:
     )
     @settings(max_examples=100, deadline=None)
     def test_token_order_does_not_change_a_row(self, rows, token_ids, rnd, oov_mode):
-        space = EmbeddingSpace("h", len(rows[0]), {f"w{i}": i for i in range(len(rows))},
+        space = EmbeddingSpace("h", {f"w{i}": i for i in range(len(rows))},
                                np.array(rows))
         cfg = PooledConfig([PooledPart(space, KERNEL_PS)], oov=oov_mode)
         tokens = [f"w{i}" for i in token_ids]  # ids past the vocabulary are OOV
@@ -574,7 +589,7 @@ class TestPoolStats:
     def test_counts_match_brute_force(self, oov_mode, seed):
         rng = np.random.default_rng(seed)
         a = tricky_space("a", rng)
-        b = EmbeddingSpace("b", a.dim, dict(list(a.vocab.items())[:8]), a.matrix[:8])  # no w8..w11
+        b = EmbeddingSpace("b", dict(list(a.vocab.items())[:8]), a.matrix[:8])  # no w8..w11
         cfg = PooledConfig([PooledPart(a, [1.0, -1.0]), PooledPart(b, [INF, 0.5, 3.0])],
                            oov=oov_mode)
         sentences = tricky_sentences(a, rng)
@@ -587,7 +602,7 @@ class TestPoolStats:
         assert stats.undefined[1][0] == 0  # a max never is
 
     def test_overflowing_mean_is_zeroed_and_counted(self):
-        space = EmbeddingSpace("S", 2, {"a": 0, "b": 1}, np.array([[1e308, 1.0], [1e308, 2.0]]))
+        space = EmbeddingSpace("S", {"a": 0, "b": 1}, np.array([[1e308, 1.0], [1e308, 2.0]]))
         cfg = PooledConfig([PooledPart(space, [1.0, INF])])
         X, stats = embed_corpus(cfg, ["a b", "a"])
         assert X.tolist() == [[0.0, 1.5, 1e308, 2.0], [1e308, 1.0, 1e308, 1.0]]
@@ -600,7 +615,7 @@ class TestPoolStats:
     def test_powers_overflowing_with_both_signs_are_an_overflow(self, p):
         # at p = 3 the powers are inf and -inf, so the mean is NaN, yet no power is undefined
         W = np.array([[1e200, 1.0], [-1e200, 2.0]])
-        space = EmbeddingSpace("S", 2, {"a": 0, "b": 1}, W)
+        space = EmbeddingSpace("S", {"a": 0, "b": 1}, W)
         cfg = PooledConfig([PooledPart(space, [p])])
         X, stats = embed_corpus(cfg, ["a b"])
         assert X[0, 0] == 0.0 and X[0].tobytes() == power_mean(W, p).tobytes()

@@ -458,7 +458,7 @@ class TestTraining:
 class TestProjectSpace:
     def test_vocab_preserved_rows_mapped(self):
         rng = np.random.default_rng(6)
-        space = EmbeddingSpace("sp", 3, {"a": 0, "b": 1}, rng.normal(size=(2, 3)))
+        space = EmbeddingSpace("sp", {"a": 0, "b": 1}, rng.normal(size=(2, 3)))
         model = init_projection(3, 3, 2, seed=4)
         out = project_space(model, "source", space)
         assert out.vocab == space.vocab
@@ -469,7 +469,7 @@ class TestProjectSpace:
             )
 
     def test_scalar_model_reproduces_tanh(self):
-        space = EmbeddingSpace("sp", 1, {"a": 0, "b": 1}, np.array([[1.0], [-1.0]]))
+        space = EmbeddingSpace("sp", {"a": 0, "b": 1}, np.array([[1.0], [-1.0]]))
         model = ProjectionModel(W_l=np.array([[1.0]]), b_l=np.zeros(1),
                                 W_k=np.array([[1.0]]), b_k=np.zeros(1))
         out = project_space(model, "source", space)
@@ -477,7 +477,7 @@ class TestProjectSpace:
         assert out.matrix[out.vocab["b"]] == pytest.approx([-TANH_1], abs=1e-12)
 
     def test_dim_mismatch(self):
-        space = EmbeddingSpace("sp", 2, {"a": 0}, np.zeros((1, 2)))
+        space = EmbeddingSpace("sp", {"a": 0}, np.zeros((1, 2)))
         with pytest.raises(DimensionError):
             project_space(init_projection(3, 3, 2, seed=0), "source", space)
 
