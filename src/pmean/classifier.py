@@ -88,27 +88,15 @@ class EvalScore:
         return float(np.std(self.per_run))
 
 
-def softmax_xent(model: SoftmaxModel, X: np.ndarray, y) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy of the model on (X, y) and its exact gradients; y holds class indices."""
-    X = np.asarray(X, dtype=np.float64)
-    rows = np.arange(X.shape[0])
-    logits = model.logits(X)
-    logits -= logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(logits).sum(axis=1))
-    loss = float(np.mean(log_z - logits[rows, y]))
-    probs = np.exp(logits - log_z[:, None])
-    probs[rows, y] -= 1.0
-    probs /= X.shape[0]
-    return loss, {"W": probs.T @ X, "b": probs.sum(axis=0)}
-
-
 def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
     """Minibatched Adam on softmax cross-entropy, one cell per learning rate.
 
     The K cells step together as one ``(K, C*D + C)`` parameter array: row k
     is cell k's ``W.ravel()`` followed by its ``b``. Cell k draws its init and
-    then one permutation per epoch from ``rngs[k]``, and its arithmetic is
-    ``softmax_xent``'s, so each row equals that cell trained on its own bit for bit.
+    then one permutation per epoch from ``rngs[k]``. Its arithmetic is the
+    one-cell softmax cross-entropy gradient that the tests keep as the
+    classifier's scalar oracle, op for op, so each row equals that cell
+    trained on its own bit for bit.
     Returns the cells' ``(K, C, D)`` weights and ``(K, C)`` biases.
     """
     n, d = X.shape
@@ -132,7 +120,7 @@ def _train_softmax(X, y_idx, n_classes, lrs, protocol, rngs):
         for start in range(0, n, protocol.batch_size):
             idx = orders[:, start : start + protocol.batch_size]
             Xb, m = X[idx], idx.shape[1]
-            # softmax_xent's operations in its order, batched over the cells, without the loss
+            # the one-cell oracle's operations in its order, batched over the cells, no loss
             logits = Xb @ W.transpose(0, 2, 1) + b[:, None, :]
             logits -= logits.max(axis=2, keepdims=True)
             log_z = np.log(np.exp(logits).sum(axis=2))

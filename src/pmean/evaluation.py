@@ -372,8 +372,9 @@ def parse_report(text: str) -> EvalReport:
     """Inverse of emit_report(fmt="json"); rejects what it never writes.
 
     FormatError: not JSON, an unknown version, no rows, a missing key, a
-    metric not in METRICS, or a number field that is not a finite JSON number
-    (``in_language`` and ``drop`` may be null). InputError: a stored sigma or
+    metric not in METRICS, a ``model`` or ``task`` that is not a string, or a
+    number field that is not a finite JSON number (``in_language`` and
+    ``drop`` may be null). InputError: a stored sigma or
     drop more than 1e-12 from the one the scores give, or a drop without an
     in_language.
     """
@@ -402,10 +403,11 @@ def _parse_row(row) -> ReportRow:
     for t in row["tasks"]:
         if t["metric"] not in METRICS:
             raise FormatError(f"report field 'metric' is {t['metric']!r}, not one of {METRICS}")
-        results.append(TaskResult(t["task"], t["metric"], _number(t, "score"), _number(t, "std"),
+        results.append(TaskResult(_string(t, "task"), t["metric"], _number(t, "score"),
+                                  _number(t, "std"),
                                   in_language=_number(t, "in_language", nullable=True)))
         drops.append(_number(t, "drop", nullable=True))
-    parsed = ReportRow(row["model"], results)
+    parsed = ReportRow(_string(row, "model"), results)
     for what, stored, derived in [("sigma", _number(row, "sigma"), parsed.sigma),
                                   *((f"drop of task {r.task!r}", d, r.drop)
                                     for d, r in zip(drops, results))]:
@@ -414,6 +416,14 @@ def _parse_row(row) -> ReportRow:
             raise InputError(f"row {parsed.model!r}: stored {what} {stored} is not {derived}, "
                              "the value its scores give")
     return parsed
+
+
+def _string(entry: dict, key: str) -> str:
+    """``entry[key]`` if it is a JSON string."""
+    value = entry[key]
+    if not isinstance(value, str):
+        raise FormatError(f"report field {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _number(entry: dict, key: str, nullable: bool = False) -> float | None:

@@ -10,11 +10,11 @@ harmonic mean, and p = +/-inf the column max/min. The per-space blocks are
 concatenated in configuration order; z-normalization is a separate,
 explicitly fitted step.
 
-At every finite p each column's powers are summed left to right in ascending
-order. ``embed_corpus`` pools a whole corpus per space: it computes each
-power once per vocabulary row the corpus uses, reduces every sentence's rows
-by that rule, and returns its counts as a ``PoolStats``. ``power_mean`` pools
-one matrix and is the scalar oracle the corpus kernel matches bit for bit.
+Every p, the extremes included, runs the same steps: ``_powers``, ``_reduce``
+(at finite p each column's powers summed left to right in ascending order),
+``_root``, then zeroing. ``power_mean`` runs them on one matrix and is the
+scalar oracle; ``embed_corpus`` runs them over a whole corpus one space and
+one p at a time, straight into its output, and returns a ``PoolStats``.
 
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
@@ -104,10 +104,7 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
         raise DimensionError(f"power_mean expects an n x d matrix with n >= 1, got shape {W.shape}")
 
     with np.errstate(all="ignore"):
-        if abs(p) == math.inf:
-            out = (W.max(axis=0) if p > 0 else W.min(axis=0)) + 0.0
-        else:
-            out = _root(_ascending_mean(_powers(W, p)), p)
+        out = _root(_reduce(_powers(W, p), p), p)
         replace = ~np.isfinite(out)
     if strict and replace.any():
         raise _strict_error(W, p, replace)
@@ -115,14 +112,16 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
 
 
 def _powers(W, p):
-    """Entrywise x**p (log x for p = 0), NaN exactly where it is undefined.
+    """Entrywise x**p (log x for p = 0), NaN exactly where it is undefined; W itself at p = +/-inf.
 
-    p is finite. Undefined are x <= EPSILON at p = 0 (the geometric mean
-    needs strictly positive entries), |x| <= EPSILON at p < 0 (a zero base)
-    and x < 0 at non-integer p. Elsewhere the power is |x|**p, with x's sign
-    restored for odd integer p: numpy raises a negative base far more slowly
-    than a positive one, and an even-p power of -x is then exactly that of x.
+    Undefined are x <= EPSILON at p = 0 (the geometric mean needs strictly
+    positive entries), |x| <= EPSILON at p < 0 (a zero base) and x < 0 at
+    non-integer p. Elsewhere the power is |x|**p, with x's sign restored for
+    odd integer p: numpy raises a negative base far more slowly than a
+    positive one, and an even-p power of -x is then exactly that of x.
     """
+    if abs(p) == math.inf:
+        return W
     if p == 0:
         return np.log(np.where(W > EPSILON, W, np.nan))
     with np.errstate(all="ignore"):
@@ -136,16 +135,21 @@ def _powers(W, p):
     return powers
 
 
-def _ascending_mean(powers):
-    """Each column's mean along axis 0, its entries summed left to right in ascending order.
+def _reduce(powers, p):
+    """Each column's max or min along axis 0 at p = +/-inf (+ 0.0, so never -0.0), else its mean.
 
-    Sorts ``powers`` in place along axis 0 and adds its rows into the first
-    one, so a 2-D matrix and an (L, n, D) block of n sentences reduce alike.
+    A 2-D matrix and an (L, n, D) block of n sentences reduce alike. At finite
+    p the entries are summed left to right in ascending order: ``powers`` is
+    sorted in place along axis 0 and its rows are added into the first one.
     numpy's ``mean`` adds a lone column pairwise, and ``np.cumsum`` walks axis
     0 one column at a time, over ten times slower on a 20 x 21 x 300 block.
     ``np.sort`` may flip the signs of tied zeros, so a zero mean's sign
     depends on the row order; ``_root`` maps it to 0.0.
     """
+    if p == math.inf:
+        return powers.max(axis=0) + 0.0
+    if p == -math.inf:
+        return powers.min(axis=0) + 0.0
     powers.sort(axis=0)
     total = powers[0]
     for row in powers[1:]:
@@ -154,7 +158,9 @@ def _ascending_mean(powers):
 
 
 def _root(inner, p):
-    """Map a mean of ``_powers`` back to M_p; a pole (inner == 0 at p < 0) maps to NaN."""
+    """Map a ``_reduce`` result back to M_p, an extreme as it is; a pole (0 at p < 0) is NaN."""
+    if abs(p) == math.inf:
+        return inner
     if p == 0:
         return np.exp(inner)
     # sign-preserving outer root; for even/non-integer p the mean is >= 0
@@ -183,7 +189,7 @@ def _strict_error(W, p, replace) -> NumericalPolicyError:
         else:
             powers = _powers(column, p)
             undefined = np.isnan(powers)
-            pole = p < 0 and _ascending_mean(powers) == 0
+            pole = p < 0 and _reduce(powers, p) == 0
     if not (undefined.any() or pole):
         return NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
     offender = float(column[np.argmax(undefined)])
@@ -225,10 +231,10 @@ def embed_corpus(cfg: PooledConfig, sentences) -> tuple[np.ndarray, PoolStats]:
     X = np.empty((len(token_lists), cfg.output_dim))
     counts, offences, col = [], [], 0
     for part in cfg.parts:
-        blocks, part_counts, offence = _pool_part(part, token_lists, cfg.oov, cfg.strict)
-        for block in blocks:
-            X[:, col:col + part.space.dim] = block
-            col += part.space.dim
+        width = len(part.p_values) * part.space.dim
+        part_counts, offence = _pool_part(part, token_lists, cfg.oov, cfg.strict,
+                                          X[:, col:col + width])
+        col += width
         counts.append(part_counts)
         if offence is not None:
             offences.append(offence)
@@ -237,17 +243,15 @@ def embed_corpus(cfg: PooledConfig, sentences) -> tuple[np.ndarray, PoolStats]:
     return X, PoolStats(*map(tuple, zip(*counts)))
 
 
-def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool):
-    """Pool one part: ``(blocks, counts, offence)``.
+def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool, out):
+    """Pool one part into ``out``, its S x (len(p_values) * dim) columns of X.
 
-    ``blocks`` holds the S x dim block of each p. ``counts`` holds one part's
-    entries of PoolStats' fields. ``offence`` is None, or under ``strict`` the
-    first offending sentence with the error it raises.
-
-    Powers are computed once per vocabulary row the corpus uses. Sentences of
-    one length are reduced together, in blocks from ``_blocks``: each
-    column's powers are summed in ascending order, as in ``power_mean``, and
-    an entry is zeroed where its mean is not finite.
+    Returns ``(counts, offence)``: the part's entries of PoolStats' fields,
+    and None or, under ``strict``, the first offending sentence with the
+    error it raises. One p at a time, the power is computed once per used
+    vocabulary row, sentences of one length are reduced together (blocks
+    from ``_blocks``) into the p's columns of ``out`` as in ``power_mean``,
+    and the columns are rooted and zeroed where M_p is not finite.
     """
     space = part.space
     zero_id = len(space.vocab)  # the zero row of OOV tokens and empty sentences
@@ -266,37 +270,28 @@ def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool):
     n_vocab_rows = int(np.searchsorted(used, zero_id))
     E[:n_vocab_rows] = space.matrix[used[:n_vocab_rows]]
 
-    powered = {p: _powers(E, p) for p in part.p_values if abs(p) != math.inf}
-    pooled = {p: np.empty((len(id_lists), space.dim)) for p in part.p_values}
-    extremes = any(abs(p) == math.inf for p in pooled)
+    blocks = list(_blocks(np.diff(bounds), bounds[:-1], local, space.dim))
+    undefined, offence = [], None
     with np.errstate(all="ignore"):
-        for sentences, ids in _blocks(np.diff(bounds), bounds[:-1], local, space.dim):
-            rows = E[ids] if extremes else None  # one gather for max and min
-            for p, block in pooled.items():
-                if p == math.inf:
-                    block[sentences] = rows.max(axis=0) + 0.0
-                elif p == -math.inf:
-                    block[sentences] = rows.min(axis=0) + 0.0
-                else:
-                    block[sentences] = _ascending_mean(powered[p][ids])
-
-        blocks, undefined, offence = [], [], None
-        for p in part.p_values:
-            block = _root(pooled[p], p) if p in powered else pooled[p]
-            replace = ~np.isfinite(block)
+        for k, p in enumerate(part.p_values):
+            powered = _powers(E, p)
+            columns = out[:, k * space.dim:(k + 1) * space.dim]
+            for sentences, ids in blocks:
+                columns[sentences] = _reduce(powered[ids], p)
+            columns[:] = _root(columns, p)
+            replace = ~np.isfinite(columns)
             n_replaced = int(np.count_nonzero(replace))
             if n_replaced and strict:
                 s = int(np.argmax(replace.any(axis=1)))
                 if offence is None or s < offence[0]:
                     offence = (s, _strict_error(E[local[bounds[s]:bounds[s + 1]]], p, replace[s]))
             elif n_replaced:
-                block[replace] = 0.0
-            blocks.append(block)
+                columns[replace] = 0.0
             undefined.append(n_replaced)
     in_vocab = int(np.count_nonzero(local < n_vocab_rows))
     n_tokens = sum(map(len, token_lists))
     counts = (n_tokens, n_tokens - in_vocab, fallbacks, n_vocab_rows, tuple(undefined))
-    return blocks, counts, offence
+    return counts, offence
 
 
 def _blocks(lengths, starts, local, dim):

@@ -130,15 +130,15 @@ def _side_params(model: ProjectionModel, side: str):
     raise InputError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params | None = None):
+def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params):
     """Mean hinge loss over a batch of triples plus analytic parameter gradients.
 
     ``params`` holds W_l, b_l, W_k and b_k as in ProjectionModel.params().
     Accepts single vectors or B x dim stacks. Gradients are exact except at
     the hinge kink and at guarded zero-norm projections, where the
     subgradient 0 is used. They are written into ``out``, arrays shaped like
-    ``params`` (a trainer passes views of one flat gradient vector), or into
-    new arrays when ``out`` is None; the filled dict is returned either way.
+    ``params`` (the trainer passes views of one flat gradient vector), and
+    the filled dict is returned.
     """
     losses, cache = _hinge_forward(params, Xs, Xt, Xu, margin)
     Xs, Xt, Xu, Rs, Rt, Ru, ns, nt, nu, n_st, n_su, cos_st, cos_su, guard = cache
@@ -167,8 +167,6 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params | No
     dZt = dRt * (1.0 - Rt**2)
     dZu = dRu * (1.0 - Ru**2)
 
-    if out is None:
-        out = {name: np.empty(np.shape(p)) for name, p in params.items()}
     np.matmul(dZs.T, Xs, out=out["W_l"])
     np.add.reduce(dZs, axis=0, out=out["b_l"])
     np.matmul(dZt.T, Xt, out=out["W_k"])

@@ -168,53 +168,6 @@ def make_quad_blobs_task(
     return space, task
 
 
-def make_max_signal_task(
-    seed: int = 0,
-    n_sentences: int = 300,
-    dim: int = 16,
-    max_dim: int = 3,
-) -> tuple[EmbeddingSpace, TaskDataset]:
-    """Binary task detectable by max pooling but mean-blind by construction.
-
-    Every sentence has 3 marker tokens and 7 fills. One class marks with a
-    single 3.0 spike in column ``max_dim`` plus two 0.0 pads; the other with
-    three 1.0 bumps, so the column sums match exactly. All pools are centered
-    to exact zero mean in the noise dimensions, leaving arithmetic-mean
-    embeddings with no systematic class difference.
-    """
-    rng = np.random.default_rng(seed)
-    pools = {"peak": 20, "pad": 20, "bump": 20, "fill": 60}
-    signal = {"peak": 3.0, "pad": 0.0, "bump": 1.0}
-    vocab: dict[str, int] = {}
-    rows = []
-    for pool, count in pools.items():
-        noise = rng.uniform(-1, 1, size=(count, dim))
-        noise -= noise.mean(axis=0)
-        if pool in signal:
-            noise[:, max_dim] = signal[pool]
-        for i in range(count):
-            vocab[f"{pool}{i}"] = len(rows)
-            rows.append(noise[i])
-
-    def draw(pool: str, k: int) -> list[str]:
-        return [f"{pool}{j}" for j in rng.integers(0, pools[pool], size=k)]
-
-    items = []
-    for idx in range(n_sentences):
-        spiked = idx % 2 == 0
-        if spiked:
-            tokens = draw("peak", 1) + draw("pad", 2)
-        else:
-            tokens = draw("bump", 3)
-        tokens += draw("fill", SENT_LEN - 3)
-        rng.shuffle(tokens)
-        items.append(("hi" if spiked else "lo", " ".join(tokens)))
-
-    space = EmbeddingSpace("spikes", vocab, np.stack(rows))
-    task = TaskDataset(name="spikes", items=items, metric_kind="accuracy")
-    return space, task
-
-
 def twin_space(space: EmbeddingSpace, suffix: str = "_x",
                name: str | None = None, language_tag: str | None = None) -> EmbeddingSpace:
     """A 'foreign' copy: every token renamed with a suffix, vectors unchanged."""

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pmean.classifier import SoftmaxModel, TrainProtocol, softmax_xent
+from pmean.classifier import SoftmaxModel, TrainProtocol
 from pmean.cli import main
 from pmean.embeddings import EmbeddingSpace
 from pmean.evaluation import TransferPair, evaluate_monolingual, evaluate_transfer, sweep_pmeans
@@ -36,6 +36,7 @@ from pmean.synthetic import (
     swap_dictionary,
     twin_space,
 )
+from test_classifier import softmax_xent
 
 INF = math.inf
 
@@ -164,7 +165,9 @@ def test_c3_gradient_checks():
             continue
         if min(np.linalg.norm(r) for r in (r_s, r_t, r_u)) < 1e-6:
             continue
-        _, grads = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
+        params = model.params()
+        _, grads = hinge_loss_grads(params, xs, xt, xu, model.margin,
+                                    {name: np.empty_like(p) for name, p in params.items()})
         for name in ("W_l", "b_l", "W_k", "b_k"):
             arr = getattr(model, name)
             num = central_diff(lambda: hinge_loss(model, xs, xt, xu), arr, 1e-5)

@@ -14,10 +14,27 @@ from pmean.classifier import (
     fit_runs,
     metrics,
     score_runs,
-    softmax_xent,
 )
 from pmean.errors import InputError, NumericalPolicyError
 from pmean.optim import BETA1, BETA2, EPS, AdamState, Layout, adam_step
+
+
+def softmax_xent(model: SoftmaxModel, X: np.ndarray, y) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy of the model on (X, y) and its exact gradients; y holds class indices.
+
+    The scalar oracle of the classifier: ``_train_softmax`` runs these
+    operations in this order, batched over its cells.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.arange(X.shape[0])
+    logits = model.logits(X)
+    logits -= logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(logits).sum(axis=1))
+    loss = float(np.mean(log_z - logits[rows, y]))
+    probs = np.exp(logits - log_z[:, None])
+    probs[rows, y] -= 1.0
+    probs /= X.shape[0]
+    return loss, {"W": probs.T @ X, "b": probs.sum(axis=0)}
 
 
 def make_blobs(n_per_class=100, d=2, margin_gap=1.0, n_classes=2, seed=0):

@@ -460,6 +460,30 @@ class TestCorpusKernel:
         assert got[2] == want[2]  # same undefined entries per (part, p)
         assert sum(map(sum, got[2])) > 0
 
+    @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
+    def test_repeated_p_values_match_power_mean_blocks(self, oov_mode):
+        rng = np.random.default_rng(7)
+        a = tricky_space("a", rng)
+        cfg = PooledConfig([PooledPart(a, [0.5, 0.5, INF, INF, -1.0, -1.0])])
+        sentences = tricky_sentences(a, rng)
+        got = pooled_or_error(kernel_corpus, cfg, sentences, oov_mode, False)
+        assert got == pooled_or_error(oracle_corpus, cfg, sentences, oov_mode, False)
+        (undefined,) = got[2]  # a repeated p pools and counts its entries again
+        assert undefined[0] == undefined[1] > 0 and undefined[4] == undefined[5] > 0
+
+    @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
+    def test_inputs_are_left_unchanged(self, oov_mode):
+        # _powers returns its argument at +/-inf, and _reduce sorts in place at finite p
+        rng = np.random.default_rng(8)
+        a = tricky_space("a", rng)
+        matrix = a.matrix.copy()
+        for p in BLOCK_PS:
+            power_mean(a.matrix, p)
+            assert a.matrix.tobytes() == matrix.tobytes()
+        cfg = PooledConfig([PooledPart(a, BLOCK_PS)], oov=oov_mode)
+        embed_corpus(cfg, tricky_sentences(a, rng))
+        assert a.matrix.tobytes() == matrix.tobytes()
+
     def test_signed_zero_ties_keep_their_sign(self):
         # np.sort may flip the signs of tied zeros, so a zero extreme or a zero
         # mean is 0.0 whatever the token order

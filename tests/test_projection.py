@@ -30,6 +30,11 @@ from test_acceptance import cosine, hinge_loss
 TANH_1 = 0.7615941559557649  # math.tanh(1.0)
 
 
+def new_arrays(params):
+    """An ``out`` for hinge_loss_grads: a new array shaped like each parameter."""
+    return {name: np.empty_like(p) for name, p in params.items()}
+
+
 def fd_grads(model, xs, xt, xu, h=1e-5):
     """Central-difference gradients of hinge_loss; independent of the analytic path."""
     out = {}
@@ -156,7 +161,8 @@ class TestGradients:
             xs = rng.normal(size=int(e))
             xt = rng.normal(size=int(f))
             xu = rng.normal(size=int(f))
-            loss, grads = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
+            params = model.params()
+            loss, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
             # skip kink-adjacent and degenerate-norm draws
             r_s = project(model, "source", xs)
             r_t = project(model, "target", xt)
@@ -176,8 +182,9 @@ class TestGradients:
     def test_inactive_hinge_has_zero_gradient(self):
         model = ProjectionModel(W_l=np.eye(2), b_l=np.zeros(2),
                                 W_k=np.eye(2), b_k=np.zeros(2), margin=0.5)
-        loss, grads = hinge_loss_grads(model.params(), [3.0, 0.0], [3.0, 0.0], [-3.0, 0.0],
-                                       model.margin)
+        params = model.params()
+        loss, grads = hinge_loss_grads(params, [3.0, 0.0], [3.0, 0.0], [-3.0, 0.0],
+                                       model.margin, new_arrays(params))
         assert loss == 0.0
         assert all(not g.any() for g in grads.values())
 
@@ -229,14 +236,16 @@ class TestLossOnlyForward:
         model, xs, xt, xu = triple_batch()
         if guard is not None:
             guard(model, xs)
-        loss, _ = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
+        params = model.params()
+        loss, _ = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
         assert mean_hinge_loss(model.params(), xs, xt, xu, model.margin) == loss
 
     @pytest.mark.parametrize("guard", [zero_target_map, zero_some_sources])
     def test_guarded_batch_matches_scalar_loss(self, guard):
         model, xs, xt, xu = triple_batch()
         guarded = guard(model, xs)
-        loss, grads = hinge_loss_grads(model.params(), xs, xt, xu, model.margin)
+        params = model.params()
+        loss, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
         per_triple = [hinge_loss(model, a, b, c) for a, b, c in zip(xs, xt, xu)]
         assert loss == pytest.approx(np.mean(per_triple), abs=1e-12)
         assert all(np.isfinite(g).all() for g in grads.values())
@@ -245,7 +254,8 @@ class TestLossOnlyForward:
         if not keep.any():
             assert not any(g.any() for g in grads.values())
             return
-        _, sub = hinge_loss_grads(model.params(), xs[keep], xt[keep], xu[keep], model.margin)
+        _, sub = hinge_loss_grads(params, xs[keep], xt[keep], xu[keep], model.margin,
+                                  new_arrays(params))
         for name, g in grads.items():
             assert g * len(xs) == pytest.approx(sub[name] * keep.sum(), rel=1e-12, abs=1e-12)
 
@@ -264,7 +274,7 @@ class TestGradientBuffer:
         assert grads is views
         for g in grads.values():
             assert np.shares_memory(g, gflat)
-        want_loss, want = hinge_loss_grads(params, xs, xt, xu, model.margin)
+        want_loss, want = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
         assert loss == want_loss
         assert gflat.tobytes() == layout.pack(want).tobytes()
         ref_loss, ref = reference_hinge(params, xs, xt, xu, model.margin)
