@@ -4,8 +4,9 @@ Every command resolves its options into a RunManifest and returns its outputs
 as text, or, for embed's TSV, as an iterable of row chunks that main streams
 into the output's staged file; main stages each beside its path and renames
 none into place until all are staged, so a failing run leaves no partial
-outputs. Exit codes: 0 ok, 2 input/format error, 3 numerical-policy error
-(--strict, or a non-finite z-norm or training result), 64 usage error.
+outputs. Exit codes: 0 ok, 2 input/format error or out of memory, 3
+numerical-policy error (--strict, or a non-finite z-norm or training result),
+64 usage error.
 """
 from __future__ import annotations
 
@@ -414,6 +415,10 @@ def main(argv=None) -> int:
         return 3
     except (InputError, OSError) as exc:
         print(f"pmean: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        print(f"pmean: out of memory: {exc}" if str(exc) else "pmean: out of memory",
+              file=sys.stderr)
         return 2
     finally:
         for tmp in staged.values():

@@ -83,7 +83,11 @@ def adam_step(
     np.divide(v, 1 - BETA2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += EPS
-    out = m / (1 - BETA1**t)
-    out *= step_size
+    correction = 1 - BETA1**t
+    if correction == 1:  # from t = 356 on; m / 1.0 is m, so this skips a pass
+        out = m * step_size
+    else:
+        out = m / correction
+        out *= step_size
     out /= scratch
     params -= out

@@ -16,7 +16,7 @@ import numpy as np
 from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
-from .textio import json_numbers, read_text
+from .textio import float_row_text, json_numbers, read_text
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -140,46 +140,60 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params):
     ``params`` (the trainer passes views of one flat gradient vector), and
     the filled dict is returned.
     """
-    losses, cache = _hinge_forward(params, Xs, Xt, Xu, margin)
-    Xs, Xt, Xu, Rs, Rt, Ru, ns, nt, nu, n_st, n_su, cos_st, cos_su, guard = cache
-    B = Xs.shape[0]
+    Xs, Xt, Xu, R = _project_triples(params, Xs, Xt, Xu)
+    losses, n, n_pair, cos, guard = _hinge_terms(R, _row_norms(R), margin)
+    B = R.shape[1]
     active = (losses > 0).astype(np.float64)[:, None]
 
-    # gradients of each row cosine w.r.t. its two rows
-    ns2 = ns**2
-    d_st_s = Rt / n_st - cos_st * Rs / ns2
-    d_st_t = Rs / n_st - cos_st * Rt / nt**2
-    d_su_s = Ru / n_su - cos_su * Rs / ns2
-    d_su_u = Rs / n_su - cos_su * Ru / nu**2
+    # gradients of the (source-target, source-negative) cosines w.r.t. the
+    # source row (d_s) and w.r.t. the other row (d_o)
+    n2 = n**2
+    d_s = R[1:] / n_pair - cos * R[0] / n2[0]
+    d_o = R[0] / n_pair - cos * R[1:] / n2[1:]
     if guard is not None:
-        g_st, g_su = guard
-        d_st_s = np.where(g_st, 0.0, d_st_s)
-        d_st_t = np.where(g_st, 0.0, d_st_t)
-        d_su_s = np.where(g_su, 0.0, d_su_s)
-        d_su_u = np.where(g_su, 0.0, d_su_u)
+        d_s = np.where(guard, 0.0, d_s)
+        d_o = np.where(guard, 0.0, d_o)
 
-    # d loss / d cos_st = -active/B, d loss / d cos_su = +active/B
-    dRs = (-d_st_s + d_su_s) * active / B
-    dRt = -d_st_t * active / B
-    dRu = d_su_u * active / B
+    # d loss / d cos_st = -active/B, d loss / d cos_su = +active/B; then
+    # through tanh, to the pre-activations of all three sides at once
+    dZ = np.empty_like(R)
+    np.subtract(d_s[1], d_s[0], out=dZ[0])
+    np.negative(d_o[0], out=dZ[1])
+    dZ[2] = d_o[1]
+    dZ *= active
+    dZ /= B
+    dZ *= 1.0 - R**2
 
-    dZs = dRs * (1.0 - Rs**2)
-    dZt = dRt * (1.0 - Rt**2)
-    dZu = dRu * (1.0 - Ru**2)
-
-    np.matmul(dZs.T, Xs, out=out["W_l"])
-    np.add.reduce(dZs, axis=0, out=out["b_l"])
-    np.matmul(dZt.T, Xt, out=out["W_k"])
-    out["W_k"] += dZu.T @ Xu
-    np.add.reduce(dZt, axis=0, out=out["b_k"])
-    out["b_k"] += np.add.reduce(dZu, axis=0)
+    np.matmul(dZ[0].T, Xs, out=out["W_l"])
+    np.add.reduce(dZ[0], axis=0, out=out["b_l"])
+    np.matmul(dZ[1].T, Xt, out=out["W_k"])
+    out["W_k"] += dZ[2].T @ Xu
+    np.add.reduce(dZ[1], axis=0, out=out["b_k"])
+    out["b_k"] += np.add.reduce(dZ[2], axis=0)
     return _clipped_mean(losses), out
 
 
 def mean_hinge_loss(params: Params, Xs, Xt, Xu, margin: float) -> float:
     """The loss ``hinge_loss_grads`` returns, from its forward pass alone."""
-    losses, _ = _hinge_forward(params, Xs, Xt, Xu, margin)
-    return _clipped_mean(losses)
+    R = _project_triples(params, Xs, Xt, Xu)[3]
+    return _clipped_mean(_hinge_terms(R, _row_norms(R), margin)[0])
+
+
+def _epoch_loss(params: Params, corpus: ParallelCorpus, negatives: np.ndarray,
+                margin: float) -> float:
+    """``mean_hinge_loss`` over the corpus against ``negatives``, bit for bit.
+
+    The target rows are projected once; the negatives' projections and
+    norms are those rows gathered by ``negatives``, not a third product.
+    """
+    R = np.empty((3, len(corpus), params["b_l"].size))
+    _project_sides(R[:2], params, corpus.source, corpus.target)
+    n = np.empty(R.shape[:2] + (1,))
+    n[:2] = _row_norms(R[:2])
+    # every index is in range; mode="raise" would also buffer ``out``
+    np.take(R[1], negatives, axis=0, out=R[2], mode="clip")
+    np.take(n[1], negatives, axis=0, out=n[2], mode="clip")
+    return _clipped_mean(_hinge_terms(R, n, margin)[0])
 
 
 def _clipped_mean(losses) -> float:
@@ -198,44 +212,58 @@ def _clipped_mean(losses) -> float:
     return float(mean)
 
 
-def _hinge_forward(params: Params, Xs, Xt, Xu, margin: float):
-    """Per-triple hinge terms and what their gradients reuse.
+def _project_sides(R: np.ndarray, params: Params, Xs, *Xk) -> np.ndarray:
+    """Fill ``R`` with the tanh(x W^T + b) that project() computes, and return it.
 
-    Each of Rs, Rt and Ru has its row norms computed once, and each norm
-    product is formed once. A norm below the guard is replaced by 1 and the
-    cosines of its triples are taken as 0; ``guard`` is None when no row
-    needs that, and otherwise holds the (source-target, source-negative)
-    masks of guarded triples.
+    ``R[0]`` gets the source rows ``Xs`` and ``R[k]`` the target-side rows
+    ``Xk[k - 1]``; the bias add and tanh run once over the stack. Each side
+    keeps its own product: one product over stacked target and negative rows
+    does not give every row the same bits as its own.
     """
-    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    Xt = np.atleast_2d(np.asarray(Xt, dtype=np.float64))
-    Xu = np.atleast_2d(np.asarray(Xu, dtype=np.float64))
+    np.matmul(Xs, params["W_l"].T, out=R[0])
+    for k, X in enumerate(Xk, start=1):
+        np.matmul(X, params["W_k"].T, out=R[k])
+    R[0] += params["b_l"]
+    R[1:] += params["b_k"]
+    return np.tanh(R, out=R)
 
-    # the same tanh(x W^T + b) that project() computes
-    Rs = np.tanh(Xs @ params["W_l"].T + params["b_l"])
-    Rt = np.tanh(Xt @ params["W_k"].T + params["b_k"])
-    Ru = np.tanh(Xu @ params["W_k"].T + params["b_k"])
 
-    # np.linalg.norm's own arithmetic for real rows, without its per-call overhead
-    ns, nt, nu = (np.sqrt(np.add.reduce(R * R, axis=1, keepdims=True)) for R in (Rs, Rt, Ru))
-    small_s, small_t, small_u = ns < _NORM_GUARD, nt < _NORM_GUARD, nu < _NORM_GUARD
+def _project_triples(params: Params, Xs, Xt, Xu):
+    """The triples' rows as float64 matrices, and their projections stacked as (3, B, d)."""
+    Xs, Xt, Xu = (np.atleast_2d(np.asarray(X, dtype=np.float64)) for X in (Xs, Xt, Xu))
+    R = np.empty((3, Xs.shape[0], params["b_l"].size))
+    return Xs, Xt, Xu, _project_sides(R, params, Xs, Xt, Xu)
+
+
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    """Each row's norm, keeping a unit last axis.
+
+    np.linalg.norm's own arithmetic for real rows, without its per-call overhead.
+    """
+    return np.sqrt(np.add.reduce(R * R, axis=-1, keepdims=True))
+
+
+def _hinge_terms(R: np.ndarray, n: np.ndarray, margin: float):
+    """Per-triple hinge terms of stacked projections and what their gradients reuse.
+
+    ``R`` stacks the source, target and negative projections as (3, B, d)
+    and ``n`` their row norms as (3, B, 1). Each norm product is formed
+    once; the pair axis of ``n_pair``, ``cos`` and ``guard`` is
+    (source-target, source-negative). A norm below the guard is replaced by
+    1 and the cosines of its triples are taken as 0; ``guard`` is None when
+    no row needs that, and otherwise masks the guarded triples of each pair.
+    """
+    small = n < _NORM_GUARD
     guard = None
-    if small_s.any() or small_t.any() or small_u.any():
-        guard = (small_s | small_t, small_s | small_u)
-        ns = np.where(small_s, 1.0, ns)
-        nt = np.where(small_t, 1.0, nt)
-        nu = np.where(small_u, 1.0, nu)
-
-    n_st = ns * nt
-    n_su = ns * nu
-    cos_st = (Rs * Rt).sum(axis=1, keepdims=True) / n_st
-    cos_su = (Rs * Ru).sum(axis=1, keepdims=True) / n_su
+    if small.any():
+        guard = small[0] | small[1:]
+        n = np.where(small, 1.0, n)
+    n_pair = n[0] * n[1:]
+    cos = np.add.reduce(R[0] * R[1:], axis=-1, keepdims=True) / n_pair
     if guard is not None:
-        cos_st = np.where(guard[0], 0.0, cos_st)
-        cos_su = np.where(guard[1], 0.0, cos_su)
-
-    losses = margin - cos_st[:, 0] + cos_su[:, 0]
-    return losses, (Xs, Xt, Xu, Rs, Rt, Ru, ns, nt, nu, n_st, n_su, cos_st, cos_su, guard)
+        cos = np.where(guard, 0.0, cos)
+    losses = margin - cos[0, :, 0] + cos[1, :, 0]
+    return losses, n, n_pair, cos, guard
 
 
 def train_projection(
@@ -285,9 +313,7 @@ def train_projection(
                 hinge_loss_grads(params, xs, xt, xu, cfg.margin, out=grads)
                 t += 1
                 adam_step(flat, gflat, state, t, step_size=cfg.step_size)
-            history.append(mean_hinge_loss(
-                params, corpus.source, corpus.target, corpus.target[negatives], cfg.margin
-            ))
+            history.append(_epoch_loss(params, corpus, negatives, cfg.margin))
     if not (np.isfinite(flat).all() and np.isfinite(history).all()):
         raise NumericalPolicyError(f"projection training with margin {cfg.margin!r} and step "
                                    f"size {cfg.step_size!r} gave non-finite parameters or losses")
@@ -320,16 +346,31 @@ def project_space(model: ProjectionModel, side: str, space: EmbeddingSpace) -> E
 
 
 def projection_json(model: ProjectionModel) -> str:
-    doc = {
+    """The model as ``json.dumps(doc, indent=1) + "\n"`` writes it, faster.
+
+    The arrays' floats go through ``float_row_text``, which writes each as
+    ``repr`` does, as ``json.dumps`` does too.
+    """
+    head = json.dumps({
         "format_version": MODEL_FORMAT_VERSION,
         "dims": dict(zip(("e", "f", "d"), model.dims)),
         "margin": model.margin,
-        "W_l": model.W_l.tolist(),
-        "b_l": model.b_l.tolist(),
-        "W_k": model.W_k.tolist(),
-        "b_k": model.b_k.tolist(),
-    }
-    return json.dumps(doc, indent=1) + "\n"
+    }, indent=1)
+    arrays = "".join(f',\n "{name}": {_json_array(arr, 1)}'
+                     for name, arr in model.params().items())
+    return head.removesuffix("\n}") + arrays + "\n}\n"
+
+
+def _json_array(arr: np.ndarray, level: int) -> str:
+    """``json.dumps(arr.tolist(), indent=1)`` for an array nested ``level`` deep."""
+    if len(arr) == 0:
+        return "[]"
+    sep = ",\n" + " " * (level + 1)
+    if arr.ndim == 1:
+        items = float_row_text(arr, sep)
+    else:
+        items = sep.join(_json_array(row, level + 1) for row in arr)
+    return f"[{sep[1:]}{items}\n{' ' * level}]"
 
 
 def load_projection(path) -> ProjectionModel:

@@ -123,6 +123,26 @@ class TestAdam:
             for got, want in ((params, p_ref), (state.m, m_ref), (state.v, v_ref)):
                 assert got.tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("step_size", [2e-3, np.array([[1e-3], [0.5], [3e-7]])],
+                             ids=["scalar", "per-row"])
+    def test_matches_the_formula_where_bias_correction_rounds_to_one(self, step_size):
+        # 1 - BETA1**t is exactly 1.0 from t = 356 on; steps 340-420 cross that
+        assert 1 - BETA1**355 < 1 and 1 - BETA1**356 == 1
+        rng = np.random.default_rng(7)
+        params = rng.normal(size=(3, 40))
+        state = AdamState(m=0.1 * rng.normal(size=params.shape), v=0.01 * rng.random(params.shape))
+        p_ref, m_ref, v_ref = params.copy(), state.m.copy(), state.v.copy()
+        for t in range(340, 421):
+            g = rng.normal(size=params.shape)
+            adam_step(params, g, state, t, step_size=step_size)
+            m_ref = BETA1 * m_ref + (1 - BETA1) * g
+            v_ref = BETA2 * v_ref + (1 - BETA2) * g * g
+            m_hat = m_ref / (1 - BETA1**t)
+            v_hat = v_ref / (1 - BETA2**t)
+            p_ref = p_ref - step_size * m_hat / (np.sqrt(v_hat) + EPS)
+            for got, want in ((params, p_ref), (state.m, m_ref), (state.v, v_ref)):
+                assert got.tobytes() == want.tobytes()
+
 
 class TestLayout:
     def test_views_round_trip_named_arrays(self):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmean.cli
+import pmean.projection
 from pmean.classifier import TrainProtocol
 from pmean.cli import main
 from pmean.embeddings import load_text_embeddings
@@ -969,6 +970,35 @@ class TestOutputs:
         # the window between two renames: the first output is in place, no temp file stays
         assert [p.name for p in workdir.rglob("never*")] == ["never.json"]
         assert not list(workdir.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("where", ["init", "staging"])
+    def test_out_of_memory_exits_2_and_leaves_nothing(self, workdir, capsys, monkeypatch, where):
+        message = ("Unable to allocate 7.28 TiB for an array with shape (100000000000, 10) "
+                   "and data type float64")
+        argv = command_argv(workdir, "train-projection")
+        staged = []
+        if where == "init":  # what numpy raises for --shared-dim 100000000000
+            def init_projection(*args):
+                raise MemoryError(message)
+
+            monkeypatch.setattr(pmean.projection, "init_projection", init_projection)
+            argv += ["--shared-dim", "100000000000"]
+        else:  # while the history is staged, after the model's temp file is written
+            real_write = pmean.cli.write_atomic
+
+            def write_atomic(path, text):
+                if Path(path).name.startswith(".never.csv."):
+                    raise MemoryError(message)
+                real_write(path, text)
+                staged.append(path)
+
+            monkeypatch.setattr(pmean.cli, "write_atomic", write_atomic)
+        assert main(argv) == 2
+        assert len(staged) == (where == "staging")
+        err = capsys.readouterr().err
+        assert err == f"pmean: out of memory: {message}\n"
+        assert "Traceback" not in err
+        assert not list(workdir.rglob("never*")) and not list(workdir.rglob("*.tmp"))
 
     def test_history_under_a_regular_file_leaves_no_model(self, workdir, capsys):
         blocker = write(workdir / "blocker", "a regular file, not a directory\n")

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pmean.projection
 from pmean.embeddings import EmbeddingSpace
@@ -355,6 +357,10 @@ class TestTrainerMatchesReference:
         (20, 3, 6, 4, 6, 2, 0.0, True),  # zero rows trip the norm guard
         (16, 3, 2, 2, 4, 2, 0.5, True),  # guarded rows under dropout
         (12, 4, 3, 3, 16, 0, 0.5, False),  # no epochs: the init is returned
+        (9, 4, 4, 3, 1, 45, 0.5, False),  # 405 steps: Adam's bias correction is 1.0 from 356
+        # 320 x 64 x 64 is past OpenBLAS's small-matrix limit (M*N*K <= 1e6 on
+        # SkylakeX), so the epoch-end gather is checked against the blocked product
+        (320, 64, 64, 64, 32, 2, 0.5, False),
     ])
     def test_weights_and_history_equal(self, n, e, f, d, batch_size, epochs, dropout,
                                        zero_rows):
@@ -492,7 +498,46 @@ class TestProjectSpace:
             project_space(init_projection(3, 3, 2, seed=0), "source", space)
 
 
+# values json.dumps writes in every spelling repr has: signed zeros, subnormals,
+# and magnitudes on both sides of repr's positional band [1e-4, 1e16)
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2e-308, 1e-5, -2.5e-7, 1e-4, 1e16, -1e16, 1e308, -1e308]
+
+
+@st.composite
+def small_models(draw):
+    """Finite models with 0-3 input dims and 0-3 shared dims, empty arrays included."""
+    e, f, d = (draw(st.integers(0, 3)) for _ in range(3))
+    values = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+    def array(*shape):
+        flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(flat, dtype=np.float64).reshape(shape)
+
+    return ProjectionModel(W_l=array(d, e), b_l=array(d), W_k=array(d, f), b_k=array(d),
+                           margin=draw(values))
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model=small_models())
+    def test_text_is_json_dumps_and_reads_back_bit_for_bit(self, tmp_path, model):
+        doc = {"format_version": 1, "dims": dict(zip(("e", "f", "d"), model.dims)),
+               "margin": model.margin,
+               **{name: arr.tolist() for name, arr in model.params().items()}}
+        text = projection_json(model)
+        assert text == json.dumps(doc, indent=1) + "\n"
+        if model.dims[2] == 0:  # [] reads back as one empty axis, not a (0, e) matrix
+            return
+        path = tmp_path / "model.json"
+        write_atomic(path, text)
+        back = load_projection(path)
+        assert np.float64(back.margin).tobytes() == np.float64(model.margin).tobytes()
+        for name, arr in model.params().items():
+            assert getattr(back, name).shape == arr.shape
+            assert getattr(back, name).tobytes() == arr.tobytes()
+
     def test_round_trip(self, tmp_path):
         model = init_projection(3, 4, 2, seed=8)
         model.margin = 0.25
