@@ -42,6 +42,8 @@ class ProjectionModel:
         if not (self.W_l.ndim == self.W_k.ndim == 2
                 and self.W_l.shape[:1] == self.W_k.shape[:1] == self.b_l.shape == self.b_k.shape):
             raise DimensionError("projection parameter shapes disagree on shared dim")
+        if min(self.dims) <= 0:
+            raise InputError(f"projection dims must be positive, got (e, f, d) = {self.dims}")
         if not math.isfinite(self.margin):
             raise InputError(f"projection margin must be finite, got {self.margin}")
 
@@ -141,28 +143,40 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params):
     the filled dict is returned.
     """
     Xs, Xt, Xu, R = _project_triples(params, Xs, Xt, Xu)
-    losses, n, n_pair, cos, guard = _hinge_terms(R, _row_norms(R), margin)
+    RR = R * R  # the row norms' squares, then the tanh derivative 1 - R**2
+    losses, n, n_pair, cos, guard = _hinge_terms(R, _row_norms(RR), margin)
     B = R.shape[1]
     active = (losses > 0).astype(np.float64)[:, None]
 
     # gradients of the (source-target, source-negative) cosines w.r.t. the
-    # source row (d_s) and w.r.t. the other row (d_o)
+    # source row (d_s) and w.r.t. the other row (d_o, written into dZ[1:]):
+    # d_s = R[1:] / n_pair - cos * R[0] / n2[0]
+    # d_o = R[0] / n_pair - cos * R[1:] / n2[1:]
     n2 = n**2
-    d_s = R[1:] / n_pair - cos * R[0] / n2[0]
-    d_o = R[0] / n_pair - cos * R[1:] / n2[1:]
+    dZ = np.empty_like(R)
+    d_s = np.empty_like(dZ[1:])
+    scratch = np.empty_like(d_s)
+    d_o = dZ[1:]
+    np.divide(R[1:], n_pair, out=d_s)
+    np.multiply(cos, R[0], out=scratch)
+    scratch /= n2[0]
+    d_s -= scratch
+    np.divide(R[0], n_pair, out=d_o)
+    np.multiply(cos, R[1:], out=scratch)
+    scratch /= n2[1:]
+    d_o -= scratch
     if guard is not None:
-        d_s = np.where(guard, 0.0, d_s)
-        d_o = np.where(guard, 0.0, d_o)
+        np.copyto(d_s, 0.0, where=guard)
+        np.copyto(d_o, 0.0, where=guard)
 
     # d loss / d cos_st = -active/B, d loss / d cos_su = +active/B; then
     # through tanh, to the pre-activations of all three sides at once
-    dZ = np.empty_like(R)
     np.subtract(d_s[1], d_s[0], out=dZ[0])
-    np.negative(d_o[0], out=dZ[1])
-    dZ[2] = d_o[1]
+    np.negative(dZ[1], out=dZ[1])
     dZ *= active
     dZ /= B
-    dZ *= 1.0 - R**2
+    np.subtract(1.0, RR, out=RR)
+    dZ *= RR
 
     np.matmul(dZ[0].T, Xs, out=out["W_l"])
     np.add.reduce(dZ[0], axis=0, out=out["b_l"])
@@ -173,15 +187,12 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params):
     return _clipped_mean(losses), out
 
 
-def mean_hinge_loss(params: Params, Xs, Xt, Xu, margin: float) -> float:
-    """The loss ``hinge_loss_grads`` returns, from its forward pass alone."""
-    R = _project_triples(params, Xs, Xt, Xu)[3]
-    return _clipped_mean(_hinge_terms(R, _row_norms(R), margin)[0])
-
-
 def _epoch_loss(params: Params, corpus: ParallelCorpus, negatives: np.ndarray,
                 margin: float) -> float:
-    """``mean_hinge_loss`` over the corpus against ``negatives``, bit for bit.
+    """The mean hinge loss of the corpus's triples against ``negatives``.
+
+    It is the loss ``hinge_loss_grads`` would return for the whole corpus as
+    one batch, bit for bit, without the gradients.
 
     The target rows are projected once; the negatives' projections and
     norms are those rows gathered by ``negatives``, not a third product.
@@ -189,7 +200,7 @@ def _epoch_loss(params: Params, corpus: ParallelCorpus, negatives: np.ndarray,
     R = np.empty((3, len(corpus), params["b_l"].size))
     _project_sides(R[:2], params, corpus.source, corpus.target)
     n = np.empty(R.shape[:2] + (1,))
-    n[:2] = _row_norms(R[:2])
+    n[:2] = _row_norms(R[:2] * R[:2])
     # every index is in range; mode="raise" would also buffer ``out``
     np.take(R[1], negatives, axis=0, out=R[2], mode="clip")
     np.take(n[1], negatives, axis=0, out=n[2], mode="clip")
@@ -205,7 +216,7 @@ def _clipped_mean(losses) -> float:
     """
     clipped = np.maximum(losses, 0.0)
     with np.errstate(over="ignore"):
-        mean = clipped.mean()
+        mean = np.add.reduce(clipped) / clipped.size  # what .mean() computes
     if np.isinf(mean) and np.isfinite(clipped).all():
         top = clipped.max()
         mean = top * (clipped / top).mean()
@@ -235,12 +246,12 @@ def _project_triples(params: Params, Xs, Xt, Xu):
     return Xs, Xt, Xu, _project_sides(R, params, Xs, Xt, Xu)
 
 
-def _row_norms(R: np.ndarray) -> np.ndarray:
-    """Each row's norm, keeping a unit last axis.
+def _row_norms(squares: np.ndarray) -> np.ndarray:
+    """Each row's norm from ``R * R``, the squares of its entries, keeping a unit last axis.
 
     np.linalg.norm's own arithmetic for real rows, without its per-call overhead.
     """
-    return np.sqrt(np.add.reduce(R * R, axis=-1, keepdims=True))
+    return np.sqrt(np.add.reduce(squares, axis=-1, keepdims=True))
 
 
 def _hinge_terms(R: np.ndarray, n: np.ndarray, margin: float):
@@ -294,6 +305,10 @@ def train_projection(
     state = AdamState.zeros_like(flat)
     rng = np.random.default_rng(cfg.seed)
     keep = 1.0 - cfg.dropout_rate
+    # each step gathers its source, target and negative rows into views of
+    # one buffer, side after side, and drops them out there in place
+    rows = np.empty(cfg.batch_size * (e + 2 * f))
+    draws = np.empty_like(rows)
 
     history: list[float] = []
     t = 0
@@ -303,13 +318,15 @@ def train_projection(
             negatives = _derangement(rng, n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                xs = corpus.source[idx]
-                xt = corpus.target[idx]
-                xu = corpus.target[negatives[idx]]
+                m = idx.size
+                a, b, c = m * e, m * (e + f), m * (e + 2 * f)
+                # every index is in range; mode="raise" would also buffer ``out``
+                xs = np.take(corpus.source, idx, axis=0, out=rows[:a].reshape(m, e), mode="clip")
+                xt = np.take(corpus.target, idx, axis=0, out=rows[a:b].reshape(m, f), mode="clip")
+                xu = np.take(corpus.target, negatives[idx], axis=0,
+                             out=rows[b:c].reshape(m, f), mode="clip")
                 if cfg.dropout_rate > 0:
-                    xs = xs * (rng.random(xs.shape) < keep) / keep
-                    xt = xt * (rng.random(xt.shape) < keep) / keep
-                    xu = xu * (rng.random(xu.shape) < keep) / keep
+                    _drop_out(rng, rows[:c], draws[:c], (a, b), keep)
                 hinge_loss_grads(params, xs, xt, xu, cfg.margin, out=grads)
                 t += 1
                 adam_step(flat, gflat, state, t, step_size=cfg.step_size)
@@ -318,6 +335,22 @@ def train_projection(
         raise NumericalPolicyError(f"projection training with margin {cfg.margin!r} and step "
                                    f"size {cfg.step_size!r} gave non-finite parameters or losses")
     return ProjectionModel(margin=cfg.margin, **params), history
+
+
+def _drop_out(rng: np.random.Generator, x: np.ndarray, u: np.ndarray, splits, keep: float):
+    """Inverted dropout in place of ``x``, the sides stacked flat and split at ``splits``.
+
+    Each side gets ``side * (rng.random(side.shape) < keep) / keep``: its own
+    draw, in side order, with the same values and bits, but the mask is
+    drawn into ``u`` (shaped like ``x``) and applied in one pass over all sides.
+    """
+    a, b = splits
+    rng.random(out=u[:a])
+    rng.random(out=u[a:b])
+    rng.random(out=u[b:])
+    np.less(u, keep, out=u)  # 1.0 where kept, 0.0 where dropped
+    x *= u
+    x /= keep
 
 
 def _derangement(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -362,9 +395,10 @@ def projection_json(model: ProjectionModel) -> str:
 
 
 def _json_array(arr: np.ndarray, level: int) -> str:
-    """``json.dumps(arr.tolist(), indent=1)`` for an array nested ``level`` deep."""
-    if len(arr) == 0:
-        return "[]"
+    """``json.dumps(arr.tolist(), indent=1)`` for an array nested ``level`` deep.
+
+    No axis is empty: every dim of a ``ProjectionModel`` is positive.
+    """
     sep = ",\n" + " " * (level + 1)
     if arr.ndim == 1:
         items = float_row_text(arr, sep)
