@@ -7,22 +7,33 @@ package also trains a bilingual tanh projection with a cosine ranking loss
 and provides the logistic-regression evaluation harness used to compare
 representations on labeled transfer tasks.
 """
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .classifier import TrainProtocol
-from .embeddings import EmbeddingSpace, load_text_embeddings
-from .evaluation import evaluate_monolingual, load_task
-from .pooling import PooledConfig, PooledPart, embed_corpus
+# the names the README's API sketch uses, each mapped to the submodule that
+# defines it and imported on first use (PEP 562), so that importing pmean, as
+# `pmean --version` does, loads no numpy; everything else is imported from its
+# submodule
+_SOURCES = {
+    "EmbeddingSpace": "embeddings",
+    "PooledConfig": "pooling",
+    "PooledPart": "pooling",
+    "TrainProtocol": "settings",
+    "embed_corpus": "pooling",
+    "evaluate_monolingual": "evaluation",
+    "load_task": "evaluation",
+    "load_text_embeddings": "embeddings",
+}
+__all__ = list(_SOURCES)
 
-# the names the README's API sketch uses; everything else is imported from its submodule
-__all__ = [
-    "EmbeddingSpace",
-    "PooledConfig",
-    "PooledPart",
-    "TrainProtocol",
-    "embed_corpus",
-    "evaluate_monolingual",
-    "load_task",
-    "load_text_embeddings",
-]
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

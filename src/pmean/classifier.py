@@ -8,7 +8,6 @@ labels to them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import InputError, NumericalPolicyError
 from .optim import AdamState, adam_step
 from .pooling import znorm_apply, znorm_fit
+from .settings import TrainProtocol
 
 ACCURACY = "accuracy"
 MACRO_F1 = "macro_f1"
@@ -41,35 +41,6 @@ class SoftmaxModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The index of each row's highest-scoring class."""
         return np.argmax(self.logits(X), axis=1)
-
-
-@dataclass
-class TrainProtocol:
-    """Settings for grid-tuned training and repeated subsample validation.
-
-    ``znorm`` standardizes each run's rows with statistics fit on its train side.
-    """
-
-    lr_grid: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
-    batch_size: int = 32
-    max_epochs: int = 25
-    runs: int = 50
-    val_fraction: float = 0.1
-    test_fraction: float = 0.2
-    seed: int = 0
-    znorm: bool = False
-
-    def __post_init__(self):
-        if not self.lr_grid or not all(0 < lr < math.inf for lr in self.lr_grid):
-            raise InputError(f"lr_grid must be non-empty, finite and positive, got {self.lr_grid}")
-        for name in ("val_fraction", "test_fraction"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise InputError(f"{name} must be in (0, 1), got {v}")
-        if self.runs < 1:
-            raise InputError("runs must be positive")
-        if self.batch_size < 1 or self.max_epochs < 0:
-            raise InputError("batch_size must be positive, max_epochs >= 0")
 
 
 @dataclass

@@ -15,38 +15,47 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .classifier import TrainProtocol
-from .embeddings import load_text_embeddings
 from .errors import FormatError, InputError, NumericalPolicyError
-from .evaluation import (
-    EvalReport,
-    TransferPair,
-    emit_report,
-    evaluate_report,
-    load_task,
-    sweep_pmeans,
-)
 from .manifest import RunManifest, temp_beside, write_atomic
-from .pooling import (
-    PooledConfig,
-    PooledPart,
-    embed_corpus,
-    format_p,
-    parse_config_text,
-    parse_p,
-    znorm_apply,
-    znorm_fit,
-)
-from .projection import (
-    ParallelCorpus,
-    ProjectionTrainConfig,
-    projection_json,
-    train_projection,
-)
-from .textio import float_row_text, read_lines, read_text
+from .settings import ProjectionTrainConfig, TrainProtocol
+
+# The numpy-backed names the commands use, by the module that defines them.
+# Each command binds its modules' names here when it starts (_bind), so that
+# parsing, --version and --help load no numpy and a command loads only the
+# modules it runs. They stay attributes of this module that the commands look
+# up at each call, so a name replaced with setattr, before or after the first
+# command, is the one called.
+_LAZY = {
+    "embeddings": ("load_text_embeddings",),
+    "evaluation": ("EvalReport", "TransferPair", "emit_report", "evaluate_report",
+                   "load_task", "sweep_pmeans"),
+    "pooling": ("PooledConfig", "PooledPart", "embed_corpus", "format_p",
+                "parse_config_text", "parse_p", "znorm_apply", "znorm_fit"),
+    "projection": ("ParallelCorpus", "projection_json", "train_projection"),
+    "textio": ("float_row_text", "read_lines", "read_text"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind its names here; a name already set is kept."""
+    bound = globals()
+    for module in modules:
+        imported = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            bound.setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name):  # PEP 562: pmean.cli.<name> read before a command bound it
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 USAGE_EXIT = 64
 
@@ -302,6 +311,7 @@ def _report_outputs(base, report: EvalReport, manifest: RunManifest) -> dict[str
 
 
 def cmd_embed(args, seed: int) -> dict[str, str | Iterator[str]]:
+    _bind("embeddings", "pooling", "textio")
     manifest = _manifest(args, seed, args.output, {"znorm": args.znorm})
     cfg = _load_config(args.config, args, manifest)
     manifest.config["pooling"] = [
@@ -329,6 +339,7 @@ def cmd_embed(args, seed: int) -> dict[str, str | Iterator[str]]:
 
 
 def cmd_train_projection(args, seed: int) -> dict[str, str]:
+    _bind("embeddings", "pooling", "projection", "textio")
     cfg = _projection_config_of(args, seed)
     manifest = _manifest(args, seed, args.model_out, {
         "shared_dim": cfg.shared_dim, "margin": cfg.margin, "dropout": cfg.dropout_rate,
@@ -363,6 +374,7 @@ def cmd_train_projection(args, seed: int) -> dict[str, str]:
 
 
 def cmd_eval(args, seed: int) -> dict[str, str]:
+    _bind("embeddings", "evaluation", "pooling", "textio")
     manifest = _eval_manifest(args, seed)
     cfg = _load_config(args.config, args, manifest)
     ds = load_task(args.task)
@@ -372,6 +384,7 @@ def cmd_eval(args, seed: int) -> dict[str, str]:
 
 
 def cmd_eval_transfer(args, seed: int) -> dict[str, str]:
+    _bind("embeddings", "evaluation", "pooling", "textio")
     manifest = _eval_manifest(args, seed)
     loaded = {}  # both configs often name one bilingual file; parse and hash it once
     cfg_src = _load_config(args.source_config, args, manifest, loaded)
@@ -384,6 +397,7 @@ def cmd_eval_transfer(args, seed: int) -> dict[str, str]:
 
 
 def cmd_sweep(args, seed: int) -> dict[str, str]:
+    _bind("embeddings", "evaluation", "pooling", "textio")
     manifest = _eval_manifest(args, seed)
     manifest.config["p_sets"] = args.p_set
     cfg = _load_config(args.config, args, manifest)

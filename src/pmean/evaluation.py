@@ -27,12 +27,12 @@ from .classifier import (
     ACCURACY,
     METRICS,
     EvalScore,
-    TrainProtocol,
     fit_runs,
     score_runs,
 )
 from .errors import DimensionError, FormatError, InputError
 from .pooling import PooledConfig, PooledPart, embed_corpus
+from .settings import TrainProtocol
 from .textio import json_numbers, read_lines
 
 REPORT_FORMAT_VERSION = 1

@@ -16,6 +16,7 @@ import numpy as np
 from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
+from .settings import ProjectionTrainConfig
 from .textio import float_row_text, json_numbers, read_text
 
 MODEL_FORMAT_VERSION = 1
@@ -54,29 +55,6 @@ class ProjectionModel:
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W_l": self.W_l, "b_l": self.b_l, "W_k": self.W_k, "b_k": self.b_k}
-
-
-@dataclass
-class ProjectionTrainConfig:
-    """Hyperparameters of the ranking-loss training loop."""
-
-    shared_dim: int = 300
-    margin: float = 0.5
-    dropout_rate: float = 0.5
-    step_size: float = 1e-3
-    batch_size: int = 16
-    max_epochs: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.dropout_rate < 1:
-            raise InputError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.shared_dim <= 0 or self.batch_size <= 0 or self.max_epochs < 0:
-            raise InputError("shared_dim and batch_size must be positive, max_epochs >= 0")
-        if not math.isfinite(self.margin):
-            raise InputError(f"margin must be finite, got {self.margin}")
-        if not 0 < self.step_size < math.inf:
-            raise InputError(f"step_size must be finite and positive, got {self.step_size}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -1129,6 +1130,30 @@ class TestUsage:
             "train-projection", "--source-embeddings", "s", "--target-embeddings", "t",
             "--pairs", "p", "--model-out", "m", "--history-out", "h"])
         assert pmean.cli._projection_config_of(args, 7) == ProjectionTrainConfig(seed=7)
+
+    @pytest.mark.parametrize("argv", [
+        ["train-projection", "--source-embeddings", "s", "--target-embeddings", "t",
+         "--pairs", "p", "--model-out", "m", "--history-out", "h"],
+        ["eval", "--config", "c", "--task", "t", "--out", "o"],
+        ["eval-transfer", "--source-config", "c", "--target-config", "c",
+         "--train-task", "t", "--test-task", "t", "--out", "o"],
+        ["sweep", "--config", "c", "--p-set", "1", "--task", "t", "--out", "o"],
+    ], ids=lambda argv: argv[0])
+    def test_every_parsed_default_is_a_field_default(self, argv):
+        owner, dests = ((ProjectionTrainConfig, {
+            "shared_dim": "shared_dim", "margin": "margin", "dropout": "dropout_rate",
+            "epochs": "max_epochs", "batch_size": "batch_size", "step_size": "step_size",
+        }) if argv[0] == "train-projection" else (TrainProtocol, {
+            "runs": "runs", "epochs": "max_epochs", "batch_size": "batch_size",
+            "lr_grid": "lr_grid", "val_fraction": "val_fraction",
+            "test_fraction": "test_fraction",
+        }))
+        defaults = {f.name: f.default for f in dataclasses.fields(owner)}
+        parsed = vars(pmean.cli.build_parser().parse_args(argv))
+        if "lr_grid" in parsed:  # comma-separated text, as manifests record it
+            parsed["lr_grid"] = tuple(map(float, parsed["lr_grid"].split(",")))
+        for dest, field in dests.items():
+            assert parsed[dest] == defaults[field], dest
 
     def test_module_entry_point(self, workdir):
         out = workdir / "sub.tsv"
