@@ -114,7 +114,8 @@ def _stratified_split(y, fraction, rng, classes=None):
     always keep one in the first.
     """
     first, second = [], []
-    for cls in np.unique(y) if classes is None else range(len(classes)):
+    # the classes present in ascending order, as np.unique gives them, without numpy.ma
+    for cls in np.flatnonzero(np.bincount(y)) if classes is None else range(len(classes)):
         members = np.flatnonzero(y == cls)
         if classes is not None and members.size < 2:
             raise InputError(f"class {classes[cls]!r} has only {members.size} samples; "
@@ -141,6 +142,8 @@ def fit(X, y, protocol: TrainProtocol, rng: np.random.Generator,
     n_classes = int(y.max(initial=0)) + 1
     if n_classes < 2:
         raise InputError("need at least 2 classes to fit a classifier")
+    if y.min() < 0:
+        raise InputError("class indices must be non-negative")
 
     train_idx, val_idx = _stratified_split(y, protocol.val_fraction, rng)
     if val_idx.size == 0:

@@ -11,6 +11,7 @@ numerical-policy error (--strict, or a non-finite z-norm or training result),
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Iterator
@@ -439,5 +440,19 @@ def main(argv=None) -> int:
             Path(tmp).unlink(missing_ok=True)
 
 
+def run() -> None:
+    """Entry point of ``python -m pmean`` and the ``pmean`` script: exit with main's code.
+
+    Once main has returned or raised, every live object is frozen
+    (``gc.freeze``), so the collections the interpreter runs while it exits
+    skip them, numpy's module graph included. main never freezes: in-process
+    callers keep a collector that frees their cycles.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

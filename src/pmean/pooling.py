@@ -350,7 +350,8 @@ def znorm_apply(params: ZNormParams, X: np.ndarray) -> np.ndarray:
             f"znorm_apply: {X.shape[-1]} columns vs {params.mean.shape[0]} fitted"
         )
     with np.errstate(all="ignore"):
-        Z = (X - params.mean) / params.std
+        Z = X - params.mean  # a new array: the caller's X is never written
+        Z /= params.std
     if not np.isfinite(Z).all():
         raise NumericalPolicyError("z-normalization overflows: a standardized value is not finite")
     return Z

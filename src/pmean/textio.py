@@ -14,7 +14,6 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .errors import FormatError
 
@@ -30,6 +29,8 @@ def float_row_text(row: np.ndarray, sep: str) -> str:
     orjson formats the whole row as float64; only the values outside repr's
     positional band are formatted again, with repr.
     """
+    import orjson  # here, so that the commands that write no float row never load it
+
     row = np.ascontiguousarray(row, dtype=np.float64)  # what orjson's numpy option takes
     text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
     magnitude = np.abs(row)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmean.classifier
 from pmean.classifier import (
     SoftmaxModel,
     TrainProtocol,
@@ -234,6 +235,11 @@ class TestFit:
         with pytest.raises(InputError):
             fit(X, np.zeros(10, dtype=int), TrainProtocol(), np.random.default_rng(0))
 
+    def test_negative_class_index_rejected(self):
+        X, y = make_blobs(n_classes=3, seed=3)
+        with pytest.raises(InputError, match="class indices must be non-negative"):
+            fit(X, y - 1, TrainProtocol(), np.random.default_rng(0))
+
     def test_non_finite_winner_raises_naming_its_rate(self):
         X, y = make_blobs(seed=3)
         with pytest.raises(NumericalPolicyError, match=r"learning rate 1e\+308 ended non-finite"):
@@ -245,6 +251,25 @@ class TestFit:
         model = fit(X, y, protocol, np.random.default_rng(0))
         assert np.isfinite(model.weights).all()
         assert metrics(y, model.predict(X), "accuracy", 2) >= 0.99
+
+    @pytest.mark.parametrize("n_per_class, held_out", [(20, True), (3, False)])
+    def test_rates_are_scored_on_the_validation_rows(self, monkeypatch, n_per_class, held_out):
+        # 10% of 3 rows rounds to none held out, and then the train rows score the rates
+        X, y = make_blobs(n_per_class=n_per_class, seed=4)
+        protocol = TrainProtocol(max_epochs=2)
+        scored = []
+
+        def spy(y_true, y_pred, metric_kind, n_classes):
+            scored.append(np.asarray(y_true))
+            return metrics(y_true, y_pred, metric_kind, n_classes)
+
+        monkeypatch.setattr(pmean.classifier, "metrics", spy)
+        fit(X, y, protocol, np.random.default_rng(6))
+        train_idx, val_idx = _stratified_split(y, protocol.val_fraction, np.random.default_rng(6))
+        assert (val_idx.size > 0) == held_out
+        expected = y[val_idx] if held_out else y[train_idx]
+        assert len(scored) == len(protocol.lr_grid)
+        assert all(np.array_equal(got, expected) for got in scored)
 
     def test_loss_nonincreasing_on_separable_data(self):
         X, y = make_blobs(seed=11)
@@ -318,6 +343,46 @@ class TestBatchedCells:
         best = min(scored, key=lambda c: (c[0], c[1]))[2]
         assert np.array_equal(model.weights, best.weights)
         assert np.array_equal(model.bias, best.bias)
+
+
+def stratified_split_reference(y, fraction, rng, classes=None):
+    """_stratified_split one class at a time in plain Python, over sorted(set(y)) without classes."""
+    labels = sorted(set(y.tolist())) if classes is None else range(len(classes))
+    first, second = [], []
+    for cls in labels:
+        members = [i for i, label in enumerate(y.tolist()) if label == cls]
+        if classes is not None and len(members) < 2:
+            raise InputError(f"class {classes[cls]!r} has only {len(members)} samples")
+        members = rng.permutation(np.array(members, dtype=np.intp)).tolist()
+        k = min(max(round(fraction * len(members)), 0 if classes is None else 1),
+                len(members) - 1)
+        second += members[:k]
+        first += members[k:]
+    return sorted(first), sorted(second)
+
+
+class TestStratifiedSplit:
+    FRACTIONS = [0.0, 0.2, 0.4, 0.5, 0.7, 1.0]
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_classes_with_gaps_match_the_reference(self, fraction, seed):
+        y = np.array([5, 2, 0, 5, 2, 5])  # classes {0, 2, 5} of sizes 1, 2 and 3
+        first, second = _stratified_split(y, fraction, np.random.default_rng(seed))
+        assert first.dtype == second.dtype == np.intp
+        want = stratified_split_reference(y, fraction, np.random.default_rng(seed))
+        assert (first.tolist(), second.tolist()) == want
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_named_classes_of_two_and_three_match_the_reference(self, fraction, seed):
+        y = np.array([1, 0, 2, 1, 2, 0, 2, 1])  # sizes 2, 3 and 3
+        classes = ("a", "b", "c")
+        first, second = _stratified_split(y, fraction, np.random.default_rng(seed), classes)
+        want = stratified_split_reference(y, fraction, np.random.default_rng(seed), classes)
+        assert (first.tolist(), second.tolist()) == want
+        for cls in range(len(classes)):  # one of each class on each side
+            assert cls in y[first] and cls in y[second]
 
 
 class TestMetrics:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -1157,14 +1158,72 @@ class TestUsage:
 
     def test_module_entry_point(self, workdir):
         out = workdir / "sub.tsv"
-        env = dict(os.environ)
-        src = str(Path(pmean.cli.__file__).parents[1])  # the child imports this same package
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pmean", "embed",
-             "--config", str(workdir / "cfg.txt"),
-             "--input", str(workdir / "sentences.txt"), "--output", str(out)],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        code, err = run_module("embed", "--config", workdir / "cfg.txt",
+                               "--input", workdir / "sentences.txt", "--output", out)
+        assert code == 0, err
         assert len(out.read_text().splitlines()) == 3
+
+
+def run_module(*argv) -> tuple[int, str]:
+    """``python -m pmean argv`` in a new interpreter: its exit code and stderr."""
+    env = dict(os.environ)
+    src = str(Path(pmean.cli.__file__).parents[1])  # the child imports this same package
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pmean", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+class TestProcessExit:
+    """A process exits through cli.run, which freezes the collector once main is done."""
+
+    def test_usage_error_exits_64_after_the_usage(self):
+        code, err = run_module("embed", "--config")
+        assert code == 64
+        assert err.startswith("usage: pmean embed ")
+        assert err.endswith("\npmean embed: error: argument --config: expected one argument\n")
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+    def test_missing_input_exits_2_with_one_line(self, workdir):
+        missing = workdir / "missing.txt"
+        code, err = run_module("embed", "--config", workdir / "cfg.txt", "--input", missing,
+                               "--output", workdir / "o.tsv")
+        assert code == 2
+        assert err.startswith("pmean: ") and str(missing) in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_strict_embed_exits_3_with_one_line(self, workdir):
+        write(workdir / "signed.txt", "alpha -1.0 2.0\n")  # p = 0.5 of -1.0 is undefined
+        write(workdir / "signed.cfg", "space=s p=0.5 path=signed.txt\n")
+        code, err = run_module("embed", "--config", workdir / "signed.cfg",
+                               "--input", workdir / "sentences.txt",
+                               "--output", workdir / "o.tsv", "--strict")
+        assert code == 3
+        assert err.startswith("pmean: numerical policy error: power mean undefined for p=0.5")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not list(workdir.glob("o.tsv*"))
+
+    @pytest.mark.parametrize("returns", [0, 2, 3, SystemExit(64)], ids=str)
+    def test_run_exits_with_mains_code_and_freezes_after_it(self, monkeypatch, returns):
+        calls = []
+
+        def fake_main():
+            calls.append("main")
+            if isinstance(returns, SystemExit):
+                raise returns
+            return returns
+
+        monkeypatch.setattr(pmean.cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            pmean.cli.run()
+        assert exc.value.code == (returns.code if isinstance(returns, SystemExit) else returns)
+        assert calls == ["main", "freeze"]
+
+    def test_main_in_process_freezes_nothing(self, workdir):
+        before = gc.get_freeze_count()
+        assert main(["embed", "--config", str(workdir / "cfg.txt"),
+                     "--input", str(workdir / "sentences.txt"),
+                     "--output", str(workdir / "o.tsv")]) == 0
+        assert run_quietly(["embed", "--config"])[0] == 64
+        assert gc.get_freeze_count() == before

@@ -69,6 +69,12 @@ def command(fx: Path, name: str, out: Path) -> list[str]:
                              "--shared-dim", "8", "--epochs", "3"],
         "eval": ["eval", "--config", fx / "ab.cfg", "--task", fx / "mixed.tsv",
                  "--out", out / "r", "--runs", "2"],
+        "eval-transfer": ["eval-transfer", "--source-config", fx / "bi.cfg",
+                          "--target-config", fx / "bi.cfg", "--train-task", fx / "blobs_en.tsv",
+                          "--test-task", fx / "blobs_xx.tsv", "--out", out / "t", "--runs", "2",
+                          "--znorm"],
+        "sweep": ["sweep", "--config", fx / "ab.cfg", "--p-set", "1", "--p-set", "1,inf",
+                  "--task", fx / "mixed.tsv", "--out", out / "s", "--runs", "2"],
     }[name]
 
 
@@ -86,12 +92,18 @@ def test_parsing_alone_loads_no_numpy(tmp_path, argv, code):
 @pytest.mark.parametrize("name, never", [
     ("embed", ["pmean.classifier", "pmean.optim", "pmean.evaluation", "pmean.projection"]),
     ("train-projection", ["pmean.classifier", "pmean.evaluation"]),
+    # classes are split without np.unique, which imports numpy.ma
+    ("eval", ["pmean.projection", "numpy.ma"]),
+    ("eval-transfer", ["pmean.projection", "numpy.ma"]),
+    ("sweep", ["pmean.projection", "numpy.ma"]),
 ])
 def test_a_command_imports_only_what_it_runs(tmp_path, fx, name, never):
     probe = run_fresh(tmp_path, command(fx, name, tmp_path))
     assert probe["exit"] == 0
     assert "pmean.pooling" in probe["modules"]
     assert not set(never) & set(probe["modules"])
+    # orjson loads only to write float rows: embed's TSV, the model JSON
+    assert ("orjson" in probe["modules"]) == (name in ("embed", "train-projection"))
 
 
 # the pmean.cli names perfbench/tracing.py wraps, their defining modules, and a command calling each

@@ -702,6 +702,27 @@ class TestZNorm:
         with pytest.raises(DimensionError):
             znorm_apply(znorm_fit(np.ones((2, 3))), np.ones((2, 4)))
 
+    def test_fit_on_no_rows_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="N >= 1"):
+            znorm_fit(np.empty((0, 3)))
+
+    def test_apply_is_the_formula_bit_for_bit_and_leaves_its_input(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(3.0, 2.5, size=(40, 6)) * np.logspace(-3, 3, 6)
+        params = znorm_fit(X[:25])
+        before = X.copy()
+        for rows in (X, X[7]):  # a matrix, and a single vector
+            Z = znorm_apply(params, rows)
+            assert np.array_equal(Z, (rows - params.mean) / params.std)
+            assert not np.shares_memory(Z, X)
+        assert np.array_equal(X, before)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_apply_rejects_a_non_finite_entry(self, bad):
+        params = znorm_fit(np.array([[0.0, 1.0], [1.0, 3.0]]))
+        with pytest.raises(NumericalPolicyError, match="a standardized value is not finite"):
+            znorm_apply(params, np.array([[0.5, 2.0], [0.25, bad]]))
+
 
 class TestConfigGrammar:
     def test_round_trip_preserves_p_order(self):
