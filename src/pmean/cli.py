@@ -114,7 +114,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="global seed (default: $PMEAN_SEED or 0)")
-    p.add_argument("--no-lowercase", action="store_true",
+    p.add_argument("--no-lowercase", dest="lowercase", action="store_false",
                    help="keep token case when tokenizing")
     p.add_argument("--oov", choices=("skip", "zero"), default="skip",
                    help="out-of-vocabulary handling")
@@ -140,8 +140,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("embed", help="embed sentences with a pooled config")
-    p.add_argument("--config", required=True, help="pooled-space config file")
-    p.add_argument("--input", required=True, help="sentences, one per line")
+    p.add_argument("--config", required=True, type=Path, help="pooled-space config file")
+    p.add_argument("--input", required=True, type=Path, help="sentences, one per line")
     p.add_argument("--output", required=True, help="TSV matrix output path")
     p.add_argument("--znorm", action="store_true",
                    help="standardize over the whole input; params go in the manifest")
@@ -149,9 +149,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("train-projection", help="train the bilingual tanh maps")
-    p.add_argument("--source-embeddings", required=True)
-    p.add_argument("--target-embeddings", required=True)
-    p.add_argument("--pairs", required=True,
+    p.add_argument("--source-embeddings", required=True, type=Path)
+    p.add_argument("--target-embeddings", required=True, type=Path)
+    p.add_argument("--pairs", required=True, type=Path,
                    help="parallel sentences: source TAB target per line")
     p.add_argument("--model-out", required=True)
     p.add_argument("--history-out", required=True, help="per-epoch loss CSV")
@@ -165,29 +165,29 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train_projection)
 
     p = sub.add_parser("eval", help="score one task with one pooled config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--task", required=True)
+    p.add_argument("--config", required=True, type=Path)
+    p.add_argument("--task", required=True, type=Path)
     p.add_argument("--out", required=True, help="report base path (.json/.md appended)")
     _add_protocol(p)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("eval-transfer", help="train on one language, test on another")
-    p.add_argument("--source-config", required=True)
-    p.add_argument("--target-config", required=True)
-    p.add_argument("--train-task", required=True)
-    p.add_argument("--test-task", required=True)
+    p.add_argument("--source-config", required=True, type=Path)
+    p.add_argument("--target-config", required=True, type=Path)
+    p.add_argument("--train-task", required=True, type=Path)
+    p.add_argument("--test-task", required=True, type=Path)
     p.add_argument("--out", required=True)
     _add_protocol(p)
     _add_common(p)
     p.set_defaults(func=cmd_eval_transfer)
 
     p = sub.add_parser("sweep", help="evaluate several p-value sets over fixed spaces")
-    p.add_argument("--config", required=True,
+    p.add_argument("--config", required=True, type=Path,
                    help="config file naming the spaces (its p values are ignored)")
-    p.add_argument("--p-set", action="append", required=True,
+    p.add_argument("--p-set", dest="p_sets", metavar="P_SET", action="append", required=True,
                    help="comma-separated p values; repeat for more rows")
-    p.add_argument("--task", action="append", required=True,
+    p.add_argument("--task", action="append", required=True, type=Path,
                    help="task file; repeat for more columns")
     p.add_argument("--out", required=True)
     _add_protocol(p)
@@ -211,14 +211,9 @@ def _seed_of(args) -> int:
     return seed
 
 
-def _text_options(args) -> dict:
-    """--oov, --strict and --no-lowercase as PooledConfig fields, which are also manifest keys."""
-    return {"oov": args.oov, "strict": args.strict, "lowercase": not args.no_lowercase}
-
-
 def _pooled(parts, args) -> PooledConfig:
     """A config over these parts with the command's text options."""
-    return PooledConfig(parts, **_text_options(args))
+    return PooledConfig(parts, oov=args.oov, strict=args.strict, lowercase=args.lowercase)
 
 
 def _load_config(config_path, args, manifest: RunManifest,
@@ -284,36 +279,36 @@ def _projection_config_of(args, seed: int) -> ProjectionTrainConfig:
     )
 
 
-def _manifest(args, seed: int, output, config: dict) -> RunManifest:
-    """The run's manifest, written beside ``output``; the text options join ``config``."""
-    return RunManifest(command=args.command, config={**config, **_text_options(args)},
-                       seeds={"seed": seed}, directory=Path(output).parent)
+# Options no manifest records: the subcommand, which "command" names; the seed,
+# which "seeds" holds resolved; and the outputs, which change no output byte.
+_UNRECORDED = ("command", "func", "seed", "output", "model_out", "history_out", "out")
 
 
-def _eval_manifest(args, seed: int) -> RunManifest:
-    return _manifest(args, seed, args.out, {
-        "runs": args.runs, "epochs": args.epochs, "batch_size": args.batch_size,
-        "lr_grid": args.lr_grid, "val_fraction": args.val_fraction,
-        "test_fraction": args.test_fraction, "znorm": args.znorm,
-    })
+def _manifest(args, seed: int, output) -> RunManifest:
+    """The run's manifest, written beside ``output``. Its config holds every other
+    option under its dest, a repeated one as a list in argument order; an input
+    file is parsed as a Path, which the manifest names relative to its directory."""
+    config = {dest: value for dest, value in vars(args).items() if dest not in _UNRECORDED}
+    return RunManifest(command=args.command, config=config, seeds={"seed": seed},
+                       directory=Path(output).parent)
 
 
-def _report_outputs(base, report: EvalReport, manifest: RunManifest) -> dict[str, str]:
+def _report_outputs(base, report: EvalReport, manifest: RunManifest) -> list[tuple[str, str]]:
     """The report as JSON and markdown, then the manifest, at ``base`` plus a suffix."""
-    return {f"{base}.json": emit_report(report, "json"),
-            f"{base}.md": emit_report(report, "markdown"),
-            f"{base}.manifest.json": manifest.to_json()}
+    return [(f"{base}.json", emit_report(report, "json")),
+            (f"{base}.md", emit_report(report, "markdown")),
+            (f"{base}.manifest.json", manifest.to_json())]
 
 
 # --- commands -----------------------------------------------------------------
-# Each takes the parsed options and the seed, and returns {path: text} in the
-# order main writes them, the manifest last. A text is a str, or an iterable of
-# str chunks that main streams into the staged file (embed's TSV).
+# Each takes the parsed options and the seed, and returns (path, text) pairs in
+# the order main writes them, the manifest last. A text is a str, or an iterable
+# of str chunks that main streams into the staged file (embed's TSV).
 
 
-def cmd_embed(args, seed: int) -> dict[str, str | Iterator[str]]:
+def cmd_embed(args, seed: int) -> list[tuple[str, str | Iterator[str]]]:
     _bind("embeddings", "pooling", "textio")
-    manifest = _manifest(args, seed, args.output, {"znorm": args.znorm})
+    manifest = _manifest(args, seed, args.output)
     cfg = _load_config(args.config, args, manifest)
     manifest.config["pooling"] = [
         {"space": part.space.name, "p": [format_p(p) for p in part.p_values]}
@@ -336,16 +331,13 @@ def cmd_embed(args, seed: int) -> dict[str, str | Iterator[str]]:
 
     # formatted row by row as main writes them, so the TSV is never whole in memory
     rows = (float_row_text(row, "\t") + "\n" for row in X)
-    return {args.output: rows, f"{args.output}.manifest.json": manifest.to_json()}
+    return [(args.output, rows), (f"{args.output}.manifest.json", manifest.to_json())]
 
 
-def cmd_train_projection(args, seed: int) -> dict[str, str]:
+def cmd_train_projection(args, seed: int) -> list[tuple[str, str]]:
     _bind("embeddings", "pooling", "projection", "textio")
     cfg = _projection_config_of(args, seed)
-    manifest = _manifest(args, seed, args.model_out, {
-        "shared_dim": cfg.shared_dim, "margin": cfg.margin, "dropout": cfg.dropout_rate,
-        "epochs": cfg.max_epochs, "batch_size": cfg.batch_size, "step_size": cfg.step_size,
-    })
+    manifest = _manifest(args, seed, args.model_out)
     src_space = load_text_embeddings(args.source_embeddings)
     tgt_space = load_text_embeddings(args.target_embeddings)
     manifest.add_input(args.source_embeddings, sha256=src_space.sha256)
@@ -370,13 +362,13 @@ def cmd_train_projection(args, seed: int) -> dict[str, str]:
 
     history_csv = "epoch,mean_loss\n" + "".join(
         f"{epoch},{loss!r}\n" for epoch, loss in enumerate(history, start=1))
-    return {args.model_out: projection_json(model), args.history_out: history_csv,
-            f"{args.model_out}.manifest.json": manifest.to_json()}
+    return [(args.model_out, projection_json(model)), (args.history_out, history_csv),
+            (f"{args.model_out}.manifest.json", manifest.to_json())]
 
 
-def cmd_eval(args, seed: int) -> dict[str, str]:
+def cmd_eval(args, seed: int) -> list[tuple[str, str]]:
     _bind("embeddings", "evaluation", "pooling", "textio")
-    manifest = _eval_manifest(args, seed)
+    manifest = _manifest(args, seed, args.out)
     cfg = _load_config(args.config, args, manifest)
     ds = load_task(args.task)
     manifest.add_input(args.task)
@@ -384,9 +376,9 @@ def cmd_eval(args, seed: int) -> dict[str, str]:
     return _report_outputs(args.out, report, manifest)
 
 
-def cmd_eval_transfer(args, seed: int) -> dict[str, str]:
+def cmd_eval_transfer(args, seed: int) -> list[tuple[str, str]]:
     _bind("embeddings", "evaluation", "pooling", "textio")
-    manifest = _eval_manifest(args, seed)
+    manifest = _manifest(args, seed, args.out)
     loaded = {}  # both configs often name one bilingual file; parse and hash it once
     cfg_src = _load_config(args.source_config, args, manifest, loaded)
     cfg_tgt = _load_config(args.target_config, args, manifest, loaded)
@@ -397,12 +389,11 @@ def cmd_eval_transfer(args, seed: int) -> dict[str, str]:
     return _report_outputs(args.out, report, manifest)
 
 
-def cmd_sweep(args, seed: int) -> dict[str, str]:
+def cmd_sweep(args, seed: int) -> list[tuple[str, str]]:
     _bind("embeddings", "evaluation", "pooling", "textio")
-    manifest = _eval_manifest(args, seed)
-    manifest.config["p_sets"] = args.p_set
+    manifest = _manifest(args, seed, args.out)
     cfg = _load_config(args.config, args, manifest)
-    p_sets = [[parse_p(tok) for tok in ps.split(",") if tok] for ps in args.p_set]
+    p_sets = [[parse_p(tok) for tok in ps.split(",") if tok] for ps in args.p_sets]
 
     tasks = []
     for task_path in args.task:
@@ -416,7 +407,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     staged = {}  # output path -> the temp file holding its text, until renamed
     try:
-        for path, text in args.func(args, _seed_of(args)).items():
+        outputs = args.func(args, _seed_of(args))
+        files = [os.path.realpath(path) for path, _ in outputs]
+        for (path, _), file in zip(outputs, files):
+            if files.count(file) > 1:
+                raise InputError(f"{path}: two outputs would write this file")
+        for path, text in outputs:
             if Path(path).is_dir():  # caught here, the rename into place cannot fail on it
                 raise InputError(f"{path}: output path is a directory")
             staged[path] = temp_beside(path)

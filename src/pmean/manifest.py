@@ -1,10 +1,10 @@
 """Run manifests: enough provenance to make any CLI run reproducible.
 
-A manifest records the command, every resolved option, the seeds, SHA-256
-digests of all input files, each keyed by its path relative to the directory
-the manifest is written to, and the ``pmean.__version__`` that wrote it. Two
-runs with equal manifests write byte-identical outputs, and the same run from
-another directory writes the same manifest.
+A manifest records the command, every option but the outputs under its argparse
+dest (the seed resolved, under ``seeds``), SHA-256 digests of all input files and
+the ``pmean.__version__`` that wrote it, naming each file relative to the
+manifest's directory. Equal manifests mean byte-identical outputs, whatever their
+paths, and one run writes the same manifest from any directory.
 """
 from __future__ import annotations
 
@@ -36,9 +36,13 @@ class RunManifest:
         file only when none is given; returns the digest recorded."""
         if sha256 is None:
             sha256 = sha256_file(path)
-        key = Path(os.path.relpath(path, self.directory)).as_posix()
-        self.inputs[key] = f"sha256:{sha256}"
+        self.inputs[self.relative(path)] = f"sha256:{sha256}"
         return sha256
+
+    def relative(self, path) -> str:
+        """How the manifest names a file, an input's key or a Path in ``config``:
+        ``path`` relative to the manifest's directory, with ``/`` separators."""
+        return Path(os.path.relpath(path, self.directory)).as_posix()
 
     def to_json(self) -> str:
         doc = {
@@ -49,7 +53,7 @@ class RunManifest:
             "tool_version": __version__,
         }
         doc.update(self.extra)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, default=self.relative) + "\n"
 
 
 def sha256_file(path) -> str:

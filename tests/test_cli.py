@@ -20,7 +20,7 @@ import pmean.cli
 import pmean.projection
 from pmean.classifier import TrainProtocol
 from pmean.cli import main
-from pmean.embeddings import load_text_embeddings
+from pmean.embeddings import load_text_embeddings, save_text_embeddings
 from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 from pmean.projection import ProjectionTrainConfig, init_projection, load_projection
 from test_acceptance import build_cli_fixture
@@ -657,6 +657,9 @@ class TestEvalCommands:
         assert sorted(shared.pop("inputs")) == sorted(["en.cfg", "de.cfg", "one.txt", en, de])
         assert sorted(copied.pop("inputs")) == sorted(["en.cfg", "de_copy.cfg", "one.txt",
                                                        "copy.txt", en, de])
+        # the runs differ only in the target config they name, and so do the manifests
+        assert shared["config"].pop("target_config") == "de.cfg"
+        assert copied["config"].pop("target_config") == "de_copy.cfg"
         assert shared == copied
 
     def test_sweep_two_rows(self, workdir):
@@ -890,7 +893,86 @@ class TestConfig:
         assert (workdir / "never.tsv").read_bytes() == want
 
 
+# the options of command_argv's runs that name outputs, which no manifest records
+OUTPUT_DESTS = {"embed": ["output"], "train-projection": ["model_out", "history_out"],
+                "eval": ["out"], "eval-transfer": ["out"], "sweep": ["out"]}
+
+# Runs on the fixtures workspace, each after the options whose two values the
+# test swaps: two files' roles, or the order of --task; {out} is the output directory.
+TRANSFER = ["eval-transfer", "--out", "{out}/r", "--runs", "2", "--epochs", "5",
+            "--source-config", "{fx}/bi.cfg"]
+ROLE_SWAPS = {
+    "tasks": (("--train-task", "--test-task"), [
+        *TRANSFER, "--target-config", "{fx}/bi.cfg",
+        "--train-task", "{fx}/blobs_en.tsv", "--test-task", "{fx}/blobs_xx.tsv"]),
+    "configs": (("--source-config", "--target-config"), [
+        *TRANSFER, "--target-config", "{fx}/rolled.cfg",
+        "--train-task", "{fx}/blobs_en.tsv", "--test-task", "{fx}/blobs_xx.tsv"]),
+    "embedding files": (("--source-embeddings", "--target-embeddings"), [
+        "train-projection", "--source-embeddings", "{fx}/bilingual.txt",
+        "--target-embeddings", "{fx}/rolled.txt", "--pairs", "{fx}/pairs.tsv",
+        "--model-out", "{out}/m.json", "--history-out", "{out}/h.csv",
+        "--shared-dim", "8", "--epochs", "2"]),
+    "task order": (("--task",), [
+        "sweep", "--config", "{fx}/ab.cfg", "--p-set", "1,inf", "--out", "{out}/r",
+        "--task", "{fx}/mixed.tsv", "--task", "{fx}/blobs_en.tsv", "--runs", "2", "--epochs", "5"]),
+}
+
+
 class TestManifest:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_option_but_the_outputs_is_recorded(self, workdir, command):
+        argv = command_argv(workdir, command)
+        assert main(argv) == 0
+        (path,) = workdir.glob("never*.manifest.json")
+        manifest = json.loads(path.read_text())
+        parsed = vars(pmean.cli.build_parser().parse_args(argv))
+        for dest in ("command", "func", "seed", *OUTPUT_DESTS[command]):
+            assert dest not in manifest["config"]
+            del parsed[dest]
+
+        def named(value):  # an input file by its path from the manifest's directory
+            return os.path.relpath(value, workdir) if isinstance(value, Path) else value
+
+        for dest, value in parsed.items():
+            want = [named(v) for v in value] if isinstance(value, list) else named(value)
+            assert manifest["config"][dest] == want, dest
+            if isinstance(value, Path):
+                assert want in manifest["inputs"]
+        assert set(manifest["config"]) - set(parsed) <= {"pooling"}  # embed's parsed config
+
+    @pytest.fixture
+    def swap_fx(self, fx):
+        """The fixtures workspace plus a config over bilingual.txt's vectors, each
+        moved to the next word."""
+        write(fx / "rolled.cfg", "space=bi p=1,inf path=rolled.txt\n")
+        space = load_text_embeddings(fx / "bilingual.txt")
+        save_text_embeddings(dataclasses.replace(space, matrix=np.roll(space.matrix, 1, axis=0)),
+                             fx / "rolled.txt")
+        return fx
+
+    @pytest.mark.parametrize("swap", ROLE_SWAPS)
+    def test_a_swap_of_roles_that_moves_an_output_moves_the_manifest(self, tmp_path, swap_fx,
+                                                                       swap):
+        flags, argv = ROLE_SWAPS[swap]
+        i, j = (k + 1 for k, arg in enumerate(argv) if arg in flags)
+        swapped = list(argv)
+        swapped[i], swapped[j] = argv[j], argv[i]
+
+        def run(argv, out):
+            (tmp_path / out).mkdir()
+            assert main([arg.format(fx=swap_fx, out=tmp_path / out) for arg in argv]) == 0
+            files = {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+            (manifest,) = (name for name in files if name.endswith(".manifest.json"))
+            return files.pop(manifest), files
+
+        manifest, outputs = run(argv, "a")
+        swapped_manifest, swapped_outputs = run(swapped, "b")
+        assert outputs != swapped_outputs
+        assert manifest != swapped_manifest
+        # equal options in another directory: equal outputs and an equal manifest
+        assert run(argv, "c") == (manifest, outputs)
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_same_run_in_two_directories_writes_identical_manifests(self, tmp_path, command):
         manifests = []
@@ -916,6 +998,31 @@ class TestManifest:
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("model, history", [
+        ("X", "X"), ("X", "X.manifest.json"), ("d/../X", "X"),
+    ])
+    def test_two_outputs_naming_one_file_exit_2_and_write_nothing(self, workdir, capsys,
+                                                                  model, history):
+        before = sorted(workdir.rglob("*"))
+        argv = [*command_argv(workdir, "train-projection"),
+                "--model-out", str(workdir / model), "--history-out", str(workdir / history)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(": two outputs would write this file\n") and err.count("\n") == 1
+        assert sorted(workdir.rglob("*")) == before  # no output, no temp file, no directory
+
+    def test_an_output_may_replace_an_input_it_has_read(self, workdir):
+        argv = command_argv(workdir, "embed")
+        assert main(argv) == 0
+        sentences = workdir / "sentences.txt"
+        digest = json.loads((workdir / "never.tsv.manifest.json").read_text())["inputs"][
+            "sentences.txt"]
+        argv[argv.index("--output") + 1] = str(sentences)
+        assert main(argv) == 0
+        assert sentences.read_bytes() == (workdir / "never.tsv").read_bytes()
+        replaced = json.loads((workdir / "sentences.txt.manifest.json").read_text())
+        assert replaced["inputs"]["sentences.txt"] == digest  # the text it read, not its output
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_unwritable_output_exits_2_and_leaves_nothing(self, workdir, capsys, command):
         blocker = write(workdir / "blocker", "a regular file, not a directory\n")

@@ -15,8 +15,6 @@ import pmean
 import pmean.cli
 import pmean.pooling
 
-REPO = Path(__file__).resolve().parents[1]
-
 # Runs pmean's __main__ with argv[2:] after the setup code, then writes the
 # exit code, the loaded modules and the setup's findings to argv[1] as JSON.
 PROBE = """\
@@ -46,25 +44,14 @@ def run_fresh(tmp_path: Path, argv: list[str], setup: str = "") -> dict:
     return json.loads(report.read_text())
 
 
-@pytest.fixture(scope="module")
-def fx(tmp_path_factory):
-    """The demo workspace that scripts/make_fixtures.py writes."""
-    root = tmp_path_factory.mktemp("fx")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, str(REPO / "scripts" / "make_fixtures.py"), "--out", str(root)],
-                   env=env, check=True, capture_output=True)
-    return root
-
-
 def command(fx: Path, name: str, out: Path) -> list[str]:
     return {
         "embed": ["embed", "--config", fx / "ab.cfg", "--input", fx / "sentences.txt",
                   "--output", out / "e.tsv"],
         "embed --znorm": ["embed", "--config", fx / "ab.cfg", "--input", fx / "sentences.txt",
                           "--output", out / "e.tsv", "--znorm"],
-        "train-projection": ["train-projection", "--source-embeddings", fx / "space_a.txt",
-                             "--target-embeddings", fx / "space_b.txt", "--pairs", fx / "pairs.tsv",
+        "train-projection": ["train-projection", "--source-embeddings", fx / "bilingual.txt",
+                             "--target-embeddings", fx / "bilingual.txt", "--pairs", fx / "pairs.tsv",
                              "--model-out", out / "m.json", "--history-out", out / "h.csv",
                              "--shared-dim", "8", "--epochs", "3"],
         "eval": ["eval", "--config", fx / "ab.cfg", "--task", fx / "mixed.tsv",

@@ -90,6 +90,31 @@ class TestInit:
         assert m.dims == (4, 5, 3)
         assert m.W_l.shape == (3, 4) and m.W_k.shape == (3, 5)
 
+    @pytest.mark.parametrize("e, f, d, seed", [(4, 5, 3, 0), (1, 7, 2, 9), (30, 2, 5, 4)])
+    def test_weights_are_the_glorot_uniform_draw(self, e, f, d, seed):
+        # redrawn from the formula, U(-a, a) with a = sqrt(6 / (fan_in + d)), so a
+        # changed constant moves the weights even where they stay within a bound
+        rng = np.random.default_rng(seed)
+        a_l, a_k = math.sqrt(6 / (e + d)), math.sqrt(6 / (f + d))
+        m = init_projection(e, f, d, seed=seed)
+        assert np.array_equal(m.W_l, rng.uniform(-a_l, a_l, size=(d, e)))
+        assert np.array_equal(m.W_k, rng.uniform(-a_k, a_k, size=(d, f)))
+
+
+class TestCorpus:
+    def test_rejects_no_pairs_and_takes_one(self):
+        with pytest.raises(InputError, match="parallel corpus is empty"):
+            ParallelCorpus(np.ones((0, 3)), np.ones((0, 2)))
+        assert len(ParallelCorpus(np.ones((1, 3)), np.ones((1, 2)))) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    def test_derangement_is_a_permutation_without_fixed_points(self, n, seed):
+        # at small n the draw often fixes one point or two, which the repair must move
+        perm = _derangement(np.random.default_rng(seed), n)
+        assert sorted(perm.tolist()) == list(range(n))
+        assert not (perm == np.arange(n)).any()
+
 
 class TestProject:
     def test_zero_maps_to_zero(self):
@@ -474,9 +499,11 @@ class TestTraining:
         assert len(history) == 3
 
     def test_too_small_corpus_rejected(self):
-        with pytest.raises(InputError):
-            train_projection(ParallelCorpus(np.ones((1, 3)), np.ones((1, 3))),
-                             ProjectionTrainConfig(shared_dim=2))
+        cfg = ProjectionTrainConfig(shared_dim=2, max_epochs=2)
+        with pytest.raises(InputError, match="at least 2 pairs"):
+            train_projection(ParallelCorpus(np.ones((1, 3)), np.ones((1, 3))), cfg)
+        _, history = train_projection(ParallelCorpus(np.eye(2, 3), np.eye(2, 3)), cfg)
+        assert len(history) == 2 and all(map(math.isfinite, history))
 
     def test_true_pairs_beat_mismatched_by_margin(self):
         corpus = identity_corpus(seed=9)
