@@ -135,7 +135,14 @@ def _add_protocol(p: _Parser) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pmean", description=__doc__)
+    parser = _Parser(
+        prog="pmean",
+        description="Power-mean sentence embeddings, a bilingual projection between two "
+                    "languages' word vectors, and classification scores for both. Run "
+                    "'pmean COMMAND --help' for a command's options.",
+        epilog="exit codes: 0 ok; 2 input or format error, or out of memory; 3 numerical "
+               "policy error (--strict, or a non-finite z-norm or training result); "
+               "64 usage error.")
     parser.add_argument("--version", action="version", version=f"pmean {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

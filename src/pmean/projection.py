@@ -111,14 +111,17 @@ def _side_params(model: ProjectionModel, side: str):
 
 
 def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params):
-    """Mean hinge loss over a batch of triples plus analytic parameter gradients.
+    """Per-triple hinge terms of a batch plus the analytic gradients of their clipped mean.
 
     ``params`` holds W_l, b_l, W_k and b_k as in ProjectionModel.params().
-    Accepts single vectors or B x dim stacks. Gradients are exact except at
-    the hinge kink and at guarded zero-norm projections, where the
-    subgradient 0 is used. They are written into ``out``, arrays shaped like
-    ``params`` (the trainer passes views of one flat gradient vector), and
-    the filled dict is returned.
+    Accepts single vectors or B x dim stacks. Returns ``(losses, out)``:
+    ``losses`` is the (B,) array of unclipped terms ``margin - cos_st +
+    cos_su``, and ``_clipped_mean(losses)`` is the batch loss, which the
+    trainer does not compute. Gradients are exact except at the hinge kink
+    and at guarded zero-norm projections, where the subgradient 0 is used.
+    They are written into ``out``, arrays shaped like ``params`` (the
+    trainer passes views of one flat gradient vector), and the filled dict
+    is returned.
     """
     Xs, Xt, Xu, R = _project_triples(params, Xs, Xt, Xu)
     RR = R * R  # the row norms' squares, then the tanh derivative 1 - R**2
@@ -162,15 +165,16 @@ def hinge_loss_grads(params: Params, Xs, Xt, Xu, margin: float, out: Params):
     out["W_k"] += dZ[2].T @ Xu
     np.add.reduce(dZ[1], axis=0, out=out["b_k"])
     out["b_k"] += np.add.reduce(dZ[2], axis=0)
-    return _clipped_mean(losses), out
+    return losses, out
 
 
 def _epoch_loss(params: Params, corpus: ParallelCorpus, negatives: np.ndarray,
                 margin: float) -> float:
     """The mean hinge loss of the corpus's triples against ``negatives``.
 
-    It is the loss ``hinge_loss_grads`` would return for the whole corpus as
-    one batch, bit for bit, without the gradients.
+    It is ``_clipped_mean`` of the per-triple terms ``hinge_loss_grads``
+    would return for the whole corpus as one batch, bit for bit, without the
+    gradients.
 
     The target rows are projected once; the negatives' projections and
     norms are those rows gathered by ``negatives``, not a third product.
@@ -219,7 +223,11 @@ def _project_sides(R: np.ndarray, params: Params, Xs, *Xk) -> np.ndarray:
 
 def _project_triples(params: Params, Xs, Xt, Xu):
     """The triples' rows as float64 matrices, and their projections stacked as (3, B, d)."""
-    Xs, Xt, Xu = (np.atleast_2d(np.asarray(X, dtype=np.float64)) for X in (Xs, Xt, Xu))
+    Xs = np.asarray(Xs, dtype=np.float64)
+    Xt = np.asarray(Xt, dtype=np.float64)
+    Xu = np.asarray(Xu, dtype=np.float64)
+    if Xs.ndim < 2 or Xt.ndim < 2 or Xu.ndim < 2:  # single vectors; the trainer's are rows
+        Xs, Xt, Xu = np.atleast_2d(Xs, Xt, Xu)
     R = np.empty((3, Xs.shape[0], params["b_l"].size))
     return Xs, Xt, Xu, _project_sides(R, params, Xs, Xt, Xu)
 
@@ -299,12 +307,11 @@ def train_projection(
                 m = idx.size
                 a, b, c = m * e, m * (e + f), m * (e + 2 * f)
                 # every index is in range; mode="raise" would also buffer ``out``
-                xs = np.take(corpus.source, idx, axis=0, out=rows[:a].reshape(m, e), mode="clip")
-                xt = np.take(corpus.target, idx, axis=0, out=rows[a:b].reshape(m, f), mode="clip")
-                xu = np.take(corpus.target, negatives[idx], axis=0,
-                             out=rows[b:c].reshape(m, f), mode="clip")
+                xs = corpus.source.take(idx, 0, rows[:a].reshape(m, e), "clip")
+                xt = corpus.target.take(idx, 0, rows[a:b].reshape(m, f), "clip")
+                xu = corpus.target.take(negatives[idx], 0, rows[b:c].reshape(m, f), "clip")
                 if cfg.dropout_rate > 0:
-                    _drop_out(rng, rows[:c], draws[:c], (a, b), keep)
+                    _drop_out(rng, rows[:c], draws[:c], keep)
                 hinge_loss_grads(params, xs, xt, xu, cfg.margin, out=grads)
                 t += 1
                 adam_step(flat, gflat, state, t, step_size=cfg.step_size)
@@ -315,17 +322,15 @@ def train_projection(
     return ProjectionModel(margin=cfg.margin, **params), history
 
 
-def _drop_out(rng: np.random.Generator, x: np.ndarray, u: np.ndarray, splits, keep: float):
-    """Inverted dropout in place of ``x``, the sides stacked flat and split at ``splits``.
+def _drop_out(rng: np.random.Generator, x: np.ndarray, u: np.ndarray, keep: float):
+    """Inverted dropout in place of ``x``, the sides stacked flat one after another.
 
-    Each side gets ``side * (rng.random(side.shape) < keep) / keep``: its own
-    draw, in side order, with the same values and bits, but the mask is
-    drawn into ``u`` (shaped like ``x``) and applied in one pass over all sides.
+    Each side gets ``side * (rng.random(side.shape) < keep) / keep``, with the
+    same values and bits: one draw into ``u`` (shaped like ``x``) takes the
+    stream's doubles in order, as the sides' own draws in side order would,
+    and the mask is applied in one pass over all sides.
     """
-    a, b = splits
-    rng.random(out=u[:a])
-    rng.random(out=u[a:b])
-    rng.random(out=u[b:])
+    rng.random(out=u)
     np.less(u, keep, out=u)  # 1.0 where kept, 0.0 where dropped
     x *= u
     x /= keep

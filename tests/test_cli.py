@@ -1194,6 +1194,20 @@ class TestUsage:
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"pmean {pmean.__version__}\n"
 
+    def test_top_level_help_names_the_commands_and_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        text = " ".join(out.split())  # argparse wraps to the terminal's width
+        for command in COMMANDS:
+            assert command in text
+        for code in ("0 ok", "2 input or format error", "3 numerical policy error",
+                     "64 usage error"):
+            assert code in text
+        # the module docstring, notes for whoever reads cli.py, is not the help
+        assert "RunManifest" not in out and "staged" not in out
+
     def test_env_seed_fallback(self, workdir, monkeypatch):
         monkeypatch.setenv("PMEAN_SEED", "123")
         out = workdir / "env.tsv"

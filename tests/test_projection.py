@@ -25,6 +25,7 @@ from pmean.projection import (
     train_projection,
     _clipped_mean,
     _derangement,
+    _drop_out,
     _epoch_loss,
     _hinge_terms,
     _project_triples,
@@ -40,11 +41,16 @@ def new_arrays(params):
     return {name: np.empty_like(p) for name, p in params.items()}
 
 
-def mean_hinge_loss(params, Xs, Xt, Xu, margin):
-    """The loss ``hinge_loss_grads`` returns, from its forward pass alone: the oracle
-    that the trainer's epoch-end loss ``_epoch_loss`` is checked against."""
+def forward_terms(params, Xs, Xt, Xu, margin):
+    """The per-triple terms ``hinge_loss_grads`` returns, from its forward pass alone."""
     R = _project_triples(params, Xs, Xt, Xu)[3]
-    return _clipped_mean(_hinge_terms(R, _row_norms(R * R), margin)[0])
+    return _hinge_terms(R, _row_norms(R * R), margin)[0]
+
+
+def mean_hinge_loss(params, Xs, Xt, Xu, margin):
+    """The batch loss of ``forward_terms``: the oracle that the trainer's epoch-end
+    loss ``_epoch_loss`` is checked against."""
+    return _clipped_mean(forward_terms(params, Xs, Xt, Xu, margin))
 
 
 def fd_grads(model, xs, xt, xu, h=1e-5):
@@ -199,7 +205,7 @@ class TestGradients:
             xt = rng.normal(size=int(f))
             xu = rng.normal(size=int(f))
             params = model.params()
-            loss, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
+            _, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
             # skip kink-adjacent and degenerate-norm draws
             r_s = project(model, "source", xs)
             r_t = project(model, "target", xt)
@@ -220,9 +226,10 @@ class TestGradients:
         model = ProjectionModel(W_l=np.eye(2), b_l=np.zeros(2),
                                 W_k=np.eye(2), b_k=np.zeros(2), margin=0.5)
         params = model.params()
-        loss, grads = hinge_loss_grads(params, [3.0, 0.0], [3.0, 0.0], [-3.0, 0.0],
-                                       model.margin, new_arrays(params))
-        assert loss == 0.0
+        losses, grads = hinge_loss_grads(params, [3.0, 0.0], [3.0, 0.0], [-3.0, 0.0],
+                                         model.margin, new_arrays(params))
+        assert losses.shape == (1,) and losses[0] < 0.0  # about 0.5 - 1 - 1
+        assert _clipped_mean(losses) == 0.0
         assert all(not g.any() for g in grads.values())
 
 
@@ -274,8 +281,25 @@ class TestLossOnlyForward:
         if guard is not None:
             guard(model, xs)
         params = model.params()
-        loss, _ = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
-        assert mean_hinge_loss(model.params(), xs, xt, xu, model.margin) == loss
+        losses, _ = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
+        assert mean_hinge_loss(model.params(), xs, xt, xu, model.margin) == _clipped_mean(losses)
+
+    @pytest.mark.parametrize("guard", [None, zero_target_map, zero_some_sources])
+    def test_terms_equal_the_forward_pass_and_the_scalar_oracle(self, guard):
+        model, xs, xt, xu = triple_batch()
+        if guard is not None:
+            guard(model, xs)
+        params = model.params()
+        losses, _ = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
+        assert losses.shape == (len(xs),)
+        assert losses.tobytes() == forward_terms(params, xs, xt, xu, model.margin).tobytes()
+        per_triple = [hinge_loss(model, a, b, c) for a, b, c in zip(xs, xt, xu)]
+        assert np.maximum(losses, 0.0) == pytest.approx(per_triple, rel=0, abs=1e-12)
+        # the terms are returned unclipped: margin - cos_st + cos_su of each triple
+        rs, rt, ru = (project(model, side, x) for side, x in
+                      (("source", xs), ("target", xt), ("target", xu)))
+        unclipped = [model.margin - cosine(a, b) + cosine(a, c) for a, b, c in zip(rs, rt, ru)]
+        assert losses == pytest.approx(unclipped, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("guard", [None, zero_target_map, zero_some_sources])
     def test_epoch_loss_equals_the_forward_pass_bit_for_bit(self, guard):
@@ -294,9 +318,9 @@ class TestLossOnlyForward:
         model, xs, xt, xu = triple_batch()
         guarded = guard(model, xs)
         params = model.params()
-        loss, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
+        losses, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
         per_triple = [hinge_loss(model, a, b, c) for a, b, c in zip(xs, xt, xu)]
-        assert loss == pytest.approx(np.mean(per_triple), abs=1e-12)
+        assert _clipped_mean(losses) == pytest.approx(np.mean(per_triple), abs=1e-12)
         assert all(np.isfinite(g).all() for g in grads.values())
         # a guarded triple adds nothing to the gradient sum
         keep = ~guarded
@@ -319,15 +343,16 @@ class TestGradientBuffer:
         layout = Layout(params)
         gflat = np.full(sum(p.size for p in params.values()), np.nan)
         views = layout.views(gflat)
-        loss, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, out=views)
+        losses, grads = hinge_loss_grads(params, xs, xt, xu, model.margin, out=views)
         assert grads is views
         for g in grads.values():
             assert np.shares_memory(g, gflat)
-        want_loss, want = hinge_loss_grads(params, xs, xt, xu, model.margin, new_arrays(params))
-        assert loss == want_loss
+        want_losses, want = hinge_loss_grads(params, xs, xt, xu, model.margin,
+                                             new_arrays(params))
+        assert losses.tobytes() == want_losses.tobytes()
         assert gflat.tobytes() == layout.pack(want).tobytes()
         ref_loss, ref = reference_hinge(params, xs, xt, xu, model.margin)
-        assert loss == ref_loss
+        assert _clipped_mean(losses) == ref_loss
         assert gflat.tobytes() == layout.pack(ref).tobytes()
 
 
@@ -428,6 +453,22 @@ class TestTrainerMatchesReference:
             assert np.array_equal(getattr(model, name), arr)
 
 
+class TestDropOut:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 9), e=st.integers(1, 7), f=st.integers(1, 7),
+           keep=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_draw_equals_a_draw_per_side(self, m, e, f, keep, seed):
+        # the trainer's stacked buffer: source, target and negative rows side after side
+        x = np.random.default_rng(seed + 1).normal(size=m * (e + 2 * f))
+        sides = [side.reshape(m, -1) for side in np.split(x, [m * e, m * (e + f)])]
+        want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [side * (want_rng.random(side.shape) < keep) / keep for side in sides]
+        _drop_out(rng, x, np.empty_like(x), keep)
+        assert x.tobytes() == b"".join(w.tobytes() for w in want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def identity_corpus(n=200, dim=6, seed=5):
     rng = np.random.default_rng(seed)
     src = rng.normal(size=(n, dim))
@@ -497,6 +538,29 @@ class TestTraining:
         assert len(builds) == 2
         assert isinstance(model, real) and model.margin == cfg.margin
         assert len(history) == 3
+
+    @pytest.mark.parametrize("n, batch_size, epochs, dropout", [
+        (23, 5, 3, 0.5),  # ragged last batch of 3
+        (23, 5, 3, 0.0),  # no dropout
+        (9, 16, 2, 0.5),  # one batch an epoch, smaller than batch_size
+    ])
+    def test_one_gradient_and_one_adam_step_per_minibatch(self, monkeypatch, n, batch_size,
+                                                          epochs, dropout):
+        # perfbench's tracer counts these two calls as module attributes, as patched here
+        calls = {"hinge_loss_grads": 0, "adam_step": 0}
+        for name in calls:
+            real = getattr(pmean.projection, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pmean.projection, name, counting)
+        cfg = ProjectionTrainConfig(shared_dim=3, batch_size=batch_size, max_epochs=epochs,
+                                    dropout_rate=dropout, seed=1)
+        train_projection(identity_corpus(n=n, dim=4), cfg)
+        steps = epochs * math.ceil(n / batch_size)
+        assert calls == {"hinge_loss_grads": steps, "adam_step": steps}
 
     def test_too_small_corpus_rejected(self):
         cfg = ProjectionTrainConfig(shared_dim=2, max_epochs=2)
