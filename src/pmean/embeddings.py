@@ -117,9 +117,12 @@ def load_text_embeddings(
 
 def _cache_dir() -> Path | None:
     """``$XDG_CACHE_HOME/pmean``, or ``~/.cache/pmean`` when that is unset, empty
-    or relative (as the XDG spec says); None when no home directory is known."""
+    or relative (as the XDG spec says); None when no home directory is known,
+    as when ``HOME`` is set but empty."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
+        if os.environ.get("HOME") == "":  # expanduser would read it as "/"
+            return None
         root = os.path.join(os.path.expanduser("~"), ".cache")
         if not os.path.isabs(root):
             return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .errors import InputError
 
 
 @dataclass
@@ -55,9 +57,17 @@ class RunManifest:
 
 
 def sha256_file(path) -> str:
-    """The hex SHA-256 of a file's bytes, read in 1 MiB blocks so memory stays bounded."""
+    """The hex SHA-256 of a file's bytes, read in 1 MiB blocks so memory stays bounded.
+
+    A manifest names bytes that can be read again, so anything but a regular
+    file (a pipe, a FIFO, a device) raises InputError. The file is opened
+    without blocking, so a FIFO with no writer raises instead of hanging.
+    """
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise InputError(f"{path}: not a regular file; a manifest records each input's "
+                             "digest, so an input must be readable again")
         while block := fh.read(1 << 20):
             h.update(block)
     return h.hexdigest()

@@ -19,12 +19,12 @@ one p at a time, straight into its output, and returns a ``PoolStats``.
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
 Real powers are not total: x**p is undefined over the reals for a negative
-base with non-integer p and for a zero base with negative p, and the
-geometric mean needs strictly positive entries (|x| <= EPSILON counts as
-zero). Such a power is NaN, which the sum and the root keep, so one rule
-covers it, a pole (a p < 0 sum that cancels to 0) and an overflow: an entry
-whose M_p is not finite becomes 0 and is counted, or raises
-NumericalPolicyError with ``strict``.
+base with non-integer p and for a zero base with p <= 0 (log x at p = 0), so
+the geometric mean needs strictly positive entries. A base is zero only when
+it is 0.0 or -0.0; a tiny one is raised like any other. An undefined power is
+NaN, which the sum and the root keep, so one rule covers it, a pole (a p < 0
+sum that cancels to 0) and an overflow: an entry whose M_p is not finite
+becomes 0 and is counted, or raises NumericalPolicyError with ``strict``.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ import numpy as np
 from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 
-EPSILON = 1e-12  # magnitude below which a base counts as zero
 ZNORM_FLOOR = 1e-8  # smallest standard deviation z-normalization divides by
 BLOCK_BYTES = 1 << 20  # most bytes of float64 rows embed_corpus reduces in one block
 
@@ -114,22 +113,20 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
 def _powers(W, p):
     """Entrywise x**p (log x for p = 0), NaN exactly where it is undefined; W itself at p = +/-inf.
 
-    Undefined are x <= EPSILON at p = 0 (the geometric mean needs strictly
-    positive entries), |x| <= EPSILON at p < 0 (a zero base) and x < 0 at
-    non-integer p. Elsewhere the power is |x|**p, with x's sign restored for
-    odd integer p: numpy raises a negative base far more slowly than a
-    positive one, and an even-p power of -x is then exactly that of x.
+    One rule holds at every finite p: undefined are a zero base (``W == 0``)
+    at p <= 0 and x < 0 at non-integer p, and ``np.log`` makes x < 0 NaN at
+    p = 0. Elsewhere the power is |x|**p, with x's sign restored for odd
+    integer p: numpy raises a negative base far more slowly than a positive
+    one, and an even-p power of -x is then exactly that of x.
     """
     if abs(p) == math.inf:
         return W
-    if p == 0:
-        return np.log(np.where(W > EPSILON, W, np.nan))
     with np.errstate(all="ignore"):
-        powers = np.power(np.abs(W), p)
+        powers = np.log(W) if p == 0 else np.power(np.abs(W), p)
     if p % 2 == 1:  # odd integer p
         np.copysign(powers, W, out=powers)
-    if p < 0:
-        np.copyto(powers, np.nan, where=np.abs(W) <= EPSILON)
+    if p <= 0:
+        np.copyto(powers, np.nan, where=W == 0)
     if not float(p).is_integer():
         np.copyto(powers, np.nan, where=W < 0)
     return powers

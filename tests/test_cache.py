@@ -95,6 +95,21 @@ class TestHit:
         assert list(cache.iterdir()) == [entry_of(cache, path)]
         assert not (tmp_path / "relative").exists()
 
+    def test_an_empty_home_means_no_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text(TEXT, encoding="utf-8")
+        cached = load_text_embeddings(path)
+        monkeypatch.setenv("HOME", "")
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        assert pmean.embeddings._cache_dir() is None
+
+        def write_entry(*args):
+            raise AssertionError("an entry was written without a cache directory")
+        monkeypatch.setattr(pmean.embeddings, "_write_entry", write_entry)
+        space = load_text_embeddings(path)
+        assert space.matrix.tobytes() == cached.matrix.tobytes()
+        assert list(space.vocab.items()) == list(cached.vocab.items())
+
     def test_a_file_changed_while_loading_is_not_stored(self, tmp_path, parse_cache_home,
                                                         monkeypatch):
         path = tmp_path / "emb.txt"

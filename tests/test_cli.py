@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -116,6 +117,19 @@ class TestEmbed:
         assert rc == 0
         manifest = json.loads((workdir / "z.tsv.manifest.json").read_text())
         assert manifest["undefined_pool_entries"] == 1
+
+    def test_strict_computes_a_tiny_nonzero_base(self, workdir):
+        # only 0.0 is a zero base: two 1e-13 entries have a harmonic mean of 1e-13
+        write(workdir / "tiny.txt", "alpha 1e-13 1e-13\n")
+        write(workdir / "tcfg.txt", "space=t p=-1 path=tiny.txt\n")
+        write(workdir / "tsent.txt", "alpha alpha\n")
+        out = workdir / "t.tsv"
+        rc = main(["embed", "--config", str(workdir / "tcfg.txt"),
+                   "--input", str(workdir / "tsent.txt"), "--output", str(out), "--strict"])
+        assert rc == 0
+        assert out.read_text() == "1e-13\t1e-13\n"
+        manifest = json.loads((workdir / "t.tsv.manifest.json").read_text())
+        assert manifest["undefined_pool_entries"] == 0
 
     def test_znorm_params_recorded(self, workdir):
         out = workdir / "zn.tsv"
@@ -919,6 +933,28 @@ ROLE_SWAPS = {
 }
 
 
+@contextlib.contextmanager
+def fed_fifo(path: Path, data: bytes):
+    """A FIFO at ``path`` that a thread writes ``data`` into, once, when a reader opens it."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader closed the FIFO before reading it all
+            pass
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    try:
+        yield path
+    finally:
+        while thread.is_alive():  # a writer whose FIFO no reader opened waits in open()
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            thread.join(0.05)
+
+
 class TestManifest:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_option_but_the_outputs_is_recorded(self, workdir, command):
@@ -1003,6 +1039,24 @@ class TestManifest:
         for seed in (1, 2):
             manifest = json.loads((workdir / f"r.{seed}.manifest.json").read_text())
             assert manifest["seeds"] == {"seed": seed}
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("eval", "--task", "task.tsv"),
+        ("train-projection", "--source-embeddings", "one.txt"),
+    ])
+    def test_an_input_that_is_not_a_regular_file_exits_2_and_writes_nothing(
+            self, workdir, command, flag, name):
+        # a manifest records each input's digest, which a FIFO cannot give after it is read;
+        # in a process of its own, so a run that waits for a second writer times out
+        argv = command_argv(workdir, command)
+        fifo = workdir / f"fifo_{name}"
+        argv[argv.index(flag) + 1] = str(fifo)
+        with fed_fifo(fifo, (workdir / name).read_bytes()):
+            code, err = run_module(*argv)
+        assert code == 2
+        assert err.startswith(f"pmean: {fifo}: not a regular file;")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not list(workdir.glob("never*")) and not list(workdir.glob(".*.tmp"))
 
 
 class TestOutputs:
@@ -1349,7 +1403,7 @@ def run_module(*argv) -> tuple[int, str]:
     src = str(Path(pmean.cli.__file__).parents[1])  # the child imports this same package
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pmean", *map(str, argv)],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr
 
 

@@ -11,7 +11,6 @@ from pmean import pooling
 from pmean.embeddings import EmbeddingSpace
 from pmean.errors import DimensionError, FormatError, NumericalPolicyError
 from pmean.pooling import (
-    EPSILON,
     ZNORM_FLOOR,
     ConfigEntry,
     PooledConfig,
@@ -152,6 +151,21 @@ class TestPowerMeanCases:
             power_mean(W, p, strict=True)
         assert str(exc.value) == f"power mean undefined for {detail}"
 
+    def test_a_tiny_nonzero_base_is_not_a_zero_base(self):
+        W = np.array([[1e-13], [1e-13]])
+        assert power_mean(W, -1, strict=True).tolist() == [1e-13]
+        assert power_mean(W, -2, strict=True).tolist() == [1e-13]
+        for x in (1e-13, 1e-200):
+            got = power_mean(np.array([[x], [x]]), 0, strict=True)
+            assert got == pytest.approx([x], rel=1e-12, abs=0)
+
+    def test_a_nonzero_base_whose_power_overflows_is_an_overflow(self):
+        W = np.array([[5e-324], [1.0]])  # 1 / 5e-324 is past the float range
+        assert power_mean(W, -1).tolist() == [0.0]
+        assert undefined_columns(W, -1) == 1
+        with pytest.raises(NumericalPolicyError, match=r"overflows for p=-1 at dimension 0"):
+            power_mean(W, -1, strict=True)
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionError):
             power_mean(np.zeros((0, 3)), 1)
@@ -240,14 +254,14 @@ class TestPowerMeanProperties:
         assert (np.isnan(got) == ~defined).all()
         assert got[defined].tobytes() == want[defined].tobytes()
 
-    @given(matrices(SIGNED | st.sampled_from([EPSILON, -EPSILON, 2e-12, -1e-13, -1e200])),
+    @given(matrices(SIGNED | st.sampled_from([1e-12, -1e-12, 2e-12, -1e-13, -1e200])),
            st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]))
     @settings(max_examples=200, deadline=None)
     def test_powers_are_nan_exactly_where_undefined(self, W, p):
         def undefined(x):
             if p == 0:  # the geometric mean needs strictly positive entries
-                return x <= EPSILON
-            return (p < 0 and abs(x) <= EPSILON) or (x < 0 and not p.is_integer())
+                return x <= 0
+            return (p < 0 and x == 0) or (x < 0 and not p.is_integer())
 
         want = [[undefined(x) for x in row] for row in W.tolist()]
         assert np.isnan(_powers(W, p)).tolist() == want
@@ -269,6 +283,19 @@ class TestPowerMeanProperties:
                 want = _root(np.array([total / n]), p)
                 if np.isfinite(want).all():  # a pole or an overflow is zeroed instead
                     assert got[j:j + 1].tobytes() == want.tobytes()
+
+    @given(matrices(st.floats(0.5, 2.0)), st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0]).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(-scale_bound(p), scale_bound(p)))))
+    @settings(max_examples=200, deadline=None)
+    @example(W=np.array([[1.0], [1.5]]), pk=(-1.0, -60))
+    @example(W=np.array([[0.5, 2.0]]), pk=(0.0, -1000))
+    def test_non_positive_p_is_homogeneous_at_every_scale(self, W, pk):
+        # M_p(c * x) = c * M_p(x) for c = 2**k, which scales each entry exactly
+        p, k = pk
+        c = 2.0 ** k
+        want = c * power_mean(W, p)
+        assert power_mean(c * W, p, strict=True) == pytest.approx(
+            want, rel=1e-12 if p == 0 else 1e-13, abs=0)
 
     def test_single_row_is_fixed_point(self):
         row = np.array([[0.3, 1.7, 2.2]])
@@ -364,6 +391,12 @@ def gather(space, tokens, oov_mode):
     return np.array(rows) if rows else zero[None]
 
 
+def scale_bound(p):
+    """The largest |k| <= 1000 for which every |2**k * x|**p with x in [0.5, 2], and
+    the sum of eight of them, stays a normal float."""
+    return 1000 if p == 0 else min(1000, int((1000 - abs(p)) / abs(p)))
+
+
 def undefined_columns(W, p):
     """How many columns of W power_mean zeroes: those it raises on alone under strict."""
     count = 0
@@ -414,7 +447,7 @@ def tricky_space(name, rng):
     them are defined for every p.
     """
     n, d = 12, 5
-    M = rng.choice([0.5, -1.5, 2.0, -0.25, 1e-13, -EPSILON, 3.0], size=(n, d))
+    M = rng.choice([0.5, -1.5, 2.0, -0.25, 1e-13, -1e-12, 3.0], size=(n, d))
     M[:, 0] = rng.choice([0.0, -0.0, -1.0, -2.5], size=n)
     M[:, 1] = rng.choice([0.0, -0.0, 1.0, 3.0], size=n)
     M[:3] = rng.uniform(0.5, 2.0, size=(3, d))
