@@ -2,9 +2,9 @@
 
 The text format is the common one-word-per-line layout: ``token v1 v2 ... vd``
 with an optional first line ``count dim`` (auto-detected when it parses as
-exactly two integers). UTF-8, LF or CRLF. A value is any text Python's
-``float()`` accepts, and every row is parsed and checked, whether or not a
-sentence uses it.
+exactly two integers). UTF-8 (a leading byte-order mark is skipped), LF or
+CRLF. A value is any text Python's ``float()`` accepts, and every row is
+parsed and checked, whether or not a sentence uses it.
 
 A parse is done once per file content: its result is cached under
 ``${XDG_CACHE_HOME:-~/.cache}/pmean``, keyed by the SHA-256 of the file's bytes
@@ -30,7 +30,8 @@ from .textio import float_row_text, read_lines
 logger = logging.getLogger(__name__)
 
 # bump when the parse result or the entry layout changes; old entries then miss
-CACHE_VERSION = 1
+# (2: a leading byte-order mark is no longer part of the first token)
+CACHE_VERSION = 2
 
 
 @dataclass

@@ -79,29 +79,27 @@ class TransferPair:
 
 
 def load_task(path) -> TaskDataset:
-    """Parse one task file; its classes are the sorted distinct labels."""
+    """Parse one task file; its classes are the sorted distinct labels.
+
+    Each header key appears at most once: a repeat raises FormatError naming its line.
+    """
     path = Path(path)
-    name = None
-    metric_kind = None
-    lang = None
+    headers: dict[str, str] = {}
     items: list[tuple] = []
     for lineno, line in read_lines(path):
         if line.startswith("#"):
             if items:
                 raise FormatError(f"{path}:{lineno}: header after data lines")
             key, _, value = line[1:].partition("=")
-            if key == "name":
-                name = value
-            elif key == "metric":
-                if value not in METRICS:
-                    raise FormatError(f"{path}:{lineno}: metric must be one of {METRICS}")
-                metric_kind = value
-            elif key == "lang":
-                lang = value
-            else:
+            if key not in ("name", "metric", "lang"):
                 raise FormatError(f"{path}:{lineno}: unknown header key {key!r}")
+            if key in headers:
+                raise FormatError(f"{path}:{lineno}: duplicate header key {key!r}")
+            if key == "metric" and value not in METRICS:
+                raise FormatError(f"{path}:{lineno}: metric must be one of {METRICS}")
+            headers[key] = value
             continue
-        if name is None or metric_kind is None:
+        if "name" not in headers or "metric" not in headers:
             raise FormatError(f"{path}:{lineno}: #name= and #metric= must precede data")
         label, tab, text = line.partition("\t")
         if not tab or not label:
@@ -112,9 +110,10 @@ def load_task(path) -> TaskDataset:
     counts = Counter(label for label, _ in items)
     if len(counts) < 2:
         raise FormatError(f"{path}: fewer than 2 classes")
-    logger.info("%s: task %r, %d items, per-class counts %s", path, name, len(items),
-                dict(counts))
-    return TaskDataset(name=name, items=items, metric_kind=metric_kind, language_tag=lang)
+    logger.info("%s: task %r, %d items, per-class counts %s", path, headers["name"],
+                len(items), dict(counts))
+    return TaskDataset(name=headers["name"], items=items, metric_kind=headers["metric"],
+                       language_tag=headers.get("lang"))
 
 
 def save_task(ds: TaskDataset, path) -> None:

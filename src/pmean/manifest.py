@@ -3,8 +3,10 @@
 A manifest records the command, every option but the outputs under its argparse
 dest (the seed resolved, under ``seeds``), SHA-256 digests of all input files and
 the ``pmean.__version__`` that wrote it, naming each file relative to the
-manifest's directory. Equal manifests mean byte-identical outputs, whatever their
-paths, and one run writes the same manifest from any directory.
+manifest's directory. On one host, equal manifests mean byte-identical outputs,
+whatever their paths, and one run writes the same manifest from any directory.
+Across hosts they may not: numpy's SIMD kernels (``np.power``, ``np.log``) and
+the BLAS core can change an output's last bits under an equal manifest.
 """
 from __future__ import annotations
 

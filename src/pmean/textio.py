@@ -1,9 +1,10 @@
 """UTF-8 text input shared by every file reader, and float rows as text.
 
 A file that is not valid UTF-8 raises FormatError naming the file. Line
-readers decode in chunks, so the error carries no line number. Only ``\n``
-ends a line, and one ``\r`` before it is dropped, so CRLF reads as LF; any
-other ``\r`` is part of the line.
+readers decode in chunks, so the error carries no line number. One leading
+UTF-8 byte-order mark is skipped, so it never becomes part of a token, key or
+label. Only ``\n`` ends a line, and one ``\r`` before it is dropped, so CRLF
+reads as LF; any other ``\r`` is part of the line.
 
 ``float_row_text`` writes a row of floats exactly as ``repr`` writes each
 one, so a reader that parses them gets the same doubles back. The JSON
@@ -47,7 +48,7 @@ def float_row_text(row: np.ndarray, sep: str) -> str:
 def read_text(path) -> str:
     """The whole file as one string, each CRLF read as LF."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read().replace("\r\n", "\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
@@ -57,7 +58,7 @@ def read_lines(path):
     """Yield ``(lineno, line)`` for every non-blank line, line ending stripped."""
     try:
         # newline="\n": lines end at "\n" only, untranslated ("" would also end one at "\r")
-        with open(path, encoding="utf-8", newline="\n") as fh:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.removesuffix("\n").removesuffix("\r")
                 if line:

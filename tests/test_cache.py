@@ -15,6 +15,7 @@ from pmean.cli import main
 from pmean.embeddings import CACHE_VERSION, load_text_embeddings
 from pmean.manifest import sha256_file
 from test_acceptance import build_cli_fixture
+from test_imports import command
 
 
 @pytest.mark.parametrize("size", [0, 1, 2**20 - 1, 2**20, 2**20 + 1])
@@ -219,6 +220,43 @@ class TestBadEntries:
         capsys.readouterr()
         assert embed(workdir) == (0, cold)
         assert capsys.readouterr().err == ""
+
+
+class TestFixturesWorkspace:
+    """Each command that loads embeddings, on the workspace scripts/make_fixtures.py
+    writes, gives the same outputs with a cold, a warm and an unwritable cache."""
+
+    @pytest.mark.parametrize("name, files", [
+        ("embed --znorm", ["space_a.txt", "space_b.txt"]),
+        ("eval-transfer", ["bilingual.txt"]),
+        ("train-projection", ["bilingual.txt"]),
+    ], ids=["embed", "eval-transfer", "train-projection"])
+    def test_a_cache_leaves_outputs_unchanged(self, fx, tmp_path, parse_cache_home, monkeypatch,
+                                              name, files):
+        def run(out):
+            (tmp_path / out).mkdir()
+            assert main([str(arg) for arg in command(fx, name, tmp_path / out)]) == 0
+            return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+        cold = run("cold")
+        assert sorted(parse_cache_home.iterdir()) == sorted(entry_of(parse_cache_home, fx / f)
+                                                            for f in files)
+        with monkeypatch.context() as patch:
+            no_parse(patch)
+            assert run("warm") == cold
+        # a read-only cache directory, which only root can still write, and a file
+        # where the cache directory would be, which no one can
+        read_only = tmp_path / "read-only"
+        read_only.mkdir()
+        (tmp_path / "blocked").mkdir()
+        (tmp_path / "blocked" / "pmean").write_text("")
+        read_only.chmod(0o555)
+        try:
+            for home in ("read-only", "blocked"):
+                monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / home))
+                assert run(f"under-{home}") == cold
+        finally:
+            read_only.chmod(0o755)
 
 
 class TestFailedParses:

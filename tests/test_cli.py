@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -22,9 +24,12 @@ import pmean.projection
 from pmean.classifier import TrainProtocol
 from pmean.cli import main
 from pmean.embeddings import load_text_embeddings, save_text_embeddings
+from pmean.errors import InputError
+from pmean.evaluation import emit_report, parse_report
 from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 from pmean.projection import ProjectionTrainConfig, init_projection, load_projection
 from test_acceptance import build_cli_fixture
+from test_imports import command as fx_command
 
 
 def write(path: Path, text: str) -> Path:
@@ -62,6 +67,8 @@ class TestEmbed:
                    "--input", str(workdir / "empty.txt"), "--output", str(out)])
         assert rc == 0
         assert out.read_text() == ""
+        manifest = json.loads((workdir / "empty_out.tsv.manifest.json").read_text())
+        assert manifest["inputs"]["empty.txt"] == "sha256:" + hashlib.sha256(b"").hexdigest()
 
     def test_one_row_per_newline(self, workdir):
         # form feed, NEL and LINE SEPARATOR are not line breaks; blank lines are rows
@@ -119,17 +126,23 @@ class TestEmbed:
         assert manifest["undefined_pool_entries"] == 1
 
     def test_strict_computes_a_tiny_nonzero_base(self, workdir):
-        # only 0.0 is a zero base: two 1e-13 entries have a harmonic mean of 1e-13
+        # only 0.0 is a zero base: two 1e-13 entries have a mean of 1e-13 at every p <= 0
         write(workdir / "tiny.txt", "alpha 1e-13 1e-13\n")
-        write(workdir / "tcfg.txt", "space=t p=-1 path=tiny.txt\n")
+        write(workdir / "tcfg.txt", "space=t p=-1,-2,0 path=tiny.txt\n")
         write(workdir / "tsent.txt", "alpha alpha\n")
-        out = workdir / "t.tsv"
-        rc = main(["embed", "--config", str(workdir / "tcfg.txt"),
-                   "--input", str(workdir / "tsent.txt"), "--output", str(out), "--strict"])
-        assert rc == 0
-        assert out.read_text() == "1e-13\t1e-13\n"
-        manifest = json.loads((workdir / "t.tsv.manifest.json").read_text())
-        assert manifest["undefined_pool_entries"] == 0
+        outputs = []
+        for name, strict in (("t", []), ("strict", ["--strict"])):
+            out = workdir / f"{name}.tsv"
+            rc = main(["embed", "--config", str(workdir / "tcfg.txt"),
+                       "--input", str(workdir / "tsent.txt"), "--output", str(out), *strict])
+            assert rc == 0
+            manifest = json.loads((workdir / f"{name}.tsv.manifest.json").read_text())
+            assert manifest["undefined_pool_entries"] == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        values = [float(v) for v in outputs[0].split("\t")]
+        assert outputs[0].startswith("1e-13\t1e-13\t") and len(values) == 6
+        assert all(math.isclose(v, 1e-13, rel_tol=1e-12, abs_tol=0) for v in values), values
 
     def test_znorm_params_recorded(self, workdir):
         out = workdir / "zn.tsv"
@@ -634,7 +647,8 @@ class TestEvalCommands:
         err = capsys.readouterr().err
         assert err.startswith("pmean: transfer pair ") and err.count("\n") == 1
         assert "metrics must be identical" in err
-        assert not list(workdir.glob("never*"))
+        # neither an output nor a staged one: those are hidden, .never.json.*.tmp
+        assert not list(workdir.glob("never*")) and not list(workdir.glob(".*.tmp"))
 
     def test_transfer_test_task_line_order_leaves_reports_unchanged(self, workdir):
         lines = (workdir / "task.tsv").read_text().splitlines(keepends=True)
@@ -723,6 +737,20 @@ class TestEvalCommands:
         assert rc == 2
         assert not (workdir / "never.json").exists()
         assert not (workdir / "never.md").exists()
+
+    def test_a_repeated_metric_header_exits_2(self, workdir, capsys):
+        # the second #metric= would otherwise win, and the task be scored with macro-F1
+        text = (workdir / "task.tsv").read_text()
+        write(workdir / "twice.tsv", text.replace("#metric=accuracy\n",
+                                                  "#metric=accuracy\n#metric=macro_f1\n"))
+        rc = main(["eval", "--config", str(workdir / "cfg.txt"),
+                   "--task", str(workdir / "twice.tsv"),
+                   "--out", str(workdir / "never"), *PROTOCOL_ARGS])
+        assert rc == 2
+        lineno = text.splitlines().index("#metric=accuracy") + 2
+        assert capsys.readouterr().err == (
+            f"pmean: {workdir / 'twice.tsv'}:{lineno}: duplicate header key 'metric'\n")
+        assert not list(workdir.glob("never*"))
 
     def test_non_utf8_task_exits_2(self, workdir, capsys):
         (workdir / "latin.tsv").write_bytes(b"#name=x\n#metric=accuracy\nup\talpha \xff\n")
@@ -1040,23 +1068,112 @@ class TestManifest:
             manifest = json.loads((workdir / f"r.{seed}.manifest.json").read_text())
             assert manifest["seeds"] == {"seed": seed}
 
-    @pytest.mark.parametrize("command, flag, name", [
-        ("eval", "--task", "task.tsv"),
-        ("train-projection", "--source-embeddings", "one.txt"),
-    ])
+    @pytest.mark.parametrize("command, flag, name, pipe", [
+        ("eval", "--task", "task.tsv", False),
+        ("train-projection", "--source-embeddings", "one.txt", False),
+        ("eval", "--task", "task.tsv", True),
+    ], ids=["eval---task-task.tsv", "train-projection---source-embeddings-one.txt",
+            "eval---task-anonymous-pipe"])
     def test_an_input_that_is_not_a_regular_file_exits_2_and_writes_nothing(
-            self, workdir, command, flag, name):
-        # a manifest records each input's digest, which a FIFO cannot give after it is read;
-        # in a process of its own, so a run that waits for a second writer times out
+            self, workdir, command, flag, name, pipe):
+        # a manifest records each input's digest, which a FIFO or a pipe cannot give after
+        # it is read; in a process of its own, so a run that waits for a second writer
+        # times out
         argv = command_argv(workdir, command)
-        fifo = workdir / f"fifo_{name}"
-        argv[argv.index(flag) + 1] = str(fifo)
-        with fed_fifo(fifo, (workdir / name).read_bytes()):
-            code, err = run_module(*argv)
+        data = (workdir / name).read_bytes()
+        if pipe:  # what a shell's --task <(cat task.tsv) passes: the read end of a pipe
+            read_end, write_end = os.pipe()
+            os.write(write_end, data)  # a few hundred bytes: the pipe's buffer holds them
+            os.close(write_end)
+            source = f"/dev/fd/{read_end}"
+            argv[argv.index(flag) + 1] = source
+            try:
+                code, err = run_module(*argv, pass_fds=(read_end,))
+            finally:
+                os.close(read_end)
+        else:
+            source = workdir / f"fifo_{name}"
+            argv[argv.index(flag) + 1] = str(source)
+            with fed_fifo(source, data):
+                code, err = run_module(*argv)
         assert code == 2
-        assert err.startswith(f"pmean: {fifo}: not a regular file;")
+        assert err.startswith(f"pmean: {source}: not a regular file;")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not list(workdir.glob("never*")) and not list(workdir.glob(".*.tmp"))
+
+
+def run_on(fx: Path, name: str, out: Path) -> int:
+    """``main`` over test_imports' run ``name`` on the workspace ``fx``, writing into ``out``."""
+    return main([str(arg) for arg in fx_command(fx, name, out)])
+
+
+ALL_P = "1,inf,-inf,3,0,-1,0.5,2,-2,4,-3,5"
+# a file of the workspace given a byte-order mark, and a run that reads it
+BOM_READERS = {"space_a.txt": "embed", "ab.cfg": "embed", "sentences.txt": "embed",
+               "mixed.tsv": "eval", "pairs.tsv": "train-projection",
+               "bilingual.txt": "train-projection"}
+
+
+class TestFixturesWorkspace:
+    """The commands on the workspace scripts/make_fixtures.py writes."""
+
+    @pytest.mark.parametrize("oov", ["skip", "zero"])
+    def test_every_kind_of_p(self, fx, tmp_path, oov):
+        # the fixtures hold negative entries, so p = 0 and p = 0.5 are undefined somewhere;
+        # --oov zero pools zero rows, so the kernel's zero-row path runs too
+        write(tmp_path / "all_p.cfg", "".join(f"space={s} p={ALL_P} path={fx}/space_{s}.txt\n"
+                                              for s in "ab"))
+        argv = ["embed", "--config", tmp_path / "all_p.cfg", "--input", fx / "sentences.txt",
+                "--oov", oov]
+        assert main([*map(str, argv), "--output", str(tmp_path / "all_p.tsv")]) == 0
+        manifest = json.loads((tmp_path / "all_p.tsv.manifest.json").read_text())
+        assert manifest["undefined_pool_entries"] > 0
+        # in a process of its own, so that stderr holds all the run prints
+        code, err = run_module(*argv, "--output", tmp_path / "strict.tsv", "--strict")
+        assert code == 3
+        assert err.startswith("pmean: numerical policy error: power mean undefined for p=")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not list(tmp_path.glob("strict*")) and not list(tmp_path.glob(".*.tmp"))
+
+    def test_projection_learns_and_writes_the_model_as_json_dumps_does(self, fx, tmp_path):
+        # pairs.tsv holds bilingual.txt's words, so the loss falls
+        assert run_on(fx, "train-projection", tmp_path) == 0
+        rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
+        losses = [float(row.split(",")[1]) for row in rows]
+        assert len(losses) == 3 and losses[-1] < losses[0]
+        text = (tmp_path / "m.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+    @pytest.mark.parametrize("command, report", [("eval", "r.json"), ("eval-transfer", "t.json")])
+    def test_a_report_reads_back_unchanged_and_a_moved_sigma_is_rejected(self, fx, tmp_path,
+                                                                         command, report):
+        assert run_on(fx, command, tmp_path) == 0
+        text = (tmp_path / report).read_text(encoding="utf-8")
+        assert emit_report(parse_report(text), "json") == text
+        doc = json.loads(text)
+        doc["rows"][0]["sigma"] += 0.01
+        with pytest.raises(InputError, match=r"^row .*: stored sigma"):
+            parse_report(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", BOM_READERS)
+    def test_a_byte_order_mark_moves_only_the_inputs_digest(self, fx, tmp_path, name):
+        outputs, manifests = {}, {}
+        for kind in ("plain", "bom"):
+            root = tmp_path / kind
+            shutil.copytree(fx, root)
+            if kind == "bom":
+                (root / name).write_bytes("\ufeff".encode() + (fx / name).read_bytes())
+            (root / "out").mkdir()
+            assert run_on(root, BOM_READERS[name], root / "out") == 0
+            files = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+            (manifest,) = (n for n in files if n.endswith(".manifest.json"))
+            manifests[kind] = json.loads(files.pop(manifest))
+            outputs[kind] = files
+        assert outputs["plain"] == outputs["bom"]
+        for kind, manifest in manifests.items():
+            digest = hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
+            assert manifest["inputs"].pop(f"../{name}") == f"sha256:{digest}"
+        assert manifests["plain"] == manifests["bom"]
 
 
 class TestOutputs:
@@ -1397,12 +1514,13 @@ class TestUsage:
         assert len(out.read_text().splitlines()) == 3
 
 
-def run_module(*argv) -> tuple[int, str]:
-    """``python -m pmean argv`` in a new interpreter: its exit code and stderr."""
+def run_module(*argv, pass_fds=()) -> tuple[int, str]:
+    """``python -m pmean argv`` in a new interpreter, which inherits the file
+    descriptors ``pass_fds``: its exit code and stderr."""
     env = dict(os.environ)
     src = str(Path(pmean.cli.__file__).parents[1])  # the child imports this same package
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "pmean", *map(str, argv)],
+    proc = subprocess.run([sys.executable, "-m", "pmean", *map(str, argv)], pass_fds=pass_fds,
                           env=env, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr
 

@@ -86,6 +86,15 @@ class TestLoadTask:
         with pytest.raises(FormatError):
             load_task(path)
 
+    @pytest.mark.parametrize("repeat", ["#name=y", "#metric=macro_f1", "#lang=de", "#lang=en"])
+    def test_a_repeated_header_names_its_line(self, tmp_path, repeat):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"#name=x\n#metric=accuracy\n#lang=en\n{repeat}\na\ts1\nb\ts2\n")
+        key = repeat[1:].partition("=")[0]
+        with pytest.raises(FormatError) as exc:
+            load_task(path)
+        assert str(exc.value) == f"{path}:4: duplicate header key {key!r}"
+
     def test_only_lf_ends_a_line(self, tmp_path):
         lf = tmp_path / "lf.tsv"
         lf.write_bytes(b"#name=x\n#metric=accuracy\npos\tgood\rneg\tbad\nneg\tawful\n")

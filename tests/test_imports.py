@@ -77,8 +77,8 @@ def test_parsing_alone_loads_no_numpy(tmp_path, argv, code):
 
 
 @pytest.mark.parametrize("name, never", [
-    ("embed", ["pmean.classifier", "pmean.optim", "pmean.evaluation", "pmean.projection"]),
-    ("train-projection", ["pmean.classifier", "pmean.evaluation"]),
+    ("embed", ["pmean.optim", "pmean.evaluation", "pmean.projection"]),
+    ("train-projection", ["pmean.evaluation"]),
     # classes are split without np.unique, which imports numpy.ma
     ("eval", ["pmean.projection", "numpy.ma"]),
     ("eval-transfer", ["pmean.projection", "numpy.ma"]),
@@ -88,6 +88,8 @@ def test_a_command_imports_only_what_it_runs(tmp_path, fx, name, never):
     probe = run_fresh(tmp_path, command(fx, name, tmp_path))
     assert probe["exit"] == 0
     assert "pmean.pooling" in probe["modules"]
+    # the eval commands fit the classifier; embed and train-projection never load it
+    assert ("pmean.classifier" in probe["modules"]) == (name in ("eval", "eval-transfer", "sweep"))
     assert not set(never) & set(probe["modules"])
     # orjson loads only to write float rows: embed's TSV, the model JSON
     assert ("orjson" in probe["modules"]) == (name in ("embed", "train-projection"))

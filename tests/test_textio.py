@@ -31,6 +31,13 @@ class TestLineEndings:
     def test_read_text_reads_crlf_as_lf_and_keeps_a_lone_cr(self, tmp_path, data, text):
         assert read_text(write(tmp_path, data)) == text
 
+    def test_one_leading_byte_order_mark_is_skipped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+        path = write(tmp_path, bom + b"a\r\n" + bom + b"b\n")  # only the first one is a mark
+        assert read_text(path) == "a\n\ufeffb\n"
+        assert list(read_lines(path)) == [(1, "a"), (2, "\ufeffb")]
+        assert read_text(write(tmp_path, bom * 2 + b"a\n")) == "\ufeffa\n"
+
 
 def repr_row(row, sep):
     return sep.join(map(repr, row.tolist()))
