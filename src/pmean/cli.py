@@ -39,7 +39,7 @@ _LAZY = {
     "pooling": ("PooledConfig", "PooledPart", "embed_corpus", "format_p",
                 "parse_config_text", "parse_p", "znorm_apply", "znorm_fit"),
     "projection": ("ParallelCorpus", "projection_json", "train_projection"),
-    "textio": ("float_row_text", "read_lines", "read_text"),
+    "textio": ("float_row_text", "read_input", "read_lines", "read_text"),
 }
 
 
@@ -225,6 +225,13 @@ def _pooled(parts, args) -> PooledConfig:
     return PooledConfig(parts, oov=args.oov, strict=args.strict, lowercase=args.lowercase)
 
 
+def _read(path, manifest: RunManifest) -> bytes:
+    """An input's bytes, from its one read, recorded in the manifest with their digest."""
+    data, sha256 = read_input(path)
+    manifest.add_input(path, sha256)
+    return data
+
+
 def _load_config(config_path, args, manifest: RunManifest,
                  loaded: dict | None = None) -> PooledConfig:
     """Parse a config file and load each space it names once, from its path=.
@@ -232,12 +239,10 @@ def _load_config(config_path, args, manifest: RunManifest,
     A space may repeat with more p-values; a repeat that gives path= or lang=
     must agree with the space's first entry. ``loaded`` maps resolved paths to
     the spaces already loaded for this command, so a file shared by several
-    configs is parsed and hashed once; each space keeps its own name and lang=
-    tag, and the manifest records the digest the loader computed.
+    configs is read and parsed once; each space keeps its own name and lang= tag.
     """
     loaded = {} if loaded is None else loaded
-    text = read_text(config_path)
-    manifest.add_input(config_path)
+    text = read_text(_read(config_path, manifest), config_path)
     base = Path(config_path).parent
     spaces, paths, parts = {}, {}, []
     for e in parse_config_text(text, source=str(config_path)):
@@ -253,7 +258,7 @@ def _load_config(config_path, args, manifest: RunManifest,
             elif (space.name, space.language_tag) != (e.space, e.lang):
                 space = replace(space, name=e.space, language_tag=e.lang)
             spaces[e.space] = space
-            manifest.add_input(path, sha256=space.sha256)
+            manifest.add_input(path, space.sha256)
         elif path is not None and path.resolve() != paths[e.space]:
             raise FormatError(f"{config_path}: space {e.space!r} has conflicting path= values")
         elif e.lang not in (None, spaces[e.space].language_tag):
@@ -319,9 +324,8 @@ def cmd_embed(args, seed: int, manifest: RunManifest) -> list[str | Iterator[str
     ]
 
     # one sentence per "\n"; str.splitlines would also break at \x0c, \x85, U+2028, ...
-    text = read_text(args.input)
+    text = read_text(_read(args.input, manifest), args.input)
     sentences = text.removesuffix("\n").split("\n") if text else []
-    manifest.add_input(args.input)
 
     X, stats = embed_corpus(cfg, sentences)
     if args.znorm and X.shape[0] > 0:
@@ -340,18 +344,18 @@ def cmd_train_projection(args, seed: int, manifest: RunManifest) -> list[str]:
     _bind("embeddings", "pooling", "projection", "textio")
     cfg = _projection_config_of(args, seed)
     src_space = load_text_embeddings(args.source_embeddings)
-    tgt_space = load_text_embeddings(args.target_embeddings)
-    manifest.add_input(args.source_embeddings, sha256=src_space.sha256)
-    manifest.add_input(args.target_embeddings, sha256=tgt_space.sha256)
+    tgt_space = (src_space if args.target_embeddings == args.source_embeddings
+                 else load_text_embeddings(args.target_embeddings))
+    manifest.add_input(args.source_embeddings, src_space.sha256)
+    manifest.add_input(args.target_embeddings, tgt_space.sha256)
 
     src_texts, tgt_texts = [], []
-    for lineno, line in read_lines(args.pairs):
+    for lineno, line in read_lines(_read(args.pairs, manifest), args.pairs):
         src, tab, tgt = line.partition("\t")
         if not tab:
             raise InputError(f"{args.pairs}:{lineno}: expected 'source TAB target'")
         src_texts.append(src)
         tgt_texts.append(tgt)
-    manifest.add_input(args.pairs)
     if not src_texts:
         raise InputError(f"{args.pairs}: no sentence pairs")
 
@@ -370,20 +374,23 @@ def cmd_eval(args, seed: int, manifest: RunManifest) -> list[str]:
     _bind("embeddings", "evaluation", "pooling", "textio")
     cfg = _load_config(args.config, args, manifest)
     ds = load_task(args.task)
-    manifest.add_input(args.task)
+    manifest.add_input(args.task, ds.sha256)
     report = evaluate_report([(cfg, cfg)], [ds], _protocol_of(args, seed))
     return [emit_report(report, "json"), emit_report(report, "markdown")]
 
 
 def cmd_eval_transfer(args, seed: int, manifest: RunManifest) -> list[str]:
     _bind("embeddings", "evaluation", "pooling", "textio")
-    loaded = {}  # both configs often name one bilingual file; parse and hash it once
+    loaded = {}  # a file both configs name is read and parsed once, as is a path given twice
     cfg_src = _load_config(args.source_config, args, manifest, loaded)
-    cfg_tgt = _load_config(args.target_config, args, manifest, loaded)
-    pair = TransferPair(train=load_task(args.train_task), test=load_task(args.test_task))
-    manifest.add_input(args.train_task)
-    manifest.add_input(args.test_task)
-    report = evaluate_report([(cfg_src, cfg_tgt)], [pair], _protocol_of(args, seed))
+    cfg_tgt = (cfg_src if args.target_config == args.source_config
+               else _load_config(args.target_config, args, manifest, loaded))
+    train = load_task(args.train_task)
+    test = train if args.test_task == args.train_task else load_task(args.test_task)
+    manifest.add_input(args.train_task, train.sha256)
+    manifest.add_input(args.test_task, test.sha256)
+    report = evaluate_report([(cfg_src, cfg_tgt)], [TransferPair(train, test)],
+                             _protocol_of(args, seed))
     return [emit_report(report, "json"), emit_report(report, "markdown")]
 
 
@@ -392,10 +399,9 @@ def cmd_sweep(args, seed: int, manifest: RunManifest) -> list[str]:
     cfg = _load_config(args.config, args, manifest)
     p_sets = [[parse_p(tok) for tok in ps.split(",") if tok] for ps in args.p_sets]
 
-    tasks = []
-    for task_path in args.task:
-        tasks.append(load_task(task_path))
-        manifest.add_input(task_path)
+    tasks = [load_task(path) for path in args.task]
+    for path, task in zip(args.task, tasks):
+        manifest.add_input(path, task.sha256)
     report = sweep_pmeans(cfg, p_sets, tasks, _protocol_of(args, seed))
     return [emit_report(report, "json"), emit_report(report, "markdown")]
 

@@ -8,10 +8,10 @@ parsed and checked, whether or not a sentence uses it.
 
 A parse is done once per file content: its result is cached under
 ``${XDG_CACHE_HOME:-~/.cache}/pmean``, keyed by the SHA-256 of the file's bytes
-and ``CACHE_VERSION``, and a later load of the same bytes reads the entry
-instead. Outputs never depend on the cache: an entry that cannot be read or
-fails any check is ignored and rewritten, and a cache that cannot be written
-is skipped.
+and ``CACHE_VERSION``; a later load of the same bytes reads the entry instead,
+and writing an entry removes the file's entries of other versions. Outputs
+never depend on the cache: an entry that cannot be read or fails any check is
+ignored and rewritten, and a cache that cannot be written is skipped.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .manifest import atomic_open, sha256_file
-from .textio import float_row_text, read_lines
+from .manifest import atomic_open
+from .textio import float_row_text, read_input, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -87,25 +87,22 @@ def load_text_embeddings(
 
     A file whose bytes were parsed before is read from the parse cache (see
     the module docstring) instead; the result is the same bit for bit. A file
-    that fails to parse is never cached. The file is hashed on every load, with
-    or without a cache directory, and the digest is the space's ``sha256``: the
-    one a caller records for the file, which it never hashes itself.
-    Hashing reads the file first, so a missing or unreadable file raises the
-    OSError the parser would.
+    that fails to parse is never cached. Each load reads the file once, and
+    the parse, the entry it keys and the space's ``sha256`` are of those bytes.
     """
     path = Path(path)
     name = name or path.stem
-    stat = os.stat(path)  # taken before hashing: see _write_entry
-    sha256 = sha256_file(path)
+    data, sha256 = read_input(path)
     cache = _cache_dir()
     entry = None if cache is None else cache / f"{sha256}-v{CACHE_VERSION}.npy"
     cached = _read_entry(entry, name, language_tag, sha256) if entry is not None else None
     if cached is None:
-        vocab, matrix, duplicates = _parse_with_loadtxt(path) or _parse_with_float(path)
+        vocab, matrix, duplicates = (_parse_with_loadtxt(data, path)
+                                     or _parse_with_float(data, path))
         space = EmbeddingSpace(name=name, vocab=vocab, matrix=matrix, language_tag=language_tag,
                                sha256=sha256)
         if entry is not None:
-            _write_entry(entry, space, duplicates, path, stat)
+            _write_entry(entry, space, duplicates)
     else:
         space, duplicates = cached
     if duplicates:
@@ -130,26 +127,19 @@ def _cache_dir() -> Path | None:
     return Path(root) / "pmean"
 
 
-def _write_entry(entry: Path, space: EmbeddingSpace, duplicates: int,
-                 path: Path, stat: os.stat_result) -> None:
+def _write_entry(entry: Path, space: EmbeddingSpace, duplicates: int) -> None:
     """Store a parse as three ``.npy`` arrays in one file: the duplicate count,
     the tokens in row order as ``\n``-joined UTF-8 bytes (a token holds no
-    ``\n``), and the matrix.
-
-    Nothing is stored if the file changed since ``stat`` was taken before
-    hashing, since the parse may then not be of the hashed bytes. A cache that
-    cannot be written is skipped.
-    """
+    ``\n``), and the matrix; then remove the same bytes' entries of other
+    ``CACHE_VERSION``s, which no load reads. A failed write or removal is skipped."""
     tokens = "\n".join(sorted(space.vocab, key=space.vocab.get)).encode("utf-8")
     try:
-        now = os.stat(path)
-        if (now.st_ino, now.st_size, now.st_mtime_ns) != (stat.st_ino, stat.st_size,
-                                                           stat.st_mtime_ns):
-            return
-        with atomic_open(entry, "wb") as fh:
+        with atomic_open(entry) as fh:
             np.save(fh, np.array([duplicates], dtype=np.int64), allow_pickle=False)
             np.save(fh, np.frombuffer(tokens, dtype=np.uint8), allow_pickle=False)
             np.save(fh, space.matrix, allow_pickle=False)
+        for other in set(entry.parent.glob(f"{space.sha256}-v*.npy")) - {entry}:
+            other.unlink(missing_ok=True)
     except OSError:
         pass
 
@@ -186,7 +176,7 @@ def _read_entry(entry: Path, name: str, language_tag: str | None, sha256: str):
 _FLOAT_LOOP_CHARS = ("\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _parse_with_loadtxt(path: Path):
+def _parse_with_loadtxt(data: bytes, path: Path):
     """``(vocab, matrix, duplicates)`` with the numbers read by ``np.loadtxt``, or None.
 
     One pass over the lines skips the ``count dim`` header, checks each token,
@@ -201,7 +191,7 @@ def _parse_with_loadtxt(path: Path):
 
     def value_texts():
         nonlocal rejected
-        for lineno, line in read_lines(path):
+        for lineno, line in read_lines(data, path):
             token, _, values = line.partition(" ")
             if lineno == 1 and " " not in values and _is_int(token) and _is_int(values):
                 continue  # word2vec-style count/dim header
@@ -233,7 +223,7 @@ def _parse_with_loadtxt(path: Path):
     return vocab, matrix, len(duplicate_rows)
 
 
-def _parse_with_float(path: Path):
+def _parse_with_float(data: bytes, path: Path):
     """``(vocab, matrix, duplicates)`` with every value read by ``float()``, line by line.
 
     The reference parser: it raises FormatError for the first bad line.
@@ -243,7 +233,7 @@ def _parse_with_float(path: Path):
     dim: int | None = None
     duplicates = 0
 
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(data, path):
         parts = line.split(" ")
         if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
             continue  # word2vec-style count/dim header

@@ -18,7 +18,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .classifier import (
 from .errors import DimensionError, FormatError, InputError
 from .pooling import PooledConfig, PooledPart, embed_corpus
 from .settings import TrainProtocol
-from .textio import json_numbers, read_lines
+from .textio import json_numbers, read_input, read_lines
 
 REPORT_FORMAT_VERSION = 1
 
@@ -48,6 +48,7 @@ class TaskDataset:
     items: list[tuple]  # (label, sentence text)
     metric_kind: str = ACCURACY
     language_tag: str | None = None
+    sha256: str | None = field(default=None, compare=False)  # of the bytes load_task parsed
 
     def __post_init__(self):
         if not self.items:
@@ -81,12 +82,13 @@ class TransferPair:
 def load_task(path) -> TaskDataset:
     """Parse one task file; its classes are the sorted distinct labels.
 
-    Each header key appears at most once: a repeat raises FormatError naming its line.
+    A repeated header key or an empty ``#name=`` raises FormatError naming its line.
     """
     path = Path(path)
+    data, sha256 = read_input(path)
     headers: dict[str, str] = {}
     items: list[tuple] = []
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(data, path):
         if line.startswith("#"):
             if items:
                 raise FormatError(f"{path}:{lineno}: header after data lines")
@@ -97,6 +99,8 @@ def load_task(path) -> TaskDataset:
                 raise FormatError(f"{path}:{lineno}: duplicate header key {key!r}")
             if key == "metric" and value not in METRICS:
                 raise FormatError(f"{path}:{lineno}: metric must be one of {METRICS}")
+            if key == "name" and not value:
+                raise FormatError(f"{path}:{lineno}: empty task name")
             headers[key] = value
             continue
         if "name" not in headers or "metric" not in headers:
@@ -113,7 +117,7 @@ def load_task(path) -> TaskDataset:
     logger.info("%s: task %r, %d items, per-class counts %s", path, headers["name"],
                 len(items), dict(counts))
     return TaskDataset(name=headers["name"], items=items, metric_kind=headers["metric"],
-                       language_tag=headers.get("lang"))
+                       language_tag=headers.get("lang"), sha256=sha256)
 
 
 def save_task(ds: TaskDataset, path) -> None:
@@ -123,23 +127,25 @@ def save_task(ds: TaskDataset, path) -> None:
     classes, which both derive from the items. A line that ends in ``\r``
     gets one more, because the reader drops one before ``\n``. Raises
     InputError for what the format cannot hold: a field that is not a string
-    or holds ``\n``, a label that is empty, holds a TAB or starts with ``#``,
-    or text that is not encodable as UTF-8.
+    or holds ``\n``, an empty name, a label that is empty, holds a TAB or
+    starts with ``#``, or text that is not encodable as UTF-8.
     """
-    def field(what, value):
+    def writable(what, value):
         if not isinstance(value, str) or "\n" in value:
             raise InputError(f"task {ds.name!r}: {what} {value!r} cannot be written to a "
                              "task file: not a string or holds a newline")
         return value
 
-    lines = [f"#name={field('name', ds.name)}", f"#metric={ds.metric_kind}"]
+    if not writable("name", ds.name):
+        raise InputError("a task with an empty name cannot be written to a task file")
+    lines = [f"#name={ds.name}", f"#metric={ds.metric_kind}"]
     if ds.language_tag is not None:
-        lines.append(f"#lang={field('language tag', ds.language_tag)}")
+        lines.append(f"#lang={writable('language tag', ds.language_tag)}")
     for label, text in ds.items:
-        if not field("label", label) or "\t" in label or label.startswith("#"):
+        if not writable("label", label) or "\t" in label or label.startswith("#"):
             raise InputError(f"task {ds.name!r}: label {label!r} cannot be written to a task "
                              "file: empty, holds a TAB or starts with '#'")
-        lines.append(f"{label}\t{field('text', text)}")
+        lines.append(f"{label}\t{writable('text', text)}")
     data = "".join(line + ("\r\n" if line.endswith("\r") else "\n") for line in lines)
     try:
         encoded = data.encode("utf-8")
@@ -307,12 +313,16 @@ def sweep_pmeans(cfg: PooledConfig, p_sets: list[list[float]], tasks,
     Each row keeps the config's pooling options and its spaces, one per name
     in first-appearance order, and pools every space with that row's
     p-values; the config's own p-values are ignored. Transfer rows reuse the same
-    config on both sides, so the spaces must be shared/bilingual.
+    config on both sides, so the spaces must be shared/bilingual. Each task
+    names a column, so two tasks of one name raise InputError.
     """
     spaces = {part.space.name: part.space for part in cfg.parts}.values()
     tasks = list(tasks)
     if not tasks:
         raise InputError("sweep needs at least one task")
+    names = [t.train.name if isinstance(t, TransferPair) else t.name for t in tasks]
+    if len(set(names)) < len(names):
+        raise InputError(f"sweep: each task needs a name of its own, got {names}")
     if not p_sets:
         raise InputError("sweep needs at least one p-value set")
     cfgs = [replace(cfg, parts=[PooledPart(sp, list(p_set)) for sp in spaces])

@@ -1,19 +1,19 @@
 """Run manifests: enough provenance to make any CLI run reproducible.
 
 A manifest records the command, every option but the outputs under its argparse
-dest (the seed resolved, under ``seeds``), SHA-256 digests of all input files and
+dest (the seed resolved, under ``seeds``), the SHA-256 of each input file and
 the ``pmean.__version__`` that wrote it, naming each file relative to the
-manifest's directory. On one host, equal manifests mean byte-identical outputs,
-whatever their paths, and one run writes the same manifest from any directory.
-Across hosts they may not: numpy's SIMD kernels (``np.power``, ``np.log``) and
-the BLAS core can change an output's last bits under an equal manifest.
+manifest's directory. Each digest is the one ``textio.read_input`` took in the
+one read of the bytes the command parsed; this module only records and writes.
+On one host, equal manifests mean byte-identical outputs, whatever their paths,
+and one run writes the same manifest from any directory. Across hosts they may
+not: numpy's SIMD kernels (``np.power``, ``np.log``) and the BLAS core can
+change an output's last bits under an equal manifest.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import stat
 import tempfile
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import InputError
 
 
 @dataclass
@@ -35,11 +34,9 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def add_input(self, path, sha256: str | None = None) -> None:
-        """Record ``path`` with the hex digest of its bytes: ``sha256``, which an
-        embedding file's loader gives (``EmbeddingSpace.sha256``), else the
-        digest of hashing the file here."""
-        self.inputs[self.relative(path)] = f"sha256:{sha256 or sha256_file(path)}"
+    def add_input(self, path, sha256: str) -> None:
+        """Record ``path`` with the hex digest ``read_input`` took of the bytes parsed."""
+        self.inputs[self.relative(path)] = f"sha256:{sha256}"
 
     def relative(self, path) -> str:
         """How the manifest names a file, an input's key or a Path in ``config``:
@@ -58,23 +55,6 @@ class RunManifest:
         return json.dumps(doc, indent=2, sort_keys=True, default=self.relative) + "\n"
 
 
-def sha256_file(path) -> str:
-    """The hex SHA-256 of a file's bytes, read in 1 MiB blocks so memory stays bounded.
-
-    A manifest names bytes that can be read again, so anything but a regular
-    file (a pipe, a FIFO, a device) raises InputError. The file is opened
-    without blocking, so a FIFO with no writer raises instead of hanging.
-    """
-    h = hashlib.sha256()
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise InputError(f"{path}: not a regular file; a manifest records each input's "
-                             "digest, so an input must be readable again")
-        while block := fh.read(1 << 20):
-            h.update(block)
-    return h.hexdigest()
-
-
 def write_atomic(path, text: str | Iterable[str]) -> None:
     """Write ``text`` via a temp file in the same directory plus an atomic rename.
 
@@ -82,21 +62,19 @@ def write_atomic(path, text: str | Iterable[str]) -> None:
     as they come, so the whole text is never held at once. An error raised
     while the chunks are made leaves no file, as a failed write does.
     """
-    with atomic_open(path, "w") as fh:
-        if isinstance(text, str):
-            fh.write(text)
-        else:
-            fh.writelines(text)
+    chunks = [text] if isinstance(text, str) else text
+    with atomic_open(path) as fh:
+        fh.writelines(chunk.encode("utf-8") for chunk in chunks)
 
 
 @contextmanager
-def atomic_open(path, mode: str):
-    """A file opened for writing (``"w"``, UTF-8, or ``"wb"``) that appears at
-    ``path`` only when the block ends without an error; a failed write leaves
-    neither a partial file nor the temp file behind."""
+def atomic_open(path):
+    """A file opened for binary writing that appears at ``path`` only when the
+    block ends without an error; a failed write leaves neither a partial file
+    nor the temp file behind."""
     tmp = temp_beside(path)
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

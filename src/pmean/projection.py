@@ -17,7 +17,7 @@ from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
 from .settings import ProjectionTrainConfig
-from .textio import float_row_text, json_numbers, read_text
+from .textio import float_row_text, json_numbers, read_input, read_text
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -393,7 +393,7 @@ def _json_array(arr: np.ndarray, level: int) -> str:
 
 def load_projection(path) -> ProjectionModel:
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(read_text(read_input(path)[0], path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -1,10 +1,11 @@
-"""UTF-8 text input shared by every file reader, and float rows as text.
+"""The one reader of input files, the UTF-8 text of its bytes, and float rows as text.
 
-A file that is not valid UTF-8 raises FormatError naming the file. Line
-readers decode in chunks, so the error carries no line number. One leading
-UTF-8 byte-order mark is skipped, so it never becomes part of a token, key or
-label. Only ``\n`` ends a line, and one ``\r`` before it is dropped, so CRLF
-reads as LF; any other ``\r`` is part of the line.
+``read_input`` is the only function in pmean that opens an input, so each
+digest a manifest records is of the bytes that were parsed. ``read_text`` and
+``read_lines`` decode those bytes as UTF-8, skipping one leading byte-order
+mark, or raise FormatError naming their ``source`` file (with no line number).
+Only ``\n`` ends a line, and one ``\r`` before it is dropped, so CRLF reads as
+LF; any other ``\r`` is part of the line.
 
 ``float_row_text`` writes a row of floats exactly as ``repr`` writes each
 one, so a reader that parses them gets the same doubles back. The JSON
@@ -12,11 +13,15 @@ readers take their numbers through ``json_numbers``.
 """
 from __future__ import annotations
 
+import hashlib
+import io
+import os
+import stat
 from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 
 # repr writes zero and |v| in [1e-4, 1e16) positionally; orjson writes the
 # same shortest round-trip digits there, but spells other values its own way
@@ -45,30 +50,40 @@ def float_row_text(row: np.ndarray, sep: str) -> str:
     return sep.join(tokens)
 
 
-def read_text(path) -> str:
-    """The whole file as one string, each CRLF read as LF."""
+def read_input(path) -> tuple[bytes, str]:
+    """``path``'s bytes and their hex SHA-256, from one read. A manifest names
+    bytes that can be read again, so anything but a regular file (a pipe, a FIFO,
+    a device) raises InputError before a byte is read, and a FIFO never blocks."""
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise InputError(f"{path}: not a regular file; a manifest records each input's "
+                             "digest, so an input must be readable again")
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
+
+
+def read_text(data: bytes, source) -> str:
+    """``data`` as one string, each CRLF read as LF."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return fh.read().replace("\r\n", "\n")
+        return data.decode("utf-8-sig").replace("\r\n", "\n")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        raise _not_utf8(source, exc) from None
 
 
-def read_lines(path):
-    """Yield ``(lineno, line)`` for every non-blank line, line ending stripped."""
+def read_lines(data: bytes, source):
+    """Yield ``(lineno, line)`` for every non-blank line of ``data``, line ending stripped."""
     try:
         # newline="\n": lines end at "\n" only, untranslated ("" would also end one at "\r")
-        with open(path, encoding="utf-8-sig", newline="\n") as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.removesuffix("\n").removesuffix("\r")
-                if line:
+                if line := raw.removesuffix("\n").removesuffix("\r"):
                     yield lineno, line
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        raise _not_utf8(source, exc) from None
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> FormatError:
-    return FormatError(f"{path}: not UTF-8: cannot decode byte 0x{exc.object[exc.start]:02x}")
+def _not_utf8(source, exc: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{source}: not UTF-8: cannot decode byte 0x{exc.object[exc.start]:02x}")
 
 
 def json_numbers(value, ndim: int) -> np.ndarray:

@@ -1,32 +1,27 @@
-"""The embedding parse cache, and the streaming file hash that keys it."""
+"""The embedding parse cache, and the one read of a file that keys it."""
 import hashlib
 import json
 import logging
 import shutil
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmean.cli
 import pmean.embeddings
-import pmean.manifest
+import pmean.evaluation
+import pmean.projection
+import pmean.textio
 from pmean.cli import main
-from pmean.embeddings import CACHE_VERSION, load_text_embeddings
-from pmean.manifest import sha256_file
+from pmean.embeddings import CACHE_VERSION, _parse_with_float, load_text_embeddings
 from test_acceptance import build_cli_fixture
 from test_imports import command
 
 
-@pytest.mark.parametrize("size", [0, 1, 2**20 - 1, 2**20, 2**20 + 1])
-def test_sha256_file_matches_hashlib_on_the_whole_bytes(tmp_path, size):
-    data = np.random.default_rng(size).bytes(size)
-    (tmp_path / "f.bin").write_bytes(data)
-    assert sha256_file(tmp_path / "f.bin") == hashlib.sha256(data).hexdigest()
-
-
 def entry_of(cache, path):
-    return cache / f"{sha256_file(path)}-v{CACHE_VERSION}.npy"
+    return cache / f"{hashlib.sha256(Path(path).read_bytes()).hexdigest()}-v{CACHE_VERSION}.npy"
 
 
 def write_entry(entry, duplicates, tokens, matrix):
@@ -39,7 +34,7 @@ def write_entry(entry, duplicates, tokens, matrix):
 
 def no_parse(monkeypatch):
     """Make any parse fail the test, so a load that succeeds was a cache hit."""
-    def fail(path):
+    def fail(data, path):
         raise AssertionError(f"{path} was parsed, not read from the cache")
     monkeypatch.setattr(pmean.embeddings, "_parse_with_loadtxt", fail)
     monkeypatch.setattr(pmean.embeddings, "_parse_with_float", fail)
@@ -111,21 +106,6 @@ class TestHit:
         assert space.matrix.tobytes() == cached.matrix.tobytes()
         assert list(space.vocab.items()) == list(cached.vocab.items())
 
-    def test_a_file_changed_while_loading_is_not_stored(self, tmp_path, parse_cache_home,
-                                                        monkeypatch):
-        path = tmp_path / "emb.txt"
-        path.write_text(TEXT, encoding="utf-8")
-        real = pmean.embeddings._parse_with_loadtxt
-
-        def parse_then_edit(p):
-            parsed = real(p)
-            path.write_text(TEXT + "delta 1 2 3\n", encoding="utf-8")
-            return parsed
-
-        monkeypatch.setattr(pmean.embeddings, "_parse_with_loadtxt", parse_then_edit)
-        load_text_embeddings(path)
-        assert not parse_cache_home.exists() or not any(parse_cache_home.iterdir())
-
     def test_a_one_byte_edit_misses(self, tmp_path, parse_cache_home):
         path = tmp_path / "emb.txt"
         path.write_text(TEXT, encoding="utf-8")
@@ -147,6 +127,48 @@ def embed(workdir, out="emb.tsv"):
 def workdir(tmp_path):
     build_cli_fixture(tmp_path)
     return tmp_path
+
+
+class TestEntryOfTheBytesRead:
+    def test_a_file_changed_after_its_read_is_cached_and_recorded_as_read(
+            self, workdir, parse_cache_home, monkeypatch):
+        path = workdir / "one.txt"
+        read = path.read_bytes()
+
+        def read_then_edit(p):
+            got = pmean.textio.read_input(p)
+            if Path(p) == path:
+                path.write_bytes(read.replace(b"alpha", b"omega"))
+            return got
+
+        monkeypatch.setattr(pmean.embeddings, "read_input", read_then_edit)
+        assert embed(workdir)[0] == 0
+        assert path.read_bytes() != read
+        digest = hashlib.sha256(read).hexdigest()
+        entry = parse_cache_home / f"{digest}-v{CACHE_VERSION}.npy"
+        assert sorted(parse_cache_home.iterdir()) == sorted([entry, entry_of(parse_cache_home,
+                                                                             workdir / "two.txt")])
+        inputs = json.loads((workdir / "emb.tsv.manifest.json").read_text())["inputs"]
+        assert inputs["one.txt"] == f"sha256:{digest}"
+        with open(entry, "rb") as fh:
+            _, tokens, matrix = (np.load(fh) for _ in range(3))
+        vocab, parsed, _ = _parse_with_float(read, path)
+        assert tokens.tobytes().decode().split("\n") == list(vocab)
+        assert matrix.tobytes() == parsed.tobytes()
+
+    def test_writing_an_entry_removes_the_files_entries_of_other_versions(
+            self, workdir, parse_cache_home):
+        rc, cold = embed(workdir)
+        assert rc == 0
+        shutil.rmtree(parse_cache_home)
+        parse_cache_home.mkdir()
+        digest = hashlib.sha256((workdir / "one.txt").read_bytes()).hexdigest()
+        own, other = (parse_cache_home / f"{name}-v1.npy" for name in (digest, "0" * 64))
+        for old in (own, other):
+            old.write_bytes(b"an entry an older CACHE_VERSION wrote")
+        assert embed(workdir) == (0, cold)
+        assert not own.exists() and other.exists()
+        assert entry_of(parse_cache_home, workdir / "one.txt").exists()
 
 
 def corrupt(kind: str, entry) -> None:
@@ -282,38 +304,39 @@ class TestFailedParses:
         assert not (workdir / "o.tsv").exists()
 
 
-class TestHashOnce:
-    """Each embedding file is hashed once per command: the loader's cache key is
-    the digest the manifest records."""
+class TestReadOnce:
+    """Each input is read once per command, and the digest the manifest records
+    for it is of the bytes that read returned, the ones the command parsed."""
 
     @pytest.fixture
-    def hashes(self, monkeypatch):
-        """Counts ``sha256_file`` calls by the resolved path hashed."""
-        calls = Counter()
+    def reads(self, monkeypatch):
+        """The SHA-256 of the bytes each ``read_input`` call returned, by the resolved path."""
+        calls = defaultdict(list)
 
-        def counting(path):
-            calls[Path(path).resolve()] += 1
-            return sha256_file(path)
+        def spying(path):
+            data, sha256 = pmean.textio.read_input(path)
+            calls[Path(path).resolve()].append(hashlib.sha256(data).hexdigest())
+            return data, sha256
 
-        monkeypatch.setattr(pmean.embeddings, "sha256_file", counting)
-        monkeypatch.setattr(pmean.manifest, "sha256_file", counting)
+        for module in (pmean.cli, pmean.embeddings, pmean.evaluation, pmean.projection):
+            monkeypatch.setattr(module, "read_input", spying)
         return calls
 
     @staticmethod
-    def check(workdir, hashes, manifest):
-        """Both embedding files were hashed once, and every digest ``manifest``
-        records is of its file's bytes."""
-        assert [hashes[(workdir / name).resolve()] for name in ("one.txt", "two.txt")] == [1, 1]
+    def check(workdir, reads, manifest):
+        """Every input ``manifest`` records, both embedding files among them, was
+        read once, and its digest is of the bytes that read returned."""
         inputs = json.loads((workdir / manifest).read_text())["inputs"]
         assert {"one.txt", "two.txt"} <= set(inputs)
+        assert sorted(reads) == sorted((workdir / name).resolve() for name in inputs)
         for name, digest in inputs.items():
-            assert digest == "sha256:" + hashlib.sha256((workdir / name).read_bytes()).hexdigest()
-        hashes.clear()
+            assert [f"sha256:{d}" for d in reads[(workdir / name).resolve()]] == [digest]
+        reads.clear()
 
-    def test_embed_cold_and_warm(self, workdir, hashes):
+    def test_embed_cold_and_warm(self, workdir, reads):
         for _ in ("cold", "warm"):
             assert embed(workdir)[0] == 0
-            self.check(workdir, hashes, "emb.tsv.manifest.json")
+            self.check(workdir, reads, "emb.tsv.manifest.json")
 
     @staticmethod
     def transfer(workdir, target_config):
@@ -324,13 +347,13 @@ class TestHashOnce:
                      "--test-task", str(workdir / "task.tsv"),
                      "--out", str(workdir / "r"), "--runs", "2"])
 
-    def test_eval_transfer_with_configs_sharing_files(self, workdir, hashes):
+    def test_eval_transfer_with_configs_sharing_files(self, workdir, reads):
         shutil.copy(workdir / "cfg.txt", workdir / "target.cfg")
         for _ in ("cold", "warm"):
             assert self.transfer(workdir, "target.cfg") == 0
-            self.check(workdir, hashes, "r.manifest.json")
+            self.check(workdir, reads, "r.manifest.json")
 
-    def test_train_projection(self, workdir, hashes):
+    def test_train_projection(self, workdir, reads):
         for _ in ("cold", "warm"):
             assert main(["train-projection", "--source-embeddings", str(workdir / "one.txt"),
                          "--target-embeddings", str(workdir / "two.txt"),
@@ -338,12 +361,12 @@ class TestHashOnce:
                          "--model-out", str(workdir / "m.json"),
                          "--history-out", str(workdir / "h.csv"),
                          "--shared-dim", "3", "--epochs", "2"]) == 0
-            self.check(workdir, hashes, "m.json.manifest.json")
+            self.check(workdir, reads, "m.json.manifest.json")
 
-    def test_without_a_cache_directory(self, workdir, hashes, parse_cache_home, monkeypatch):
+    def test_without_a_cache_directory(self, workdir, reads, parse_cache_home, monkeypatch):
         monkeypatch.setattr(pmean.embeddings, "_cache_dir", lambda: None)
         assert embed(workdir)[0] == 0
-        self.check(workdir, hashes, "emb.tsv.manifest.json")
+        self.check(workdir, reads, "emb.tsv.manifest.json")
         assert self.transfer(workdir, "cfg.txt") == 0
-        self.check(workdir, hashes, "r.manifest.json")
+        self.check(workdir, reads, "r.manifest.json")
         assert not parse_cache_home.exists()

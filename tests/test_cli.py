@@ -701,6 +701,18 @@ class TestEvalCommands:
         assert "[1,inf,-inf]" in doc["rows"][0]["model"]
         assert "[1,inf,-inf,3]" in doc["rows"][1]["model"]
 
+    @pytest.mark.parametrize("second", ["task.tsv", "copy.tsv"])
+    def test_sweep_over_two_tasks_of_one_name_exits_2(self, workdir, capsys, second):
+        # each task names a report column, so a second one of the name is ambiguous
+        write(workdir / "copy.tsv", (workdir / "task.tsv").read_text())
+        rc = main(["sweep", "--config", str(workdir / "cfg.txt"), "--p-set", "1",
+                   "--task", str(workdir / "task.tsv"), "--task", str(workdir / second),
+                   "--out", str(workdir / "never"), *PROTOCOL_ARGS])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "pmean: sweep: each task needs a name of its own, got ['toy', 'toy']\n")
+        assert not list(workdir.glob("never*"))
+
     def test_p_set_may_start_with_a_dash(self, workdir):
         def sweep(out, *p_set):
             return main(["sweep", "--config", str(workdir / "cfg.txt"), *p_set,
@@ -1089,6 +1101,8 @@ class TestManifest:
             argv[argv.index(flag) + 1] = source
             try:
                 code, err = run_module(*argv, pass_fds=(read_end,))
+                # the run shared the pipe and no writer is left: it read no byte
+                assert b"".join(iter(lambda: os.read(read_end, 1 << 16), b"")) == data
             finally:
                 os.close(read_end)
         else:
@@ -1183,8 +1197,8 @@ class TestOutputs:
         def read(*args, **kwargs):
             raise AssertionError("the command ran before its outputs were checked")
 
-        for name in ("read_text", "read_lines", "load_text_embeddings", "load_task",
-                     "train_projection"):
+        for name in ("read_input", "read_text", "read_lines", "load_text_embeddings",
+                     "load_task", "train_projection"):
             monkeypatch.setattr(pmean.cli, name, read)
 
     @pytest.mark.parametrize("model, history", [

@@ -71,7 +71,7 @@ class TestLoad:
 
     def test_lone_cr_does_not_end_a_row(self, tmp_path):
         path = write(tmp_path, "a 1.0 2.0\rb 3.0 4.0\n")
-        assert _parse_with_loadtxt(path) is None  # the float() loop names the line
+        assert _parse_with_loadtxt(path.read_bytes(), path) is None  # the float() loop names it
         with pytest.raises(FormatError, match=r":1: could not convert string to float: '2\.0\\rb'"):
             load_text_embeddings(path)
 
@@ -158,7 +158,7 @@ LOADER_CASES = {
 def parsed(parse, path):
     """A parser's (vocab, matrix bytes, shape, duplicates), or its FormatError's type and text."""
     try:
-        vocab, matrix, duplicates = parse(path)
+        vocab, matrix, duplicates = parse(path.read_bytes(), path)
     except FormatError as exc:
         return type(exc), str(exc)
     return vocab, matrix.tobytes(), matrix.shape, duplicates
@@ -176,11 +176,11 @@ def assert_loads_as_float_reads(path, c_path=None):
     """The C parser, where it takes the file, and the loader agree with the float() loop."""
     want = parsed(_parse_with_float, path)
     assert loaded(path) == want[:3]
-    fast = _parse_with_loadtxt(path)
+    fast = _parse_with_loadtxt(path.read_bytes(), path)
     if c_path is not None:
         assert (fast is not None) is c_path
     if fast is not None:
-        assert parsed(lambda _: fast, path) == want
+        assert parsed(lambda *_: fast, path) == want
 
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

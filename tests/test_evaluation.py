@@ -95,6 +95,13 @@ class TestLoadTask:
             load_task(path)
         assert str(exc.value) == f"{path}:4: duplicate header key {key!r}"
 
+    def test_an_empty_name_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("#metric=accuracy\n#name=\na\ts1\nb\ts2\n")
+        with pytest.raises(FormatError) as exc:
+            load_task(path)
+        assert str(exc.value) == f"{path}:2: empty task name"
+
     def test_only_lf_ends_a_line(self, tmp_path):
         lf = tmp_path / "lf.tsv"
         lf.write_bytes(b"#name=x\n#metric=accuracy\npos\tgood\rneg\tbad\nneg\tawful\n")
@@ -123,7 +130,8 @@ TASK_LABEL = st.text(TASK_CHAR.filter(lambda c: c != "\t"), min_size=1, max_size
     lambda label: not label.startswith("#"))
 # one way for a dataset to be beyond the format, or None for a writable one
 DEFECTS = [None] * 6 + ["empty label", "label TAB", "label #", "label newline",
-                        "text newline", "name newline", "lang newline", "surrogate"]
+                        "text newline", "empty name", "name newline", "lang newline",
+                        "surrogate"]
 
 
 @st.composite
@@ -131,7 +139,7 @@ def task_datasets(draw):
     """A writable TaskDataset, or one with a single drawn defect; returns (ds, defect)."""
     items = draw(st.lists(st.tuples(TASK_LABEL, TASK_TEXT), min_size=2, max_size=6))
     assume(len({label for label, _ in items}) >= 2)
-    name, lang = draw(TASK_TEXT), draw(st.none() | TASK_TEXT)
+    name, lang = draw(TASK_TEXT.filter(bool)), draw(st.none() | TASK_TEXT)
     defect = draw(st.sampled_from(DEFECTS))
     i = draw(st.integers(0, len(items) - 1))
     label, text = items[i]
@@ -147,6 +155,8 @@ def task_datasets(draw):
         text = "\n" + text
     elif defect == "surrogate":
         text += "\ud800"
+    elif defect == "empty name":
+        name = ""
     elif defect == "name newline":
         name += "\n"
     elif defect == "lang newline":

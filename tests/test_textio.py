@@ -1,15 +1,73 @@
+import ast
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmean.textio import float_row_text, read_lines, read_text
+import pmean.textio
+from pmean.textio import float_row_text, read_input, read_lines, read_text
 
 
-def write(tmp_path, data: bytes):
-    path = tmp_path / "in.txt"
-    path.write_bytes(data)
-    return path
+@pytest.mark.parametrize("size", [0, 1, 2**20 - 1, 2**20, 2**20 + 1])
+def test_read_input_gives_the_whole_bytes_and_their_sha256(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    (tmp_path / "f.bin").write_bytes(data)
+    assert read_input(tmp_path / "f.bin") == (data, hashlib.sha256(data).hexdigest())
+
+
+# the only functions that open a file to read it: the one reader of inputs, whose
+# digest is of the bytes a command parses, and the parse cache's reader of its entries
+READERS = {("textio.py", "read_input"), ("embeddings.py", "_read_entry")}
+
+
+def opens_for_reading(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file to read it: ``open`` (builtin, ``io`` or a
+    Path's) in a mode that reads or is not a literal, ``os.open`` without
+    ``O_WRONLY``, or ``Path.read_text``/``read_bytes``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    owner = getattr(func, "value", None)
+    owner = owner.id if isinstance(owner, ast.Name) else None
+    if name in ("read_text", "read_bytes"):
+        return isinstance(func, ast.Attribute)
+    if name != "open":
+        return False
+    if owner == "os":
+        return "O_WRONLY" not in ast.unparse(call.args[1])
+    at = 1 if isinstance(func, ast.Name) or owner == "io" else 0  # Path.open(mode)
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[at] if len(call.args) > at else ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("r+"))
+
+
+def file_readers(src: Path) -> set[tuple[str, str]]:
+    """(file, outermost function) of every call in ``src/*.py`` that opens a file to read it."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found |= {(path.name, getattr(top, "name", "<module>")) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and opens_for_reading(node)}
+    return found
+
+
+def test_read_input_is_the_only_reader_of_an_input():
+    assert file_readers(Path(pmean.textio.__file__).parent) <= READERS
+
+
+def test_the_reader_scan_sees_each_kind_of_read(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(p): return open(p)\n"
+        "def b(p): return open(p, 'r+b')\n"
+        "def c(p, m): return open(p, m)\n"
+        "def d(p): return os.open(p, os.O_RDONLY | os.O_NONBLOCK)\n"
+        "def e(p): return p.read_bytes()\n"
+        "def f(p): return p.open()\n"
+        "def g(p): return io.open(p, mode='rb')\n"
+        "def w(p): return open(p, 'wb'), os.open(p, os.O_WRONLY), p.open('w'), read_text(p)\n")
+    assert file_readers(tmp_path) == {("m.py", name) for name in "abcdefg"}
 
 
 class TestLineEndings:
@@ -20,23 +78,23 @@ class TestLineEndings:
         (b"a\r\r\nb\n", [(1, "a\r"), (2, "b")]),  # only one CR is dropped
         (b"\r\n\n\rx\n", [(3, "\rx")]),  # blank lines skipped, numbers kept
     ])
-    def test_read_lines_ends_lines_at_lf_only(self, tmp_path, data, lines):
-        assert list(read_lines(write(tmp_path, data))) == lines
+    def test_read_lines_ends_lines_at_lf_only(self, data, lines):
+        assert list(read_lines(data, "in.txt")) == lines
 
     @pytest.mark.parametrize("data, text", [
         (b"alpha\rbeta\n", "alpha\rbeta\n"),
         (b"alpha\r\nbeta\r\n", "alpha\nbeta\n"),
         (b"a\r\r\nb", "a\r\nb"),
     ])
-    def test_read_text_reads_crlf_as_lf_and_keeps_a_lone_cr(self, tmp_path, data, text):
-        assert read_text(write(tmp_path, data)) == text
+    def test_read_text_reads_crlf_as_lf_and_keeps_a_lone_cr(self, data, text):
+        assert read_text(data, "in.txt") == text
 
-    def test_one_leading_byte_order_mark_is_skipped(self, tmp_path):
+    def test_one_leading_byte_order_mark_is_skipped(self):
         bom = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
-        path = write(tmp_path, bom + b"a\r\n" + bom + b"b\n")  # only the first one is a mark
-        assert read_text(path) == "a\n\ufeffb\n"
-        assert list(read_lines(path)) == [(1, "a"), (2, "\ufeffb")]
-        assert read_text(write(tmp_path, bom * 2 + b"a\n")) == "\ufeffa\n"
+        data = bom + b"a\r\n" + bom + b"b\n"  # only the first one is a mark
+        assert read_text(data, "in.txt") == "a\n\ufeffb\n"
+        assert list(read_lines(data, "in.txt")) == [(1, "a"), (2, "\ufeffb")]
+        assert read_text(bom * 2 + b"a\n", "in.txt") == "\ufeffa\n"
 
 
 def repr_row(row, sep):
