@@ -11,10 +11,11 @@ concatenated in configuration order; z-normalization is a separate,
 explicitly fitted step.
 
 Every p, the extremes included, runs the same steps: ``_powers``, ``_reduce``
-(at finite p each column's powers summed left to right in ascending order),
-``_root``, then zeroing. ``power_mean`` runs them on one matrix and is the
-scalar oracle; ``embed_corpus`` runs them over a whole corpus one space and
-one p at a time, straight into its output, and returns a ``PoolStats``.
+(at finite p each column's powers summed in an order-independent way, exact
+to within about u*max|x|), ``_root``, then zeroing. ``power_mean`` runs them
+on one matrix and is the scalar oracle; ``embed_corpus`` runs them over a
+whole corpus one space and one p at a time, straight into its output, and
+returns a ``PoolStats``.
 
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
@@ -23,8 +24,9 @@ base with non-integer p and for a zero base with p <= 0 (log x at p = 0), so
 the geometric mean needs strictly positive entries. A base is zero only when
 it is 0.0 or -0.0; a tiny one is raised like any other. An undefined power is
 NaN, which the sum and the root keep, so one rule covers it, a pole (a p < 0
-sum that cancels to 0) and an overflow: an entry whose M_p is not finite
+sum that is 0) and a power that overflows: an entry whose M_p is not finite
 becomes 0 and is counted, or raises NumericalPolicyError with ``strict``.
+A sum of finite powers does not overflow.
 """
 from __future__ import annotations
 
@@ -92,9 +94,9 @@ class PooledConfig:
 def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
     """Reduce each column of an n x d matrix with the generalized mean M_p.
 
-    Each column's powers are summed left to right in ascending order, so the
-    result is bit-identical under row permutations of W and does not depend on
-    the other columns; a zero max or min is returned as 0.0. A column whose
+    Each column's powers are summed as ``_reduce`` says, so the result is
+    bit-identical under row permutations of W and does not depend on the
+    other columns; a zero max or min is returned as 0.0. A column whose
     mean is not finite is 0, or raises NumericalPolicyError with ``strict``.
     This is the scalar oracle ``embed_corpus`` must match bit for bit.
     """
@@ -135,23 +137,54 @@ def _powers(W, p):
 def _reduce(powers, p):
     """Each column's max or min along axis 0 at p = +/-inf (+ 0.0, so never -0.0), else its mean.
 
-    A 2-D matrix and an (L, n, D) block of n sentences reduce alike. At finite
-    p the entries are summed left to right in ascending order: ``powers`` is
-    sorted in place along axis 0 and its rows are added into the first one.
-    numpy's ``mean`` adds a lone column pairwise, and ``np.cumsum`` walks axis
-    0 one column at a time, over ten times slower on a 20 x 21 x 300 block.
-    ``np.sort`` may flip the signs of tied zeros, so a zero mean's sign
-    depends on the row order; ``_root`` maps it to 0.0.
+    A 2-D matrix and an (L, n, D) block of n sentences reduce alike; at finite
+    p ``powers`` is overwritten, and one scratch array of its size is used.
+    There each column is summed by pre-rounding (Demmel & Nguyen, ARITH 2013),
+    so its bits depend neither on the row order nor on the other columns:
+
+    - The column is scaled by 2**-e, with e from ``np.frexp`` of its max |x|,
+      so that every entry lies in (-1, 1). ``np.ldexp`` scales exactly, but
+      for entries so far below the max that the folds drop them anyway.
+    - Fold k = 0, 1, ... adds the pivot P = 2**(s + k*(s - 53)), with
+      s = ceil(log2 L) + 2, and takes it off again: q = (P + x) - P is x
+      rounded to a multiple of ulp(P) / 2, exactly, and x - q, the next
+      fold's entry, is exact with |x - q| <= ulp(P) / 2 = 2**((k+1)*(s - 53)).
+      L such q's sum to at most P / 4 on one grid, so ``np.add.reduce`` adds
+      them exactly in any order.
+    - The folds' exact sums are added smallest first, divided by L and scaled
+      back by 2**e (after the division, so a mean near the top of the float
+      range does not overflow on the way).
+
+    Bound: after K folds the dropped residuals are at most 2**(K*(s - 53))
+    each, L <= 2**(s - 2) of them. K is the fewest folds that keep this
+    truncation within 2**-54 of the scale, which is at most u*max|x|
+    (u = 2**-53): K*(53 - s) >= s + 52, so two folds up to L = 2**16. With
+    the one rounding of adding two folds the sum is within u*|sum| +
+    u*max|x| <= 2u*sum|x| of exact (to first order in u; more folds add
+    roundings of far smaller sums), inside recursive summation's
+    (L - 1)*u*sum|x| from L = 3 on; a single row is summed exactly. A sum
+    of finite powers cannot overflow. NaN stays NaN, and an inf power ends
+    NaN (its residual is inf - inf), so a mean is finite exactly when every
+    power is.
     """
     if p == math.inf:
         return powers.max(axis=0) + 0.0
     if p == -math.inf:
         return powers.min(axis=0) + 0.0
-    powers.sort(axis=0)
-    total = powers[0]
-    for row in powers[1:]:
-        total += row
-    return total / len(powers)
+    n = len(powers)
+    s = (n - 1).bit_length() + 2  # ceil(log2 L) + 2
+    e = np.frexp(np.maximum(powers.max(axis=0), -powers.min(axis=0)))[1]  # max|x| < 2**e
+    scratch = np.empty_like(powers)
+    np.ldexp(powers, -e, out=powers)
+    sums = []
+    for k in range(-(-(s + 52) // (53 - s))):  # K = ceil((s + 52) / (53 - s)) folds
+        if sums:
+            powers -= scratch  # the last fold's residuals x - q
+        pivot = 2.0 ** (s + k * (s - 53))
+        np.add(powers, pivot, out=scratch)
+        scratch -= pivot  # q
+        sums.append(np.add.reduce(scratch, axis=0))
+    return np.ldexp(sum(reversed(sums)) / n, e)
 
 
 def _root(inner, p):
@@ -163,11 +196,7 @@ def _root(inner, p):
     # sign-preserving outer root; for even/non-integer p the mean is >= 0
     # wherever defined, so the sign factor is inert there. np.sign(-0.0) is
     # 0.0, so at p > 0 a zero mean roots to 0.0 whatever its sign.
-    out = np.sign(inner) * np.abs(inner) ** (1.0 / p)
-    if p > 0:
-        return out
-    # an overflowed mean would root to a finite 0; keep it visible as overflow
-    return np.where(np.isinf(inner), np.inf, out)
+    return np.sign(inner) * np.abs(inner) ** (1.0 / p)
 
 
 def _strict_error(W, p, replace) -> NumericalPolicyError:

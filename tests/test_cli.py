@@ -144,6 +144,22 @@ class TestEmbed:
         assert outputs[0].startswith("1e-13\t1e-13\t") and len(values) == 6
         assert all(math.isclose(v, 1e-13, rel_tol=1e-12, abs_tol=0) for v in values), values
 
+    def test_a_mean_of_huge_entries_is_written(self, workdir):
+        # the sum 2e308 is past the float range, the mean 1e308 is not
+        write(workdir / "u.txt", "u 1e308 1e308\n")
+        write(workdir / "ucfg.txt", "space=u p=1,3 path=u.txt\n")
+        write(workdir / "usent.txt", "u u\n")
+        out = workdir / "u.tsv"
+        assert main(["embed", "--config", str(workdir / "ucfg.txt"),
+                     "--input", str(workdir / "usent.txt"), "--output", str(out)]) == 0
+        assert out.read_text() == "1e+308\t1e+308\t0.0\t0.0\n"  # 1e308 ** 3 overflows
+        manifest = json.loads((workdir / "u.tsv.manifest.json").read_text())
+        assert manifest["undefined_pool_entries"] == 2
+        write(workdir / "ucfg.txt", "space=u p=1 path=u.txt\n")
+        assert main(["embed", "--config", str(workdir / "ucfg.txt"), "--input",
+                     str(workdir / "usent.txt"), "--output", str(out), "--strict"]) == 0
+        assert out.read_text() == "1e+308\t1e+308\n"
+
     def test_znorm_params_recorded(self, workdir):
         out = workdir / "zn.tsv"
         rc = main(["embed", "--config", str(workdir / "cfg.txt"),

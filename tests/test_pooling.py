@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pmean.pooling import (
     parse_config_text,
     parse_p,
     _powers,
-    _root,
+    _reduce,
     power_mean,
     znorm_apply,
     znorm_fit,
@@ -99,6 +100,14 @@ class TestPowerMeanCases:
         assert power_mean(W, -1) == pytest.approx([0.0])
         assert undefined_columns(W, -1) == 1
 
+    def test_a_pole_is_a_sum_of_powers_that_is_exactly_zero(self):
+        # the reciprocals 1, -1, 2/3 and -2/3 cancel exactly (an ascending running
+        # sum left 2**-55); 1, -1 and 2**-60 do not (it rounded them to 0)
+        W = np.array([[1.0, 1.0], [-1.0, -1.0], [1.5, 2.0 ** 60], [-1.5, 2.0 ** 60]])
+        assert power_mean(W[:, :1], -1).tolist() == [0.0]
+        assert undefined_columns(W[:, :1], -1) == 1
+        assert power_mean(W[:3, 1:], -1, strict=True).tolist() == [3 * 2.0 ** 60]
+
     def test_error_mode_names_p_and_dimension(self):
         with pytest.raises(NumericalPolicyError, match=r"p=0\.5.*dimension 1"):
             power_mean(np.array([[2.0, -1.0], [2.0, 2.0]]), 0.5, strict=True)
@@ -115,10 +124,9 @@ class TestPowerMeanCases:
             power_mean(np.array(W), p, strict=True)
         assert str(exc.value) == f"power mean undefined for {detail}"
 
-    # the mean (of powers) overflows; for p < 0 its root would be a finite 0
+    # a power overflows; for p < 0 the root of its mean would be a finite 0
     OVERFLOWS = [(np.array([[1.0, 1e160], [2.0, 1e160]]), 2),
-                 (np.array([[1.0, 1e-11], [2.0, 1e-11]]), -30),
-                 (np.array([[1.0, 1e308], [2.0, 1e308]]), 1)]
+                 (np.array([[1.0, 1e-11], [2.0, 1e-11]]), -30)]
 
     def test_overflow_is_zeroed_not_propagated(self):
         for W, p in self.OVERFLOWS:
@@ -130,6 +138,22 @@ class TestPowerMeanCases:
         for W, p in self.OVERFLOWS:
             with pytest.raises(NumericalPolicyError, match=rf"overflows for p={p} at dimension 1"):
                 power_mean(W, p, strict=True)
+
+    @pytest.mark.parametrize("column", [[1e308, 1e308], [1.7e308, 1.7976931348623157e308],
+                                        [-1e308, -1.5e308, 1e308]])
+    def test_a_sum_of_finite_powers_does_not_overflow(self, column):
+        W = np.array(column)[:, None]
+        want = [float(sum(map(Fraction, column)) / len(column))]
+        assert power_mean(W, 1.0, strict=True).tolist() == want
+        assert undefined_columns(W, 1.0) == 0
+
+    def test_the_open_range_cases_are_still_zeroed(self):
+        # a power that overflows (counted) or underflows (not counted yet)
+        for column, p, counted in [([1e200, 1e200], 2.0, 1), ([10.0, 10.0], 400.0, 1),
+                                   ([5e-324, 1.0], -1.0, 1), ([1e-120, 1e-120], 3.0, 0)]:
+            W = np.array(column)[:, None]
+            assert power_mean(W, p).tolist() == [0.0]
+            assert undefined_columns(W, p) == counted
 
     def test_extremes_of_huge_entries_are_kept(self):
         W = np.array([[1e308, -1e308], [1e308, -1e308]])
@@ -170,24 +194,27 @@ class TestPowerMeanCases:
         with pytest.raises(DimensionError):
             power_mean(np.zeros((0, 3)), 1)
 
-    def test_harmonic_mean_sums_ascending_reciprocals(self):
-        # the reciprocals summed smallest first (1/0.7, 1/0.3, 1/0.2, 1/0.1) give
-        # the correctly rounded harmonic mean
+    def test_harmonic_mean_is_correctly_rounded(self):
+        # the reciprocals 1/0.7, 1/0.3, 1/0.1 and 1/0.2 are summed exactly
         got = power_mean(np.array([[0.7], [0.3], [0.1], [0.2]]), -1)
         assert got.tolist() == [0.20240963855421687]
 
     def test_a_sum_of_signed_zeros_is_zero_in_any_row_order(self):
-        # np.sort may flip the signs of tied zeros, so the sum's sign depends on
-        # the row order; the mean's root must not
+        # however the signed zeros are ordered, the mean and its root are 0.0
         W = np.array([[-0.0]] * 10 + [[0.0]])
         for p in (1.0, 3.0):
             assert power_mean(W, p).tobytes() == power_mean(W[::-1], p).tobytes() == bytes(8)
 
     def test_a_column_does_not_depend_on_its_neighbours(self):
-        # numpy sums a lone column of 8 or more rows pairwise, to 0.45 here
+        # the mean of 0.1 * (1..8) is 0.45 correctly rounded, beside huge and
+        # tiny columns, a column whose sum would overflow and one whose power does
         W = 0.1 * np.arange(1.0, 9.0)[:, None]
-        assert power_mean(W, 1).tolist() == [0.45000000000000007]
-        assert power_mean(np.hstack([W, W[::-1]]), 1).tolist() == [0.45000000000000007] * 2
+        assert power_mean(W, 1).tolist() == [0.45]
+        neighbours = np.hstack([W[::-1], 1e300 * W, 1e-300 * W, np.full_like(W, 1.7e308)])
+        assert power_mean(np.hstack([W, neighbours]), 1)[:2].tolist() == [0.45] * 2
+        alone = power_mean(W, 2.0)
+        W = np.hstack([W, np.full_like(W, 1e200)])  # 1e200 ** 2 overflows
+        assert power_mean(W, 2.0).tolist() == [*alone, 0.0]
 
 
 class TestPowerMeanProperties:
@@ -266,23 +293,36 @@ class TestPowerMeanProperties:
         want = [[undefined(x) for x in row] for row in W.tolist()]
         assert np.isnan(_powers(W, p)).tolist() == want
 
-    @given(matrices(st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0, 1e-13]),
-                    max_n=12, max_d=4))
+    # columns of any finite floats, of mixed signs and magnitudes, 1 to 80 rows
+    @given(st.integers(1, 80).flatmap(lambda n: st.lists(
+               st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                        | st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5e-324]),
+                        min_size=n, max_size=n), min_size=1, max_size=3)),
+           st.sampled_from([1.0, 3.0, -1.0, 2.0]))
     @settings(max_examples=150, deadline=None)
-    def test_each_column_sums_its_powers_in_ascending_order(self, W):
-        n = W.shape[0]
-        for p in (-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0):
-            got = power_mean(W, p)
-            powers = _powers(W, p)
-            for j in range(W.shape[1]):
-                if np.isnan(powers[:, j]).any():  # an undefined column is zeroed
-                    continue
-                total = 0.0
-                for value in sorted(powers[:, j].tolist()):
-                    total += value
-                want = _root(np.array([total / n]), p)
-                if np.isfinite(want).all():  # a pole or an overflow is zeroed instead
-                    assert got[j:j + 1].tobytes() == want.tobytes()
+    @example(columns=[[1.0, 2.0 ** -60, -1.0]], p=1.0)
+    @example(columns=[[1e308, 1e308, 1.7e308, -1e-300]], p=1.0)
+    def test_each_column_mean_is_within_the_stated_bound(self, columns, p):
+        # _reduce's bound: the sum within u*|sum| + (1 + u)*u*max|x| of exact, then
+        # one rounding of the division and, below 2**-1022, one of the scaling back
+        u = Fraction(2) ** -53
+        with np.errstate(all="ignore"):
+            powers = _powers(np.array(columns).T, p)
+            got = _reduce(powers.copy(), p)
+        for j, column in enumerate(powers.T.tolist()):
+            if not all(map(math.isfinite, column)):
+                assert math.isnan(got[j])
+                continue
+            n, biggest = len(column), max(map(abs, column))
+            mean = sum(map(Fraction, column)) / n
+            slack = (u * abs(mean) * n + (1 + u) * u * Fraction(biggest)) / n
+            assert abs(Fraction(got[j]) - mean) <= slack + u * (abs(mean) + slack) + Fraction(
+                2) ** -1075
+            if biggest and min(abs(v) for v in column if v) >= biggest * 2.0 ** -30:
+                # nothing is truncated: the sum is exact, as math.fsum's is
+                e = math.frexp(biggest)[1]
+                fsum = math.fsum(math.ldexp(v, -e) for v in column)
+                assert got[j] == math.ldexp(fsum / n, e)
 
     @given(matrices(st.floats(0.5, 2.0)), st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0]).flatmap(
         lambda p: st.tuples(st.just(p), st.integers(-scale_bound(p), scale_bound(p)))))
@@ -506,7 +546,7 @@ class TestCorpusKernel:
 
     @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
     def test_inputs_are_left_unchanged(self, oov_mode):
-        # _powers returns its argument at +/-inf, and _reduce sorts in place at finite p
+        # _powers returns its argument at +/-inf, and _reduce overwrites its block at finite p
         rng = np.random.default_rng(8)
         a = tricky_space("a", rng)
         matrix = a.matrix.copy()
@@ -518,8 +558,8 @@ class TestCorpusKernel:
         assert a.matrix.tobytes() == matrix.tobytes()
 
     def test_signed_zero_ties_keep_their_sign(self):
-        # np.sort may flip the signs of tied zeros, so a zero extreme or a zero
-        # mean is 0.0 whatever the token order
+        # a zero extreme or a zero mean is 0.0 whatever the order of the tied
+        # 0.0 and -0.0 tokens
         space = EmbeddingSpace("z", {"p": 0, "n": 1, "m": 2},
                                np.array([[0.0], [-0.0], [-1.0]]))
         cfg = PooledConfig([PooledPart(space, [INF, -INF, 1.0, 3.0])])
@@ -659,12 +699,16 @@ class TestPoolStats:
         assert stats.undefined[1][0] == 0  # a max never is
 
     def test_overflowing_mean_is_zeroed_and_counted(self):
+        # the mean of 1e308 and 1e308 is kept; their squares overflow
         space = EmbeddingSpace("S", {"a": 0, "b": 1}, np.array([[1e308, 1.0], [1e308, 2.0]]))
-        cfg = PooledConfig([PooledPart(space, [1.0, INF])])
+        cfg = PooledConfig([PooledPart(space, [1.0, 2.0, INF])])
         X, stats = embed_corpus(cfg, ["a b", "a"])
-        assert X.tolist() == [[0.0, 1.5, 1e308, 2.0], [1e308, 1.0, 1e308, 1.0]]
-        assert stats.undefined == ((1, 0),) and stats.undefined_total == 1
-        with pytest.raises(NumericalPolicyError, match=r"^power mean overflows for p=1 at "
+        assert X.tolist() == [[1e308, 1.5, 0.0, math.sqrt(2.5), 1e308, 2.0],
+                              [1e308, 1.0, 0.0, 1.0, 1e308, 1.0]]
+        assert stats.undefined == ((0, 2, 0),) and stats.undefined_total == 2
+        X, stats = embed_corpus(PooledConfig([PooledPart(space, [1.0])], strict=True), ["a b"])
+        assert X.tolist() == [[1e308, 1.5]] and stats.undefined_total == 0
+        with pytest.raises(NumericalPolicyError, match=r"^power mean overflows for p=2 at "
                                                        r"dimension 0$"):
             embed_corpus(replace(cfg, strict=True), ["a", "a b"])
 
@@ -682,6 +726,72 @@ class TestPoolStats:
             power_mean(W, p, strict=True)
         with pytest.raises(NumericalPolicyError, match=message):
             embed_corpus(replace(cfg, strict=True), ["a b"])
+
+
+def mean_both_ways(columns, p):
+    """M_p of each column and the count of zeroed entries, by power_mean and by
+    embed_corpus over one sentence of all the rows; the two must agree bit for bit."""
+    W = np.array(columns, dtype=np.float64).T
+    space = EmbeddingSpace("e", {f"w{i}": i for i in range(len(W))}, W)
+    X, stats = embed_corpus(PooledConfig([PooledPart(space, [p])]), [" ".join(space.vocab)])
+    oracle = power_mean(W, p)
+    assert X[0].tobytes() == oracle.tobytes()
+    assert stats.undefined == ((undefined_columns(W, p),),)
+    return oracle, stats.undefined_total
+
+
+def scaled_fsum_mean(column):
+    """The mean as _reduce computes it when its folds drop nothing: the exact sum of the
+    column scaled below 1, rounded once, divided by its length and scaled back."""
+    e = math.frexp(max(map(abs, column)))[1]
+    return math.ldexp(math.fsum(math.ldexp(v, -e) for v in column) / len(column), e)
+
+
+class TestExactSumEdges:
+    """The edges of _reduce's sum, for power_mean and embed_corpus alike."""
+
+    def test_a_subnormal_column(self):
+        for column in ([1e-310, 3e-310], [3e-310, 1e-310]):
+            assert mean_both_ways([column], 1.0) == ([2e-310], 0)
+        assert mean_both_ways([[5e-324, 5e-324, 5e-324]], 1.0) == ([5e-324], 0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 0.5])
+    def test_zero_and_signed_zero_columns_mean_zero(self, p):
+        columns = [[0.0] * 3, [-0.0] * 3, [-0.0, 0.0, -0.0], [0.0]]
+        for column in columns:
+            got, undefined = mean_both_ways([column], p)
+            assert got.tobytes() == bytes(8) and undefined == 0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100, deadline=None)
+    @example(x=1.7976931348623157e308)
+    @example(x=-5e-324)
+    def test_one_row_is_itself_at_any_magnitude(self, x):
+        got, undefined = mean_both_ways([[x]], 1.0)
+        assert got.tobytes() == np.float64(x + 0.0).tobytes() and undefined == 0
+
+    @pytest.mark.parametrize("column, p", [
+        ([1e200, 1.0], 2.0),  # the power is inf
+        ([1e200, -1e200, 2.0], 3.0),  # inf and -inf
+        ([5e-324, 1.0, 1.0], -1.0),
+        ([-1.0, 4.0], 0.5),  # NaN: the power is undefined
+        ([0.0, 4.0, 1.0], -2.0),
+    ])
+    def test_a_column_with_a_non_finite_power_is_zeroed_and_counted(self, column, p):
+        got, undefined = mean_both_ways([column, [1.0] * len(column)], p)
+        assert got.tolist() == [0.0, 1.0] and undefined == 1
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 65, 200])
+    def test_each_length_sums_exactly(self, length):
+        rng = np.random.default_rng(length)
+        columns = [rng.choice([-1.0, 1.0], length) * rng.uniform(0.5, 2.0, length) * scale
+                   for scale in (1.0, 1e300, 1e-300, 1e-310)]
+        got, undefined = mean_both_ways(columns, 1.0)
+        assert got.tolist() == [scaled_fsum_mean(column.tolist()) for column in columns]
+        constant = [0.75, -0.75 * 2.0 ** 1023, 0.75 * 2.0 ** -1070]
+        assert mean_both_ways([[x] * length for x in constant], 1.0)[0].tolist() == constant
+        perm = rng.permutation(length)
+        assert mean_both_ways([c[perm] for c in columns], 1.0)[0].tobytes() == got.tobytes()
 
 
 class TestZNorm:
