@@ -225,24 +225,27 @@ def _pooled(parts, args) -> PooledConfig:
     return PooledConfig(parts, oov=args.oov, strict=args.strict, lowercase=args.lowercase)
 
 
-def _read(path, manifest: RunManifest) -> bytes:
-    """An input's bytes, from its one read, recorded in the manifest with their digest."""
-    data, sha256 = read_input(path)
-    manifest.add_input(path, sha256)
-    return data
+def _load(load, path, manifest: RunManifest, **labels):
+    """``load(path, **labels)``: ``read_input``'s ``(bytes, sha256)``, a task or a
+    space, loaded once per run however ``path`` is spelled; each name given is
+    recorded in the manifest with the digest of the one read that was parsed."""
+    key = (load, Path(path).resolve())
+    if key not in manifest.loaded:
+        manifest.loaded[key] = load(path, **labels)
+    got = manifest.loaded[key]
+    manifest.add_input(path, got[1] if isinstance(got, tuple) else got.sha256)
+    return got
 
 
-def _load_config(config_path, args, manifest: RunManifest,
-                 loaded: dict | None = None) -> PooledConfig:
+def _load_config(config_path, args, manifest: RunManifest) -> PooledConfig:
     """Parse a config file and load each space it names once, from its path=.
 
     A space may repeat with more p-values; a repeat that gives path= or lang=
-    must agree with the space's first entry. ``loaded`` maps resolved paths to
-    the spaces already loaded for this command, so a file shared by several
-    configs is read and parsed once; each space keeps its own name and lang= tag.
+    must agree with the space's first entry. A file that several configs or
+    spaces name is read and parsed once (``_load``); each space keeps its own
+    name and lang= tag.
     """
-    loaded = {} if loaded is None else loaded
-    text = read_text(_read(config_path, manifest), config_path)
+    text = read_text(_load(read_input, config_path, manifest)[0], config_path)
     base = Path(config_path).parent
     spaces, paths, parts = {}, {}, []
     for e in parse_config_text(text, source=str(config_path)):
@@ -251,14 +254,10 @@ def _load_config(config_path, args, manifest: RunManifest,
             if path is None:
                 raise InputError(f"config entry {e.space!r} needs a path= to load from")
             paths[e.space] = path.resolve()
-            space = loaded.get(paths[e.space])
-            if space is None:
-                space = load_text_embeddings(path, name=e.space, language_tag=e.lang)
-                loaded[paths[e.space]] = space
-            elif (space.name, space.language_tag) != (e.space, e.lang):
+            space = _load(load_text_embeddings, path, manifest, name=e.space, language_tag=e.lang)
+            if (space.name, space.language_tag) != (e.space, e.lang):
                 space = replace(space, name=e.space, language_tag=e.lang)
             spaces[e.space] = space
-            manifest.add_input(path, space.sha256)
         elif path is not None and path.resolve() != paths[e.space]:
             raise FormatError(f"{config_path}: space {e.space!r} has conflicting path= values")
         elif e.lang not in (None, spaces[e.space].language_tag):
@@ -324,7 +323,7 @@ def cmd_embed(args, seed: int, manifest: RunManifest) -> list[str | Iterator[str
     ]
 
     # one sentence per "\n"; str.splitlines would also break at \x0c, \x85, U+2028, ...
-    text = read_text(_read(args.input, manifest), args.input)
+    text = read_text(_load(read_input, args.input, manifest)[0], args.input)
     sentences = text.removesuffix("\n").split("\n") if text else []
 
     X, stats = embed_corpus(cfg, sentences)
@@ -343,14 +342,11 @@ def cmd_embed(args, seed: int, manifest: RunManifest) -> list[str | Iterator[str
 def cmd_train_projection(args, seed: int, manifest: RunManifest) -> list[str]:
     _bind("embeddings", "pooling", "projection", "textio")
     cfg = _projection_config_of(args, seed)
-    src_space = load_text_embeddings(args.source_embeddings)
-    tgt_space = (src_space if args.target_embeddings == args.source_embeddings
-                 else load_text_embeddings(args.target_embeddings))
-    manifest.add_input(args.source_embeddings, src_space.sha256)
-    manifest.add_input(args.target_embeddings, tgt_space.sha256)
+    src_space, tgt_space = (_load(load_text_embeddings, path, manifest)
+                            for path in (args.source_embeddings, args.target_embeddings))
 
     src_texts, tgt_texts = [], []
-    for lineno, line in read_lines(_read(args.pairs, manifest), args.pairs):
+    for lineno, line in read_lines(_load(read_input, args.pairs, manifest)[0], args.pairs):
         src, tab, tgt = line.partition("\t")
         if not tab:
             raise InputError(f"{args.pairs}:{lineno}: expected 'source TAB target'")
@@ -373,22 +369,16 @@ def cmd_train_projection(args, seed: int, manifest: RunManifest) -> list[str]:
 def cmd_eval(args, seed: int, manifest: RunManifest) -> list[str]:
     _bind("embeddings", "evaluation", "pooling", "textio")
     cfg = _load_config(args.config, args, manifest)
-    ds = load_task(args.task)
-    manifest.add_input(args.task, ds.sha256)
+    ds = _load(load_task, args.task, manifest)
     report = evaluate_report([(cfg, cfg)], [ds], _protocol_of(args, seed))
     return [emit_report(report, "json"), emit_report(report, "markdown")]
 
 
 def cmd_eval_transfer(args, seed: int, manifest: RunManifest) -> list[str]:
     _bind("embeddings", "evaluation", "pooling", "textio")
-    loaded = {}  # a file both configs name is read and parsed once, as is a path given twice
-    cfg_src = _load_config(args.source_config, args, manifest, loaded)
-    cfg_tgt = (cfg_src if args.target_config == args.source_config
-               else _load_config(args.target_config, args, manifest, loaded))
-    train = load_task(args.train_task)
-    test = train if args.test_task == args.train_task else load_task(args.test_task)
-    manifest.add_input(args.train_task, train.sha256)
-    manifest.add_input(args.test_task, test.sha256)
+    cfg_src, cfg_tgt = (_load_config(path, args, manifest)
+                        for path in (args.source_config, args.target_config))
+    train, test = (_load(load_task, path, manifest) for path in (args.train_task, args.test_task))
     report = evaluate_report([(cfg_src, cfg_tgt)], [TransferPair(train, test)],
                              _protocol_of(args, seed))
     return [emit_report(report, "json"), emit_report(report, "markdown")]
@@ -399,9 +389,7 @@ def cmd_sweep(args, seed: int, manifest: RunManifest) -> list[str]:
     cfg = _load_config(args.config, args, manifest)
     p_sets = [[parse_p(tok) for tok in ps.split(",") if tok] for ps in args.p_sets]
 
-    tasks = [load_task(path) for path in args.task]
-    for path, task in zip(args.task, tasks):
-        manifest.add_input(path, task.sha256)
+    tasks = [_load(load_task, path, manifest) for path in args.task]
     report = sweep_pmeans(cfg, p_sets, tasks, _protocol_of(args, seed))
     return [emit_report(report, "json"), emit_report(report, "markdown")]
 

@@ -82,7 +82,8 @@ class TransferPair:
 def load_task(path) -> TaskDataset:
     """Parse one task file; its classes are the sorted distinct labels.
 
-    A repeated header key or an empty ``#name=`` raises FormatError naming its line.
+    A repeated header key, or an empty ``#name=`` or ``#lang=``, raises
+    FormatError naming its line.
     """
     path = Path(path)
     data, sha256 = read_input(path)
@@ -99,8 +100,8 @@ def load_task(path) -> TaskDataset:
                 raise FormatError(f"{path}:{lineno}: duplicate header key {key!r}")
             if key == "metric" and value not in METRICS:
                 raise FormatError(f"{path}:{lineno}: metric must be one of {METRICS}")
-            if key == "name" and not value:
-                raise FormatError(f"{path}:{lineno}: empty task name")
+            if key in ("name", "lang") and not value:
+                raise FormatError(f"{path}:{lineno}: empty task {key}")
             headers[key] = value
             continue
         if "name" not in headers or "metric" not in headers:
@@ -127,25 +128,23 @@ def save_task(ds: TaskDataset, path) -> None:
     classes, which both derive from the items. A line that ends in ``\r``
     gets one more, because the reader drops one before ``\n``. Raises
     InputError for what the format cannot hold: a field that is not a string
-    or holds ``\n``, an empty name, a label that is empty, holds a TAB or
-    starts with ``#``, or text that is not encodable as UTF-8.
+    or holds ``\n``, an empty name or language tag, a label that is empty,
+    holds a TAB or starts with ``#``, or text that is not encodable as UTF-8.
     """
-    def writable(what, value):
-        if not isinstance(value, str) or "\n" in value:
+    def writable(what, value, may_be_empty=False):
+        if not isinstance(value, str) or "\n" in value or not (value or may_be_empty):
             raise InputError(f"task {ds.name!r}: {what} {value!r} cannot be written to a "
-                             "task file: not a string or holds a newline")
+                             "task file: not a string, empty or holds a newline")
         return value
 
-    if not writable("name", ds.name):
-        raise InputError("a task with an empty name cannot be written to a task file")
-    lines = [f"#name={ds.name}", f"#metric={ds.metric_kind}"]
+    lines = [f"#name={writable('name', ds.name)}", f"#metric={ds.metric_kind}"]
     if ds.language_tag is not None:
         lines.append(f"#lang={writable('language tag', ds.language_tag)}")
     for label, text in ds.items:
-        if not writable("label", label) or "\t" in label or label.startswith("#"):
+        if "\t" in writable("label", label) or label.startswith("#"):
             raise InputError(f"task {ds.name!r}: label {label!r} cannot be written to a task "
-                             "file: empty, holds a TAB or starts with '#'")
-        lines.append(f"{label}\t{writable('text', text)}")
+                             "file: holds a TAB or starts with '#'")
+        lines.append(f"{label}\t{writable('text', text, may_be_empty=True)}")
     data = "".join(line + ("\r\n" if line.endswith("\r") else "\n") for line in lines)
     try:
         encoded = data.encode("utf-8")

@@ -25,7 +25,8 @@ from . import __version__
 
 @dataclass
 class RunManifest:
-    """One run's provenance; ``to_json`` also records the ``pmean.__version__`` writing it."""
+    """One run's provenance; ``to_json`` also records the ``pmean.__version__`` writing it.
+    ``loaded``, never serialized, is ``cli._load``'s memo by loader and resolved path."""
 
     command: str
     config: dict
@@ -33,6 +34,7 @@ class RunManifest:
     directory: str | os.PathLike  # where the manifest is written; not serialized
     inputs: dict[str, str] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    loaded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add_input(self, path, sha256: str) -> None:
         """Record ``path`` with the hex digest ``read_input`` took of the bytes parsed."""
@@ -40,8 +42,10 @@ class RunManifest:
 
     def relative(self, path) -> str:
         """How the manifest names a file, an input's key or a Path in ``config``:
-        ``path`` relative to the manifest's directory, with ``/`` separators."""
-        return Path(os.path.relpath(path, self.directory)).as_posix()
+        ``path`` relative to the manifest's directory, with ``/`` separators. Both
+        directories are resolved and the name is kept as given (``staged_file``):
+        with ``d`` a link to ``real/deep``, ``d/../x`` is ``real/x``, the file read."""
+        return Path(os.path.relpath(staged_file(path), os.path.realpath(self.directory))).as_posix()
 
     def to_json(self) -> str:
         doc = {

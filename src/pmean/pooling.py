@@ -436,6 +436,8 @@ def parse_config_text(text: str, source: str = "<config>") -> list[ConfigEntry]:
                 raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
             if key in fields:
                 raise FormatError(f"{source}:{lineno}: duplicate key {key!r}")
+            if key in ("space", "lang") and not value:
+                raise FormatError(f"{source}:{lineno}: empty {key}= value")
             fields[key] = value
         if "space" not in fields or "p" not in fields:
             raise FormatError(f"{source}:{lineno}: both space= and p= are required")
@@ -454,8 +456,12 @@ def parse_config_text(text: str, source: str = "<config>") -> list[ConfigEntry]:
 
 
 def format_config(entries: list[ConfigEntry]) -> str:
+    """Config text that reads back as ``entries``; an empty space or lang is an InputError."""
     lines = []
     for e in entries:
+        if not e.space or e.lang == "":
+            raise InputError(f"config entry {e.space!r}: an empty space name or lang= tag "
+                             "cannot be written to a config file")
         line = f"space={e.space} p={','.join(format_p(p) for p in e.p_values)}"
         if e.path:
             line += f" path={e.path}"

@@ -18,14 +18,9 @@ SENT_LEN = 10
 _N_SIGNAL = 7  # mean-signal tokens per sentence; the rest carry the max signal
 
 
-def make_complementarity_task(
-    seed: int = 0,
-    n_sentences: int = 400,
-    dim: int = 16,
-    mean_dim: int = 0,
-    max_dim: int = 3,
-) -> tuple[EmbeddingSpace, EmbeddingSpace, TaskDataset]:
-    """Two spaces whose signals need different pooling, plus a 4-class task.
+def make_complementarity_task(seed: int = 0) -> tuple[EmbeddingSpace, EmbeddingSpace, TaskDataset]:
+    """Two 16-dim spaces whose signals need different pooling, plus a 4-class
+    task of 400 sentences.
 
     Space A carries a sentence bit in the *average* of column ``mean_dim``
     (tokens cluster at +1 or -1 there). Space B carries an independent bit in
@@ -35,6 +30,7 @@ def make_complementarity_task(
     the bit pair, so no single-space mean-pooled representation can resolve
     all four classes.
     """
+    dim, mean_dim, max_dim = 16, 0, 3
     rng = np.random.default_rng(seed)
 
     pools = {
@@ -64,7 +60,7 @@ def make_complementarity_task(
         return [f"{pool}{j}" for j in rng.integers(0, pools[pool], size=k)]
 
     items = []
-    for idx in range(n_sentences):
+    for idx in range(400):
         s1 = idx % 2
         s2 = (idx // 2) % 2
         tokens = draw("pos" if s1 else "neg", _N_SIGNAL)
@@ -81,10 +77,10 @@ def make_complementarity_task(
     return space_a, space_b, task
 
 
-def scale_space(space: EmbeddingSpace, factor: float, name: str | None = None) -> EmbeddingSpace:
+def scale_space(space: EmbeddingSpace, factor: float) -> EmbeddingSpace:
     """Copy of a space with every vector multiplied by a constant."""
     return EmbeddingSpace(
-        name=name or f"{space.name}x{factor:g}",
+        name=f"{space.name}x{factor:g}",
         vocab=dict(space.vocab),
         matrix=space.matrix * factor,
         language_tag=space.language_tag,
@@ -94,23 +90,21 @@ def scale_space(space: EmbeddingSpace, factor: float, name: str | None = None) -
 def make_blobs_task(
     seed: int = 0,
     n_sentences: int = 300,
-    dim: int = 16,
-    vocab_per_class: int = 30,
-    center_scale: float = 1.0,
-    noise: float = 0.3,
     language_tag: str = "en",
 ) -> tuple[EmbeddingSpace, TaskDataset]:
-    """Binary task whose token vectors cluster around two opposite centers."""
+    """Binary task whose 16-dim token vectors cluster around two opposite unit
+    centers, 30 tokens a class with noise of std 0.3."""
+    dim, vocab_per_class = 16, 30
     rng = np.random.default_rng(seed)
     center = rng.standard_normal(dim)
-    center *= center_scale / np.linalg.norm(center)
+    center *= 1.0 / np.linalg.norm(center)  # a division would round the fixtures differently
 
     vocab: dict[str, int] = {}
     rows = []
     for label, sign in (("good", 1.0), ("bad", -1.0)):
         for i in range(vocab_per_class):
             vocab[f"{label}{i}"] = len(rows)
-            rows.append(sign * center + noise * rng.standard_normal(dim))
+            rows.append(sign * center + 0.3 * rng.standard_normal(dim))
 
     items = []
     for idx in range(n_sentences):
@@ -129,17 +123,15 @@ def make_quad_blobs_task(
     seed: int = 0,
     n_sentences: int = 400,
     dim: int = 64,
-    vocab_per_class: int = 30,
-    separation: float = 0.7,
-    noise: float = 0.65,
-    language_tag: str = "en",
 ) -> tuple[EmbeddingSpace, TaskDataset]:
-    """Four-class task: token clusters at the corners of two orthogonal axes.
+    """Four-class English task: token clusters at the corners of two orthogonal
+    axes, 0.7 along each, 30 tokens a class with noise of std 0.65.
 
     Classes encode a bit pair, so transfer through a misaligned map has to
     get two directions right at once; that keeps chance-level behavior tight
     compared to a single-direction binary task.
     """
+    vocab_per_class = 30
     rng = np.random.default_rng(seed)
     u1 = rng.standard_normal(dim)
     u1 /= np.linalg.norm(u1)
@@ -151,10 +143,10 @@ def make_quad_blobs_task(
     rows = []
     for b1 in (0, 1):
         for b2 in (0, 1):
-            center = separation * ((1 if b1 else -1) * u1 + (1 if b2 else -1) * u2)
+            center = 0.7 * ((1 if b1 else -1) * u1 + (1 if b2 else -1) * u2)
             for i in range(vocab_per_class):
                 vocab[f"q{b1}{b2}_{i}"] = len(rows)
-                rows.append(center + noise * rng.standard_normal(dim))
+                rows.append(center + 0.65 * rng.standard_normal(dim))
 
     items = []
     for idx in range(n_sentences):
@@ -162,17 +154,16 @@ def make_quad_blobs_task(
         tokens = [f"q{b1}{b2}_{j}" for j in rng.integers(0, vocab_per_class, size=8)]
         items.append((f"c{b1}{b2}", " ".join(tokens)))
 
-    space = EmbeddingSpace("quad", vocab, np.stack(rows), language_tag=language_tag)
-    task = TaskDataset(name="quad", items=items, metric_kind="accuracy",
-                       language_tag=language_tag)
+    space = EmbeddingSpace("quad", vocab, np.stack(rows), language_tag="en")
+    task = TaskDataset(name="quad", items=items, metric_kind="accuracy", language_tag="en")
     return space, task
 
 
 def twin_space(space: EmbeddingSpace, suffix: str = "_x",
-               name: str | None = None, language_tag: str | None = None) -> EmbeddingSpace:
-    """A 'foreign' copy: every token renamed with a suffix, vectors unchanged."""
+               language_tag: str | None = None) -> EmbeddingSpace:
+    """A 'foreign' copy: every token and the name suffixed, vectors unchanged."""
     return EmbeddingSpace(
-        name=name or f"{space.name}{suffix}",
+        name=f"{space.name}{suffix}",
         vocab={f"{tok}{suffix}": idx for tok, idx in space.vocab.items()},
         matrix=space.matrix.copy(),
         language_tag=language_tag,

@@ -304,6 +304,12 @@ class TestFailedParses:
         assert not (workdir / "o.tsv").exists()
 
 
+# other paths to a workspace file: through a directory and back; through the link
+# d to real/deep, so d/../.. is the workspace, though as text it is its parent;
+# and through a link to the file itself
+SPELLINGS = {"dot-dot": "sub/../{}", "linked directory": "d/../../{}", "linked file": "alias-{}"}
+
+
 class TestReadOnce:
     """Each input is read once per command, and the digest the manifest records
     for it is of the bytes that read returned, the ones the command parsed."""
@@ -323,12 +329,13 @@ class TestReadOnce:
         return calls
 
     @staticmethod
-    def check(workdir, reads, manifest):
-        """Every input ``manifest`` records, both embedding files among them, was
-        read once, and its digest is of the bytes that read returned."""
+    def check(workdir, reads, manifest, spaces=("one.txt", "two.txt")):
+        """Every file ``manifest`` records, the embedding files ``spaces`` among
+        them, was read once, and each name it is recorded under carries the
+        digest of the bytes that read returned."""
         inputs = json.loads((workdir / manifest).read_text())["inputs"]
-        assert {"one.txt", "two.txt"} <= set(inputs)
-        assert sorted(reads) == sorted((workdir / name).resolve() for name in inputs)
+        assert set(spaces) <= set(inputs)
+        assert sorted(reads) == sorted({(workdir / name).resolve() for name in inputs})
         for name, digest in inputs.items():
             assert [f"sha256:{d}" for d in reads[(workdir / name).resolve()]] == [digest]
         reads.clear()
@@ -362,6 +369,42 @@ class TestReadOnce:
                          "--history-out", str(workdir / "h.csv"),
                          "--shared-dim", "3", "--epochs", "2"]) == 0
             self.check(workdir, reads, "m.json.manifest.json")
+
+    @pytest.fixture
+    def spell(self, workdir):
+        """``spell(how, name)``: another path to the workspace's file ``name``."""
+        (workdir / "sub").mkdir()
+        (workdir / "real" / "deep").mkdir(parents=True)
+        (workdir / "d").symlink_to(workdir / "real" / "deep")
+
+        def spell(how, name):
+            if how == "linked file":
+                (workdir / f"alias-{name}").symlink_to(name)
+            return str(workdir / SPELLINGS[how].format(name))
+        return spell
+
+    @pytest.mark.parametrize("how", SPELLINGS)
+    def test_eval_transfer_with_a_config_and_a_task_spelled_two_ways(self, workdir, reads,
+                                                                       spell, how):
+        argv = ["eval-transfer", "--source-config", str(workdir / "cfg.txt"),
+                "--target-config", spell(how, "cfg.txt"),
+                "--train-task", str(workdir / "task.tsv"),
+                "--test-task", spell(how, "task.tsv"),
+                "--out", str(workdir / "r"), "--runs", "2"]
+        for _ in ("cold", "warm"):
+            assert main(argv) == 0
+            self.check(workdir, reads, "r.manifest.json")
+
+    @pytest.mark.parametrize("how", SPELLINGS)
+    def test_train_projection_with_a_space_spelled_two_ways(self, workdir, reads, spell, how):
+        argv = ["train-projection", "--source-embeddings", str(workdir / "one.txt"),
+                "--target-embeddings", spell(how, "one.txt"),
+                "--pairs", str(workdir / "pairs.tsv"),
+                "--model-out", str(workdir / "m.json"), "--history-out", str(workdir / "h.csv"),
+                "--shared-dim", "3", "--epochs", "2"]
+        for _ in ("cold", "warm"):
+            assert main(argv) == 0
+            self.check(workdir, reads, "m.json.manifest.json", spaces=["one.txt"])
 
     def test_without_a_cache_directory(self, workdir, reads, parse_cache_home, monkeypatch):
         monkeypatch.setattr(pmean.embeddings, "_cache_dir", lambda: None)

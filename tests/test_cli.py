@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import gc
@@ -937,6 +938,15 @@ class TestConfig:
         assert err == f"pmean: {workdir / 'cfg.txt'}: space 'one' has conflicting {key}= values\n"
         assert not list(workdir.glob("never*"))
 
+    @pytest.mark.parametrize("line, key", [("space= p=1 path=one.txt", "space"),
+                                           ("space=one p=1 path=one.txt lang=", "lang")])
+    @pytest.mark.parametrize("command", ["embed", "eval-transfer"])
+    def test_an_empty_label_exits_2_naming_its_line(self, workdir, capsys, command, line, key):
+        write(workdir / "cfg.txt", f"space=two p=1 path=two.txt\n{line}\n")
+        assert main(command_argv(workdir, command)) == 2
+        assert capsys.readouterr().err == f"pmean: {workdir / 'cfg.txt'}:2: empty {key}= value\n"
+        assert not list(workdir.glob("never*"))
+
     def test_repeated_space_may_restate_or_omit_its_fields(self, workdir):
         write(workdir / "cfg.txt", "space=one p=1 path=one.txt\n"
                                    f"space=one p=inf path={workdir / 'one.txt'}\n"
@@ -1130,6 +1140,45 @@ class TestManifest:
         assert err.startswith(f"pmean: {source}: not a regular file;")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not list(workdir.glob("never*")) and not list(workdir.glob(".*.tmp"))
+
+    @pytest.mark.parametrize("option, manifest, name", [
+        ("--input", "never.tsv.manifest.json", "real/sentences.txt"),
+        ("--output", "real/never.tsv.manifest.json", "../sentences.txt"),
+    ])
+    def test_a_name_through_a_linked_directory_is_the_file_it_reaches(self, workdir, option,
+                                                                      manifest, name):
+        # d links to real/deep, so d/.. is real, not the workspace that d/.. is as text
+        (workdir / "real" / "deep").mkdir(parents=True)
+        (workdir / "d").symlink_to(workdir / "real" / "deep")
+        write(workdir / "real" / "sentences.txt", "gamma\n")
+        argv = command_argv(workdir, "embed")
+        i = argv.index(option) + 1
+        argv[i] = str(workdir / "d" / ".." / Path(argv[i]).name)
+        assert main(argv) == 0
+        recorded = json.loads((workdir / manifest).read_text())
+        read = ((workdir / manifest).parent / name).read_bytes()
+        assert recorded["config"]["input"] == name
+        assert recorded["inputs"][name] == f"sha256:{hashlib.sha256(read).hexdigest()}"
+
+
+def test_load_is_the_one_way_in_for_an_input():
+    """Only cli._load records an input, and no code compares two options' paths
+    to decide whether a file was read: _load keys that by the resolved file."""
+    def options(node):  # the args.<dest> a comparison reads
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"]
+
+    recorders, compares = set(), set()
+    for path in sorted(Path(pmean.cli.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_input":
+                    recorders.add(where)
+                if isinstance(node, ast.Compare) and len(options(node)) > 1:
+                    compares.add(where)
+    assert recorders == {("cli.py", "_load")}
+    assert not compares
 
 
 def run_on(fx: Path, name: str, out: Path) -> int:

@@ -102,6 +102,13 @@ class TestLoadTask:
             load_task(path)
         assert str(exc.value) == f"{path}:2: empty task name"
 
+    def test_an_empty_language_tag_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("#name=x\n#metric=accuracy\n#lang=\na\ts1\nb\ts2\n")
+        with pytest.raises(FormatError) as exc:
+            load_task(path)
+        assert str(exc.value) == f"{path}:3: empty task lang"
+
     def test_only_lf_ends_a_line(self, tmp_path):
         lf = tmp_path / "lf.tsv"
         lf.write_bytes(b"#name=x\n#metric=accuracy\npos\tgood\rneg\tbad\nneg\tawful\n")
@@ -130,7 +137,8 @@ TASK_LABEL = st.text(TASK_CHAR.filter(lambda c: c != "\t"), min_size=1, max_size
     lambda label: not label.startswith("#"))
 # one way for a dataset to be beyond the format, or None for a writable one
 DEFECTS = [None] * 6 + ["empty label", "label TAB", "label #", "label newline",
-                        "text newline", "empty name", "name newline", "lang newline",
+                        "text newline", "empty name", "name newline", "empty lang",
+                        "lang newline",
                         "surrogate"]
 
 
@@ -139,7 +147,7 @@ def task_datasets(draw):
     """A writable TaskDataset, or one with a single drawn defect; returns (ds, defect)."""
     items = draw(st.lists(st.tuples(TASK_LABEL, TASK_TEXT), min_size=2, max_size=6))
     assume(len({label for label, _ in items}) >= 2)
-    name, lang = draw(TASK_TEXT.filter(bool)), draw(st.none() | TASK_TEXT)
+    name, lang = draw(TASK_TEXT.filter(bool)), draw(st.none() | TASK_TEXT.filter(bool))
     defect = draw(st.sampled_from(DEFECTS))
     i = draw(st.integers(0, len(items) - 1))
     label, text = items[i]
@@ -159,6 +167,8 @@ def task_datasets(draw):
         name = ""
     elif defect == "name newline":
         name += "\n"
+    elif defect == "empty lang":
+        lang = ""
     elif defect == "lang newline":
         lang = (lang or "") + "\n"
     items[i] = (label, text)

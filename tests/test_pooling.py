@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pmean import pooling
 from pmean.embeddings import EmbeddingSpace
-from pmean.errors import DimensionError, FormatError, NumericalPolicyError
+from pmean.errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from pmean.pooling import (
     ZNORM_FLOOR,
     ConfigEntry,
@@ -892,6 +892,17 @@ class TestConfigGrammar:
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError, match="unknown key"):
             parse_config_text("space=a p=1 bogus=2\n")
+
+    @pytest.mark.parametrize("line, key", [("space= p=1", "space"), ("space=a p=1 lang=", "lang")])
+    def test_an_empty_label_names_its_line(self, line, key):
+        with pytest.raises(FormatError) as exc:
+            parse_config_text(f"space=b p=1\n{line}\n", source="c.cfg")
+        assert str(exc.value) == f"c.cfg:2: empty {key}= value"
+
+    @pytest.mark.parametrize("entry", [ConfigEntry("", [1.0]), ConfigEntry("a", [1.0], lang="")])
+    def test_format_refuses_an_empty_label(self, entry):
+        with pytest.raises(InputError, match="empty space name or lang= tag"):
+            format_config([ConfigEntry("b", [1.0]), entry])
 
     def test_missing_required_keys(self):
         with pytest.raises(FormatError):
