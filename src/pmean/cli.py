@@ -1,12 +1,13 @@
 """Command-line surface: embed, train-projection, eval, eval-transfer, sweep.
 
 main owns each run's record: it names the command's outputs and checks them
-before any input is read, and builds the run's RunManifest, which the command
-fills with its inputs. The command returns its outputs' texts, a str or, for
-embed's TSV, an iterable of row chunks that main streams into the output's
-staged file; main adds the manifest, stages each beside its path and renames
-none into place until all are staged, so a failing run leaves no partial
-outputs. Exit codes: 0 ok, 2 input/format error or out of memory, 3
+before any input is read (no two name one file, and none is a directory or
+another file that is not regular), and builds the run's RunManifest, which
+the command fills with its inputs. The command returns its outputs' texts, a
+str or, for embed's TSV, an iterable of row chunks that main streams into the
+output's staged file; main adds the manifest, stages each beside its path and
+renames none into place until all are staged, so a failing run leaves no
+partial outputs. Exit codes: 0 ok, 2 input/format error or out of memory, 3
 numerical-policy error (--strict, or a non-finite z-norm or training result),
 64 usage error.
 """
@@ -23,7 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import FormatError, InputError, NumericalPolicyError
-from .manifest import RunManifest, staged_dirs, staged_file, temp_beside, write_atomic
+from .manifest import (RunManifest, check_replaceable, staged_dirs, staged_file, temp_beside,
+                       write_atomic)
 from .settings import ProjectionTrainConfig, TrainProtocol
 
 # The numpy-backed names the commands use, by the module that defines them.
@@ -405,8 +407,9 @@ def main(argv=None) -> int:
         for path, file in zip(paths, files):
             if files.count(file) > 1:
                 raise InputError(f"{path}: two outputs would write this file")
-            if os.path.isdir(file) or file in made:
+            if file in made:
                 raise InputError(f"{path}: output path is a directory")
+            check_replaceable(path)
         config = {dest: value for dest, value in vars(args).items() if dest not in _UNRECORDED}
         manifest = RunManifest(command=args.command, config=config, seeds={"seed": seed},
                                directory=Path(paths[-1]).parent)

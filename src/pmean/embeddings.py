@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
-from .manifest import atomic_open
+from .errors import DimensionError, FormatError, InputError
+from .manifest import atomic_open, write_atomic
 from .textio import float_row_text, read_input, read_lines
 
 logger = logging.getLogger(__name__)
@@ -131,7 +131,8 @@ def _write_entry(entry: Path, space: EmbeddingSpace, duplicates: int) -> None:
     """Store a parse as three ``.npy`` arrays in one file: the duplicate count,
     the tokens in row order as ``\n``-joined UTF-8 bytes (a token holds no
     ``\n``), and the matrix; then remove the same bytes' entries of other
-    ``CACHE_VERSION``s, which no load reads. A failed write or removal is skipped."""
+    ``CACHE_VERSION``s, which no load reads. A failed write or removal is skipped,
+    and so is an entry path that is not a regular file (``atomic_open`` refuses it)."""
     tokens = "\n".join(sorted(space.vocab, key=space.vocab.get)).encode("utf-8")
     try:
         with atomic_open(entry) as fh:
@@ -140,7 +141,7 @@ def _write_entry(entry: Path, space: EmbeddingSpace, duplicates: int) -> None:
             np.save(fh, space.matrix, allow_pickle=False)
         for other in set(entry.parent.glob(f"{space.sha256}-v*.npy")) - {entry}:
             other.unlink(missing_ok=True)
-    except OSError:
+    except (OSError, InputError):
         pass
 
 
@@ -262,16 +263,28 @@ def _parse_with_float(data: bytes, path: Path):
 
 
 def save_text_embeddings(space: EmbeddingSpace, path) -> None:
-    """Write a space back out in the text format (no header line).
+    """Write a space back out in the text format (no header line), atomically.
 
-    Floats are written as repr writes them, so a reload reproduces the matrix
-    exactly.
+    Floats are written as repr writes them, so ``load_text_embeddings`` reads
+    back the same vocab and matrix bit for bit. Raises InputError, and writes
+    no file, for what the format cannot hold: no rows, a token that holds a
+    space or a newline, a first token that starts with U+FEFF (the reader
+    skips a leading byte-order mark), or a token not encodable as UTF-8.
     """
     order = sorted(space.vocab, key=space.vocab.get)
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in order:
-            row = space.matrix[space.vocab[token]]
-            fh.write(token + " " + float_row_text(row, " ") + "\n")
+    if not order:
+        raise InputError(f"space {space.name!r}: an embedding file needs at least one row")
+    for i, token in enumerate(order):
+        if " " in token or "\n" in token or (i == 0 and token.startswith("\ufeff")):
+            raise InputError(f"space {space.name!r}: token {token!r} cannot be written to an "
+                             "embedding file: holds a space or a newline, or starts the file "
+                             "with U+FEFF, which the reader skips as a byte-order mark")
+    rows = (token + " " + float_row_text(space.matrix[space.vocab[token]], " ") + "\n"
+            for token in order)
+    try:
+        write_atomic(path, rows)
+    except UnicodeEncodeError as exc:
+        raise InputError(f"space {space.name!r}: not encodable as UTF-8: {exc.reason}") from None
 
 
 def _is_int(s: str) -> bool:

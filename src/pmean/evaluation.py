@@ -31,6 +31,7 @@ from .classifier import (
     score_runs,
 )
 from .errors import DimensionError, FormatError, InputError
+from .manifest import write_atomic
 from .pooling import PooledConfig, PooledPart, embed_corpus
 from .settings import TrainProtocol
 from .textio import json_numbers, read_input, read_lines
@@ -122,7 +123,7 @@ def load_task(path) -> TaskDataset:
 
 
 def save_task(ds: TaskDataset, path) -> None:
-    """Write a task file that ``load_task`` reads back as ``ds``.
+    """Write a task file that ``load_task`` reads back as ``ds``, atomically.
 
     Name, metric, language tag and items come back equal, and so do the
     classes, which both derive from the items. A line that ends in ``\r``
@@ -147,10 +148,9 @@ def save_task(ds: TaskDataset, path) -> None:
         lines.append(f"{label}\t{writable('text', text, may_be_empty=True)}")
     data = "".join(line + ("\r\n" if line.endswith("\r") else "\n") for line in lines)
     try:
-        encoded = data.encode("utf-8")
+        write_atomic(path, data)
     except UnicodeEncodeError as exc:
         raise InputError(f"task {ds.name!r}: not encodable as UTF-8: {exc.reason}") from None
-    Path(path).write_bytes(encoded)
 
 
 def _canonical(ds: TaskDataset) -> tuple[np.ndarray, list[str], list]:

@@ -1,4 +1,4 @@
-"""Run manifests: enough provenance to make any CLI run reproducible.
+"""Run manifests, and the one writer of every file pmean writes.
 
 A manifest records the command, every option but the outputs under its argparse
 dest (the seed resolved, under ``seeds``), the SHA-256 of each input file and
@@ -9,18 +9,27 @@ On one host, equal manifests mean byte-identical outputs, whatever their paths,
 and one run writes the same manifest from any directory. Across hosts they may
 not: numpy's SIMD kernels (``np.power``, ``np.log``) and the BLAS core can
 change an output's last bits under an equal manifest.
+
+Every file pmean writes goes through ``atomic_open`` (``write_atomic`` wraps
+it): the CLI's outputs and manifests, parse-cache entries, and the files
+``save_text_embeddings`` and ``save_task`` write. So one place holds the rules
+a written file follows. Its text goes to a temp file beside it, in a directory
+made if missing, and an atomic rename moves it into place, so the file appears
+whole or not at all. It is created with the mode a plain ``open(path, "w")``
+gives, 0o666 less the umask. A path that exists and is not a regular file,
+following links (a directory, a FIFO, a device), is refused, never replaced.
 """
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .errors import InputError
 
 
 @dataclass
@@ -75,7 +84,9 @@ def write_atomic(path, text: str | Iterable[str]) -> None:
 def atomic_open(path):
     """A file opened for binary writing that appears at ``path`` only when the
     block ends without an error; a failed write leaves neither a partial file
-    nor the temp file behind."""
+    nor the temp file behind. A ``path`` ``check_replaceable`` refuses raises
+    InputError before anything is made."""
+    check_replaceable(path)
     tmp = temp_beside(path)
     try:
         with open(tmp, "wb") as fh:
@@ -86,14 +97,29 @@ def atomic_open(path):
         raise
 
 
+def check_replaceable(path) -> None:
+    """Raise InputError if ``path`` exists and is not a regular file, following
+    links: a rename would put a regular file in place of a directory, a FIFO or
+    a device. A link to a regular file, and a dangling link, are replaced."""
+    if os.path.isdir(path):
+        raise InputError(f"{path}: output path is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise InputError(f"{path}: output path is not a regular file")
+
+
 def temp_beside(path) -> str:
-    """A new empty temp file ``.<name>.*.tmp`` in ``path``'s directory, made if
-    missing: the directories ``staged_dirs(path)`` names."""
+    """A new empty temp file ``.<name>.<random hex>.tmp`` in ``path``'s directory,
+    made if missing (the directories ``staged_dirs(path)`` names). Its mode is
+    0o666 less the umask, as ``open(path, "w")`` would make ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    return tmp
+    while True:
+        tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except FileExistsError:  # 48 random bits: only a name made on purpose repeats
+            continue
+        return tmp
 
 
 def staged_file(path) -> str:

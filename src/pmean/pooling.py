@@ -386,8 +386,8 @@ def znorm_apply(params: ZNormParams, X: np.ndarray) -> np.ndarray:
 # --- config file grammar -----------------------------------------------------
 #
 # One part per line:   space=<name> p=<v1,v2,...> [path=<file>] [lang=<tag>]
-# p values are decimal floats; the extremes are spelled inf / -inf.
-# Blank lines and lines starting with '#' are ignored.
+# p values are decimal floats; the extremes are spelled inf / -inf. No value
+# may be empty. Blank lines and lines starting with '#' are ignored.
 
 
 @dataclass
@@ -436,7 +436,7 @@ def parse_config_text(text: str, source: str = "<config>") -> list[ConfigEntry]:
                 raise FormatError(f"{source}:{lineno}: unknown key {key!r}")
             if key in fields:
                 raise FormatError(f"{source}:{lineno}: duplicate key {key!r}")
-            if key in ("space", "lang") and not value:
+            if not value:
                 raise FormatError(f"{source}:{lineno}: empty {key}= value")
             fields[key] = value
         if "space" not in fields or "p" not in fields:
@@ -456,16 +456,27 @@ def parse_config_text(text: str, source: str = "<config>") -> list[ConfigEntry]:
 
 
 def format_config(entries: list[ConfigEntry]) -> str:
-    """Config text that reads back as ``entries``; an empty space or lang is an InputError."""
+    """Config text that ``parse_config_text`` reads back as ``entries``.
+
+    Raises InputError for what the grammar cannot hold: no entries, an empty
+    p list or a NaN p, and a space name, path or lang tag that is empty or
+    holds whitespace (the parser splits a line at any whitespace).
+    """
+    if not entries:
+        raise InputError("a config file needs at least one entry")
     lines = []
     for e in entries:
-        if not e.space or e.lang == "":
-            raise InputError(f"config entry {e.space!r}: an empty space name or lang= tag "
-                             "cannot be written to a config file")
+        for key, value in (("space", e.space), ("path", e.path), ("lang", e.lang)):
+            if value is not None and value.split() != [value]:
+                raise InputError(f"config entry {e.space!r}: {key}= value {value!r} cannot be "
+                                 "written to a config file: empty or holds whitespace")
+        if not e.p_values or any(math.isnan(p) for p in e.p_values):
+            raise InputError(f"config entry {e.space!r}: p list {e.p_values!r} cannot be "
+                             "written to a config file: empty or holds NaN")
         line = f"space={e.space} p={','.join(format_p(p) for p in e.p_values)}"
-        if e.path:
+        if e.path is not None:
             line += f" path={e.path}"
-        if e.lang:
+        if e.lang is not None:
             line += f" lang={e.lang}"
         lines.append(line)
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -26,7 +27,7 @@ from pmean.classifier import TrainProtocol
 from pmean.cli import main
 from pmean.embeddings import load_text_embeddings, save_text_embeddings
 from pmean.errors import InputError
-from pmean.evaluation import emit_report, parse_report
+from pmean.evaluation import emit_report, load_task, parse_report, save_task
 from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 from pmean.projection import ProjectionTrainConfig, init_projection, load_projection
 from test_acceptance import build_cli_fixture
@@ -939,7 +940,9 @@ class TestConfig:
         assert not list(workdir.glob("never*"))
 
     @pytest.mark.parametrize("line, key", [("space= p=1 path=one.txt", "space"),
-                                           ("space=one p=1 path=one.txt lang=", "lang")])
+                                           ("space=one p=1 path=one.txt lang=", "lang"),
+                                           ("space=one p=1 path=", "path"),  # a space's first
+                                           ("space=two p=inf path=", "path")])  # a repeat
     @pytest.mark.parametrize("command", ["embed", "eval-transfer"])
     def test_an_empty_label_exits_2_naming_its_line(self, workdir, capsys, command, line, key):
         write(workdir / "cfg.txt", f"space=two p=1 path=two.txt\n{line}\n")
@@ -1289,6 +1292,23 @@ class TestOutputs:
         assert capsys.readouterr().err == f"pmean: {first}: output path is a directory\n"
         assert sorted(workdir.rglob("*")) == before  # no output, no temp file, no directory
 
+    @pytest.mark.parametrize("link", [False, True], ids=["fifo", "link to a fifo"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_output_that_is_a_fifo_exits_2_before_any_input_is_read(
+            self, workdir, capsys, unread_inputs, command, link):
+        # a rename would put a regular file where the FIFO (or a device) was
+        *_, last = (workdir / f"never{suffix}" for suffix in OUTPUT_SUFFIXES[command])
+        os.mkfifo(workdir / "pipe")
+        if link:
+            last.symlink_to(workdir / "pipe")
+        else:
+            os.mkfifo(last)
+        before = sorted(workdir.rglob("*"))
+        assert main(command_argv(workdir, command)) == 2
+        assert capsys.readouterr().err == f"pmean: {last}: output path is not a regular file\n"
+        assert sorted(workdir.rglob("*")) == before
+        assert stat.S_ISFIFO(last.stat().st_mode) and last.is_symlink() == link
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_an_output_that_is_a_link_is_replaced_not_followed(self, workdir, command):
         # the manifest's path is a dangling link to the first output's, and the
@@ -1424,6 +1444,74 @@ class TestOutputs:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("pmean: ")
         assert not list(workdir.rglob("never*")) and not list(workdir.rglob("*.tmp"))
+
+
+class TestFileModes:
+    def test_every_file_written_gets_the_mode_the_umask_gives(self, workdir, parse_cache_home):
+        # as open(path, "w") makes a file: 0o666 less the umask, not a temp file's 0o600
+        saved = workdir / "saved"  # made by the savers
+        old = os.umask(0o027)
+        try:
+            for command in COMMANDS:
+                assert main(command_argv(workdir, command, workdir / command)) == 0
+            save_text_embeddings(load_text_embeddings(workdir / "one.txt"), saved / "one.txt")
+            save_task(load_task(workdir / "task.tsv"), saved / "task.tsv")
+        finally:
+            os.umask(old)
+        written = [Path(f"{workdir / command}{suffix}")
+                   for command in COMMANDS for suffix in OUTPUT_SUFFIXES[command]]
+        written += [*parse_cache_home.glob("*.npy"), saved / "one.txt", saved / "task.tsv"]
+        assert len(written) == 18  # 14 outputs, 2 cache entries, 2 saved files
+        assert {path.name: oct(stat.S_IMODE(path.stat().st_mode)) for path in written} == {
+            path.name: "0o640" for path in written}
+
+
+# a user error no other test raises in-process: the command, the files written
+# over the workdir's, the options added, and the one line after "pmean: " with
+# {dir} the workdir
+USER_ERRORS = {
+    "config entry without path=": (
+        "embed", {"cfg.txt": "space=one p=1\n"}, [],
+        "config entry 'one' needs a path= to load from"),
+    "bad p-value": (
+        "embed", {"cfg.txt": "space=one p=1 path=one.txt\nspace=one p=abc\n"}, [],
+        "{dir}/cfg.txt:2: bad p-value 'abc'"),
+    "empty p list": (
+        "embed", {"cfg.txt": "space=one p=, path=one.txt\n"}, [], "{dir}/cfg.txt:1: empty p list"),
+    "pairs line without a TAB": (
+        "train-projection", {"pairs.tsv": "alpha\tbeta\ngamma delta\n"}, [],
+        "{dir}/pairs.tsv:2: expected 'source TAB target'"),
+    "no pairs": ("train-projection", {"pairs.tsv": "\n\n"}, [], "{dir}/pairs.tsv: no sentence pairs"),
+    "task header after data": (
+        "eval", {"task.tsv": "#name=t\n#metric=accuracy\nup\talpha\n#lang=en\n"}, [],
+        "{dir}/task.tsv:4: header after data lines"),
+    "configs with different part counts": (
+        "eval-transfer", {"src.cfg": "space=one p=1,inf path=one.txt\n"},
+        ["--source-config", "{dir}/src.cfg"],
+        "source and target configs have different part counts"),
+    "val fraction out of range": (
+        "eval", {}, ["--val-fraction", "1.5"], "val_fraction must be in (0, 1), got 1.5"),
+    "no runs": ("sweep", {}, ["--runs", "0"], "runs must be positive"),
+}
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize("case", USER_ERRORS)
+    def test_exits_2_with_its_message_and_no_outputs(self, workdir, capsys, case):
+        command, files, options, message = USER_ERRORS[case]
+        for name, text in files.items():
+            write(workdir / name, text)
+        argv = [*command_argv(workdir, command), *(o.format(dir=workdir) for o in options)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"pmean: {message.format(dir=workdir)}\n"
+        assert not list(workdir.glob("never*"))
+
+    def test_double_dash_ends_the_joining_of_option_values(self, workdir):
+        # after "--", "--seed -1" is two stray arguments, not "--seed=-1"
+        code, err = run_quietly([*command_argv(workdir, "embed"), "--", "--seed", "-1"])
+        assert code == 64
+        assert err.endswith("error: unrecognized arguments: -- --seed -1\n")
+        assert not list(workdir.glob("never*"))
 
 
 class TestEmbedStream:

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pmean.embeddings
 from pmean.embeddings import (
     EmbeddingSpace,
     _parse_with_float,
@@ -26,6 +27,24 @@ def write(tmp_path, text, name="emb.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# characters the embedding format gives a meaning to, a lone surrogate, and
+# any other character
+TOKEN_CHAR = st.sampled_from(["a", " ", "\n", "\r", "\t", "\ufeff", "\x85", "\u2028",
+                              "\x1c", "\ud800"]) | st.characters()
+
+
+@st.composite
+def saved_spaces(draw):
+    """An EmbeddingSpace of 0-4 rows of any finite floats, whose tokens may
+    hold what the text format cannot write."""
+    tokens = draw(st.lists(st.text(TOKEN_CHAR, min_size=1, max_size=4), max_size=4, unique=True))
+    dim = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(tokens) * dim, max_size=len(tokens) * dim))
+    return EmbeddingSpace("s", {t: i for i, t in enumerate(tokens)},
+                          np.array(values, dtype=np.float64).reshape(len(tokens), dim))
 
 
 class TestLoad:
@@ -85,6 +104,50 @@ class TestLoad:
         back = load_text_embeddings(out)
         assert back.vocab == space.vocab
         assert np.allclose(back.matrix, space.matrix, atol=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(space=saved_spaces())
+    @example(space=EmbeddingSpace("s", {"a b": 0, "a\nb": 1}, [[1.0], [2.0]]))
+    def test_save_round_trips_or_raises_input_error(self, tmp_path_factory, space):
+        path = tmp_path_factory.mktemp("save") / "round.txt"
+        order = sorted(space.vocab, key=space.vocab.get)
+        writable = (bool(order) and not any(" " in t or "\n" in t for t in order)
+                    and not order[0].startswith("\ufeff")
+                    and not any("\ud800" <= c <= "\udfff" for t in order for c in t))
+        if not writable:
+            with pytest.raises(InputError):
+                save_text_embeddings(space, path)
+            assert list(path.parent.iterdir()) == []
+            return
+        save_text_embeddings(space, path)
+        back = load_text_embeddings(path)
+        assert back.vocab == space.vocab
+        assert back.matrix.tobytes() == space.matrix.tobytes()  # bit for bit, -0.0 included
+
+    @pytest.mark.parametrize("before", [None, "a 9.0\n"])
+    def test_a_save_that_fails_partway_leaves_the_file_as_it_was(self, tmp_path, monkeypatch,
+                                                                 before):
+        path = tmp_path / "sub" / "part.txt"
+        if before is not None:
+            path.parent.mkdir()
+            path.write_text(before, encoding="utf-8")
+        rows_made = []
+
+        def fail_on_the_second_row(row, sep):
+            rows_made.append(row)
+            if len(rows_made) == 2:
+                raise RuntimeError("second row")
+            return " ".join(map(repr, row.tolist()))
+
+        monkeypatch.setattr(pmean.embeddings, "float_row_text", fail_on_the_second_row)
+        space = EmbeddingSpace("s", {f"t{i}": i for i in range(5)}, np.ones((5, 2)))
+        with pytest.raises(RuntimeError, match="second row"):
+            save_text_embeddings(space, path)
+        assert len(rows_made) == 2
+        # the directory staging made stays; no temp file is left in it
+        assert list(path.parent.iterdir()) == ([] if before is None else [path])
+        if before is not None:
+            assert path.read_text(encoding="utf-8") == before
 
     def test_line_order_does_not_change_lookups(self, tmp_path):
         lines = ["a 1.0 2.0", "b 3.0 4.0", "c 5.0 6.0"]

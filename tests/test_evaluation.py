@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +207,23 @@ class TestSaveTask:
         with pytest.raises(InputError, match=re.escape(match)):
             save_task(ds, tmp_path / "t.tsv")
         assert not (tmp_path / "t.tsv").exists()
+
+    def test_save_makes_missing_directories(self, tmp_path):
+        ds = TaskDataset("t", [("pos", "good"), ("neg", "bad")])
+        save_task(ds, tmp_path / "a" / "b" / "t.tsv")
+        assert load_task(tmp_path / "a" / "b" / "t.tsv") == ds
+        assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["t.tsv"]
+
+    def test_a_save_onto_a_fifo_raises_and_leaves_it(self, tmp_path):
+        os.mkfifo(tmp_path / "t.tsv")
+        reader = os.open(tmp_path / "t.tsv", os.O_RDONLY | os.O_NONBLOCK)  # a writer never blocks
+        try:
+            with pytest.raises(InputError, match="output path is not a regular file"):
+                save_task(TaskDataset("t", [("pos", "good"), ("neg", "bad")]), tmp_path / "t.tsv")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO((tmp_path / "t.tsv").stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
 
     @settings(max_examples=200, deadline=None)
     @given(drawn=task_datasets())

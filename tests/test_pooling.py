@@ -867,6 +867,13 @@ class TestZNorm:
             znorm_apply(params, np.array([[0.5, 2.0], [0.25, bad]]))
 
 
+# characters the config grammar gives a meaning to, and any other character
+CONFIG_TEXT = st.text(st.sampled_from(["a", "=", "#", ",", " ", "\t", "\n", "\r", "\x85",
+                                       "\u2028", "\x1c", "\ufeff"]) | st.characters(),
+                      max_size=4)
+CONFIG_P = st.floats() | st.sampled_from([INF, -INF, 0.0, -0.0, 1.0, 5e-324, 1e300])
+
+
 class TestConfigGrammar:
     def test_round_trip_preserves_p_order(self):
         entries = [
@@ -893,7 +900,8 @@ class TestConfigGrammar:
         with pytest.raises(FormatError, match="unknown key"):
             parse_config_text("space=a p=1 bogus=2\n")
 
-    @pytest.mark.parametrize("line, key", [("space= p=1", "space"), ("space=a p=1 lang=", "lang")])
+    @pytest.mark.parametrize("line, key", [("space= p=1", "space"), ("space=a p=1 lang=", "lang"),
+                                           ("space=a p=1 path=", "path"), ("space=a p=", "p")])
     def test_an_empty_label_names_its_line(self, line, key):
         with pytest.raises(FormatError) as exc:
             parse_config_text(f"space=b p=1\n{line}\n", source="c.cfg")
@@ -901,8 +909,25 @@ class TestConfigGrammar:
 
     @pytest.mark.parametrize("entry", [ConfigEntry("", [1.0]), ConfigEntry("a", [1.0], lang="")])
     def test_format_refuses_an_empty_label(self, entry):
-        with pytest.raises(InputError, match="empty space name or lang= tag"):
+        with pytest.raises(InputError, match="cannot be written to a config file: empty or holds"):
             format_config([ConfigEntry("b", [1.0]), entry])
+
+    @settings(max_examples=300, deadline=None)
+    @example(entries=[ConfigEntry("a b", [1.0], path="my file.txt")])
+    @given(entries=st.lists(st.builds(
+        ConfigEntry, CONFIG_TEXT, st.lists(CONFIG_P, max_size=3),
+        st.none() | CONFIG_TEXT, st.none() | CONFIG_TEXT), max_size=3))
+    def test_format_round_trips_or_raises_input_error(self, entries):
+        writable = bool(entries) and all(
+            e.p_values and not any(math.isnan(p) for p in e.p_values)
+            and all(v is None or (v and not any(c.isspace() for c in v))
+                    for v in (e.space, e.path, e.lang))
+            for e in entries)
+        if not writable:
+            with pytest.raises(InputError):
+                format_config(entries)
+            return
+        assert parse_config_text(format_config(entries)) == entries
 
     def test_missing_required_keys(self):
         with pytest.raises(FormatError):

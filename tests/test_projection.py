@@ -708,7 +708,10 @@ class TestSerialization:
         (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "W_l"}).encode(),
          "model has no 'W_l' key"),
         (lambda doc: json.dumps(doc).encode().replace(b"{", b"{\xff", 1), "not UTF-8"),
-    ], ids=["list", "missing-key", "not-utf8"])
+        (lambda doc: b"format_version: 1\n", "not valid JSON"),
+        (lambda doc: json.dumps({**doc, "b_k": [math.nan, 0.5]}).encode(),
+         "projection parameter b_k contains non-finite entries"),
+    ], ids=["list", "missing-key", "not-utf8", "not-json", "nan-weight"])
     def test_malformed_file_raises_format_error_naming_it(self, tmp_path, mangle, message):
         path = tmp_path / "model.json"
         write_atomic(path, projection_json(init_projection(2, 2, 2, seed=0)))

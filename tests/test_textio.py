@@ -21,40 +21,79 @@ def test_read_input_gives_the_whole_bytes_and_their_sha256(tmp_path, size):
 # the only functions that open a file to read it: the one reader of inputs, whose
 # digest is of the bytes a command parses, and the parse cache's reader of its entries
 READERS = {("textio.py", "read_input"), ("embeddings.py", "_read_entry")}
+# the only functions that open a file to write it: the one writer, which makes
+# each file pmean writes appear whole or not at all
+WRITERS = {("manifest.py", "atomic_open"), ("manifest.py", "temp_beside")}
+# the os.open flags that let a file be written, made or cut short
+WRITE_FLAGS = ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC")
+
+
+def called(call: ast.Call) -> tuple[str | None, str | None]:
+    """The name ``call`` calls and the name it is looked up on: ``open(p)`` is
+    ``("open", None)``, ``os.open(p)`` is ``("open", "os")``, ``p.open()``
+    is ``("open", "p")`` and ``f()(p)`` is ``(None, None)``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    owner = getattr(func, "value", None)
+    return name, owner.id if isinstance(owner, ast.Name) else None
+
+
+def open_mode(call: ast.Call) -> ast.expr:
+    """The mode argument of an ``open`` that is not ``os.open``: builtin, ``io``
+    or a Path's; ``"r"`` when none is given."""
+    func = call.func
+    at = 1 if isinstance(func, ast.Name) or called(call)[1] == "io" else 0  # Path.open(mode)
+    return next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[at] if len(call.args) > at else ast.Constant("r"))
 
 
 def opens_for_reading(call: ast.Call) -> bool:
     """Whether ``call`` opens a file to read it: ``open`` (builtin, ``io`` or a
     Path's) in a mode that reads or is not a literal, ``os.open`` without
     ``O_WRONLY``, or ``Path.read_text``/``read_bytes``."""
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    owner = getattr(func, "value", None)
-    owner = owner.id if isinstance(owner, ast.Name) else None
+    name, owner = called(call)
     if name in ("read_text", "read_bytes"):
-        return isinstance(func, ast.Attribute)
+        return isinstance(call.func, ast.Attribute)
     if name != "open":
         return False
     if owner == "os":
         return "O_WRONLY" not in ast.unparse(call.args[1])
-    at = 1 if isinstance(func, ast.Name) or owner == "io" else 0  # Path.open(mode)
-    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
-                call.args[at] if len(call.args) > at else ast.Constant("r"))
+    mode = open_mode(call)
     return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("r+"))
 
 
-def file_readers(src: Path) -> set[tuple[str, str]]:
-    """(file, outermost function) of every call in ``src/*.py`` that opens a file to read it."""
+def opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file to write it: ``open`` (builtin, ``io`` or a
+    Path's) in a mode that writes or is not a literal, ``os.open`` with a flag
+    that writes, ``Path.write_text``/``write_bytes``, or ``tempfile.mkstemp``."""
+    name, owner = called(call)
+    if name in ("write_text", "write_bytes"):
+        return isinstance(call.func, ast.Attribute)
+    if name == "mkstemp":
+        return True
+    if name != "open":
+        return False
+    if owner == "os":
+        return any(flag in ast.unparse(call.args[1]) for flag in WRITE_FLAGS)
+    mode = open_mode(call)
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def calls_that(opens, src: Path) -> set[tuple[str, str]]:
+    """(file, outermost function) of every call in ``src/*.py`` for which ``opens`` holds."""
     found = set()
     for path in sorted(src.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             found |= {(path.name, getattr(top, "name", "<module>")) for node in ast.walk(top)
-                      if isinstance(node, ast.Call) and opens_for_reading(node)}
+                      if isinstance(node, ast.Call) and opens(node)}
     return found
 
 
+SRC = Path(pmean.textio.__file__).parent
+
+
 def test_read_input_is_the_only_reader_of_an_input():
-    assert file_readers(Path(pmean.textio.__file__).parent) <= READERS
+    assert calls_that(opens_for_reading, SRC) <= READERS
 
 
 def test_the_reader_scan_sees_each_kind_of_read(tmp_path):
@@ -67,7 +106,35 @@ def test_the_reader_scan_sees_each_kind_of_read(tmp_path):
         "def f(p): return p.open()\n"
         "def g(p): return io.open(p, mode='rb')\n"
         "def w(p): return open(p, 'wb'), os.open(p, os.O_WRONLY), p.open('w'), read_text(p)\n")
-    assert file_readers(tmp_path) == {("m.py", name) for name in "abcdefg"}
+    assert calls_that(opens_for_reading, tmp_path) == {("m.py", name) for name in "abcdefg"}
+
+
+def test_manifest_is_the_only_writer_of_a_file():
+    assert calls_that(opens_for_writing, SRC) == WRITERS
+
+
+def test_the_writer_scan_sees_each_kind_of_write(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(p): return open(p, 'w')\n"
+        "def b(p): return open(p, 'ab')\n"
+        "def c(p): return open(p, 'xb')\n"
+        "def d(p): return open(p, 'r+b')\n"
+        "def e(p, m): return open(p, m)\n"
+        "def f(p): return p.open('w', encoding='utf-8')\n"
+        "def g(p): return io.open(p, mode='wb')\n"
+        "def h(p): return os.open(p, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)\n"
+        "def i(p): return os.open(p, os.O_RDWR)\n"
+        "def j(p): return os.open(p, os.O_APPEND | os.O_TRUNC)\n"
+        "def k(p): return p.write_text('x')\n"
+        "def l(p): return p.write_bytes(b'x')\n"
+        "def m(d): return tempfile.mkstemp(dir=d)\n"
+        "def n(d): return mkstemp(dir=d)\n"
+        "class O:\n"
+        "    def save(self, p):\n"
+        "        with open(p, 'w') as fh: fh.write('x')\n"
+        "def r(p): return open(p), open(p, 'rb'), os.open(p, os.O_RDONLY), p.read_text(), "
+        "p.open(), write_text(p), os.open(p, flags | os.O_NONBLOCK)\n")
+    assert calls_that(opens_for_writing, tmp_path) == {("m.py", name) for name in "abcdefghijklmnO"}
 
 
 class TestLineEndings:
