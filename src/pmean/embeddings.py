@@ -11,7 +11,9 @@ A parse is done once per file content: its result is cached under
 and ``CACHE_VERSION``; a later load of the same bytes reads the entry instead,
 and writing an entry removes the file's entries of other versions. Outputs
 never depend on the cache: an entry that cannot be read or fails any check is
-ignored and rewritten, and a cache that cannot be written is skipped.
+ignored and rewritten, an entry that is not a regular file (a FIFO, a device,
+a link to one) is a miss that is never read or replaced, and a cache that
+cannot be written is skipped.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, InputError
 from .manifest import atomic_open, write_atomic
-from .textio import float_row_text, read_input, read_lines
+from .textio import float_row_text, open_regular, read_input, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -148,12 +150,15 @@ def _write_entry(entry: Path, space: EmbeddingSpace, duplicates: int) -> None:
 def _read_entry(entry: Path, name: str, language_tag: str | None, sha256: str):
     """``(space, duplicates)`` from a cache entry, or None for a miss.
 
-    Any entry that cannot be read, is cut short, holds arrays of the wrong
-    dtype or shape, repeats a token or fails EmbeddingSpace's checks is a
-    miss, never an error: the caller parses the file and rewrites the entry.
+    Any entry that is not a regular file, cannot be read, is cut short, holds
+    arrays of the wrong dtype or shape, repeats a token or fails
+    EmbeddingSpace's checks is a miss, never an error: the caller parses the
+    file and rewrites the entry, unless it is not a regular file.
     """
     try:
-        with open(entry, "rb") as fh:
+        with open_regular(entry) as fh:
+            if fh is None:
+                return None
             meta, tokens, matrix = (np.load(fh, allow_pickle=False) for _ in range(3))
         if (meta.dtype != np.int64 or meta.shape != (1,) or meta[0] < 0
                 or tokens.dtype != np.uint8 or tokens.ndim != 1

@@ -10,12 +10,13 @@ harmonic mean, and p = +/-inf the column max/min. The per-space blocks are
 concatenated in configuration order; z-normalization is a separate,
 explicitly fitted step.
 
-Every p, the extremes included, runs the same steps: ``_powers``, ``_reduce``
-(at finite p each column's powers summed in an order-independent way, exact
-to within about u*max|x|), ``_root``, then zeroing. ``power_mean`` runs them
-on one matrix and is the scalar oracle; ``embed_corpus`` runs them over a
-whole corpus one space and one p at a time, straight into its output, and
-returns a ``PoolStats``.
+Every p, the extremes included, runs one step, ``_pool_p``: ``_powers`` once
+per row, ``_reduce`` per block (at finite p each column's powers summed in an
+order-independent way, exact to within about u*max|x|), ``_root``, then
+zeroing. ``embed_corpus`` runs it over a corpus one space and one p at a time,
+straight into its output; ``power_mean`` is its one-block case, one matrix as
+one sentence. The tests' ``naive_power_mean`` and their ``Fraction`` and
+``math.fsum`` bounds on ``_reduce`` are the references that share none of it.
 
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
 
@@ -98,18 +99,18 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
     bit-identical under row permutations of W and does not depend on the
     other columns; a zero max or min is returned as 0.0. A column whose
     mean is not finite is 0, or raises NumericalPolicyError with ``strict``.
-    This is the scalar oracle ``embed_corpus`` must match bit for bit.
+    It is ``embed_corpus``'s step ``_pool_p`` on W as one sentence in one block.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 1:
         raise DimensionError(f"power_mean expects an n x d matrix with n >= 1, got shape {W.shape}")
 
-    with np.errstate(all="ignore"):
-        out = _root(_reduce(_powers(W, p), p), p)
-        replace = ~np.isfinite(out)
-    if strict and replace.any():
-        raise _strict_error(W, p, replace)
-    return np.where(replace, 0.0, out)
+    rows = np.arange(len(W))
+    out = np.empty((1, W.shape[1]))
+    _, offence = _pool_p(W, p, [([0], rows[:, None])], rows, (0, len(W)), out, strict)
+    if offence is not None:
+        raise offence[1]
+    return out[0]
 
 
 def _powers(W, p):
@@ -199,28 +200,48 @@ def _root(inner, p):
     return np.sign(inner) * np.abs(inner) ** (1.0 / p)
 
 
-def _strict_error(W, p, replace) -> NumericalPolicyError:
-    """The error ``strict`` raises for M_p over the rows of W with these columns replaced.
+def _pool_p(E, p, blocks, local, bounds, out, strict: bool):
+    """M_p of each sentence into its row of ``out``; returns ``(replaced, offence)``.
 
-    It names the first replaced column and, in that column's sorted order,
-    the first entry whose power is undefined (NaN in ``_powers``); a pole
-    column has none and names its minimum. A column with neither overflows.
-    At p = +/-inf the undefined entries are the non-finite ones.
+    Sentence s's rows of E are ``local[bounds[s]:bounds[s + 1]]``; ``blocks``
+    (from ``_blocks``) hold each sentence once. Each row of E is raised to p
+    once, each block is reduced, and ``out`` is rooted. The ``replaced``
+    entries, those not finite, are zeroed; with ``strict`` they are kept, and
+    ``offence`` is the first sentence holding one with its error, else None.
     """
-    dim = int(np.argmax(replace))
-    column = np.sort(W[:, dim])
     with np.errstate(all="ignore"):
-        if abs(p) == math.inf:
-            undefined, pole = ~np.isfinite(column), False
-        else:
-            powers = _powers(column, p)
-            undefined = np.isnan(powers)
-            pole = p < 0 and _reduce(powers, p) == 0
-    if not (undefined.any() or pole):
+        powered = _powers(E, p)
+        for sentences, ids in blocks:
+            out[sentences] = _reduce(powered[ids], p)
+        rooted = _root(out, p)
+    replace = ~np.isfinite(rooted)
+    replaced, offence = int(np.count_nonzero(replace)), None
+    if replaced and strict:
+        s, dim = divmod(int(np.argmax(replace)), replace.shape[1])  # first in row-major order
+        rows = local[bounds[s]:bounds[s + 1]]
+        offence = s, _strict_error(p, dim, E[rows, dim], powered[rows, dim], out[s, dim])
+    elif replaced:
+        rooted[replace] = 0.0
+    out[:] = rooted
+    return replaced, offence
+
+
+def _strict_error(p, dim, column, powers, inner) -> NumericalPolicyError:
+    """The error ``strict`` raises for a sentence's M_p at ``dim``, from its rows
+    there, their powers and ``inner``, their mean before the root. A NaN power
+    (at p = +/-inf, a row not finite) is undefined, and the first undefined row
+    of the sorted column, NaN last, is named; else a mean of 0 at p < 0 is a pole
+    and names the rows' minimum, and anything else overflows."""
+    undefined = ~np.isfinite(powers) if abs(p) == math.inf else np.isnan(powers)
+    if undefined.any():
+        ordered = np.sort(column)  # the column's, which decides whether 0.0 or -0.0 is named
+        offender = ordered[np.argmax(np.isin(ordered, column[undefined]) | np.isnan(ordered))]
+    elif p < 0 and inner == 0:
+        offender = column.min()
+    else:
         return NumericalPolicyError(f"power mean overflows for p={format_p(p)} at dimension {dim}")
-    offender = float(column[np.argmax(undefined)])
     return NumericalPolicyError(
-        f"power mean undefined for p={format_p(p)} at dimension {dim} (value {offender!r})"
+        f"power mean undefined for p={format_p(p)} at dimension {dim} (value {float(offender)!r})"
     )
 
 
@@ -249,35 +270,29 @@ def embed_corpus(cfg: PooledConfig, sentences) -> tuple[np.ndarray, PoolStats]:
     A sentence is tokenized once, as ``cfg.lowercase`` says. Each part's power
     means are concatenated in p order, and the parts' blocks follow in
     configuration order. Row by row the result is bit-identical to
-    ``power_mean`` over the sentence's word vectors (rows per ``cfg.oov``),
-    with the same entries zeroed and counted; with ``cfg.strict`` the first
-    offending (sentence, part, p) raises the oracle's own message.
+    ``power_mean`` over the sentence's word vectors (rows per ``cfg.oov``), the
+    same step on other blocks, with the same entries zeroed and counted; with
+    ``cfg.strict`` the first offending (sentence, part, p) raises its message.
     """
     token_lists = [(s.lower() if cfg.lowercase else s).split() for s in sentences]
     X = np.empty((len(token_lists), cfg.output_dim))
     counts, offences, col = [], [], 0
     for part in cfg.parts:
         width = len(part.p_values) * part.space.dim
-        part_counts, offence = _pool_part(part, token_lists, cfg.oov, cfg.strict,
-                                          X[:, col:col + width])
+        part_counts, part_offences = _pool_part(part, token_lists, cfg.oov, cfg.strict,
+                                                X[:, col:col + width])
         col += width
         counts.append(part_counts)
-        if offence is not None:
-            offences.append(offence)
-    if offences:
-        raise min(offences, key=lambda offence: offence[0])[1]
+        offences += part_offences
+    if any(offences):
+        raise min(filter(None, offences), key=lambda offence: offence[0])[1]
     return X, PoolStats(*map(tuple, zip(*counts)))
 
 
 def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool, out):
-    """Pool one part into ``out``, its S x (len(p_values) * dim) columns of X.
-
-    Returns ``(counts, offence)``: the part's entries of PoolStats' fields,
-    and None or, under ``strict``, the first offending sentence with the
-    error it raises. One p at a time, the power is computed once per used
-    vocabulary row, sentences of one length are reduced together (blocks
-    from ``_blocks``) into the p's columns of ``out`` as in ``power_mean``,
-    and the columns are rooted and zeroed where M_p is not finite.
+    """Pool one part into ``out``, its S x (len(p_values) * dim) columns of X, by
+    one ``_pool_p`` per p over the used vocabulary rows. Returns ``(counts,
+    offences)``: the part's entries of PoolStats' fields, and each p's offence.
     """
     space = part.space
     zero_id = len(space.vocab)  # the zero row of OOV tokens and empty sentences
@@ -297,27 +312,12 @@ def _pool_part(part: PooledPart, token_lists, oov: str, strict: bool, out):
     E[:n_vocab_rows] = space.matrix[used[:n_vocab_rows]]
 
     blocks = list(_blocks(np.diff(bounds), bounds[:-1], local, space.dim))
-    undefined, offence = [], None
-    with np.errstate(all="ignore"):
-        for k, p in enumerate(part.p_values):
-            powered = _powers(E, p)
-            columns = out[:, k * space.dim:(k + 1) * space.dim]
-            for sentences, ids in blocks:
-                columns[sentences] = _reduce(powered[ids], p)
-            columns[:] = _root(columns, p)
-            replace = ~np.isfinite(columns)
-            n_replaced = int(np.count_nonzero(replace))
-            if n_replaced and strict:
-                s = int(np.argmax(replace.any(axis=1)))
-                if offence is None or s < offence[0]:
-                    offence = (s, _strict_error(E[local[bounds[s]:bounds[s + 1]]], p, replace[s]))
-            elif n_replaced:
-                columns[replace] = 0.0
-            undefined.append(n_replaced)
+    undefined, offences = zip(*[_pool_p(E, p, blocks, local, bounds, columns, strict) for p, columns
+                                in zip(part.p_values, np.hsplit(out, len(part.p_values)))])
     in_vocab = int(np.count_nonzero(local < n_vocab_rows))
     n_tokens = sum(map(len, token_lists))
-    counts = (n_tokens, n_tokens - in_vocab, fallbacks, n_vocab_rows, tuple(undefined))
-    return counts, offence
+    counts = (n_tokens, n_tokens - in_vocab, fallbacks, n_vocab_rows, undefined)
+    return counts, offences
 
 
 def _blocks(lengths, starts, local, dim):

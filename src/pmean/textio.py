@@ -1,7 +1,9 @@
-"""The one reader of input files, the UTF-8 text of its bytes, and float rows as text.
+"""The one opener of files to read, the UTF-8 text of their bytes, and float rows as text.
 
-``read_input`` is the only function in pmean that opens an input, so each
-digest a manifest records is of the bytes that were parsed. ``read_text`` and
+``open_regular`` is the only function in pmean that opens a file to read it,
+so a FIFO or a device never blocks a read. ``read_input`` reads an input
+through it, so each digest a manifest records is of the bytes that were
+parsed; the parse cache reads its entries through it. ``read_text`` and
 ``read_lines`` decode those bytes as UTF-8, skipping one leading byte-order
 mark, or raise FormatError naming their ``source`` file (with no line number).
 Only ``\n`` ends a line, and one ``\r`` before it is dropped, so CRLF reads as
@@ -17,6 +19,7 @@ import hashlib
 import io
 import os
 import stat
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -50,12 +53,22 @@ def float_row_text(row: np.ndarray, sep: str) -> str:
     return sep.join(tokens)
 
 
+@contextmanager
+def open_regular(path):
+    """``path`` open for binary reading, or None if it is not a regular file
+    (a pipe, a FIFO, a device; links followed). The open does not wait for a
+    FIFO's writer, and no byte is read before the check; the file is closed
+    when the block ends."""
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        yield fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
+
+
 def read_input(path) -> tuple[bytes, str]:
     """``path``'s bytes and their hex SHA-256, from one read. A manifest names
     bytes that can be read again, so anything but a regular file (a pipe, a FIFO,
     a device) raises InputError before a byte is read, and a FIFO never blocks."""
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+    with open_regular(path) as fh:
+        if fh is None:
             raise InputError(f"{path}: not a regular file; a manifest records each input's "
                              "digest, so an input must be readable again")
         data = fh.read()

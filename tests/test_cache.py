@@ -2,7 +2,9 @@
 import hashlib
 import json
 import logging
+import os
 import shutil
+import stat
 from collections import defaultdict
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pmean.textio
 from pmean.cli import main
 from pmean.embeddings import CACHE_VERSION, _parse_with_float, load_text_embeddings
 from test_acceptance import build_cli_fixture
+from test_cli import run_module
 from test_imports import command
 
 
@@ -279,6 +282,30 @@ class TestFixturesWorkspace:
                 assert run(f"under-{home}") == cold
         finally:
             read_only.chmod(0o755)
+
+
+class TestEntryNotARegularFile:
+    @pytest.mark.parametrize("link", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_is_a_miss_that_neither_blocks_nor_is_replaced(self, fx, tmp_path, parse_cache_home,
+                                                            link):
+        def outputs(out):
+            return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+        (tmp_path / "cold").mkdir()
+        assert main([str(arg) for arg in command(fx, "embed", tmp_path / "cold")]) == 0
+        entry = entry_of(parse_cache_home, fx / "space_a.txt")
+        entry.unlink()
+        fifo = tmp_path / "fifo" if link else entry
+        os.mkfifo(fifo)
+        if link:
+            entry.symlink_to(fifo)
+        # a read that waited for the FIFO's writer would wait forever; the child is
+        # killed at the timeout, and the call raises
+        (tmp_path / "child").mkdir()
+        code, err = run_module(*command(fx, "embed", tmp_path / "child"), timeout=60)
+        assert (code, err) == (0, "")
+        assert outputs("child") == outputs("cold")
+        assert stat.S_ISFIFO(os.stat(entry).st_mode) and entry.is_symlink() == link
 
 
 class TestFailedParses:

@@ -1681,14 +1681,15 @@ class TestUsage:
         assert len(out.read_text().splitlines()) == 3
 
 
-def run_module(*argv, pass_fds=()) -> tuple[int, str]:
+def run_module(*argv, pass_fds=(), timeout=120) -> tuple[int, str]:
     """``python -m pmean argv`` in a new interpreter, which inherits the file
-    descriptors ``pass_fds``: its exit code and stderr."""
+    descriptors ``pass_fds``: its exit code and stderr. A child still running
+    after ``timeout`` seconds is killed, and the call raises TimeoutExpired."""
     env = dict(os.environ)
     src = str(Path(pmean.cli.__file__).parents[1])  # the child imports this same package
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pmean", *map(str, argv)], pass_fds=pass_fds,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stderr
 
 

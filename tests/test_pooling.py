@@ -116,6 +116,7 @@ class TestPowerMeanCases:
         ([[2.0, 5.0], [3.0, 0.0], [4.0, -3.0]], 0, "p=0 at dimension 1 (value -3.0)"),
         ([[1.0, 4.0], [2.0, 0.0]], -1, "p=-1 at dimension 1 (value 0.0)"),
         ([[2.0, 2.0], [2.0, -1.5]], 0.5, "p=0.5 at dimension 1 (value -1.5)"),
+        ([[math.nan], [-1.0]], 0.5, "p=0.5 at dimension 0 (value -1.0)"),  # NaN sorts last
         # pole: no entry is undefined, the reciprocals of -2 and 2 cancel
         ([[1.0, 2.0], [2.0, -2.0]], -1, "p=-1 at dimension 1 (value -2.0)"),
     ])
@@ -518,7 +519,9 @@ def same_length_sentences(space, rng):
 
 
 class TestCorpusKernel:
-    """embed_corpus must equal per-sentence power_mean blocks bit for bit."""
+    """embed_corpus must equal per-sentence power_mean blocks bit for bit. Both pool
+    through one per-p step, so this checks what still differs between them: the
+    tokenizing, the gathering of rows and the blocking."""
 
     @pytest.mark.parametrize("oov_mode", ["skip", "zero"])
     @pytest.mark.parametrize("seed", range(6))

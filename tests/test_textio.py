@@ -18,9 +18,10 @@ def test_read_input_gives_the_whole_bytes_and_their_sha256(tmp_path, size):
     assert read_input(tmp_path / "f.bin") == (data, hashlib.sha256(data).hexdigest())
 
 
-# the only functions that open a file to read it: the one reader of inputs, whose
-# digest is of the bytes a command parses, and the parse cache's reader of its entries
-READERS = {("textio.py", "read_input"), ("embeddings.py", "_read_entry")}
+# the only function that opens a file to read it, which no FIFO or device blocks;
+# read_input, whose digest is of the bytes a command parses, and the parse cache's
+# reader of its entries both open through it
+READERS = {("textio.py", "open_regular")}
 # the only functions that open a file to write it: the one writer, which makes
 # each file pmean writes appear whole or not at all
 WRITERS = {("manifest.py", "atomic_open"), ("manifest.py", "temp_beside")}
@@ -79,14 +80,19 @@ def opens_for_writing(call: ast.Call) -> bool:
     return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
 
 
-def calls_that(opens, src: Path) -> set[tuple[str, str]]:
-    """(file, outermost function) of every call in ``src/*.py`` for which ``opens`` holds."""
+def calls_that(predicate, src: Path) -> set[tuple[str, str]]:
+    """(file, outermost function) of every call in ``src/*.py`` for which ``predicate`` holds."""
     found = set()
     for path in sorted(src.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             found |= {(path.name, getattr(top, "name", "<module>")) for node in ast.walk(top)
-                      if isinstance(node, ast.Call) and opens(node)}
+                      if isinstance(node, ast.Call) and predicate(node)}
     return found
+
+
+def calls_to(name: str):
+    """Whether a call calls ``name``, directly or as an attribute (``pooling._reduce``)."""
+    return lambda call: called(call)[0] == name
 
 
 SRC = Path(pmean.textio.__file__).parent
@@ -107,6 +113,27 @@ def test_the_reader_scan_sees_each_kind_of_read(tmp_path):
         "def g(p): return io.open(p, mode='rb')\n"
         "def w(p): return open(p, 'wb'), os.open(p, os.O_WRONLY), p.open('w'), read_text(p)\n")
     assert calls_that(opens_for_reading, tmp_path) == {("m.py", name) for name in "abcdefg"}
+
+
+# each step from word vectors to a written M_p entry has one caller, the per-p step
+# that power_mean and embed_corpus share, so a change to a step changes both alike
+M_P_STEPS = ("_powers", "_reduce", "_root")
+
+
+@pytest.mark.parametrize("step", M_P_STEPS)
+def test_pool_p_is_the_only_caller_of_each_m_p_step(step):
+    assert calls_that(calls_to(step), SRC) == {("pooling.py", "_pool_p")}
+
+
+def test_the_step_scan_sees_direct_and_attribute_calls(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(W, p): return _reduce(W, p)\n"
+        "def b(W, p): return pooling._reduce(W, p)\n"
+        "class C:\n"
+        "    def c(self, W, p): return self.k(_reduce(W, p))\n"
+        "def d(W, p): return _reduce_all(W, p), reduce(W, p), _reduce\n")
+    assert calls_that(calls_to("_reduce"), tmp_path) == {("m.py", "a"), ("m.py", "b"),
+                                                         ("m.py", "C")}
 
 
 def test_manifest_is_the_only_writer_of_a_file():
