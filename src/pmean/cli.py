@@ -228,7 +228,7 @@ def _pooled(parts, args) -> PooledConfig:
 
 
 def _load(load, path, manifest: RunManifest, **labels):
-    """``load(path, **labels)``: ``read_input``'s ``(bytes, sha256)``, a task or a
+    """``load(path, **labels)``: ``read_input``'s ``(data, sha256)``, a task or a
     space, loaded once per run however ``path`` is spelled; each name given is
     recorded in the manifest with the digest of the one read that was parsed."""
     key = (load, Path(path).resolve())
@@ -332,9 +332,7 @@ def cmd_embed(args, seed: int, manifest: RunManifest) -> list[str | Iterator[str
     if args.znorm and X.shape[0] > 0:
         params = znorm_fit(X)
         X = znorm_apply(params, X)
-        manifest.extra["znorm_params"] = {
-            "mean": params.mean.tolist(), "std": params.std.tolist(),
-        }
+        manifest.extra["znorm_params"] = {"mean": params.mean, "std": params.std}
     manifest.extra["undefined_pool_entries"] = stats.undefined_total
 
     # formatted row by row as main writes them, so the TSV is never whole in memory

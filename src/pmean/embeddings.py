@@ -182,7 +182,7 @@ def _read_entry(entry: Path, name: str, language_tag: str | None, sha256: str):
 _FLOAT_LOOP_CHARS = ("\r", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _parse_with_loadtxt(data: bytes, path: Path):
+def _parse_with_loadtxt(data, path: Path):
     """``(vocab, matrix, duplicates)`` with the numbers read by ``np.loadtxt``, or None.
 
     One pass over the lines skips the ``count dim`` header, checks each token,
@@ -229,7 +229,7 @@ def _parse_with_loadtxt(data: bytes, path: Path):
     return vocab, matrix, len(duplicate_rows)
 
 
-def _parse_with_float(data: bytes, path: Path):
+def _parse_with_float(data, path: Path):
     """``(vocab, matrix, duplicates)`` with every value read by ``float()``, line by line.
 
     The reference parser: it raises FormatError for the first bad line.

@@ -7,8 +7,9 @@ manifest's directory. Each digest is the one ``textio.read_input`` took in the
 one read of the bytes the command parsed; this module only records and writes.
 On one host, equal manifests mean byte-identical outputs, whatever their paths,
 and one run writes the same manifest from any directory. Across hosts they may
-not: numpy's SIMD kernels (``np.power``, ``np.log``) and the BLAS core can
-change an output's last bits under an equal manifest.
+not: numpy's SIMD kernels (``np.power``, which pooling calls at every p but
+1 and +/-inf, and ``np.log``) and the BLAS core can change an output's last
+bits under an equal manifest.
 
 Every file pmean writes goes through ``atomic_open`` (``write_atomic`` wraps
 it): the CLI's outputs and manifests, parse-cache entries, and the files
@@ -57,6 +58,25 @@ class RunManifest:
         return Path(os.path.relpath(staged_file(path), os.path.realpath(self.directory))).as_posix()
 
     def to_json(self) -> str:
+        """``json.dumps(doc, indent=2, sort_keys=True, default=self.relative) + "\n"``
+        of the manifest, with each ndarray in it (``znorm_params``) as its list,
+        faster: ``textio.json_float_array`` writes the arrays, so that their
+        floats skip json's pure-Python encoder."""
+        import numpy as np  # here, so that parsing the command line loads no numpy
+
+        from .textio import json_float_array
+
+        def text(value, level: int) -> str:
+            if isinstance(value, np.ndarray):
+                return json_float_array(value, 2, level)
+            if isinstance(value, dict) and value:
+                pad = "\n" + "  " * (level + 1)
+                return "{" + ",".join(f"{pad}{json.dumps(key)}: {text(value[key], level + 1)}"
+                                      for key in sorted(value)) + pad[:-2] + "}"
+            # a line break in json's text is always its own, never in a string
+            return json.dumps(value, indent=2, sort_keys=True,
+                              default=self.relative).replace("\n", "\n" + "  " * level)
+
         doc = {
             "command": self.command,
             "config": self.config,
@@ -65,7 +85,7 @@ class RunManifest:
             "tool_version": __version__,
         }
         doc.update(self.extra)
-        return json.dumps(doc, indent=2, sort_keys=True, default=self.relative) + "\n"
+        return text(doc, 0) + "\n"
 
 
 def write_atomic(path, text: str | Iterable[str]) -> None:

@@ -11,11 +11,11 @@ concatenated in configuration order; z-normalization is a separate,
 explicitly fitted step.
 
 Every p, the extremes included, runs one step, ``_pool_p``: ``_powers`` once
-per row, ``_reduce`` per block (at finite p each column's powers summed in an
-order-independent way, exact to within about u*max|x|), ``_root``, then
-zeroing. ``embed_corpus`` runs it over a corpus one space and one p at a time,
-straight into its output; ``power_mean`` is its one-block case, one matrix as
-one sentence. The tests' ``naive_power_mean`` and their ``Fraction`` and
+per row (the rows as they are at p = 1 and +/-inf), ``_reduce`` per block (at
+finite p each column's powers summed in an order-independent way, exact to
+within about u*max|x|), ``_root``, then zeroing. ``embed_corpus`` runs it over
+a corpus one space and one p at a time, straight into its output;
+``power_mean`` is its one-block case, one matrix as one sentence. The tests' ``naive_power_mean`` and their ``Fraction`` and
 ``math.fsum`` bounds on ``_reduce`` are the references that share none of it.
 
 p is a plain float: ``math.inf`` and ``-math.inf`` are the extremes.
@@ -114,7 +114,8 @@ def power_mean(W: np.ndarray, p: float, *, strict: bool = False) -> np.ndarray:
 
 
 def _powers(W, p):
-    """Entrywise x**p (log x for p = 0), NaN exactly where it is undefined; W itself at p = +/-inf.
+    """Entrywise x**p (log x for p = 0), NaN exactly where it is undefined; W
+    itself at p = 1 and p = +/-inf, where every row is its own power.
 
     One rule holds at every finite p: undefined are a zero base (``W == 0``)
     at p <= 0 and x < 0 at non-integer p, and ``np.log`` makes x < 0 NaN at
@@ -122,7 +123,7 @@ def _powers(W, p):
     integer p: numpy raises a negative base far more slowly than a positive
     one, and an even-p power of -x is then exactly that of x.
     """
-    if abs(p) == math.inf:
+    if abs(p) == math.inf or p == 1:
         return W
     with np.errstate(all="ignore"):
         powers = np.log(W) if p == 0 else np.power(np.abs(W), p)
@@ -189,9 +190,15 @@ def _reduce(powers, p):
 
 
 def _root(inner, p):
-    """Map a ``_reduce`` result back to M_p, an extreme as it is; a pole (0 at p < 0) is NaN."""
+    """Map a ``_reduce`` result back to M_p, an extreme as it is; a pole (0 at p < 0) is NaN.
+
+    At p = 1 the root is ``inner + 0.0``: bit for bit what the general formula
+    gives there, -0.0 made 0.0, at far less cost.
+    """
     if abs(p) == math.inf:
         return inner
+    if p == 1:
+        return inner + 0.0
     if p == 0:
         return np.exp(inner)
     # sign-preserving outer root; for even/non-integer p the mean is >= 0
@@ -229,13 +236,15 @@ def _pool_p(E, p, blocks, local, bounds, out, strict: bool):
 def _strict_error(p, dim, column, powers, inner) -> NumericalPolicyError:
     """The error ``strict`` raises for a sentence's M_p at ``dim``, from its rows
     there, their powers and ``inner``, their mean before the root. A NaN power
-    (at p = +/-inf, a row not finite) is undefined, and the first undefined row
-    of the sorted column, NaN last, is named; else a mean of 0 at p < 0 is a pole
-    and names the rows' minimum, and anything else overflows."""
+    (at p = +/-inf, a row not finite) is undefined, and the least undefined value
+    is named, -0.0 before 0.0 and NaN last, so that neither the row order nor the
+    order in which numpy's sort kernel leaves equal values decides it; else a
+    mean of 0 at p < 0 is a pole and names the rows' minimum, and anything else
+    overflows."""
     undefined = ~np.isfinite(powers) if abs(p) == math.inf else np.isnan(powers)
     if undefined.any():
-        ordered = np.sort(column)  # the column's, which decides whether 0.0 or -0.0 is named
-        offender = ordered[np.argmax(np.isin(ordered, column[undefined]) | np.isnan(ordered))]
+        values = column[undefined]
+        offender = values[np.lexsort((~np.signbit(values), values))[0]]
     elif p < 0 and inner == 0:
         offender = column.min()
     else:

@@ -17,7 +17,7 @@ from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
 from .settings import ProjectionTrainConfig
-from .textio import float_row_text, json_numbers, read_input, read_text
+from .textio import json_float_array, json_numbers, read_input, read_text
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -363,32 +363,16 @@ def project_space(model: ProjectionModel, side: str, space: EmbeddingSpace) -> E
 
 
 def projection_json(model: ProjectionModel) -> str:
-    """The model as ``json.dumps(doc, indent=1) + "\n"`` writes it, faster.
-
-    The arrays' floats go through ``float_row_text``, which writes each as
-    ``repr`` does, as ``json.dumps`` does too.
-    """
+    """The model as ``json.dumps(doc, indent=1) + "\n"`` writes it, faster:
+    ``json_float_array`` writes the arrays."""
     head = json.dumps({
         "format_version": MODEL_FORMAT_VERSION,
         "dims": dict(zip(("e", "f", "d"), model.dims)),
         "margin": model.margin,
     }, indent=1)
-    arrays = "".join(f',\n "{name}": {_json_array(arr, 1)}'
+    arrays = "".join(f',\n "{name}": {json_float_array(arr, 1, 1)}'
                      for name, arr in model.params().items())
     return head.removesuffix("\n}") + arrays + "\n}\n"
-
-
-def _json_array(arr: np.ndarray, level: int) -> str:
-    """``json.dumps(arr.tolist(), indent=1)`` for an array nested ``level`` deep.
-
-    No axis is empty: every dim of a ``ProjectionModel`` is positive.
-    """
-    sep = ",\n" + " " * (level + 1)
-    if arr.ndim == 1:
-        items = float_row_text(arr, sep)
-    else:
-        items = sep.join(_json_array(row, level + 1) for row in arr)
-    return f"[{sep[1:]}{items}\n{' ' * level}]"
 
 
 def load_projection(path) -> ProjectionModel:

@@ -3,15 +3,20 @@
 ``open_regular`` is the only function in pmean that opens a file to read it,
 so a FIFO or a device never blocks a read. ``read_input`` reads an input
 through it, so each digest a manifest records is of the bytes that were
-parsed; the parse cache reads its entries through it. ``read_text`` and
-``read_lines`` decode those bytes as UTF-8, skipping one leading byte-order
-mark, or raise FormatError naming their ``source`` file (with no line number).
-Only ``\n`` ends a line, and one ``\r`` before it is dropped, so CRLF reads as
-LF; any other ``\r`` is part of the line.
+parsed; the parse cache reads its entries through it. The bytes come back as a
+read-only buffer, read in one ``readinto`` into a numpy array: numpy asks the
+kernel for transparent huge pages from 4 MiB, so a large input costs a few
+hundred page faults, not one per 4 KiB. ``read_text`` and ``read_lines``
+decode those bytes as UTF-8, skipping one leading byte-order mark, or raise
+FormatError naming their ``source`` file (with no line number). Only ``\n``
+ends a line, and one ``\r`` before it is dropped, so CRLF reads as LF; any
+other ``\r`` is part of the line.
 
 ``float_row_text`` writes a row of floats exactly as ``repr`` writes each
-one, so a reader that parses them gets the same doubles back. The JSON
-readers take their numbers through ``json_numbers``.
+one, so a reader that parses them gets the same doubles back;
+``json_float_array`` writes a float array through it exactly as
+``json.dumps`` does. The JSON readers take their numbers through
+``json_numbers``.
 """
 from __future__ import annotations
 
@@ -53,6 +58,22 @@ def float_row_text(row: np.ndarray, sep: str) -> str:
     return sep.join(tokens)
 
 
+def json_float_array(arr: np.ndarray, indent: int, level: int = 0) -> str:
+    """``json.dumps(arr.tolist(), indent=indent)`` for an array of finite floats
+    with one or more axes, nested ``level`` deep in a document: each line after
+    the first is indented ``level`` more steps. The floats go through
+    ``float_row_text``, which spells a non-finite value as ``repr`` does, not
+    as ``json.dumps``: ``ProjectionModel`` and ``znorm_fit`` refuse one."""
+    if not len(arr):
+        return "[]"
+    sep = ",\n" + " " * (indent * (level + 1))
+    if arr.ndim > 1:
+        items = sep.join(json_float_array(row, indent, level + 1) for row in arr)
+    else:
+        items = float_row_text(arr, sep)
+    return f"[{sep[1:]}{items}\n{' ' * (indent * level)}]"
+
+
 @contextmanager
 def open_regular(path):
     """``path`` open for binary reading, or None if it is not a regular file
@@ -63,36 +84,66 @@ def open_regular(path):
         yield fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
 
 
-def read_input(path) -> tuple[bytes, str]:
-    """``path``'s bytes and their hex SHA-256, from one read. A manifest names
-    bytes that can be read again, so anything but a regular file (a pipe, a FIFO,
-    a device) raises InputError before a byte is read, and a FIFO never blocks."""
+def read_input(path) -> tuple[memoryview, str]:
+    """``path``'s bytes, as a read-only buffer, and their hex SHA-256, from one read.
+    A manifest names bytes that can be read again, so anything but a regular file
+    (a pipe, a FIFO, a device) raises InputError before a byte is read, and a FIFO
+    never blocks.
+
+    The bytes are read by one ``readinto`` into an array one byte longer than
+    ``fstat``'s size, so a full array shows a file that grew since; the rest is
+    then read to EOF. A file that shrank gives the bytes there were.
+    """
     with open_regular(path) as fh:
         if fh is None:
             raise InputError(f"{path}: not a regular file; a manifest records each input's "
                              "digest, so an input must be readable again")
-        data = fh.read()
+        buf = np.empty(os.fstat(fh.fileno()).st_size + 1, np.uint8)
+        n = fh.readinto(buf)
+        if n == len(buf):
+            buf = np.concatenate([buf, np.frombuffer(fh.read(), np.uint8)])
+            n = len(buf)
+    data = memoryview(buf)[:n].toreadonly()
     return data, hashlib.sha256(data).hexdigest()
 
 
-def read_text(data: bytes, source) -> str:
-    """``data`` as one string, each CRLF read as LF."""
+def read_text(data, source) -> str:
+    """``data``, bytes or a buffer of them, as one string, each CRLF read as LF."""
     try:
-        return data.decode("utf-8-sig").replace("\r\n", "\n")
+        return str(data, "utf-8-sig").replace("\r\n", "\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from None
 
 
-def read_lines(data: bytes, source):
-    """Yield ``(lineno, line)`` for every non-blank line of ``data``, line ending stripped."""
+def read_lines(data, source):
+    """Yield ``(lineno, line)`` for every non-blank line of ``data``, bytes or a
+    buffer of them, line ending stripped."""
     try:
         # newline="\n": lines end at "\n" only, untranslated ("" would also end one at "\r")
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n") as fh:
+        with io.TextIOWrapper(io.BufferedReader(_BufferReader(data)), encoding="utf-8-sig",
+                              newline="\n") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 if line := raw.removesuffix("\n").removesuffix("\r"):
                     yield lineno, line
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from None
+
+
+class _BufferReader(io.RawIOBase):
+    """A raw stream over a buffer that copies only what each read asks for;
+    ``io.BytesIO`` would copy all of a buffer that is not ``bytes`` first."""
+
+    def __init__(self, data):
+        self.data, self.pos = memoryview(data), 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        chunk = self.data[self.pos:self.pos + len(b)]
+        b[:len(chunk)] = chunk
+        self.pos += len(chunk)
+        return len(chunk)
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> FormatError:

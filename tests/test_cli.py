@@ -28,6 +28,7 @@ from pmean.cli import main
 from pmean.embeddings import load_text_embeddings, save_text_embeddings
 from pmean.errors import InputError
 from pmean.evaluation import emit_report, load_task, parse_report, save_task
+from pmean.manifest import RunManifest
 from pmean.pooling import PooledConfig, PooledPart, embed_corpus
 from pmean.projection import ProjectionTrainConfig, init_projection, load_projection
 from test_acceptance import build_cli_fixture
@@ -170,6 +171,25 @@ class TestEmbed:
         assert rc == 0
         manifest = json.loads((out.parent / "zn.tsv.manifest.json").read_text())
         assert len(manifest["znorm_params"]["mean"]) == 16
+
+    def test_to_json_is_json_dumps_with_each_array_as_its_list(self, tmp_path):
+        # config values are user text: a value spelled like the manifest's own JSON
+        # stays a string, and a path is named relative to the manifest's directory
+        config = {"config": tmp_path / "in" / "a.cfg", "text": '"mean": [\n  1.0\n]',
+                  "unicode": "caf\u00e9\t\u2028", "nested": {"b": [1, None, True], "a": {}},
+                  "lr": 0.001, "empty": {}, "list": [[], {}, "x"]}
+        mean, std = np.array([1e-05, -0.0, 5e-324, 1e16, 0.5]), np.array([1.0, 2.5e-07])
+        manifest = RunManifest("embed", config, {"seed": 7}, tmp_path,
+                               extra={"znorm_params": {"mean": mean, "std": std},
+                                      "undefined_pool_entries": 3})
+        manifest.add_input(tmp_path / "in" / "s.txt", "ab" * 32)
+        doc = {"command": "embed", "config": config, "seeds": {"seed": 7},
+               "inputs": manifest.inputs, "tool_version": pmean.__version__,
+               "znorm_params": {"mean": mean.tolist(), "std": std.tolist()},
+               "undefined_pool_entries": 3}
+        want = json.dumps(doc, indent=2, sort_keys=True, default=manifest.relative) + "\n"
+        assert manifest.to_json() == want
+        assert '"config": "in/a.cfg"' in want
 
     def test_values_outside_reprs_positional_band_are_written_as_repr(self, workdir):
         write(workdir / "wide.txt", "alpha 1e-05 1e17 -3e-07 0.5\nbeta 2e-05 -1e17 0.0 1e16\n")
@@ -1225,6 +1245,13 @@ class TestFixturesWorkspace:
         assert len(losses) == 3 and losses[-1] < losses[0]
         text = (tmp_path / "m.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+    def test_a_znorm_manifest_is_written_as_json_dumps_does(self, fx, tmp_path):
+        assert main([str(arg) for arg in fx_command(fx, "embed --znorm", tmp_path)]) == 0
+        text = (tmp_path / "e.tsv.manifest.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert len(doc["znorm_params"]["mean"]) == len(doc["znorm_params"]["std"]) == 64
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("command, report", [("eval", "r.json"), ("eval-transfer", "t.json")])
     def test_a_report_reads_back_unchanged_and_a_moved_sigma_is_rejected(self, fx, tmp_path,

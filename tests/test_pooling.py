@@ -344,6 +344,93 @@ class TestPowerMeanProperties:
             assert power_mean(row, p) == pytest.approx(row[0], rel=1e-12)
 
 
+
+def strict_message(W, p):
+    """The message ``power_mean(W, p, strict=True)`` raises, or None."""
+    try:
+        power_mean(W, p, strict=True)
+    except NumericalPolicyError as exc:
+        return str(exc)
+    return None
+
+
+class TestStrictSignedZero:
+    """Which zero a --strict message names is pmean's rule, -0.0 before 0.0, never
+    the row order or the order a sort kernel leaves equal values in."""
+
+    @pytest.mark.parametrize("p", [-1.0, -0.5, 0.0])
+    @pytest.mark.parametrize("column", [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]],
+                             ids=["0.0 first", "-0.0 first"])
+    def test_negative_zero_is_named_before_zero(self, p, column):
+        want = f"power mean undefined for p={format_p(p)} at dimension 0 (value -0.0)"
+        assert strict_message(np.array(column)[:, None], p) == want
+        space = EmbeddingSpace("z", {"zero": 0, "minus": 1, "one": 2},
+                               np.array([[0.0], [-0.0], [1.0]]))
+        words = {"0.0": "zero", "-0.0": "minus", "1.0": "one"}
+        sentence = " ".join(words[repr(v)] for v in column)
+        with pytest.raises(NumericalPolicyError) as exc:
+            embed_corpus(PooledConfig([PooledPart(space, [p])], strict=True), [sentence])
+        assert str(exc.value) == want
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.nan]),
+                    min_size=1, max_size=10),
+           st.sampled_from([-1.0, -0.5, 0.0, 0.5, 2.0, INF, -INF]), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_permuting_a_column_never_changes_the_message(self, column, p, rnd):
+        shuffled = list(column)
+        rnd.shuffle(shuffled)
+        assert strict_message(np.array(column)[:, None], p) == \
+            strict_message(np.array(shuffled)[:, None], p)
+
+
+MAX = np.finfo(np.float64).max
+# signed zeros, subnormals, the float range's ends and non-finite rows
+P1_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX,
+                            INF, -INF, math.nan])
+
+
+class TestPowerMeanAtOne:
+    """At p = 1 the rows are their own powers and the root is ``+ 0.0``: bit for bit
+    the general path's ``copysign(|x| ** 1.0, x)`` powers and ``sign(m) * |m| ** 1.0`` root."""
+
+    def test_powers_are_the_rows_themselves(self):
+        W = np.array([[0.5, -0.0], [math.nan, 3.0]])
+        assert _powers(W, 1.0) is W
+
+    def test_the_root_is_the_general_formula_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        m = np.concatenate([rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+                            [0.0, -0.0, 5e-324, -5e-324, MAX, -MAX, INF, -INF, math.nan]])
+        with np.errstate(all="ignore"):  # as _pool_p calls it: a signalling NaN is invalid
+            want = np.sign(m) * np.abs(m) ** 1.0
+            got = pooling._root(m, 1.0)
+        assert (np.isnan(got) == np.isnan(want)).all()
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    @given(matrices(P1_EDGES | st.floats(), max_n=12))
+    @settings(max_examples=300, deadline=None)
+    @example(W=np.array([[0.0, -0.0, 5e-324, MAX, INF, math.nan],
+                         [-0.0, -0.0, -5e-324, MAX, 1.0, 1.0]]))
+    def test_equals_the_general_path_and_polices_the_same_entries(self, W):
+        with np.errstate(all="ignore"):
+            inner = _reduce(np.copysign(np.power(np.abs(W), 1.0), W), 1.0)
+            want = np.sign(inner) * np.abs(inner) ** 1.0
+        undefined = ~np.isfinite(want)
+        want[undefined] = 0.0
+        assert power_mean(W, 1.0).tobytes() == want.tobytes()
+        rows, out = np.arange(len(W)), np.empty((1, W.shape[1]))
+        replaced, _ = pooling._pool_p(W, 1.0, [([0], rows[:, None])], rows, (0, len(W)), out,
+                                      False)
+        assert replaced == np.count_nonzero(undefined)
+        if not undefined.any():
+            assert strict_message(W, 1.0) is None
+            return
+        dim = int(np.argmax(undefined))
+        assert strict_message(W, 1.0) == (
+            f"power mean undefined for p=1 at dimension {dim} (value nan)"
+            if np.isnan(W[:, dim]).any() else f"power mean overflows for p=1 at dimension {dim}")
+
+
 @pytest.fixture
 def two_spaces():
     rng = np.random.default_rng(4)

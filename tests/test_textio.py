@@ -1,6 +1,9 @@
 import ast
 import hashlib
+import json
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +11,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmean.textio
-from pmean.textio import float_row_text, read_input, read_lines, read_text
+from pmean.embeddings import load_text_embeddings
+from pmean.errors import FormatError
+from pmean.textio import float_row_text, json_float_array, read_input, read_lines, read_text
+
+MIB = 2**20
 
 
-@pytest.mark.parametrize("size", [0, 1, 2**20 - 1, 2**20, 2**20 + 1])
+# numpy asks for huge pages from 4 MiB, so read_input's buffer is one of either kind
+@pytest.mark.parametrize("size", [0, 1, MIB - 1, MIB, MIB + 1, 4 * MIB - 1, 4 * MIB, 4 * MIB + 1])
 def test_read_input_gives_the_whole_bytes_and_their_sha256(tmp_path, size):
     data = np.random.default_rng(size).bytes(size)
     (tmp_path / "f.bin").write_bytes(data)
     assert read_input(tmp_path / "f.bin") == (data, hashlib.sha256(data).hexdigest())
+
+
+def test_read_input_gives_a_read_only_buffer(tmp_path):
+    (tmp_path / "f.bin").write_bytes(b"abc")
+    view, _ = read_input(tmp_path / "f.bin")
+    assert isinstance(view, memoryview) and view.readonly
+    with pytest.raises(TypeError):
+        view[0] = 0
+
+
+@pytest.mark.parametrize("reported", [0, 1, 4095, 4 * MIB - 1, 4 * MIB + 5, 4 * MIB + 4096],
+                         ids=lambda n: f"fstat-{n}")
+def test_read_input_reads_to_eof_whatever_fstat_reported(tmp_path, monkeypatch, reported):
+    # a file that grew after fstat is read to its end, one that shrank as it is
+    data = np.random.default_rng(reported).bytes(4 * MIB + 5)
+    (tmp_path / "f.bin").write_bytes(data)
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: SimpleNamespace(st_mode=real(fd).st_mode, st_size=reported))
+    got = read_input(tmp_path / "f.bin")
+    monkeypatch.undo()
+    assert got == (data, hashlib.sha256(data).hexdigest())
+
+
+@pytest.mark.parametrize("line", [0, -1], ids=["first line", "last line"])
+def test_a_large_file_that_is_not_utf8_names_its_byte(tmp_path, line):
+    # over 4 MiB, so read into a huge-page buffer; the error text is the one a bytes read gave
+    rows = [f"w{i} " + " ".join(["0.5"] * 300) + "\n" for i in range(4 * MIB // 1200 + 1)]
+    rows[line] = "caf\udce9" + rows[line][rows[line].index(" "):]
+    path = tmp_path / "big.txt"
+    path.write_bytes("".join(rows).encode("utf-8", "surrogateescape"))
+    assert path.stat().st_size > 4 * MIB
+    with pytest.raises(FormatError) as exc:
+        load_text_embeddings(path)
+    assert str(exc.value) == f"{path}: not UTF-8: cannot decode byte 0xe9"
+    with pytest.raises(FormatError) as exc:
+        read_text(read_input(path)[0], path)
+    assert str(exc.value) == f"{path}: not UTF-8: cannot decode byte 0xe9"
 
 
 # the only function that opens a file to read it, which no FIFO or device blocks;
@@ -238,3 +284,32 @@ class TestFloatRowText:
 
     def test_an_empty_row_is_empty(self):
         assert float_row_text(np.array([]), "\t") == ""
+
+
+class TestJsonFloatArray:
+    """``json_float_array`` against ``json.dumps`` of the array's list."""
+
+    @staticmethod
+    def check(arr, indent):
+        for level in range(3):
+            want = json.dumps(arr.tolist(), indent=indent).replace("\n", "\n" + " " * indent * level)
+            assert json_float_array(arr, indent, level) == want
+        # nested two deep in a document, as a manifest's znorm_params are
+        nested = json.dumps({"a": {"b": arr.tolist()}}, indent=indent)
+        assert json_float_array(arr, indent, 2) in nested
+
+    @pytest.mark.parametrize("arr", [
+        np.array([1e-05, 1e-08, 1e16, 5e-324, -0.0, 0.5]),
+        np.array([[1e-05, -0.0], [5e-324, 1e16], [-1e-08, 0.0]]),
+        np.array([]), np.empty((0, 3)), np.empty((2, 0)), np.empty((2, 3, 0)),
+    ], ids=["outside the band", "2-D", "empty", "no rows", "empty rows", "empty rows 3-D"])
+    @pytest.mark.parametrize("indent", [1, 2])
+    def test_equals_json_dumps(self, arr, indent):
+        self.check(arr, indent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_rows.map(lambda row: row[np.isfinite(row)]), st.integers(1, 3),
+           st.sampled_from([1, 2]))
+    def test_equals_json_dumps_for_any_finite_floats(self, row, rows, indent):
+        self.check(row, indent)
+        self.check(np.tile(row, (rows, 1)), indent)
