@@ -18,7 +18,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import DimensionError, FormatError, InputError
 from .manifest import write_atomic
 from .pooling import PooledConfig, PooledPart, embed_corpus
 from .settings import TrainProtocol
-from .textio import json_numbers, read_input, read_lines
+from .textio import json_numbers, json_text, read_input, read_lines
 
 REPORT_FORMAT_VERSION = 1
 
@@ -246,6 +246,7 @@ class TaskResult:
 
     For transfer cells the headline is the cross-language score and
     in_language is filled; monolingual cells leave it None, and so their drop.
+    Its fields and drop are the keys of a task in the report JSON.
     """
 
     task: str
@@ -342,22 +343,12 @@ def emit_report(report: EvalReport, fmt: str) -> str:
                 {
                     "model": row.model,
                     "sigma": row.sigma,
-                    "tasks": [
-                        {
-                            "task": r.task,
-                            "metric": r.metric,
-                            "score": r.score,
-                            "std": r.std,
-                            "in_language": r.in_language,
-                            "drop": r.drop,
-                        }
-                        for r in row.results
-                    ],
+                    "tasks": [{**asdict(r), "drop": r.drop} for r in row.results],
                 }
                 for row in report.rows
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(doc, 2, sort_keys=True)
     if fmt != "markdown":
         raise InputError(f"unknown report format {fmt!r}")
 

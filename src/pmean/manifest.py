@@ -19,10 +19,11 @@ made if missing, and an atomic rename moves it into place, so the file appears
 whole or not at all. It is created with the mode a plain ``open(path, "w")``
 gives, 0o666 less the umask. A path that exists and is not a regular file,
 following links (a directory, a FIFO, a device), is refused, never replaced.
+One function spells every JSON file, ``textio.json_text``: manifests and reports
+with indent 2 and sorted keys, the projection model with indent 1 in insertion order.
 """
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -59,23 +60,8 @@ class RunManifest:
 
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True, default=self.relative) + "\n"``
-        of the manifest, with each ndarray in it (``znorm_params``) as its list,
-        faster: ``textio.json_float_array`` writes the arrays, so that their
-        floats skip json's pure-Python encoder."""
-        import numpy as np  # here, so that parsing the command line loads no numpy
-
-        from .textio import json_float_array
-
-        def text(value, level: int) -> str:
-            if isinstance(value, np.ndarray):
-                return json_float_array(value, 2, level)
-            if isinstance(value, dict) and value:
-                pad = "\n" + "  " * (level + 1)
-                return "{" + ",".join(f"{pad}{json.dumps(key)}: {text(value[key], level + 1)}"
-                                      for key in sorted(value)) + pad[:-2] + "}"
-            # a line break in json's text is always its own, never in a string
-            return json.dumps(value, indent=2, sort_keys=True,
-                              default=self.relative).replace("\n", "\n" + "  " * level)
+        of the manifest, with each ndarray in it (``znorm_params``) as its list."""
+        from .textio import json_text  # here, so that parsing the command line loads no numpy
 
         doc = {
             "command": self.command,
@@ -85,7 +71,7 @@ class RunManifest:
             "tool_version": __version__,
         }
         doc.update(self.extra)
-        return text(doc, 0) + "\n"
+        return json_text(doc, 2, sort_keys=True, default=self.relative)
 
 
 def write_atomic(path, text: str | Iterable[str]) -> None:

@@ -3,7 +3,9 @@ cosine max-margin ranking loss over (sentence, translation, random) triples.
 
 Training operates on sentence-average vectors; the learned maps are then
 applied to individual word vectors, which live in the same space as the
-averages.
+averages. ``projection_json`` writes the model through ``textio.json_text``, the
+one function that writes every JSON file: the model with indent 1 in insertion
+order, manifests and reports with indent 2 and sorted keys.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
 from .settings import ProjectionTrainConfig
-from .textio import json_float_array, json_numbers, read_input, read_text
+from .textio import json_numbers, json_text, read_input, read_text
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -363,16 +365,13 @@ def project_space(model: ProjectionModel, side: str, space: EmbeddingSpace) -> E
 
 
 def projection_json(model: ProjectionModel) -> str:
-    """The model as ``json.dumps(doc, indent=1) + "\n"`` writes it, faster:
-    ``json_float_array`` writes the arrays."""
-    head = json.dumps({
+    """The model as ``json.dumps(doc, indent=1) + "\n"`` writes it, each array as its list."""
+    return json_text({
         "format_version": MODEL_FORMAT_VERSION,
         "dims": dict(zip(("e", "f", "d"), model.dims)),
         "margin": model.margin,
-    }, indent=1)
-    arrays = "".join(f',\n "{name}": {json_float_array(arr, 1, 1)}'
-                     for name, arr in model.params().items())
-    return head.removesuffix("\n}") + arrays + "\n}\n"
+        **model.params(),
+    }, 1)
 
 
 def load_projection(path) -> ProjectionModel:

@@ -16,9 +16,10 @@ import pmean.cli
 import pmean.pooling
 
 # Runs pmean's __main__ with argv[2:] after the setup code, then writes the
-# exit code, the loaded modules and the setup's findings to argv[1] as JSON.
+# exit code, the loaded modules and the setup's findings to argv[1] as JSON;
+# the probe imports json only after it has listed the modules.
 PROBE = """\
-import json, runpy, sys
+import runpy, sys
 report, sys.argv = sys.argv[1], ["pmean", *sys.argv[2:]]
 found = {{}}
 {setup}
@@ -27,8 +28,10 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
+modules = sorted(sys.modules)
+import json
 with open(report, "w") as f:
-    json.dump({{"exit": code, "modules": sorted(sys.modules), **found}}, f)
+    json.dump({{"exit": code, "modules": modules, **found}}, f)
 """
 
 
@@ -74,6 +77,7 @@ def test_parsing_alone_loads_no_numpy(tmp_path, argv, code):
     probe = run_fresh(tmp_path, argv)
     assert probe["exit"] == code
     assert "numpy" not in probe["modules"]
+    assert "json" not in probe["modules"]
 
 
 @pytest.mark.parametrize("name, never", [

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import pmean.textio
 from pmean.embeddings import load_text_embeddings
 from pmean.errors import FormatError
-from pmean.textio import float_row_text, json_float_array, read_input, read_lines, read_text
+from pmean.textio import (float_row_text, json_float_array, json_text, read_input, read_lines,
+                          read_text)
 
 MIB = 2**20
 
@@ -73,6 +74,8 @@ READERS = {("textio.py", "open_regular")}
 WRITERS = {("manifest.py", "atomic_open"), ("manifest.py", "temp_beside")}
 # the os.open flags that let a file be written, made or cut short
 WRITE_FLAGS = ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC")
+# json's writers, which only json_text calls: one function spells every JSON file
+JSON_WRITES = ("dump", "dumps")
 
 
 def called(call: ast.Call) -> tuple[str | None, str | None]:
@@ -126,14 +129,37 @@ def opens_for_writing(call: ast.Call) -> bool:
     return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
 
 
-def calls_that(predicate, src: Path) -> set[tuple[str, str]]:
-    """(file, outermost function) of every call in ``src/*.py`` for which ``predicate`` holds."""
+def calls_that(predicate, src: Path, per_module: bool = False) -> set[tuple[str, str]]:
+    """(file, outermost function) of every call in ``src/*.py`` for which ``predicate``
+    holds; with ``per_module``, ``predicate(module)`` is each file's predicate, for
+    a scan that reads the file's imports."""
     found = set()
     for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        holds = predicate(module) if per_module else predicate
+        for top in module.body:
             found |= {(path.name, getattr(top, "name", "<module>")) for node in ast.walk(top)
-                      if isinstance(node, ast.Call) and predicate(node)}
+                      if isinstance(node, ast.Call) and holds(node)}
     return found
+
+
+def writes_json(module: ast.Module):
+    """Whether a call in ``module`` calls ``json.dumps`` or ``json.dump``, however
+    ``module`` imports them: ``json.dumps``, ``import json as j; j.dump``,
+    ``from json import dumps as d; d``."""
+    modules, functions = set(), set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions |= {alias.asname or alias.name for alias in node.names
+                          if alias.name in JSON_WRITES}
+
+    def holds(call: ast.Call) -> bool:
+        name, owner = called(call)
+        return (owner in modules and name in JSON_WRITES
+                or isinstance(call.func, ast.Name) and name in functions)
+    return holds
 
 
 def calls_to(name: str):
@@ -208,6 +234,27 @@ def test_the_writer_scan_sees_each_kind_of_write(tmp_path):
         "def r(p): return open(p), open(p, 'rb'), os.open(p, os.O_RDONLY), p.read_text(), "
         "p.open(), write_text(p), os.open(p, flags | os.O_NONBLOCK)\n")
     assert calls_that(opens_for_writing, tmp_path) == {("m.py", name) for name in "abcdefghijklmnO"}
+
+
+def test_json_text_is_the_only_caller_of_json_writers():
+    assert calls_that(writes_json, SRC, per_module=True) == {("textio.py", "json_text")}
+
+
+def test_the_json_scan_sees_each_spelling(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps as d, dump\n"
+        "def a(x): return json.dumps(x)\n"
+        "def b(x, f): return json.dump(x, f)\n"
+        "def c(x): return j.dumps(x)\n"
+        "def e(x): return d(x)\n"
+        "def f(x, fh): return dump(x, fh)\n"
+        "class G:\n"
+        "    def g(self, x): return json.dumps(x, indent=2)\n"
+        "def r(x): return json.loads(x), dumps(x), orjson.dumps(x), self.d(x), j.load(x)\n")
+    assert calls_that(writes_json, tmp_path, per_module=True) == {
+        ("m.py", name) for name in "abcefG"}
 
 
 class TestLineEndings:
@@ -287,7 +334,7 @@ class TestFloatRowText:
 
 
 class TestJsonFloatArray:
-    """``json_float_array`` against ``json.dumps`` of the array's list."""
+    """``json_float_array`` and ``json_text`` against ``json.dumps`` of the array's list."""
 
     @staticmethod
     def check(arr, indent):
@@ -297,6 +344,13 @@ class TestJsonFloatArray:
         # nested two deep in a document, as a manifest's znorm_params are
         nested = json.dumps({"a": {"b": arr.tolist()}}, indent=indent)
         assert json_float_array(arr, indent, 2) in nested
+        # and through json_text, two dicts deep beside what json.dumps writes itself
+        doc = {"z": {"path": Path("d/m.json"), "arr": arr, "empty": {}},
+               "list": [1, "two", None], "none": None, "text": 'a "quoted"\nline'}
+        listed = {**doc, "z": {**doc["z"], "arr": arr.tolist()}}
+        for sort_keys in (False, True):
+            assert json_text(doc, indent, sort_keys=sort_keys, default=str) == json.dumps(
+                listed, indent=indent, sort_keys=sort_keys, default=str) + "\n"
 
     @pytest.mark.parametrize("arr", [
         np.array([1e-05, 1e-08, 1e16, 5e-324, -0.0, 0.5]),
