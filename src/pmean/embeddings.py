@@ -193,18 +193,15 @@ def _parse_with_loadtxt(data, path: Path):
     """
     vocab: dict[str, int] = {}
     duplicate_rows: list[int] = []
-    rejected = False
 
-    def value_texts():
-        nonlocal rejected
+    def value_texts():  # np.loadtxt passes on what this raises
         for lineno, line in read_lines(data, path):
             token, _, values = line.partition(" ")
             if lineno == 1 and " " not in values and _is_int(token) and _is_int(values):
                 continue  # word2vec-style count/dim header
             # an empty value text would be skipped by numpy as a blank line
             if not token or not values or any(c in values for c in _FLOAT_LOOP_CHARS):
-                rejected = True
-                return
+                raise ValueError("a line left to the float() loop")
             if token in vocab:
                 duplicate_rows.append(len(vocab) + len(duplicate_rows))
             else:
@@ -218,9 +215,9 @@ def _parse_with_loadtxt(data, path: Path):
             return None
         matrix = np.loadtxt(chain([first], texts), dtype=np.float64, comments=None,
                             delimiter=" ", ndmin=2)
-    except ValueError:  # a value numpy rejects, ragged rows, or a FormatError (not UTF-8)
+    except ValueError:  # a value numpy rejects, ragged rows, a line left to float(), not UTF-8
         return None
-    if rejected or not np.isfinite(matrix).all():
+    if not np.isfinite(matrix).all():
         return None
     if duplicate_rows:
         keep = np.ones(len(matrix), dtype=bool)

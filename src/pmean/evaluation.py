@@ -14,7 +14,6 @@ task file never changes reported scores. The classifier sees only indices.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
@@ -34,7 +33,7 @@ from .errors import DimensionError, FormatError, InputError
 from .manifest import write_atomic
 from .pooling import PooledConfig, PooledPart, embed_corpus
 from .settings import TrainProtocol
-from .textio import json_numbers, json_text, read_input, read_lines
+from .textio import json_document, json_numbers, json_text, read_input, read_lines
 
 REPORT_FORMAT_VERSION = 1
 
@@ -278,7 +277,18 @@ class ReportRow:
 
 @dataclass
 class EvalReport:
+    """One table: at least one row, each naming the same (task, metric) cells in order."""
+
     rows: list[ReportRow]
+
+    def __post_init__(self):
+        if not self.rows:
+            raise InputError("report has no rows")
+        first = [(r.task, r.metric) for r in self.rows[0].results]
+        for row in self.rows[1:]:
+            if (cells := [(r.task, r.metric) for r in row.results]) != first:
+                raise InputError(f"report row {row.model!r} has task cells {cells}, "
+                                 f"not the first row's {first}")
 
 
 def evaluate_report(rows, tasks, protocol: TrainProtocol) -> EvalReport:
@@ -352,12 +362,12 @@ def emit_report(report: EvalReport, fmt: str) -> str:
     if fmt != "markdown":
         raise InputError(f"unknown report format {fmt!r}")
 
-    task_names = [r.task for r in report.rows[0].results]
-    header = ["Model", "Σ", *task_names]
+    # GitHub-flavoured markdown reads "\|" in a cell as text, not as a column break
+    header = ["Model", "Σ", *(r.task.replace("|", r"\|") for r in report.rows[0].results)]
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     for row in report.rows:
-        cells = [row.model, f"{100 * row.sigma:.1f}"]
+        cells = [row.model.replace("|", r"\|"), f"{100 * row.sigma:.1f}"]
         for r in row.results:
             cell = f"{100 * r.score:.1f}"
             if r.drop is not None:
@@ -370,21 +380,14 @@ def emit_report(report: EvalReport, fmt: str) -> str:
 def parse_report(text: str) -> EvalReport:
     """Inverse of emit_report(fmt="json"); rejects what it never writes.
 
-    FormatError: not JSON, an unknown version, no rows, a missing key, a
+    FormatError: what ``json_document`` rejects, no rows, a missing key, a
     metric not in METRICS, a ``model`` or ``task`` that is not a string, or a
     number field that is not a finite JSON number (``in_language`` and
     ``drop`` may be null). InputError: a stored sigma or
-    drop more than 1e-12 from the one the scores give, or a drop without an
-    in_language.
+    drop more than 1e-12 from the one the scores give, a drop without an
+    in_language, or rows that are not one table.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"report is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"report must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != REPORT_FORMAT_VERSION:
-        raise FormatError(f"unsupported report version {doc.get('version')!r}")
+    doc = json_document(text, "report", "version", REPORT_FORMAT_VERSION)
     try:
         rows = [_parse_row(row) for row in doc["rows"]]
     except KeyError as exc:

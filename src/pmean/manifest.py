@@ -19,8 +19,8 @@ made if missing, and an atomic rename moves it into place, so the file appears
 whole or not at all. It is created with the mode a plain ``open(path, "w")``
 gives, 0o666 less the umask. A path that exists and is not a regular file,
 following links (a directory, a FIFO, a device), is refused, never replaced.
-One function spells every JSON file, ``textio.json_text``: manifests and reports
-with indent 2 and sorted keys, the projection model with indent 1 in insertion order.
+A manifest's JSON is spelled by ``textio.json_text``; ``textio`` states the rules
+every JSON file pmean writes or reads follows.
 """
 from __future__ import annotations
 

@@ -3,13 +3,10 @@ cosine max-margin ranking loss over (sentence, translation, random) triples.
 
 Training operates on sentence-average vectors; the learned maps are then
 applied to individual word vectors, which live in the same space as the
-averages. ``projection_json`` writes the model through ``textio.json_text``, the
-one function that writes every JSON file: the model with indent 1 in insertion
-order, manifests and reports with indent 2 and sorted keys.
+averages. The model file is written and read through ``textio``'s JSON functions.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +16,7 @@ from .embeddings import EmbeddingSpace
 from .errors import DimensionError, FormatError, InputError, NumericalPolicyError
 from .optim import AdamState, Layout, Params, adam_step
 from .settings import ProjectionTrainConfig
-from .textio import json_numbers, json_text, read_input, read_text
+from .textio import json_document, json_numbers, json_text, read_input, read_text
 
 MODEL_FORMAT_VERSION = 1
 SIDES = ("source", "target")
@@ -375,15 +372,8 @@ def projection_json(model: ProjectionModel) -> str:
 
 
 def load_projection(path) -> ProjectionModel:
-    try:
-        doc = json.loads(read_text(read_input(path)[0], path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported model format_version {version!r}")
+    doc = json_document(read_text(read_input(path)[0], path), path, "format_version",
+                        MODEL_FORMAT_VERSION)
     try:
         model = ProjectionModel(
             W_l=json_numbers(doc["W_l"], 2),

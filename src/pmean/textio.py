@@ -15,10 +15,12 @@ other ``\r`` is part of the line.
 ``float_row_text`` writes a row of floats exactly as ``repr`` writes each
 one, so a reader that parses them gets the same doubles back;
 ``json_float_array`` writes a float array through it exactly as
-``json.dumps`` does, and ``json_text``, through it, every JSON file pmean
-writes: manifests and reports with indent 2 and sorted keys, the projection
-model with indent 1 in insertion order. The JSON readers take their numbers
-through ``json_numbers``.
+``json.dumps`` does. Only this module imports ``json``: ``json_text`` writes
+every JSON file pmean writes (manifests and reports with indent 2 and sorted
+keys, the projection model with indent 1 in insertion order), and
+``json_document`` decodes every one it reads (the model and the report) to an
+object of the reader's version; each reader checks its own fields, taking
+their numbers through ``json_numbers``.
 """
 from __future__ import annotations
 
@@ -170,6 +172,20 @@ class _BufferReader(io.RawIOBase):
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> FormatError:
     return FormatError(f"{source}: not UTF-8: cannot decode byte 0x{exc.object[exc.start]:02x}")
+
+
+def json_document(text: str, source, version_key: str, version) -> dict:
+    """``json.loads(text)`` if it is an object whose ``version_key`` is ``version``;
+    anything else raises FormatError naming ``source``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{source}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    if doc.get(version_key) != version:
+        raise FormatError(f"{source}: unsupported {version_key} {doc.get(version_key)!r}")
+    return doc
 
 
 def json_numbers(value, ndim: int) -> np.ndarray:

@@ -158,6 +158,16 @@ class TestLayout:
             assert np.shares_memory(views[name], flat)
 
 
+@pytest.mark.parametrize("weights, bias, message", [
+    (np.zeros(3), np.zeros(3), "shapes disagree with class count"),
+    (np.zeros((3, 2)), np.zeros(2), "shapes disagree with class count"),
+    (np.zeros((1, 2)), np.zeros(1), "needs at least 2 classes"),
+], ids=["flat-weights", "bias-of-other-length", "one-class"])
+def test_softmax_model_rejects_what_is_not_a_softmax(weights, bias, message):
+    with pytest.raises(InputError, match=message):
+        SoftmaxModel(weights, bias)
+
+
 class TestSoftmaxXent:
     def test_uniform_logits_loss_is_ln_c(self):
         for C in (2, 3, 5):

@@ -111,6 +111,13 @@ class TestLoadTask:
             load_task(path)
         assert str(exc.value) == f"{path}:3: empty task lang"
 
+    def test_an_unknown_header_key_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("#name=x\n#metric=accuracy\n#language=en\na\ts1\nb\ts2\n")
+        with pytest.raises(FormatError) as exc:
+            load_task(path)
+        assert str(exc.value) == f"{path}:3: unknown header key 'language'"
+
     def test_only_lf_ends_a_line(self, tmp_path):
         lf = tmp_path / "lf.tsv"
         lf.write_bytes(b"#name=x\n#metric=accuracy\npos\tgood\rneg\tbad\nneg\tawful\n")
@@ -558,7 +565,7 @@ class TestReports:
             parse_report(text)
 
     @pytest.mark.parametrize("mangle, message", [
-        (lambda doc: [doc], "report must be a JSON object, got list"),
+        (lambda doc: [doc], "report: expected a JSON object, got list"),
         (lambda doc: {**doc, "rows": [{k: v for k, v in doc["rows"][0].items() if k != "tasks"}]},
          "report has no 'tasks' key"),
         (lambda doc: {**doc, "rows": [["m1"]]}, "report has a malformed entry: "),
@@ -600,3 +607,51 @@ class TestReports:
     def test_unknown_format_rejected(self):
         with pytest.raises(InputError):
             emit_report(self.make_report(), "yaml")
+
+    def test_a_parsed_report_with_another_task_in_a_column_is_rejected(self):
+        # row m2 scoring task u where m1 scores t1 would print u's score under t1
+        doc = json.loads(emit_report(self.make_report(), "json"))
+        doc["rows"][1]["tasks"][0]["task"] = "u"
+        with pytest.raises(InputError, match="report row 'm2' has task cells"):
+            parse_report(json.dumps(doc))
+
+    @pytest.mark.parametrize("keep, message", [
+        (lambda rows: [rows[0], ReportRow("m2", rows[1].results[:1])], "has task cells"),
+        (lambda rows: [rows[0], ReportRow("m2", rows[1].results[::-1])], "has task cells"),
+        (lambda rows: [rows[0], ReportRow("m2", [replace(rows[1].results[0], metric="macro_f1"),
+                                                 rows[1].results[1]])], "has task cells"),
+        (lambda rows: [], "report has no rows"),
+    ], ids=["fewer-tasks", "other-order", "other-metric", "no-rows"])
+    def test_a_report_is_one_table(self, keep, message):
+        with pytest.raises(InputError, match=message):
+            EvalReport(keep(self.make_report().rows))
+
+    def test_markdown_escapes_a_pipe_in_model_and_task_names(self):
+        report = EvalReport([ReportRow("a|b[1]", [TaskResult("x|y", "accuracy", 0.5, 0.0)])])
+        lines = emit_report(report, "markdown").splitlines()
+        assert lines[0] == r"| Model | Σ | x\|y |"
+        assert lines[2] == r"| a\|b[1] | 50.0 | 50.0 |"
+
+
+TWO_ITEMS = [("a", "s1"), ("b", "s2")]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TaskDataset("t", []), "task 't': no items"),
+    (lambda: TaskDataset("t", [("a", "s1"), ("a", "s2")]), "task 't': needs at least 2 classes"),
+    (lambda: TaskDataset("t", TWO_ITEMS, metric_kind="rmse"), "task 't': unknown metric 'rmse'"),
+    (lambda: ReportRow("m", []), "report row has no task results"),
+    (lambda: sweep_pmeans(spaces_config(EmbeddingSpace("s", {"s1": 0}, np.ones((1, 2)))), [],
+                          [TaskDataset("t", TWO_ITEMS)], FAST),
+     "sweep needs at least one p-value set"),
+], ids=["no-items", "one-class", "unknown-metric", "row-without-results", "no-p-sets"])
+def test_what_evaluation_cannot_score_raises_input_error(build, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        build()
+
+
+def test_merge_spaces_rejects_overlapping_tokens():
+    a = EmbeddingSpace("a", {"x": 0, "y": 1}, np.ones((2, 2)))
+    b = EmbeddingSpace("b", {"y": 0}, np.ones((1, 2)))
+    with pytest.raises(ValueError, match=re.escape("overlapping tokens: ['y']")):
+        merge_spaces(a, b, "ab")

@@ -440,6 +440,15 @@ def two_spaces():
     return mk("one", 3), mk("two", 4)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda space: PooledPart(space, [1.0, math.nan]), "part 'one': p may not be NaN"),
+    (lambda space: PooledConfig([]), "PooledConfig needs at least one part"),
+], ids=["nan-p", "no-parts"])
+def test_a_config_that_pools_nothing_defined_raises(two_spaces, build, message):
+    with pytest.raises(InputError, match=message):
+        build(two_spaces[0])
+
+
 def embed_one(space, p_values, sentence):
     """The single row embed_corpus gives one sentence over one space."""
     X, _ = embed_corpus(PooledConfig([PooledPart(space, p_values)]), [sentence])

@@ -91,6 +91,11 @@ class TestInit:
             assert abs(m.W_l[0, 0]) <= 1.7320508075688772
             assert abs(m.W_k[0, 0]) <= 1.7320508075688772
 
+    @pytest.mark.parametrize("e, f, d", [(0, 5, 3), (4, -1, 3), (4, 5, 0)])
+    def test_rejects_a_non_positive_dim(self, e, f, d):
+        with pytest.raises(InputError, match="projection dims must be positive"):
+            init_projection(e, f, d, seed=0)
+
     def test_dims(self):
         m = init_projection(4, 5, 3, seed=0)
         assert m.dims == (4, 5, 3)
@@ -112,6 +117,15 @@ class TestCorpus:
         with pytest.raises(InputError, match="parallel corpus is empty"):
             ParallelCorpus(np.ones((0, 3)), np.ones((0, 2)))
         assert len(ParallelCorpus(np.ones((1, 3)), np.ones((1, 2)))) == 1
+
+    @pytest.mark.parametrize("source, target, error, message", [
+        (np.ones((3, 2)), np.ones((2, 2)), DimensionError, "pair counts differ"),
+        (np.ones((2, 2)), [[1.0, math.nan], [1.0, 1.0]], InputError, "non-finite vectors"),
+        ([[math.inf, 1.0], [1.0, 1.0]], np.ones((2, 2)), InputError, "non-finite vectors"),
+    ], ids=["pair-counts", "nan-target", "inf-source"])
+    def test_rejects_pairs_that_do_not_align(self, source, target, error, message):
+        with pytest.raises(error, match=message):
+            ParallelCorpus(source, target)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import pmean.textio
 from pmean.embeddings import load_text_embeddings
 from pmean.errors import FormatError
-from pmean.textio import (float_row_text, json_float_array, json_text, read_input, read_lines,
-                          read_text)
+from pmean.textio import (float_row_text, json_document, json_float_array, json_text, read_input,
+                          read_lines, read_text)
 
 MIB = 2**20
 
@@ -74,8 +74,10 @@ READERS = {("textio.py", "open_regular")}
 WRITERS = {("manifest.py", "atomic_open"), ("manifest.py", "temp_beside")}
 # the os.open flags that let a file be written, made or cut short
 WRITE_FLAGS = ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC")
-# json's writers, which only json_text calls: one function spells every JSON file
+# json's writers, which only json_text calls: one function spells every JSON file;
+# and its readers, which only json_document calls: one function decodes every JSON file
 JSON_WRITES = ("dump", "dumps")
+JSON_READS = ("load", "loads")
 
 
 def called(call: ast.Call) -> tuple[str | None, str | None]:
@@ -143,23 +145,44 @@ def calls_that(predicate, src: Path, per_module: bool = False) -> set[tuple[str,
     return found
 
 
-def writes_json(module: ast.Module):
-    """Whether a call in ``module`` calls ``json.dumps`` or ``json.dump``, however
-    ``module`` imports them: ``json.dumps``, ``import json as j; j.dump``,
-    ``from json import dumps as d; d``."""
-    modules, functions = set(), set()
-    for node in ast.walk(module):
-        if isinstance(node, ast.Import):
-            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
-        elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            functions |= {alias.asname or alias.name for alias in node.names
-                          if alias.name in JSON_WRITES}
+def calls_json(names: tuple[str, ...]):
+    """A per-module predicate for ``calls_that``: whether a call in ``module`` calls
+    one of json's functions ``names``, however ``module`` imports them:
+    ``json.dumps``, ``import json as j; j.load``, ``from json import dumps as d; d``."""
+    def calls_in(module: ast.Module):
+        modules, functions = set(), set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "json"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                functions |= {alias.asname or alias.name for alias in node.names
+                              if alias.name in names}
 
-    def holds(call: ast.Call) -> bool:
-        name, owner = called(call)
-        return (owner in modules and name in JSON_WRITES
-                or isinstance(call.func, ast.Name) and name in functions)
-    return holds
+        def holds(call: ast.Call) -> bool:
+            name, owner = called(call)
+            return (owner in modules and name in names
+                    or isinstance(call.func, ast.Name) and name in functions)
+        return holds
+    return calls_in
+
+
+def imports_json(module: ast.Module) -> bool:
+    """Whether ``module`` imports ``json`` or a module in it, by an import statement
+    in any spelling or by ``__import__``/``importlib.import_module`` of a literal."""
+    def is_json(name) -> bool:
+        return isinstance(name, str) and (name == "json" or name.startswith("json."))
+
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import) and any(is_json(alias.name) for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and is_json(node.module):
+            return True
+        if (isinstance(node, ast.Call) and called(node)[0] in ("__import__", "import_module")
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and is_json(node.args[0].value)):
+            return True
+    return False
 
 
 def calls_to(name: str):
@@ -237,14 +260,17 @@ def test_the_writer_scan_sees_each_kind_of_write(tmp_path):
 
 
 def test_json_text_is_the_only_caller_of_json_writers():
-    assert calls_that(writes_json, SRC, per_module=True) == {("textio.py", "json_text")}
+    assert calls_that(calls_json(JSON_WRITES), SRC, per_module=True) == {
+        ("textio.py", "json_text")}
+    assert calls_that(calls_json(JSON_READS), SRC, per_module=True) == {
+        ("textio.py", "json_document")}
 
 
 def test_the_json_scan_sees_each_spelling(tmp_path):
     (tmp_path / "m.py").write_text(
         "import json\n"
         "import json as j\n"
-        "from json import dumps as d, dump\n"
+        "from json import dumps as d, dump, loads as l\n"
         "def a(x): return json.dumps(x)\n"
         "def b(x, f): return json.dump(x, f)\n"
         "def c(x): return j.dumps(x)\n"
@@ -252,9 +278,55 @@ def test_the_json_scan_sees_each_spelling(tmp_path):
         "def f(x, fh): return dump(x, fh)\n"
         "class G:\n"
         "    def g(self, x): return json.dumps(x, indent=2)\n"
-        "def r(x): return json.loads(x), dumps(x), orjson.dumps(x), self.d(x), j.load(x)\n")
-    assert calls_that(writes_json, tmp_path, per_module=True) == {
-        ("m.py", name) for name in "abcefG"}
+        "def h(x): return json.loads(x)\n"
+        "def i(fh): return j.load(fh)\n"
+        "def k(x): return l(x)\n"
+        "def r(x): return dumps(x), orjson.dumps(x), self.d(x), orjson.loads(x), load(x)\n")
+    assert calls_that(calls_json(JSON_WRITES + JSON_READS), tmp_path, per_module=True) == {
+        ("m.py", name) for name in "abcefGhik"}
+    assert calls_that(calls_json(JSON_READS), tmp_path, per_module=True) == {
+        ("m.py", name) for name in "hik"}
+
+
+def test_textio_alone_imports_json():
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if imports_json(ast.parse(path.read_text(encoding="utf-8")))] == ["textio.py"]
+
+
+@pytest.mark.parametrize("source, imports", [
+    ("import json", True),
+    ("import os, json as j", True),
+    ("import json.decoder", True),
+    ("from json import loads", True),
+    ("from json.decoder import JSONDecodeError", True),
+    ("def f():\n    from json import *", True),
+    ("m = __import__('json')", True),
+    ("m = importlib.import_module('json.encoder')", True),
+    ("import orjson, jsonschema", False),
+    ("from .textio import json_text, json_document", False),
+    ("from . import json_helpers", False),
+    ("m = importlib.import_module('jsonlines')", False),
+])
+def test_the_json_import_scan_sees_each_spelling(source, imports):
+    assert imports_json(ast.parse(source)) is imports
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"v": 1', "doc.json: not valid JSON: Expecting ',' delimiter"),
+    ('[{"v": 1}]', "doc.json: expected a JSON object, got list"),
+    ('"v"', "doc.json: expected a JSON object, got str"),
+    ('{"v": 2}', "doc.json: unsupported v 2"),
+    ('{"v": "1"}', "doc.json: unsupported v '1'"),
+    ('{"w": 1}', "doc.json: unsupported v None"),
+])
+def test_json_document_raises_format_error_naming_its_source(text, message):
+    with pytest.raises(FormatError) as exc:
+        json_document(text, "doc.json", "v", 1)
+    assert str(exc.value).startswith(message)
+
+
+def test_json_document_gives_the_object():
+    assert json_document('{"v": 1, "x": [0.5, 2]}', "doc.json", "v", 1) == {"v": 1, "x": [0.5, 2]}
 
 
 class TestLineEndings:
